@@ -12,16 +12,10 @@ from .bounds import (
     BoundReport,
     MarginProfile,
     bound_report,
-    chernoff_term_bound,
-    chi,
     gap_bound,
-    golden_section,
     margin_profile,
-    markov_gap_bound,
     refined_lipschitz_profile,
-    theorem3_bound,
     theorem3_report,
-    truncated_markov_gap_bound,
 )
 from .dataset import (
     CellSpec,

@@ -1,35 +1,36 @@
 """Certified bounds on fairness differences between nearby models.
 
-The key quantity per example is the ratio of its margin Lipschitz constant
-to its absolute confidence margin.  Group-conditional means of that ratio,
-weighted by the fairness coefficient magnitudes, give the pointwise
-Lipschitz factor chi of each group's fairness level: two models at distance
-d have per-group fairness gaps at most chi * d (the "markov" variant).
+Every variant is read off one margin profile: per example, the absolute
+confidence margin |m| and the margin's Lipschitz constant L in the model.
+A model within distance d of the profiled one can change the prediction
+only on examples with |m|/L <= d, the "at-risk" examples.  ``bound_report``
+makes one pass over the profile and builds three per-group term vectors,
+then combines each with the fairness coefficient magnitudes exactly as the
+fairness layer combines conditional accuracies:
 
-Two refinements are implemented and can be combined freely because both are
-monotone in the distance:
+- "markov": the group mean of L/|m| (the pointwise Lipschitz factor chi)
+  times d;
+- "truncated": the same mean with every example that is not at risk
+  counted as zero, times d;
+- "chernoff": the at-risk fraction of the group.  This is the
+  exponential-moment bound min over t >= 0 of
+  exp(t*d) * mean(exp(-t*|m|/L) * 1{at risk}) in closed form: every at-risk
+  summand exp(t*(d - |m|/L)) is >= 1 and nondecreasing in t, so the
+  minimiser is t = 0 and the term always lies in [0, 1];
+- "best": the termwise minimum of the three, so it never exceeds any of
+  them.
 
-- truncation ("truncated"): an example whose margin exceeds its Lipschitz
-  constant times the distance provably cannot change prediction, so its
-  ratio is replaced by zero before averaging;
-- exponential-moment optimization ("chernoff"): each group term is replaced
-  by min over t >= 0 of exp(t*d) * mean(exp(-t*|margin|/L)), with truncated
-  examples contributing zero inside the mean; the scalar minimization uses
-  golden-section search over a doubling bracket.
-
-The "best" variant takes the per-term minimum of all of the above and never
-exceeds any of them.  Ratios follow the convention that an example with a
-zero Lipschitz constant can never flip (it contributes 0 to chi and is
-always truncated), while a zero margin under a positive Lipschitz constant
-makes chi infinite -- the chernoff term stays finite in that case, which is
-the reason the variants are combined.
+Conventions: an example with a zero Lipschitz constant can never flip (it
+contributes 0 to chi and is never at risk); a zero margin under a positive
+Lipschitz constant makes chi, markov and truncated infinite while the
+chernoff term stays finite, which is the reason the variants are combined.
+Every variant is 0 at d = 0, and empty groups contribute 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,9 +43,6 @@ from .trainer import LossConstants
 
 VARIANTS = ("markov", "truncated", "chernoff", "best")
 DIST_PROVENANCES = ("lemma2", "lemma3", "measured")
-
-CHERNOFF_T_MAX = 1e6
-CHERNOFF_TOL_FACTOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,6 @@ class MarginProfile:
     @property
     def n(self) -> int:
         return self.abs_margins.shape[0]
-
-    def group_indices(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == k)
 
 
 def margin_profile(m: LinearModel, d: Dataset, part: GroupPartition) -> MarginProfile:
@@ -116,199 +111,6 @@ def refined_lipschitz_profile(
         assignment=part.assignment,
         num_groups=part.num_groups,
     )
-
-
-def _inverse_margin_ratios(profile: MarginProfile) -> np.ndarray:
-    """L/|margin| per example; 0 when L = 0 (the example can never flip),
-    +inf when the margin is 0 under a positive L."""
-    out = np.zeros(profile.n)
-    pos_l = profile.lipschitz > 0
-    zero_m = profile.abs_margins == 0
-    out[pos_l & zero_m] = np.inf
-    live = pos_l & ~zero_m
-    out[live] = profile.lipschitz[live] / profile.abs_margins[live]
-    return out
-
-
-def _margin_ratios(profile: MarginProfile) -> np.ndarray:
-    """|margin|/L per example; +inf when L = 0 (never truncatable away)."""
-    out = np.full(profile.n, np.inf)
-    pos_l = profile.lipschitz > 0
-    out[pos_l] = profile.abs_margins[pos_l] / profile.lipschitz[pos_l]
-    return out
-
-
-def _group_sizes(profile: MarginProfile) -> np.ndarray:
-    return np.bincount(profile.assignment, minlength=profile.num_groups)
-
-
-def chi(profile: MarginProfile, spec: FairnessSpec, k: int) -> float:
-    """Pointwise Lipschitz factor of group k's fairness level: the
-    coefficient-magnitude-weighted conditional means of L/|margin|.
-
-    Empty groups contribute 0; a zero margin inside a group carrying a
-    nonzero coefficient makes the result +inf.
-    """
-    ratios = _inverse_margin_ratios(profile)
-    total = 0.0
-    for kp in range(spec.num_groups):
-        weight = float(abs(spec.coeffs[k, kp]))
-        if weight == 0.0:
-            continue
-        idx = profile.group_indices(kp)
-        if idx.size == 0:
-            continue
-        total += weight * float(np.mean(ratios[idx]))
-    return total
-
-
-def chi_all(profile: MarginProfile, spec: FairnessSpec) -> np.ndarray:
-    return np.array([chi(profile, spec, k) for k in range(spec.num_groups)])
-
-
-def markov_gap_bound(profile: MarginProfile, spec: FairnessSpec, k: int, dist: float) -> float:
-    """chi_k * dist."""
-    if dist < 0:
-        raise ValueError("dist must be nonnegative")
-    if dist == 0.0:
-        return 0.0
-    return chi(profile, spec, k) * float(dist)
-
-
-def _truncated_group_means(profile: MarginProfile, dist: float) -> np.ndarray:
-    """Per-group means of (L/|margin|) * 1{|margin| <= L * dist}."""
-    inv = _inverse_margin_ratios(profile)
-    included = _margin_ratios(profile) <= dist
-    sizes = _group_sizes(profile)
-    means = np.zeros(profile.num_groups)
-    for kp in range(profile.num_groups):
-        if sizes[kp] == 0:
-            continue
-        mask = included & (profile.assignment == kp)
-        if np.any(mask):
-            means[kp] = float(np.sum(inv[mask])) / sizes[kp]
-    return means
-
-
-def truncated_markov_gap_bound(
-    profile: MarginProfile, spec: FairnessSpec, k: int, dist: float
-) -> float:
-    """Markov bound with large-margin examples dropped: examples with
-    |margin| > L * dist cannot change prediction and contribute zero."""
-    if dist < 0:
-        raise ValueError("dist must be nonnegative")
-    if dist == 0.0:
-        return 0.0
-    means = _truncated_group_means(profile, dist)
-    weights = np.abs(spec.coeffs[k])
-    live = weights > 0
-    return float(np.sum(weights[live] * means[live])) * float(dist)
-
-
-def golden_section(
-    g: Callable[[float], float], a: float, b: float, tol: float
-) -> float:
-    """Location of the minimum of a unimodal scalar function on [a, b],
-    to within tol."""
-    if a >= b:
-        raise ValueError("golden_section requires a < b")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    g1, g2 = g(x1), g(x2)
-    while b - a > tol:
-        if g1 <= g2:
-            b, x2, g2 = x2, x1, g1
-            x1 = b - inv_phi * (b - a)
-            g1 = g(x1)
-        else:
-            a, x1, g1 = x1, x2, g2
-            x2 = a + inv_phi * (b - a)
-            g2 = g(x2)
-    return 0.5 * (a + b)
-
-
-def _bracket_maximum(g: Callable[[float], float]) -> float:
-    """Upper end of the search bracket: double from 1 until g has increased
-    for three consecutive doublings, capped at CHERNOFF_T_MAX."""
-    t = 1.0
-    prev = g(t)
-    rises = 0
-    while t < CHERNOFF_T_MAX:
-        t *= 2.0
-        value = g(t)
-        rises = rises + 1 if value > prev else 0
-        prev = value
-        if rises >= 3:
-            break
-    return min(t, CHERNOFF_T_MAX)
-
-
-def chernoff_term_bound(profile: MarginProfile, group: int, dist: float) -> float:
-    """Exponential-moment bound on one group's accuracy difference.
-
-    Minimizes exp(t*dist) * mean(exp(-t*|margin|/L)) over t in the bracket,
-    where examples with |margin| > L*dist contribute zero inside the mean
-    (their prediction cannot change).  The result bounds a probability
-    difference and is clamped to [0, 1].  Empty groups yield 0.
-    """
-    if dist < 0:
-        raise ValueError("dist must be nonnegative")
-    if dist == 0.0:
-        return 0.0
-    idx = profile.group_indices(group)
-    if idx.size == 0:
-        return 0.0
-    ratios = _margin_ratios(profile)[idx]
-    live = ratios[ratios <= dist]
-    if live.size == 0:
-        return 0.0
-    size = idx.size
-
-    def g(t: float) -> float:
-        return math.exp(t * dist) * float(np.sum(np.exp(-t * live))) / size
-
-    t_hi = _bracket_maximum(g)
-    t_star = golden_section(g, 0.0, t_hi, CHERNOFF_TOL_FACTOR * t_hi)
-    value = min(g(t_star), g(0.0))
-    return min(max(value, 0.0), 1.0)
-
-
-def gap_bound(
-    profile: MarginProfile, spec: FairnessSpec, k: int, dist: float, variant: str = "best"
-) -> float:
-    """Bound on |F_k(h) - F_k(h')| for any h' within ``dist`` of the
-    profiled model, under the requested variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown bound variant {variant!r}")
-    if dist < 0:
-        raise ValueError("dist must be nonnegative")
-    if variant == "markov":
-        return markov_gap_bound(profile, spec, k, dist)
-    if variant == "truncated":
-        return truncated_markov_gap_bound(profile, spec, k, dist)
-    if dist == 0.0:
-        return 0.0
-
-    inv = _inverse_margin_ratios(profile)
-    trunc_means = _truncated_group_means(profile, dist)
-    sizes = _group_sizes(profile)
-    total = 0.0
-    for kp in range(spec.num_groups):
-        weight = float(abs(spec.coeffs[k, kp]))
-        if weight == 0.0 or sizes[kp] == 0:
-            continue
-        chern = chernoff_term_bound(profile, kp, dist)
-        if variant == "chernoff":
-            term = chern
-        else:  # best: per-term minimum over every available technique
-            idx = profile.group_indices(kp)
-            markov_term = float(np.mean(inv[idx])) * dist
-            term = min(markov_term, float(trunc_means[kp]) * dist, chern)
-        total += weight * term
-    return total
 
 
 @dataclass(frozen=True)
@@ -371,6 +173,13 @@ def resolve_distance(
     return dpsgd_distance_bound(num_params, c, n, pp, h0_dist_bound).distance, "lemma3"
 
 
+def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per-group sums of weight * term; a zero weight drops its term even
+    when the term is infinite."""
+    return np.sum(weights * np.where(weights > 0, terms, 0.0), axis=1)
+
+
+@np.errstate(over="ignore")  # an overflowing upper bound saturates at +inf
 def bound_report(
     profile: MarginProfile,
     spec: FairnessSpec,
@@ -382,28 +191,60 @@ def bound_report(
     """Evaluate every variant for every group at a fixed distance."""
     if dist_provenance not in DIST_PROVENANCES:
         raise ValueError(f"unknown distance provenance {dist_provenance!r}")
-    ratios = _inverse_margin_ratios(profile)
-    sizes = _group_sizes(profile)
+    if not 0.0 <= dist < math.inf:
+        raise ValueError("dist must be finite and nonnegative")
+    if profile.num_groups != spec.num_groups:
+        raise ValueError("profile and fairness spec have different group counts")
+    num_groups = spec.num_groups
+    groups = profile.assignment
+    margins, lipschitz = profile.abs_margins, profile.lipschitz
+
+    pos_l = lipschitz > 0
+    live = pos_l & (margins > 0)
+    inverse_ratio = np.zeros(profile.n)  # L/|m|
+    inverse_ratio[pos_l & ~live] = math.inf
+    inverse_ratio[live] = lipschitz[live] / margins[live]
+    ratio = np.full(profile.n, math.inf)  # |m|/L
+    ratio[pos_l] = margins[pos_l] / lipschitz[pos_l]
+    at_risk = ratio <= dist
+    zero_margin = np.isinf(inverse_ratio)  # also margins too small for L/|m| to be finite
+
+    sizes = np.bincount(groups, minlength=num_groups)
+    denom = np.maximum(sizes, 1)  # empty groups carry zero weight below
+    mean_inverse = np.bincount(groups, weights=inverse_ratio, minlength=num_groups) / denom
+    truncated_mean = (
+        np.bincount(groups, weights=np.where(at_risk, inverse_ratio, 0.0), minlength=num_groups)
+        / denom
+    )
+    at_risk_fraction = np.bincount(groups[at_risk], minlength=num_groups) / denom
+    has_zero_margin = np.bincount(groups[zero_margin], minlength=num_groups) > 0
+
+    weights = np.abs(spec.coeffs) * (sizes > 0)
+    chi = _combine(weights, mean_inverse)
+    if dist == 0.0:
+        terms = np.zeros((3, num_groups))
+    else:
+        terms = np.array([mean_inverse * dist, truncated_mean * dist, at_risk_fraction])
+    markov, truncated, chernoff = (_combine(weights, t) for t in terms)
+    best = _combine(weights, terms.min(axis=0))
+
     entries = []
-    for k in range(spec.num_groups):
+    for k in range(num_groups):
         flags: list[str] = []
-        for kp in range(spec.num_groups):
-            if abs(spec.coeffs[k, kp]) == 0.0:
-                continue
+        for kp in np.flatnonzero(spec.coeffs[k]):
             if sizes[kp] == 0:
                 flags.append(f"empty_group:{kp}")
-            elif np.any(np.isinf(ratios[profile.group_indices(kp)])):
+            elif has_zero_margin[kp]:
                 flags.append(f"zero_margin_in_group:{kp}")
-        chi_k = chi(profile, spec, k)
         entries.append(
             BoundEntry(
                 group=k,
                 description=spec.partition.descriptions[k],
-                chi=chi_k,
-                markov=markov_gap_bound(profile, spec, k, dist),
-                truncated=truncated_markov_gap_bound(profile, spec, k, dist),
-                chernoff=gap_bound(profile, spec, k, dist, "chernoff"),
-                best=gap_bound(profile, spec, k, dist, "best"),
+                chi=float(chi[k]),
+                markov=float(markov[k]),
+                truncated=float(truncated[k]),
+                chernoff=float(chernoff[k]),
+                best=float(best[k]),
                 flags=tuple(flags),
             )
         )
@@ -416,6 +257,16 @@ def bound_report(
         mechanism=mechanism,
         flags=spec.flags,
     )
+
+
+def gap_bound(
+    profile: MarginProfile, spec: FairnessSpec, k: int, dist: float, variant: str = "best"
+) -> float:
+    """Bound on |F_k(h) - F_k(h')| for any h' within ``dist`` of the
+    profiled model, under the requested variant."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown bound variant {variant!r}")
+    return getattr(bound_report(profile, spec, dist).entry(k), variant)
 
 
 def theorem3_report(
@@ -442,22 +293,3 @@ def theorem3_report(
         profile, spec, dist, provenance, zeta=pp.zeta, mechanism=pp.mechanism
     )
 
-
-def theorem3_bound(
-    reference: LinearModel,
-    d: Dataset,
-    spec: FairnessSpec,
-    k: int,
-    c: LossConstants,
-    n: int,
-    pp: PrivacyParams,
-    variant: str = "best",
-    other: LinearModel | None = None,
-    h0_dist_bound: float | None = None,
-) -> BoundEntry:
-    """Single-group view of :func:`theorem3_report`; ``variant`` selects
-    which field of the entry callers should read."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown bound variant {variant!r}")
-    report = theorem3_report(reference, d, spec, c, n, pp, other=other, h0_dist_bound=h0_dist_bound)
-    return report.entry(k)

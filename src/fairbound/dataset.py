@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,9 +92,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def __iter__(self) -> Iterator[Example]:
-        return (self.example(i) for i in range(self.n))
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Dataset restricted to ``indices``; id mappings are inherited."""
         indices = np.asarray(indices)
@@ -128,13 +125,6 @@ class GroupPartition:
         proportions.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "proportions", proportions)
-
-    def members(self, k: int) -> np.ndarray:
-        """Indices of examples assigned to group k."""
-        return np.flatnonzero(self.assignment == k)
-
-    def is_empty(self, k: int) -> bool:
-        return self.proportions[k] == 0.0
 
 
 def _format_float(x: float) -> str:

@@ -324,12 +324,16 @@ def _run_grid_point(
         for notion in cfg.notions
     }
 
+    dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
+
     rows: list[str] = []
     for notion, spec in specs.items():
         f_star = group_fairness_all(hstar, eval_data, spec)
         f_draws = np.array([group_fairness_all(m, eval_data, spec) for m in models])
-        lemma = bounds_mod.theorem3_report(hstar, eval_data, spec, c, n_g, pp)
         profile = bounds_mod.margin_profile(hstar, eval_data, spec.partition)
+        lemma = bounds_mod.bound_report(
+            profile, spec, dist_lemma, provenance, zeta=pp.zeta, mechanism=pp.mechanism
+        )
         measured = bounds_mod.bound_report(
             profile, spec, dist_measured, "measured", zeta=pp.zeta, mechanism=pp.mechanism
         )
@@ -356,9 +360,9 @@ def _run_grid_point(
                         _fmt(float(f_star[k])),
                         _fmt(float(np.min(f_draws[:, k]))),
                         _fmt(float(np.max(f_draws[:, k]))),
-                        _fmt(_variant_value(entry, cfg.variant)),
-                        _fmt(_variant_value(measured.entry(k), cfg.variant)),
-                        _fmt(_variant_value(refined.entry(k), cfg.variant)),
+                        _fmt(getattr(entry, cfg.variant)),
+                        _fmt(getattr(measured.entry(k), cfg.variant)),
+                        _fmt(getattr(refined.entry(k), cfg.variant)),
                         _fmt(lemma.dist),
                         _fmt(dist_measured),
                         lemma.dist_provenance,
@@ -367,15 +371,6 @@ def _run_grid_point(
                 )
             )
     return rows
-
-
-def _variant_value(entry: bounds_mod.BoundEntry, variant: str) -> float:
-    return {
-        "markov": entry.markov,
-        "truncated": entry.truncated,
-        "chernoff": entry.chernoff,
-        "best": entry.best,
-    }[variant]
 
 
 TABLE_NOTIONS = (

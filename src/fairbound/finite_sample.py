@@ -19,8 +19,8 @@ accuracy.  Two regimes for alpha_{k'} are provided:
                            + log(8*(2K+1)/delta)) / (n*p_{k'}))
 
 B3 and B4 are concentration constants for the coefficient estimates and
-default to 2*(K+1) and 2 (per-coefficient Hoeffding plus a union bound; see
-docs/finite_sample_constants.md).  The Natarajan dimension defaults to the
+default to 2*(K+1) and 2 (per-coefficient Hoeffding plus a union bound).
+The Natarajan dimension defaults to the
 linear-multiclass value |Y|*p and can be overridden.
 """
 

@@ -30,7 +30,7 @@ class LinearModel:
             raise ValueError("weights must be a (num_labels, p) matrix")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
         if np.linalg.norm(weights) > self.radius + 1e-9:
             raise ValueError("weight norm exceeds the declared ball radius")
@@ -114,7 +114,7 @@ def project(m: LinearModel, radius: float) -> LinearModel:
 
 def clip_to_ball(weights: np.ndarray, radius: float) -> LinearModel:
     """Model whose weights are ``weights`` radially projected onto the ball."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     norm = np.linalg.norm(weights)
     if norm <= radius:
@@ -139,13 +139,21 @@ def load_model(path: str) -> LinearModel:
     with fh:
         header = fh.readline().split()
         if len(header) != 3:
-            raise ValueError(f"{path}: malformed model header")
-        num_labels, p = int(header[0]), int(header[1])
-        radius = float(header[2])
-        rows = []
-        for _ in range(num_labels):
-            row = [float(tok) for tok in fh.readline().split()]
-            if len(row) != p:
-                raise ValueError(f"{path}: weight row has wrong length")
-            rows.append(row)
-    return LinearModel(np.asarray(rows), radius)
+            raise DataError(f"{path}: malformed model header")
+        try:
+            num_labels, p = int(header[0]), int(header[1])
+            radius = float(header[2])
+            if num_labels < 1 or p < 1:
+                raise ValueError("model dimensions must be positive")
+            rows = []
+            for _ in range(num_labels):
+                row = [float(tok) for tok in fh.readline().split()]
+                if len(row) != p:
+                    raise ValueError("weight row has wrong length")
+                rows.append(row)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed model file: {exc}")
+    try:
+        return LinearModel(np.asarray(rows), radius)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}")

@@ -11,13 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairbound.bounds import (
-    gap_bound,
-    golden_section,
-    margin_profile,
-    theorem3_report,
-    truncated_markov_gap_bound,
-)
+from fairbound.bounds import bound_report, gap_bound, margin_profile, theorem3_report
 from fairbound.cli import main as cli_main
 from fairbound.dataset import CellSpec, SyntheticSpec, partition, synthesize
 from fairbound.fairness import NOTIONS, coefficients, direct_fairness, group_fairness, group_fairness_all
@@ -35,6 +29,7 @@ from fairbound.privacy import (
 from fairbound.trainer import constants, fit_erm, gradient, loss
 
 from conftest import make_dataset, random_dataset
+from test_bounds import grid_search_chernoff, profile_from_ratios, single_group_spec
 
 FOUR_NOTIONS = (
     "equalized_odds",
@@ -161,7 +156,7 @@ def test_criterion_3_variant_ordering_and_degeneracies():
         if dist <= 0:
             continue
         for k in range(spec.num_groups):
-            assert truncated_markov_gap_bound(prof, spec, k, dist) == 0.0
+            assert gap_bound(prof, spec, k, dist, "truncated") == 0.0
         for _ in range(5):
             delta = rng.normal(size=(2, d.p))
             delta *= rng.uniform(0, dist) / np.linalg.norm(delta)
@@ -325,8 +320,21 @@ def test_criterion_8_numerical_kernels():
         if abs(g[i, j] - fd) > 1e-6 * scale:
             bad += 1
 
-    t_star = golden_section(lambda t: (t - 3.0) ** 2, 0.0, 10.0, 1e-6)
-    golden_ok = abs(t_star - 3.0) <= 1e-6
+    # closed-form exponential-moment term against the dense-grid oracle
+    t_grid = np.linspace(0.0, 50.0, 2001)
+    oracle_off = 0
+    for _ in range(200):
+        size = int(rng.integers(1, 15))
+        margins = rng.uniform(0, 1.5, size)
+        margins[rng.random(size) < 0.1] = 0.0
+        lipschitz = rng.uniform(0.2, 2.5, size)
+        lipschitz[rng.random(size) < 0.1] = 0.0
+        dist = float(rng.uniform(0.05, 1.5))
+        prof = profile_from_ratios(margins, lipschitz)
+        closed = bound_report(prof, single_group_spec(size), dist).entry(0).chernoff
+        oracle = grid_search_chernoff(margins, lipschitz, size, dist, t_grid)
+        if not oracle - 1e-3 <= closed <= oracle + 1e-9:
+            oracle_off += 1
 
     goldens_ok = (
         output_noise_variance(1.0, 1.0, 1, 1.0, 0.05) == 25.751006598945605
@@ -336,9 +344,9 @@ def test_criterion_8_numerical_kernels():
     )
     _report(
         "8",
-        bad == 0 and golden_ok and goldens_ok,
+        bad == 0 and oracle_off == 0 and goldens_ok,
         f"finite differences: {bad}/1000 probes off (tol 1e-6 relative); "
-        f"golden-section argmin error {abs(t_star - 3.0):.1e} (<= 1e-6); "
+        f"closed-form chernoff term vs dense-grid oracle: {oracle_off}/200 profiles off; "
         f"noise goldens exact: {goldens_ok}",
     )
 

@@ -2,21 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairbound.bounds import (
     MarginProfile,
     bound_report,
-    chernoff_term_bound,
-    chi,
     gap_bound,
-    golden_section,
     margin_profile,
-    markov_gap_bound,
     refined_lipschitz_profile,
     theorem3_report,
-    truncated_markov_gap_bound,
 )
-from fairbound.dataset import partition
+from fairbound.dataset import GroupPartition, partition
 from fairbound.fairness import FairnessSpec, coefficients, group_fairness
 from fairbound.model import LinearModel, distance, predict_many
 from fairbound.privacy import PrivacyParams
@@ -27,22 +24,32 @@ from test_privacy import quiet_params
 
 
 def single_group_spec(num_examples):
-    from fairbound.dataset import GroupPartition
+    return coefficient_spec(np.zeros(num_examples, dtype=np.int64), np.ones((1, 1)))
 
+
+def coefficient_spec(groups, coeffs):
+    """Spec with the given coefficient matrix over a fixed group assignment."""
+    num_groups = coeffs.shape[0]
     part = GroupPartition(
-        num_groups=1,
-        assignment=np.zeros(num_examples, dtype=np.int64),
-        proportions=np.array([1.0]),
-        descriptions=("all",),
+        num_groups=num_groups,
+        assignment=np.asarray(groups, dtype=np.int64),
+        proportions=np.full(num_groups, 1.0 / num_groups),
+        descriptions=tuple(f"g{k}" for k in range(num_groups)),
     )
     return FairnessSpec(
         notion="accuracy",
         partition=part,
-        offsets=np.zeros(1),
-        coeffs=np.ones((1, 1)),
+        offsets=np.zeros(num_groups),
+        coeffs=coeffs,
         desirable=None,
         flags=(),
     )
+
+
+def single_entry(prof, dist, k=0):
+    """Report entry of group k under the identity coefficient matrix."""
+    spec = coefficient_spec(prof.assignment, np.eye(prof.num_groups))
+    return bound_report(prof, spec, dist).entry(k)
 
 
 def profile_from_ratios(margins, lipschitz, groups=None, num_groups=1):
@@ -107,23 +114,23 @@ class TestChi:
             desirable=None,
             flags=(),
         )
-        assert chi(prof, zeroed, 0) == 0.0
+        assert bound_report(prof, zeroed, 0.0).entry(0).chi == 0.0
 
     def test_hand_mean(self):
         # ratios L/|rho| = {1, 3} -> mean 2
         prof = profile_from_ratios([2.0, 2.0], [2.0, 6.0])
         spec = single_group_spec(2)
-        assert chi(prof, spec, 0) == pytest.approx(2.0)
+        assert bound_report(prof, spec, 0.0).entry(0).chi == pytest.approx(2.0)
 
     def test_zero_margin_gives_infinity(self):
         prof = profile_from_ratios([0.0, 1.0], [2.0, 2.0])
         spec = single_group_spec(2)
-        assert chi(prof, spec, 0) == math.inf
+        assert bound_report(prof, spec, 0.0).entry(0).chi == math.inf
 
     def test_zero_lipschitz_contributes_nothing(self):
         prof = profile_from_ratios([0.0, 1.0], [0.0, 2.0])
         spec = single_group_spec(2)
-        assert chi(prof, spec, 0) == pytest.approx(1.0)  # only L/rho = 2/1... /2 examples
+        assert bound_report(prof, spec, 0.0).entry(0).chi == pytest.approx(1.0)  # only L/rho = 2/1... /2 examples
 
     def test_reorder_invariance(self, rng):
         d = random_dataset(rng, 30)
@@ -134,26 +141,10 @@ class TestChi:
         d2 = d.subset(perm)
         spec2 = coefficients(d2, "equalized_odds")
         prof2 = margin_profile(m, d2, spec2.partition)
+        chi1 = [e.chi for e in bound_report(prof, spec, 0.0).entries]
+        chi2 = [e.chi for e in bound_report(prof2, spec2, 0.0).entries]
         for k in range(4):
-            assert chi(prof, spec, k) == pytest.approx(chi(prof2, spec2, k), rel=1e-12)
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        t = golden_section(lambda t: (t - 3.0) ** 2, 0.0, 10.0, 1e-6)
-        assert abs(t - 3.0) <= 1e-6
-
-    def test_monotone_boundary(self):
-        t = golden_section(lambda t: t, 0.0, 1.0, 1e-9)
-        assert abs(t - 0.0) <= 1e-6
-
-    def test_flat_function_in_range(self):
-        t = golden_section(lambda t: 1.0, 2.0, 5.0, 1e-6)
-        assert 2.0 <= t <= 5.0
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section(lambda t: t, 1.0, 1.0, 1e-6)
+            assert chi1[k] == pytest.approx(chi2[k], rel=1e-12)
 
 
 class TestChernoffTerm:
@@ -161,17 +152,17 @@ class TestChernoffTerm:
         for _ in range(50):
             n = int(rng.integers(1, 20))
             prof = profile_from_ratios(rng.uniform(0, 2, n), rng.uniform(0.1, 3, n))
-            val = chernoff_term_bound(prof, 0, float(rng.uniform(0, 2)))
+            val = single_entry(prof, float(rng.uniform(0, 2))).chernoff
             assert 0.0 <= val <= 1.0
 
     def test_zero_margins_give_one(self):
         prof = profile_from_ratios([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        assert chernoff_term_bound(prof, 0, 0.5) == pytest.approx(1.0)
+        assert single_entry(prof, 0.5).chernoff == pytest.approx(1.0)
 
     def test_single_large_margin_truncates_to_zero(self):
         # |rho|/L = 1 > dist = 0.5: the example cannot flip, the term is 0
         prof = profile_from_ratios([1.0], [1.0])
-        assert chernoff_term_bound(prof, 0, 0.5) == 0.0
+        assert single_entry(prof, 0.5).chernoff == 0.0
 
     def test_matches_grid_search_oracle(self, rng):
         t_grid = np.linspace(0.0, 50.0, 20001)
@@ -181,7 +172,7 @@ class TestChernoffTerm:
             lipschitz = rng.uniform(0.2, 2.5, n)
             dist = float(rng.uniform(0.05, 1.5))
             prof = profile_from_ratios(margins, lipschitz)
-            impl = chernoff_term_bound(prof, 0, dist)
+            impl = single_entry(prof, dist).chernoff
             oracle = grid_search_chernoff(margins, lipschitz, n, dist, t_grid)
             assert impl <= oracle + 1e-9  # implementation may only be tighter
             assert impl >= oracle - 1e-3  # and close to the dense grid value
@@ -190,27 +181,28 @@ class TestChernoffTerm:
         # two examples, ratios {0.1, 5}; at dist 0.5 only the first is live,
         # the term collapses to the live fraction (dense grid oracle: 0.5)
         prof = profile_from_ratios([0.1, 5.0], [1.0, 1.0])
-        assert chernoff_term_bound(prof, 0, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert single_entry(prof, 0.5).chernoff == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_group(self):
         prof = profile_from_ratios([1.0], [1.0], groups=[0], num_groups=2)
-        assert chernoff_term_bound(prof, 1, 0.5) == 0.0
+        entry = single_entry(prof, 0.5, k=1)
+        assert entry.chernoff == 0.0
+        assert entry.flags == ("empty_group:1",)
 
 
 class TestVariantBehavior:
     def test_markov_arithmetic(self):
         prof = profile_from_ratios([2.0, 2.0], [2.0, 6.0])  # chi = 2
         spec = single_group_spec(2)
-        assert markov_gap_bound(prof, spec, 0, 0.25) == pytest.approx(0.5)
-        assert markov_gap_bound(prof, spec, 0, 0.0) == 0.0
+        assert bound_report(prof, spec, 0.25).entry(0).markov == pytest.approx(0.5)
+        assert bound_report(prof, spec, 0.0).entry(0).markov == 0.0
 
     def test_truncation_inactive_matches_markov(self):
         prof = profile_from_ratios([0.5, 0.2], [1.0, 1.0])
         spec = single_group_spec(2)
         dist = 10.0  # everything live
-        assert truncated_markov_gap_bound(prof, spec, 0, dist) == pytest.approx(
-            markov_gap_bound(prof, spec, 0, dist), rel=1e-12
-        )
+        entry = bound_report(prof, spec, dist).entry(0)
+        assert entry.truncated == pytest.approx(entry.markov, rel=1e-12)
 
     def test_all_truncated_is_zero_and_predictions_stable(self, rng):
         # binary task: margins all above L*dist means no prediction can move
@@ -225,8 +217,8 @@ class TestVariantBehavior:
             if dist <= 0:
                 continue
             spec = coefficients(d, "accuracy_parity")
-            for k in range(2):
-                assert truncated_markov_gap_bound(prof, spec, k, dist) == 0.0
+            for entry in bound_report(prof, spec, dist).entries:
+                assert entry.truncated == 0.0
             # any h' within dist keeps every prediction
             for _ in range(10):
                 delta = rng.normal(size=(2, 3))
@@ -238,7 +230,7 @@ class TestVariantBehavior:
         prof = profile_from_ratios(rng.uniform(0, 2, 20), rng.uniform(0.1, 2, 20))
         spec = single_group_spec(20)
         dists = np.sort(rng.uniform(0, 3, 15))
-        values = [truncated_markov_gap_bound(prof, spec, 0, float(t)) for t in dists]
+        values = [bound_report(prof, spec, float(t)).entry(0).truncated for t in dists]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_zero_at_zero_for_all_variants(self, rng):
@@ -263,6 +255,91 @@ class TestVariantBehavior:
                 mark = gap_bound(prof, spec, k, dist, "markov")
                 assert best <= trunc * (1 + 1e-12) + 1e-15
                 assert trunc <= mark * (1 + 1e-12) + 1e-15
+
+    @pytest.mark.parametrize("dist", [1e3, 1e308])
+    def test_huge_distance_keeps_probability_terms_finite(self, rng, dist):
+        d = random_dataset(rng, 40)
+        m = LinearModel(rng.normal(size=(2, 3)), 100.0)
+        spec = coefficients(d, "equalized_odds")
+        report = bound_report(margin_profile(m, d, spec.partition), spec, dist)
+        for k, entry in enumerate(report.entries):
+            cap = float(np.sum(np.abs(spec.coeffs[k])))
+            assert 0.0 <= entry.best <= entry.chernoff <= cap
+
+    @pytest.mark.parametrize("dist", [-1.0, math.inf, math.nan])
+    def test_distance_must_be_finite_and_nonnegative(self, dist):
+        prof = profile_from_ratios([1.0], [1.0])
+        with pytest.raises(ValueError):
+            bound_report(prof, single_group_spec(1), dist)
+
+
+def naive_entry(margins, lipschitz, groups, coeffs, k, dist):
+    """Variants and flags of group k, one example at a time, straight from
+    the documented definitions."""
+    out = dict(chi=0.0, markov=0.0, truncated=0.0, chernoff=0.0, best=0.0)
+    flags = []
+    for kp in range(coeffs.shape[0]):
+        weight = abs(float(coeffs[k, kp]))
+        members = [i for i, g in enumerate(groups) if g == kp]
+        if weight == 0.0:
+            continue
+        if not members:
+            flags.append(f"empty_group:{kp}")
+            continue
+        mean_inv = trunc = at_risk = 0.0
+        for i in members:
+            m, l = float(margins[i]), float(lipschitz[i])
+            inv = 0.0 if l == 0 else (math.inf if m == 0 else l / m)
+            ratio = m / l if l > 0 else math.inf
+            mean_inv += inv / len(members)
+            if ratio <= dist:
+                trunc += inv / len(members)
+                at_risk += 1.0 / len(members)
+        if mean_inv == math.inf:
+            flags.append(f"zero_margin_in_group:{kp}")
+        terms = (mean_inv * dist, trunc * dist, at_risk) if dist > 0 else (0.0, 0.0, 0.0)
+        out["chi"] += weight * mean_inv
+        out["markov"] += weight * terms[0]
+        out["truncated"] += weight * terms[1]
+        out["chernoff"] += weight * terms[2]
+        out["best"] += weight * min(terms)
+    return out, tuple(flags)
+
+
+@st.composite
+def profiles_and_specs(draw):
+    num_groups = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    margins = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    lipschitz = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    groups = np.array(draw(st.lists(st.integers(0, num_groups - 1), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    coeffs = np.array(draw(st.lists(coeff, min_size=num_groups**2, max_size=num_groups**2)))
+    dist = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(0.0, 1e300)))
+    prof = MarginProfile(margins, lipschitz, groups, num_groups)
+    return prof, coefficient_spec(groups, coeffs.reshape(num_groups, num_groups)), dist
+
+
+class TestAgainstNaiveLoop:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(profiles_and_specs())
+    def test_report_matches_per_example_loop(self, case):
+        prof, spec, dist = case
+        report = bound_report(prof, spec, dist)
+        for k, entry in enumerate(report.entries):
+            expected, flags = naive_entry(prof.abs_margins, prof.lipschitz, prof.assignment,
+                                          spec.coeffs, k, dist)
+            assert entry.flags == flags
+            for field, want in expected.items():
+                got = getattr(entry, field)
+                if math.isinf(want):
+                    assert got == want, (k, field)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (k, field)
+            assert entry.best <= entry.truncated <= entry.markov
+            assert entry.best <= entry.chernoff <= float(np.sum(np.abs(spec.coeffs[k])))
 
 
 class TestValidity:

@@ -172,6 +172,22 @@ class TestExitCodes:
         assert run(["train", "--data", str(workdir / "missing.csv"), "--lambda", "1.0",
                     "--out", str(workdir / "m.txt")]) == 4
 
+    @pytest.mark.parametrize(
+        "text",
+        ["2 3 nan\n1 0 0\n0 1 0\n", "2 x 1\n1 0 0\n0 1 0\n", "2 3 5\n1 0 0\n0 1\n"],
+        ids=["nan_radius", "non_numeric_header", "truncated_row"],
+    )
+    def test_malformed_model_is_data_error_4(self, workdir, text):
+        data = str(workdir / "data.csv")
+        assert run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3",
+                    "--out", data]) == 0
+        model = workdir / "bad_model.txt"
+        model.write_text(text, encoding="utf-8")
+        assert run(["audit", "--model", str(model), "--data", data,
+                    "--notion", "accuracy-parity",
+                    "--report", str(workdir / "audit.csv")]) == 4
+        assert not (workdir / "audit.csv").exists()
+
     def test_bad_flag_exits_2(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--no-such-flag"])

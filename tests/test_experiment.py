@@ -18,6 +18,7 @@ from fairbound.fairness import coefficients, group_fairness_all
 from fairbound.trainer import constants, fit_erm
 
 from conftest import two_blob_spec
+from test_acceptance import SPEC_TEXT as ACCEPTANCE_SPEC_TEXT
 
 SPEC_TEXT = """\
 features = 2
@@ -114,6 +115,22 @@ class TestRunExperiment:
         assert len(result.failures) == 1
         assert result.rows > 0
         assert "grid_index" in open(result.failures_path, encoding="utf-8").readline()
+
+    def test_dpsgd_small_n_point_certifies(self, tmp_path):
+        # a DP-SGD lemma distance far beyond every |margin|/L once aborted the
+        # sweep with an OverflowError inside the bound layer
+        spec_path = tmp_path / "synth.cfg"
+        spec_path.write_text(ACCEPTANCE_SPEC_TEXT, encoding="utf-8")
+        cfg = base_config(str(spec_path), mechanism="dp_sgd", grid_start=300,
+                          grid_stop=300, grid_count=1, draws=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(cfg, str(tmp_path / "out"))
+        assert result.failures == []
+        rows = read_rows(result.sweep_path)
+        assert rows
+        for row in rows:
+            assert math.isfinite(float(row["bound_lemma"]))
 
     def test_epsilon_sweep(self, spec_file, tmp_path):
         cfg = base_config(spec_file, sweep_axis="epsilon", grid_start=0.1, grid_stop=1.0,
