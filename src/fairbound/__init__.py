@@ -47,6 +47,7 @@ from .fairness import (
     direct_fairness,
     group_fairness,
     group_fairness_all,
+    group_fairness_many,
 )
 from .finite_sample import FiniteSampleParams, dependent_slack, independent_slack
 from .model import (

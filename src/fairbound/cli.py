@@ -18,10 +18,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import experiment as experiment_mod
 from .config import read_config, read_synthetic_spec
-from .dataset import load_csv, synthesize, write_csv
+from .dataset import Dataset, load_csv, synthesize, write_csv
 from .exceptions import ConfigError, ConvergenceError, DataError
-from .fairness import NOTIONS, coefficients, conditional_accuracies, group_fairness_all
-from .model import load_model, save_model
+from .fairness import NOTIONS, coefficients, group_fairness_all
+from .model import LinearModel, check_fits, load_model, save_model
 from .privacy import (
     MECHANISMS,
     DpSgdConfig,
@@ -60,6 +60,28 @@ def _resolve_delta(value: str, n: int) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"--delta must be a number or 'auto', got {value!r}")
+
+
+def _privacy_params(
+    epsilon: float, delta: float, zeta: float, mechanism: str, seed: int = 0
+) -> PrivacyParams:
+    """Privacy target from flag values; an out-of-range value is a config error."""
+    try:
+        return PrivacyParams(epsilon=epsilon, delta=delta, zeta=zeta, mechanism=mechanism, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
+def _load_model_for(path: str, *datasets: Dataset) -> LinearModel:
+    """Load a model and check that it fits every given dataset's shape; a
+    mismatch is a data error."""
+    model = load_model(path)
+    for d in datasets:
+        try:
+            check_fits(model, d)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}")
+    return model
 
 
 def _parse_desirable(value: str) -> frozenset[int]:
@@ -228,11 +250,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_privatize(args: argparse.Namespace) -> int:
     d = load_csv(args.data, args.sensitive_col, args.label_col)
-    hstar = load_model(args.model)
+    hstar = _load_model_for(args.model, d)
     mechanism = _mechanism_key(args.mechanism)
-    delta = _resolve_delta(args.delta, d.n)
-    pp = PrivacyParams(epsilon=float(args.epsilon), delta=delta, zeta=float(args.zeta),
-                       mechanism=mechanism, seed=int(args.seed))
+    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, d.n), float(args.zeta),
+                         mechanism, seed=int(args.seed))
     c = constants(d, float(args.lam), hstar.radius)
     if mechanism == "output_perturbation":
         released = output_perturb(hstar, c, d.n, pp)
@@ -255,12 +276,12 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     d = load_csv(args.data, args.sensitive_col, args.label_col)
-    model = load_model(args.model)
+    model = _load_model_for(args.model, d)
     notion = _notion_key(args.notion)
     desirable = _parse_desirable(args.desirable) if notion == "equality_of_opportunity" else None
     spec = coefficients(d, notion, desirable=desirable)
     values = group_fairness_all(model, d, spec)
-    _, empty = conditional_accuracies(model, d, spec.partition)
+    empty = spec.partition.proportions == 0
     slack = None
     confidence = None
     if args.finite_sample != "off":
@@ -281,8 +302,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
-    reference = load_model(args.model)
-    other = load_model(args.other) if args.other else None
+    reference = _load_model_for(args.model, eval_data)
+    other = _load_model_for(args.other, eval_data) if args.other else None
     notion = _notion_key(args.notion)
     mechanism = _mechanism_key(args.mechanism)
     desirable = _parse_desirable(args.desirable) if notion == "equality_of_opportunity" else None
@@ -296,8 +317,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         raise ConfigError("bound needs --train-data or --train-n for the training size")
 
     c = constants_from_feature_bound(float(args.lam), feature_bound, reference.radius)
-    pp = PrivacyParams(epsilon=float(args.epsilon), delta=_resolve_delta(args.delta, n),
-                       zeta=float(args.zeta), mechanism=mechanism, seed=0)
+    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, n), float(args.zeta), mechanism)
     spec = coefficients(eval_data, notion, desirable=desirable)
     report = bounds_mod.theorem3_report(reference, eval_data, spec, c, n, pp, other=other)
 
@@ -337,11 +357,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
     train = load_csv(args.train_data, args.sensitive_col, args.label_col)
-    model = load_model(args.model)
-    delta = None if args.delta == "auto" else float(args.delta)
+    model = _load_model_for(args.model, eval_data, train)
+    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
+                         "output_perturbation")
     row = experiment_mod.table_report(
-        model, train, eval_data, float(args.lam),
-        epsilon=float(args.epsilon), zeta=float(args.zeta), delta=delta,
+        model, train, eval_data, float(args.lam), pp=pp,
         desirable=_parse_desirable(args.desirable), dataset_name=args.name,
     )
     experiment_mod.write_table_csv([row], args.out)

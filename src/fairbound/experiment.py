@@ -2,13 +2,23 @@
 
 ``run_experiment`` reproduces the envelope study at configurable scale: for
 every point of a log-spaced grid over the sample size or the privacy budget
-it trains the optimum, samples M private models, and records the attained
+it samples M private models around the optimum and records the attained
 fairness range next to three certificates per group:
 
 - the a-priori bound using the mechanism's high-probability distance lemma,
 - the same gap bound at the measured distance of the farthest draw (the
   diagnostic available when the optimum is known), and
 - the refined direction-aware bound for that farthest draw.
+
+Work that depends only on the training set runs once per training set: the
+optimum, its loss constants, and per notion its fairness levels and margin
+profile.  The epsilon axis trains every point on the same set, so it solves
+the optimum once per run; the n axis draws a fresh subsample, and solves
+once, per point.  The fairness specs depend only on the evaluation set and
+are built once per run on both axes.  An error in shared work fails every
+grid point that needs it, with the same failure row it would have had
+alone.  The M draws of a point are scored in one blocked pass over their
+stacked weights (``group_fairness_many``).
 
 All CSV output is byte-reproducible: a metadata preamble carries the config
 hash and seed, floats are printed in shortest round-trip form, and every
@@ -21,6 +31,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,7 +39,7 @@ from . import bounds as bounds_mod
 from .config import parse_synthetic_spec, read_config
 from .dataset import Dataset, load_csv, split, synthesize
 from .exceptions import ConfigError, FairboundError
-from .fairness import FairnessSpec, NOTIONS, coefficients, group_fairness_all
+from .fairness import FairnessSpec, NOTIONS, coefficients, group_fairness_all, group_fairness_many
 from .finite_sample import FiniteSampleParams, dependent_slack, independent_slack
 from .model import LinearModel, distance
 from .privacy import (
@@ -233,6 +244,55 @@ SWEEP_COLUMNS = (
 )
 
 
+class _Memo:
+    """Value of ``fn()``, computed on first use.  A ``FairboundError`` or
+    ``ValueError`` it raises is kept and raised again at every later use, so
+    each grid point fails at the step, and with the text, it would have had
+    computing the value itself."""
+
+    def __init__(self, fn: Callable[[], Any]):
+        self._fn = fn
+        self._outcome: tuple[bool, Any] | None = None
+
+    def __call__(self) -> Any:
+        if self._outcome is None:
+            try:
+                self._outcome = (True, self._fn())
+            except (FairboundError, ValueError) as exc:
+                self._outcome = (False, exc)
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value
+
+
+class _Optimum:
+    """h* of one training set with the work that depends only on it and the
+    evaluation set: the loss constants, and per notion F(h*) and the margin
+    profile of h* (computed on first use)."""
+
+    def __init__(self, cfg: ExperimentConfig, train: Dataset, eval_data: Dataset):
+        self.hstar = fit_erm(train, cfg.lam, tol=cfg.tol)
+        self.c = constants(train, cfg.lam, self.hstar.radius)
+        self._eval_data = eval_data
+        self._by_notion: dict[str, tuple[np.ndarray, bounds_mod.MarginProfile]] = {}
+
+    def per_notion(self, notion: str, spec: FairnessSpec) -> tuple[np.ndarray, bounds_mod.MarginProfile]:
+        if notion not in self._by_notion:
+            self._by_notion[notion] = (
+                group_fairness_all(self.hstar, self._eval_data, spec),
+                bounds_mod.margin_profile(self.hstar, self._eval_data, spec.partition),
+            )
+        return self._by_notion[notion]
+
+
+def _specs(cfg: ExperimentConfig, eval_data: Dataset) -> dict[str, FairnessSpec]:
+    return {
+        notion: coefficients(eval_data, notion, desirable=cfg.desirable if notion == "equality_of_opportunity" else None)
+        for notion in cfg.notions
+    }
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Execute the sweep and write ``sweep.csv`` and ``failures.csv``.
 
@@ -259,9 +319,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     failures: list[str] = []
     rows = 0
 
+    specs = _Memo(lambda: _specs(cfg, eval_data))
+    # every epsilon-axis point trains on train_all, so its h* is solved once
+    shared_optimum = _Memo(lambda: _Optimum(cfg, train_all, eval_data))
     for g, grid_value in enumerate(grid):
         try:
-            new_rows = _run_grid_point(cfg, g, float(grid_value), train_all, eval_data)
+            new_rows = _run_grid_point(
+                cfg, g, float(grid_value), train_all, eval_data, specs, shared_optimum
+            )
             lines.extend(new_rows)
             rows += len(new_rows)
         except FairboundError as exc:
@@ -288,6 +353,8 @@ def _run_grid_point(
     grid_value: float,
     train_all: Dataset,
     eval_data: Dataset,
+    specs: _Memo,
+    shared_optimum: _Memo,
 ) -> list[str]:
     if cfg.sweep_axis == "n":
         n_g = int(round(grid_value))
@@ -297,13 +364,14 @@ def _run_grid_point(
         idx = np.sort(rng.choice(train_all.n, size=n_g, replace=False))
         train = train_all.subset(idx)
         epsilon = cfg.epsilon
+        optimum = _Optimum(cfg, train, eval_data)
     else:
         train = train_all
         n_g = train.n
         epsilon = grid_value
+        optimum = shared_optimum()
 
-    hstar = fit_erm(train, cfg.lam, tol=cfg.tol)
-    c = constants(train, cfg.lam, hstar.radius)
+    hstar, c = optimum.hstar, optimum.c
     pp = PrivacyParams(
         epsilon=epsilon,
         delta=_delta_for(cfg, n_g),
@@ -319,18 +387,13 @@ def _run_grid_point(
     far_idx = int(np.argmax(dists))
     dist_measured = dists[far_idx]
 
-    specs = {
-        notion: coefficients(eval_data, notion, desirable=cfg.desirable if notion == "equality_of_opportunity" else None)
-        for notion in cfg.notions
-    }
-
+    notion_specs = specs()
     dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
+    f_draws_all = group_fairness_many(models, eval_data, list(notion_specs.values()))
 
     rows: list[str] = []
-    for notion, spec in specs.items():
-        f_star = group_fairness_all(hstar, eval_data, spec)
-        f_draws = np.array([group_fairness_all(m, eval_data, spec) for m in models])
-        profile = bounds_mod.margin_profile(hstar, eval_data, spec.partition)
+    for (notion, spec), f_draws in zip(notion_specs.items(), f_draws_all):
+        f_star, profile = optimum.per_notion(notion, spec)
         lemma = bounds_mod.bound_report(
             profile, spec, dist_lemma, provenance, zeta=pp.zeta, mechanism=pp.mechanism
         )
@@ -387,20 +450,18 @@ def table_report(
     train: Dataset,
     eval_data: Dataset,
     lam: float,
-    epsilon: float = 1.0,
-    zeta: float = 0.01,
-    delta: float | None = None,
+    pp: PrivacyParams | None = None,
     desirable: frozenset[int] = frozenset({1}),
     dataset_name: str = "dataset",
-    mechanism: str = "output_perturbation",
 ) -> dict[str, str]:
     """One summary row: the group-averaged best-variant certificate for each
-    notion plus plain accuracy, at the given privacy parameters (delta
-    defaults to 1/n^2 over the training size)."""
-    if delta is None:
-        delta = 1.0 / train.n**2
+    notion plus plain accuracy, at the given privacy parameters (by default
+    output perturbation at epsilon 1, zeta 0.01 and delta 1/n^2 over the
+    training size)."""
+    if pp is None:
+        pp = PrivacyParams(epsilon=1.0, delta=1.0 / train.n**2, zeta=0.01,
+                           mechanism="output_perturbation", seed=0)
     c = constants(train, lam, hstar.radius)
-    pp = PrivacyParams(epsilon=epsilon, delta=delta, zeta=zeta, mechanism=mechanism, seed=0)
     row: dict[str, str] = {"dataset": dataset_name}
     for notion in TABLE_NOTIONS:
         spec = coefficients(

@@ -8,6 +8,9 @@ where the coefficients depend only on empirical group frequencies, never on
 the model.  ``coefficients`` builds those tables; ``direct_fairness``
 evaluates each notion's definitional formula straight from counts and serves
 as the independent oracle that the affine form must reproduce exactly.
+``group_fairness_many`` evaluates many models under several notions in one
+blocked pass over stacked weights; every affine-form evaluation, one model
+included, goes through it.
 
 Supported notions and their group indexing:
 
@@ -34,11 +37,19 @@ never abort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset, GroupPartition, partition, single_group_partition
-from .model import LinearModel, predict_many
+from .model import LinearModel, check_fits, predict_many
+
+# Number of (example, model, label) scores computed at once when evaluating
+# many models: as many models as fit, and at least one, so working memory
+# does not grow with the model count.  At 2**15 the block temporaries add
+# about 1 MB to peak memory on a 400-draw sweep; 2**16 was no faster and
+# added twice that.
+SCORE_BLOCK = 1 << 15
 
 NOTIONS = (
     "equalized_odds",
@@ -184,16 +195,63 @@ def conditional_accuracy(m: LinearModel, d: Dataset, group: int, part: GroupPart
     return float(values[group])
 
 
+def _correct_counts(
+    weights: np.ndarray, d: Dataset, partitions: Sequence[GroupPartition]
+) -> list[np.ndarray]:
+    """Per partition, the (M, K) integer count of each group's examples that
+    each of the M stacked (M, Y, p) models classifies correctly.
+
+    Models are scored a block at a time, as many as fit in ``SCORE_BLOCK``
+    scores (at least one); each model's argmax over labels (lowest label on
+    ties) is taken once and shared by every partition.
+    """
+    num_models, num_labels, p = weights.shape
+    flat = weights.reshape(num_models * num_labels, p)
+    models_per_block = min(num_models, max(1, SCORE_BLOCK // (d.n * num_labels)))
+    # bincount cell of (block model j, example i) is j*K + group(i), laid out
+    # model by model so that a short last block uses a prefix
+    cells = [
+        (part.num_groups * np.arange(models_per_block)[:, None] + part.assignment).ravel()
+        for part in partitions
+    ]
+    counts = [np.zeros((num_models, part.num_groups), dtype=np.int64) for part in partitions]
+    for m0 in range(0, num_models, models_per_block):
+        m1 = min(m0 + models_per_block, num_models)
+        width = m1 - m0
+        scores = d.features @ flat[m0 * num_labels : m1 * num_labels].T
+        predicted = scores.reshape(d.n, width, num_labels).argmax(axis=2)
+        # 0/1 weights sum exactly in float64, so the cast back loses nothing
+        correct = (predicted.T == d.labels).ravel().astype(np.float64)
+        for part, part_cells, total in zip(partitions, cells, counts):
+            k = part.num_groups
+            sums = np.bincount(part_cells[: width * d.n], weights=correct, minlength=width * k)
+            total[m0:m1] = sums.reshape(width, k).astype(np.int64)
+    return counts
+
+
+def _accuracies(counts: np.ndarray, part: GroupPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Correct counts divided by group sizes, and the mask of empty groups
+    (whose accuracies are 0)."""
+    sizes = np.bincount(part.assignment, minlength=part.num_groups)
+    empty = sizes == 0
+    values = np.divide(counts, sizes, out=np.zeros(counts.shape), where=~empty)
+    return values, empty
+
+
+def _stack_weights(models: Sequence[LinearModel], d: Dataset) -> np.ndarray:
+    if not models:
+        raise ValueError("at least one model is required")
+    for m in models:
+        check_fits(m, d)
+    return np.stack([m.weights for m in models])
+
+
 def conditional_accuracies(
     m: LinearModel, d: Dataset, part: GroupPartition
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group accuracies and the mask of empty (flagged) groups."""
-    correct = (predict_many(m, d.features) == d.labels).astype(np.float64)
-    sums = np.bincount(part.assignment, weights=correct, minlength=part.num_groups)
-    counts = np.bincount(part.assignment, minlength=part.num_groups)
-    empty = counts == 0
-    values = np.divide(sums, counts, out=np.zeros_like(sums), where=~empty)
-    return values, empty
+    (counts,) = _correct_counts(_stack_weights([m], d), d, [part])
+    return _accuracies(counts[0], part)
 
 
 def group_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec, k: int) -> float:
@@ -205,9 +263,30 @@ def group_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec, k: int) -> fl
     return float(spec.offsets[k] + spec.coeffs[k] @ values)
 
 
+def group_fairness_many(
+    models: Sequence[LinearModel], d: Dataset, specs: Sequence[FairnessSpec]
+) -> list[np.ndarray]:
+    """Fairness levels of M models under several specs in one pass.
+
+    Returns one (M, K) array per spec whose row j equals
+    ``group_fairness_all(models[j], d, spec)`` exactly.  Every model must
+    have the data's (num_labels, p) shape.
+    """
+    weights = _stack_weights(models, d)
+    counts = _correct_counts(weights, d, [spec.partition for spec in specs])
+    levels = []
+    for spec, spec_counts in zip(specs, counts):
+        values, _ = _accuracies(spec_counts, spec.partition)
+        # a matrix-vector product per model keeps each row's rounding
+        # independent of how many models are evaluated together
+        levels.append(np.array([spec.offsets + spec.coeffs @ v for v in values]))
+    return levels
+
+
 def group_fairness_all(m: LinearModel, d: Dataset, spec: FairnessSpec) -> np.ndarray:
-    values, _ = conditional_accuracies(m, d, spec.partition)
-    return spec.offsets + spec.coeffs @ values
+    """Per-group fairness levels of one model: the one-model case of
+    :func:`group_fairness_many`."""
+    return group_fairness_many([m], d, [spec])[0][0]
 
 
 def aggregate_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import Dataset
 from .exceptions import DataError
 
 
@@ -56,6 +57,16 @@ class LinearModel:
         if x.shape != (self.p,):
             raise ValueError(f"expected feature vector of length {self.p}, got {x.shape}")
         return self.weights @ x
+
+
+def check_fits(m: LinearModel, d: Dataset) -> None:
+    """Raise ValueError unless m has one weight row per label of d and one
+    column per feature of d (intercept included)."""
+    if m.weights.shape != (d.num_labels, d.p):
+        raise ValueError(
+            f"model has {m.num_labels} labels x {m.p} features but the data has "
+            f"{d.num_labels} labels x {d.p} features (intercept included)"
+        )
 
 
 def predict(m: LinearModel, x: np.ndarray) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .model import LinearModel, clip_to_ball
-from .trainer import LossConstants, gradient
+from .trainer import LossConstants, empirical_gradient_second_moment, gradient
 
 MECHANISMS = ("output_perturbation", "dp_sgd")
 NOISE_EXPONENTS = ("T_squared", "T_linear")
@@ -268,16 +268,6 @@ def dpsgd_distance_bound(
     )
     sigma2 = dpsgd_noise(lam_lip, steps, n, pp.epsilon, pp.delta, exponent)
     return DpSgdBound(distance=math.sqrt(dist_sq), steps=steps, noise_variance=sigma2)
-
-
-def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> float:
-    """Mean squared per-example gradient norm at m, the quantity the DP-SGD
-    distance bound assumes is dominated by the injected noise variance."""
-    total = 0.0
-    for i in range(d.n):
-        g = gradient(m, d.example(i), lam)
-        total += float(np.sum(g * g))
-    return total / d.n
 
 
 def warn_if_gradient_noise_dominates(

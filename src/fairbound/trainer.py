@@ -93,11 +93,37 @@ def gradient(m: LinearModel, example: Example, lam: float) -> np.ndarray:
     return np.outer(residual, example.features) + lam * m.weights
 
 
+def residuals(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Row-wise softmax(scores) - onehot(labels): each example's
+    cross-entropy gradient with respect to its (n, Y) scores."""
+    residual = softmax(scores, axis=1)
+    residual[np.arange(len(labels)), labels] -= 1.0
+    return residual
+
+
 def objective_gradient(weights: np.ndarray, d: Dataset, lam: float) -> np.ndarray:
     """Full-batch gradient of the objective at the given weight matrix."""
-    probs = softmax(d.features @ weights.T, axis=1)
-    probs[np.arange(d.n), d.labels] -= 1.0
-    return probs.T @ d.features / d.n + lam * weights
+    return residuals(d.features @ weights.T, d.labels).T @ d.features / d.n + lam * weights
+
+
+def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> float:
+    """Mean squared per-example gradient norm at m, the quantity the DP-SGD
+    distance bound assumes is dominated by the injected noise variance.
+
+    Example i's gradient is r_i x_i^T + lam*W with residual r_i (see
+    :func:`residuals`), so its squared norm is
+    |r_i|^2 |x_i|^2 + 2*lam * r_i.(W x_i) + lam^2 |W|^2.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    scores = d.features @ m.weights.T
+    residual = residuals(scores, d.labels)
+    squared_norms = (
+        np.sum(residual**2, axis=1) * np.sum(d.features**2, axis=1)
+        + 2.0 * lam * np.sum(residual * scores, axis=1)
+        + lam**2 * np.sum(m.weights**2)
+    )
+    return float(np.mean(squared_norms))
 
 
 def fit_erm(

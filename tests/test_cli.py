@@ -188,6 +188,54 @@ class TestExitCodes:
                     "--report", str(workdir / "audit.csv")]) == 4
         assert not (workdir / "audit.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["privatize", "--lambda", "1.0", "--epsilon", "-1", "--seed", "1"],
+            ["privatize", "--lambda", "1.0", "--epsilon", "1", "--zeta", "2", "--seed", "1"],
+            ["bound", "--train-data", "DATA", "--lambda", "1.0", "--notion", "accuracy",
+             "--epsilon", "0"],
+            ["table", "--train-data", "DATA", "--lambda", "1.0", "--delta", "abc"],
+            ["table", "--train-data", "DATA", "--lambda", "1.0", "--epsilon", "-1"],
+        ],
+        ids=["privatize_negative_epsilon", "privatize_zeta_above_one", "bound_zero_epsilon",
+             "table_non_numeric_delta", "table_negative_epsilon"],
+    )
+    def test_bad_privacy_flag_is_config_error_2(self, workdir, command, capsys):
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "out.txt"
+        args = [data if a == "DATA" else a for a in command]
+        assert run(args + ["--data", data, "--model", model, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["2 4 5\n1 0 0 0\n0 1 0 0\n", "3 3 5\n1 0 0\n0 1 0\n0 0 1\n"],
+                             ids=["feature_count", "label_count"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["audit", "--notion", "accuracy-parity"],
+            ["bound", "--train-data", "DATA", "--lambda", "1.0", "--notion", "accuracy"],
+            ["privatize", "--lambda", "1.0", "--epsilon", "0.5", "--seed", "1"],
+            ["table", "--train-data", "DATA", "--lambda", "1.0", "--epsilon", "0.5"],
+        ],
+        ids=["audit", "bound", "privatize", "table"],
+    )
+    def test_model_data_shape_mismatch_is_data_error_4(self, workdir, command, text, capsys):
+        data = str(workdir / "data.csv")  # two features plus the intercept, two labels
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        model = workdir / "wrong_shape.txt"
+        model.write_text(text, encoding="utf-8")
+        out = workdir / "out.csv"
+        out_flag = "--report" if command[0] == "audit" else "--out"
+        args = [data if a == "DATA" else a for a in command]
+        assert run(args + ["--data", data, "--model", str(model), out_flag, str(out)]) == 4
+        assert "labels x" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_exits_2(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--no-such-flag"])

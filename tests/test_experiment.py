@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fairbound import experiment
 from fairbound.dataset import synthesize
 from fairbound.exceptions import ConfigError
 from fairbound.experiment import (
@@ -158,6 +159,51 @@ class TestRunExperiment:
             worst = max(abs(float(row["f_priv_min"]) - f_star),
                         abs(float(row["f_priv_max"]) - f_star))
             assert worst <= bound + 1e-12
+
+    @pytest.mark.parametrize("axis,grid,fits", [("epsilon", (0.1, 1.0), 1), ("n", (100, 800), 3)])
+    def test_optimum_solved_once_per_training_set(self, spec_file, tmp_path, monkeypatch,
+                                                  axis, grid, fits):
+        calls = []
+        real_fit = experiment.fit_erm
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[0].n)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit_erm", counting_fit)
+        cfg = base_config(spec_file, sweep_axis=axis, grid_start=grid[0], grid_stop=grid[1],
+                          grid_count=3, draws=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(cfg, str(tmp_path / "out"))
+        assert result.failures == []
+        assert len(calls) == fits
+        assert len({row["grid_value"] for row in read_rows(result.sweep_path)}) == 3
+
+    def test_shared_convergence_error_fails_every_epsilon_point(self, spec_file, tmp_path,
+                                                                monkeypatch):
+        calls = []
+        real_fit = experiment.fit_erm
+
+        def starved_fit(*args, **kwargs):
+            calls.append(1)
+            return real_fit(*args, max_iters=2, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit_erm", starved_fit)
+        cfg = base_config(spec_file, sweep_axis="epsilon", grid_start=0.1, grid_stop=1.0,
+                          grid_count=3, draws=2)
+        result = run_experiment(cfg, str(tmp_path / "out"))
+        assert len(calls) == 1
+        assert result.rows == 0
+        lines = open(result.failures_path, encoding="utf-8").read().splitlines()
+        assert lines[0] == "grid_index,grid_value,error"
+        assert len(lines) == 1 + cfg.grid_count
+        message = lines[1].split(",", 2)[2]
+        assert message.startswith("ConvergenceError: gradient norm ")
+        assert message.endswith("after 2 iterations")
+        for g, line in enumerate(lines[1:]):
+            grid_value = repr(float(experiment._grid_values(cfg)[g]))
+            assert line == f"{g},{grid_value},{message}"
 
     def test_bad_config_values(self, spec_file):
         with pytest.raises(ConfigError):

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairbound import fairness
 from fairbound.dataset import partition
 from fairbound.fairness import (
     NOTIONS,
@@ -11,6 +16,7 @@ from fairbound.fairness import (
     direct_fairness,
     group_fairness,
     group_fairness_all,
+    group_fairness_many,
 )
 from fairbound.model import LinearModel
 
@@ -202,3 +208,72 @@ class TestAggregate:
             f = group_fairness_all(m, d, spec)
             agg = aggregate_fairness(m, d, spec)
             assert agg >= np.max(np.abs(f)) / spec.num_groups - 1e-15
+
+
+class TestGroupFairnessMany:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        num_labels=st.integers(2, 5),
+        num_sensitive=st.integers(1, 3),
+        n=st.integers(1, 40),
+        p=st.integers(1, 4),
+        num_models=st.integers(1, 25),
+        block=st.integers(1, 200),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_one_model_at_a_time(
+        self, num_labels, num_sensitive, n, p, num_models, block, integer, seed
+    ):
+        # small integer features and weights make exact score ties common;
+        # a small block splits the models into blocks, the last one short
+        rng = np.random.default_rng(seed)
+        if integer:
+            features = rng.integers(-2, 3, (n, p)).astype(float)
+            weights = rng.integers(-1, 2, (num_models, num_labels, p)).astype(float)
+        else:
+            features = rng.normal(size=(n, p))
+            weights = rng.normal(size=(num_models, num_labels, p))
+        d = make_dataset(
+            features,
+            rng.integers(0, num_sensitive, n),
+            rng.integers(0, num_labels, n),
+            num_labels=num_labels,
+            num_sensitive=num_sensitive,
+        )
+        models = [LinearModel(w, np.linalg.norm(w) + 1.0) for w in weights]
+        notions = [t for t in NOTIONS if num_labels == 2 or t != "demographic_parity_binary"]
+        specs = [spec_for(d, notion)[0] for notion in notions]
+        expected = [np.array([group_fairness_all(m, d, s) for m in models]) for s in specs]
+        with mock.patch.object(fairness, "SCORE_BLOCK", block):
+            got = group_fairness_many(models, d, specs)
+        assert len(got) == len(specs)
+        for g, e, spec in zip(got, expected, specs):
+            assert g.shape == (num_models, spec.num_groups)
+            assert np.all(g == e)
+
+    def test_largest_group_count(self, rng):
+        d = random_dataset(rng, 200, p=4, num_labels=5, num_sensitive=3)
+        spec, _ = spec_for(d, "equalized_odds")
+        assert spec.num_groups == 15
+        models = [LinearModel(rng.normal(size=(5, 4)), 10.0) for _ in range(7)]
+        (got,) = group_fairness_many(models, d, [spec])
+        for row, m in zip(got, models):
+            assert np.all(row == group_fairness_all(m, d, spec))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=["features", "labels"])
+    def test_shape_mismatch_is_value_error(self, rng, shape):
+        d = random_dataset(rng, 30)  # 2 labels, 3 features with the intercept
+        spec, _ = spec_for(d, "accuracy_parity")
+        good = LinearModel(rng.normal(size=(2, 3)), 10.0)
+        bad = LinearModel(rng.normal(size=shape), 10.0)
+        with pytest.raises(ValueError, match="labels x"):
+            group_fairness_many([good, bad], d, [spec])
+        with pytest.raises(ValueError, match="labels x"):
+            group_fairness_all(bad, d, spec)
+
+    def test_no_models_is_value_error(self, rng):
+        d = random_dataset(rng, 30)
+        spec, _ = spec_for(d, "accuracy")
+        with pytest.raises(ValueError):
+            group_fairness_many([], d, [spec])

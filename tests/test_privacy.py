@@ -17,7 +17,13 @@ from fairbound.privacy import (
     output_perturb_distance_bound,
     warn_if_gradient_noise_dominates,
 )
-from fairbound.trainer import LossConstants, constants, fit_erm
+from fairbound.trainer import (
+    LossConstants,
+    constants,
+    empirical_gradient_second_moment,
+    fit_erm,
+    gradient,
+)
 
 from conftest import random_dataset
 
@@ -240,3 +246,28 @@ class TestGradientMomentWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not warn_if_gradient_noise_dominates(m, d, 1e-6, noise_variance=1e12)
+
+
+def loop_gradient_second_moment(m, d, lam):
+    """Oracle: mean squared norm of the per-example gradients, one at a time."""
+    total = 0.0
+    for i in range(d.n):
+        g = gradient(m, d.example(i), lam)
+        total += float(np.sum(g * g))
+    return total / d.n
+
+
+class TestGradientSecondMoment:
+    @pytest.mark.parametrize("num_labels,p,lam", [(2, 3, 1.0), (3, 5, 0.01), (5, 2, 7.5)])
+    def test_matches_per_example_loop(self, rng, num_labels, p, lam):
+        for _ in range(20):
+            d = random_dataset(rng, 40, p=p, num_labels=num_labels)
+            scale = rng.choice([0.01, 1.0, 10.0])
+            m = LinearModel(scale * rng.normal(size=(num_labels, p)), 1e3)
+            got = empirical_gradient_second_moment(m, d, lam)
+            assert got == pytest.approx(loop_gradient_second_moment(m, d, lam), rel=1e-12)
+
+    def test_rejects_nonpositive_lambda(self, rng):
+        d = random_dataset(rng, 10)
+        with pytest.raises(ValueError):
+            empirical_gradient_second_moment(LinearModel(np.zeros((2, 3)), 1.0), d, 0.0)
