@@ -150,27 +150,13 @@ class BoundReport:
 
 
 def resolve_distance(
-    num_params: int,
-    c: LossConstants,
-    n: int,
-    pp: PrivacyParams,
-    reference: LinearModel | None = None,
-    other: LinearModel | None = None,
-    h0_dist_bound: float | None = None,
+    num_params: int, c: LossConstants, n: int, pp: PrivacyParams
 ) -> tuple[float, str]:
-    """Distance input for the gap bounds and its provenance.
-
-    When ``other`` is supplied the measured distance to the reference model
-    is used (diagnostic mode); otherwise the mechanism's high-probability
-    lemma bound applies.
-    """
-    if other is not None:
-        if reference is None:
-            raise ValueError("measured distance requires the reference model")
-        return model_distance(reference, other), "measured"
+    """The mechanism's high-probability lemma bound on the distance between
+    release and optimum, and its provenance."""
     if pp.mechanism == "output_perturbation":
         return output_perturb_distance_bound(num_params, c, n, pp), "lemma2"
-    return dpsgd_distance_bound(num_params, c, n, pp, h0_dist_bound).distance, "lemma3"
+    return dpsgd_distance_bound(num_params, c, n, pp).distance, "lemma3"
 
 
 def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -277,7 +263,6 @@ def theorem3_report(
     n: int,
     pp: PrivacyParams,
     other: LinearModel | None = None,
-    h0_dist_bound: float | None = None,
 ) -> BoundReport:
     """End-to-end certificate: mechanism distance bound composed with the
     per-group gap bounds, profiled at the reference model.
@@ -285,9 +270,10 @@ def theorem3_report(
     The reference may be either the optimum or the private release; when
     ``other`` is given the measured distance replaces the lemma bound.
     """
-    dist, provenance = resolve_distance(
-        reference.num_params, c, n, pp, reference=reference, other=other, h0_dist_bound=h0_dist_bound
-    )
+    if other is None:
+        dist, provenance = resolve_distance(reference.num_params, c, n, pp)
+    else:
+        dist, provenance = model_distance(reference, other), "measured"
     profile = margin_profile(reference, d, spec.partition)
     return bound_report(
         profile, spec, dist, provenance, zeta=pp.zeta, mechanism=pp.mechanism

@@ -20,15 +20,12 @@ from . import experiment as experiment_mod
 from .config import read_config, read_synthetic_spec
 from .dataset import Dataset, load_csv, synthesize, write_csv
 from .exceptions import ConfigError, ConvergenceError, DataError
-from .fairness import NOTIONS, coefficients, group_fairness_all
+from .fairness import NOTIONS, FairnessSpec, coefficients, group_fairness_all
 from .model import LinearModel, check_fits, load_model, save_model
 from .privacy import (
     MECHANISMS,
-    DpSgdConfig,
     PrivacyParams,
-    dpsgd,
     dpsgd_distance_bound,
-    output_perturb,
     warn_if_gradient_noise_dominates,
 )
 from .trainer import constants, constants_from_feature_bound, fit_erm
@@ -70,6 +67,13 @@ def _privacy_params(
         return PrivacyParams(epsilon=epsilon, delta=delta, zeta=zeta, mechanism=mechanism, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def _lambda(args: argparse.Namespace) -> float:
+    """The --lambda ridge weight; a nonpositive value is a config error."""
+    if not args.lam > 0:
+        raise ConfigError(f"--lambda must be positive, got {args.lam!r}")
+    return float(args.lam)
 
 
 def _load_model_for(path: str, *datasets: Dataset) -> LinearModel:
@@ -163,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default="auto", help="number, or 'auto' for 1/n^2")
     p.add_argument("--zeta", type=float, default=0.01, help="bound failure probability")
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--steps", type=int, default=None, help="DP-SGD step count override")
-    p.add_argument("--noise-exponent", default="T_squared", choices=("T_squared", "T_linear"))
     p.add_argument("--out", required=True, help="output model path")
 
     p = sub.add_parser("audit", help="per-group fairness levels of a model")
@@ -190,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", default="auto")
     p.add_argument("--zeta", type=float, default=0.01)
-    p.add_argument("--variant", default="best", choices=bounds_mod.VARIANTS)
     p.add_argument("--out", required=True)
     _add_finite_sample_flags(p)
 
@@ -239,8 +240,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    lam = _lambda(args)
     d = load_csv(args.data, args.sensitive_col, args.label_col)
-    model = fit_erm(d, float(args.lam), tol=float(args.tol), max_iters=int(args.max_iters),
+    model = fit_erm(d, lam, tol=float(args.tol), max_iters=int(args.max_iters),
                     radius=None if args.radius is None else float(args.radius))
     save_model(model, args.out)
     print(f"trained on n={d.n}; weight norm {np.linalg.norm(model.weights):.6g}, "
@@ -249,48 +251,44 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_privatize(args: argparse.Namespace) -> int:
+    lam = _lambda(args)
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     hstar = _load_model_for(args.model, d)
     mechanism = _mechanism_key(args.mechanism)
     pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, d.n), float(args.zeta),
                          mechanism, seed=int(args.seed))
-    c = constants(d, float(args.lam), hstar.radius)
-    if mechanism == "output_perturbation":
-        released = output_perturb(hstar, c, d.n, pp)
-    else:
-        if args.steps is not None:
-            steps = int(args.steps)
-        else:
-            steps = dpsgd_distance_bound(hstar.num_params, c, d.n, pp).steps
-        if steps == 0:
-            cfg = DpSgdConfig(steps=0, step_size=0.5 / c.smoothness, noise_variance=0.0,
-                              radius=c.radius)
-        else:
-            cfg = DpSgdConfig.calibrated(c, d.n, pp, steps, exponent=args.noise_exponent)
-            warn_if_gradient_noise_dominates(hstar, d, float(args.lam), cfg.noise_variance)
-        released = dpsgd(d, c, pp, cfg)
-    save_model(released, args.out)
+    c = constants(d, lam, hstar.radius)
+    if mechanism == "dp_sgd":
+        schedule = dpsgd_distance_bound(hstar.num_params, c, d.n, pp)
+        if schedule.steps:
+            warn_if_gradient_noise_dominates(hstar, d, lam, schedule.noise_variance)
+    save_model(experiment_mod.release(hstar, d, c, pp), args.out)
     print(f"released {mechanism} model (epsilon={pp.epsilon}, delta={pp.delta}) -> {args.out}")
     return EXIT_OK
+
+
+def _finite_sample(
+    args: argparse.Namespace, spec: FairnessSpec, d: Dataset
+) -> tuple[np.ndarray | None, float]:
+    """Per-group true-vs-empirical slack on ``d`` and its confidence level
+    1 - fs_delta, or (None, 1.0) under ``--finite-sample off``."""
+    if args.finite_sample == "off":
+        return None, 1.0
+    slack = experiment_mod.finite_sample_slacks(
+        spec, d.n, args.fs_delta, d.num_labels, d.p, args.finite_sample,
+        b3=args.b3, b4=args.b4, natarajan_dim=args.natarajan_dim,
+    )
+    return slack, 1.0 - args.fs_delta
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     model = _load_model_for(args.model, d)
     notion = _notion_key(args.notion)
-    desirable = _parse_desirable(args.desirable) if notion == "equality_of_opportunity" else None
-    spec = coefficients(d, notion, desirable=desirable)
+    spec = coefficients(d, notion, _parse_desirable(args.desirable))
     values = group_fairness_all(model, d, spec)
     empty = spec.partition.proportions == 0
-    slack = None
-    confidence = None
-    if args.finite_sample != "off":
-        slack = experiment_mod.finite_sample_slacks(
-            spec, d.n, float(args.fs_delta), d.num_labels, d.p, args.finite_sample,
-            b3=None if args.b3 is None else float(args.b3), b4=float(args.b4),
-            natarajan_dim=None if args.natarajan_dim is None else float(args.natarajan_dim),
-        )
-        confidence = 1.0 - float(args.fs_delta)
+    slack, confidence = _finite_sample(args, spec, d)
     experiment_mod.write_audit_csv(
         spec, values, empty, args.report,
         metadata={"notion": notion, "data": args.data, "model": args.model},
@@ -306,7 +304,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     other = _load_model_for(args.other, eval_data) if args.other else None
     notion = _notion_key(args.notion)
     mechanism = _mechanism_key(args.mechanism)
-    desirable = _parse_desirable(args.desirable) if notion == "equality_of_opportunity" else None
 
     if args.train_data:
         train = load_csv(args.train_data, args.sensitive_col, args.label_col)
@@ -316,31 +313,20 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("bound needs --train-data or --train-n for the training size")
 
-    c = constants_from_feature_bound(float(args.lam), feature_bound, reference.radius)
+    c = constants_from_feature_bound(_lambda(args), feature_bound, reference.radius)
     pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, n), float(args.zeta), mechanism)
-    spec = coefficients(eval_data, notion, desirable=desirable)
+    spec = coefficients(eval_data, notion, _parse_desirable(args.desirable))
     report = bounds_mod.theorem3_report(reference, eval_data, spec, c, n, pp, other=other)
-
-    slack = None
-    confidence = None
-    if args.finite_sample != "off":
-        slack = experiment_mod.finite_sample_slacks(
-            spec, eval_data.n, float(args.fs_delta), eval_data.num_labels, eval_data.p,
-            args.finite_sample, b3=None if args.b3 is None else float(args.b3),
-            b4=float(args.b4),
-            natarajan_dim=None if args.natarajan_dim is None else float(args.natarajan_dim),
-        )
-        confidence = 1.0 - float(args.fs_delta) - pp.zeta
+    slack, confidence = _finite_sample(args, spec, eval_data)
     experiment_mod.write_bound_report_csv(
         report, args.out,
         metadata={
             "notion": notion,
             "mechanism": mechanism,
             "zeta": repr(pp.zeta),
-            "variant": args.variant,
             "statement": "true-vs-empirical" if slack is not None else "empirical",
         },
-        slack=slack, combined_confidence=confidence,
+        slack=slack, combined_confidence=confidence - pp.zeta,
     )
     print(f"bound report ({report.dist_provenance} dist={report.dist:.6g}) -> {args.out}")
     return EXIT_OK
@@ -361,7 +347,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
                          "output_perturbation")
     row = experiment_mod.table_report(
-        model, train, eval_data, float(args.lam), pp=pp,
+        model, train, eval_data, _lambda(args), pp=pp,
         desirable=_parse_desirable(args.desirable), dataset_name=args.name,
     )
     experiment_mod.write_table_csv([row], args.out)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -38,7 +38,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .config import parse_synthetic_spec, read_config
 from .dataset import Dataset, load_csv, split, synthesize
-from .exceptions import ConfigError, FairboundError
+from .exceptions import ConfigError, DataError, FairboundError
 from .fairness import FairnessSpec, NOTIONS, coefficients, group_fairness_all, group_fairness_many
 from .finite_sample import FiniteSampleParams, dependent_slack, independent_slack
 from .model import LinearModel, distance
@@ -58,24 +58,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in value.split(",") if t.strip())
+
+
+def _label_ids(value: str) -> frozenset[int]:
+    return frozenset(int(t) for t in value.split(",") if t.strip())
+
+
+# config-file (parse, canonical format) per field annotation
+_CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, _fmt),
+    "tuple[str, ...]": (_names, ",".join),
+    "frozenset[int]": (_label_ids, lambda v: ",".join(str(t) for t in sorted(v))),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved sweep configuration; every field mirrors a config-file key
-    (dashes in keys map to underscores here)."""
+    """Resolved sweep configuration; every field is a config-file key, named
+    by the field with dashes for underscores unless its metadata says
+    otherwise.  A field without a default is a required key."""
 
     data: str
-    data_format: str  # "csv" | "synthetic"
-    lam: float
+    lam: float = field(metadata={"key": "lambda"})
     notions: tuple[str, ...]
-    mechanism: str
     sweep_axis: str  # "n" | "epsilon"
     grid_start: float
     grid_stop: float
     grid_count: int
     draws: int
-    zeta: float
-    delta_policy: str  # "fixed" | "inverse_n_squared"
     seed: int
+    data_format: str = "csv"  # "csv" | "synthetic"
+    mechanism: str = "output_perturbation"
+    zeta: float = 0.01
+    delta_policy: str = "inverse_n_squared"  # "fixed" | "inverse_n_squared"
     epsilon: float = 1.0
     delta: float = 1e-6
     sensitive_col: str = "s"
@@ -107,70 +126,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, values: dict[str, str], seed: int | None = None) -> "ExperimentConfig":
-        def need(key: str) -> str:
-            if key not in values:
+        """Config from file keys; ``seed``, when given, overrides the file's."""
+        unknown = sorted(set(values) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown experiment config key(s): {', '.join(unknown)}")
+        kwargs: dict[str, Any] = {} if seed is None else {"seed": seed}
+        for key, f in _CONFIG_KEYS.items():
+            if f.name in kwargs:
+                continue
+            if key in values:
+                try:
+                    kwargs[f.name] = _CODECS[f.type][0](values[key])
+                except ValueError as exc:
+                    raise ConfigError(f"bad experiment config value: {exc}")
+            elif f.default is MISSING:
                 raise ConfigError(f"experiment config is missing {key!r}")
-            return values[key]
-
-        try:
-            return cls(
-                data=need("data"),
-                data_format=values.get("data-format", "csv"),
-                lam=float(need("lambda")),
-                notions=tuple(t.strip() for t in need("notions").split(",") if t.strip()),
-                mechanism=values.get("mechanism", "output_perturbation"),
-                sweep_axis=need("sweep-axis"),
-                grid_start=float(need("grid-start")),
-                grid_stop=float(need("grid-stop")),
-                grid_count=int(need("grid-count")),
-                draws=int(need("draws")),
-                zeta=float(values.get("zeta", "0.01")),
-                delta_policy=values.get("delta-policy", "inverse_n_squared"),
-                seed=seed if seed is not None else int(need("seed")),
-                epsilon=float(values.get("epsilon", "1.0")),
-                delta=float(values.get("delta", "1e-6")),
-                sensitive_col=values.get("sensitive-col", "s"),
-                label_col=values.get("label-col", "y"),
-                desirable=frozenset(
-                    int(t) for t in values.get("desirable", "1").split(",") if t.strip()
-                ),
-                eval_split=values.get("eval-split", "test"),
-                test_fraction=float(values.get("test-fraction", "0.1")),
-                tol=float(values.get("tol", "1e-10")),
-                variant=values.get("variant", "best"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad experiment config value: {exc}")
+        return cls(**kwargs)
 
     def canonical_text(self) -> str:
-        pairs = {
-            "data": self.data,
-            "data-format": self.data_format,
-            "lambda": _fmt(self.lam),
-            "notions": ",".join(self.notions),
-            "mechanism": self.mechanism,
-            "sweep-axis": self.sweep_axis,
-            "grid-start": _fmt(self.grid_start),
-            "grid-stop": _fmt(self.grid_stop),
-            "grid-count": str(self.grid_count),
-            "draws": str(self.draws),
-            "zeta": _fmt(self.zeta),
-            "delta-policy": self.delta_policy,
-            "seed": str(self.seed),
-            "epsilon": _fmt(self.epsilon),
-            "delta": _fmt(self.delta),
-            "sensitive-col": self.sensitive_col,
-            "label-col": self.label_col,
-            "desirable": ",".join(str(v) for v in sorted(self.desirable)),
-            "eval-split": self.eval_split,
-            "test-fraction": _fmt(self.test_fraction),
-            "tol": _fmt(self.tol),
-            "variant": self.variant,
-        }
+        pairs = {key: _CODECS[f.type][1](getattr(self, f.name)) for key, f in _CONFIG_KEYS.items()}
         return "\n".join(f"{k} = {v}" for k, v in sorted(pairs.items()))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+
+_CONFIG_KEYS = {
+    f.metadata.get("key", f.name.replace("_", "-")): f for f in fields(ExperimentConfig)
+}
 
 
 def load_experiment_config(path: str, seed: int | None = None) -> ExperimentConfig:
@@ -196,22 +179,21 @@ def _delta_for(cfg: ExperimentConfig, n: int) -> float:
     return cfg.delta
 
 
-def _draw_private(
+def release(
     hstar: LinearModel,
     train: Dataset,
     c,
-    n: int,
     pp: PrivacyParams,
-    substream: tuple[int, int],
+    substream: int | tuple[int, ...] = 0,
 ) -> LinearModel:
+    """The private model that the lemma distance of ``pp.mechanism``
+    describes: output perturbation of h*, or DP-SGD on ``train`` for the
+    lemma-3 schedule's T steps with T^2 noise.  Deterministic per
+    (pp.seed, substream)."""
     if pp.mechanism == "output_perturbation":
-        return output_perturb(hstar, c, n, pp, substream=substream)
-    schedule = dpsgd_distance_bound(hstar.num_params, c, n, pp)
-    if schedule.steps == 0:
-        cfg_sgd = DpSgdConfig(steps=0, step_size=0.5 / c.smoothness, noise_variance=0.0, radius=c.radius)
-    else:
-        cfg_sgd = DpSgdConfig.calibrated(c, n, pp, schedule.steps)
-    return dpsgd(train, c, pp, cfg_sgd, substream=substream)
+        return output_perturb(hstar, c, train.n, pp, substream=substream)
+    steps = dpsgd_distance_bound(hstar.num_params, c, train.n, pp).steps
+    return dpsgd(train, c, pp, DpSgdConfig.calibrated(c, train.n, pp, steps), substream=substream)
 
 
 @dataclass
@@ -287,10 +269,7 @@ class _Optimum:
 
 
 def _specs(cfg: ExperimentConfig, eval_data: Dataset) -> dict[str, FairnessSpec]:
-    return {
-        notion: coefficients(eval_data, notion, desirable=cfg.desirable if notion == "equality_of_opportunity" else None)
-        for notion in cfg.notions
-    }
+    return {notion: coefficients(eval_data, notion, cfg.desirable) for notion in cfg.notions}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
@@ -380,9 +359,7 @@ def _run_grid_point(
         seed=cfg.seed,
     )
 
-    models = [
-        _draw_private(hstar, train, c, n_g, pp, substream=(g, j)) for j in range(cfg.draws)
-    ]
+    models = [release(hstar, train, c, pp, substream=(g, j)) for j in range(cfg.draws)]
     dists = [distance(hstar, m) for m in models]
     far_idx = int(np.argmax(dists))
     dist_measured = dists[far_idx]
@@ -458,15 +435,18 @@ def table_report(
     notion plus plain accuracy, at the given privacy parameters (by default
     output perturbation at epsilon 1, zeta 0.01 and delta 1/n^2 over the
     training size)."""
+    if eval_data.num_labels != 2:
+        raise DataError(
+            f"table needs binary labels for its demographic_parity_binary column; "
+            f"the evaluation data has {eval_data.num_labels}"
+        )
     if pp is None:
         pp = PrivacyParams(epsilon=1.0, delta=1.0 / train.n**2, zeta=0.01,
                            mechanism="output_perturbation", seed=0)
     c = constants(train, lam, hstar.radius)
     row: dict[str, str] = {"dataset": dataset_name}
     for notion in TABLE_NOTIONS:
-        spec = coefficients(
-            eval_data, notion, desirable=desirable if notion == "equality_of_opportunity" else None
-        )
+        spec = coefficients(eval_data, notion, desirable)
         report = bounds_mod.theorem3_report(hstar, eval_data, spec, c, train.n, pp)
         row[notion] = _fmt(report.aggregate)
     return row
@@ -478,6 +458,32 @@ def write_table_csv(rows: list[dict[str, str]], path: str) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(row[c] for c in columns) + "\n")
+
+
+def _write_report(
+    path: str,
+    metadata: dict[str, str] | None,
+    columns: list[str],
+    rows: list[list[str]],
+    levels: list[float],
+    slack: np.ndarray | None,
+    combined_confidence: float | None,
+) -> None:
+    """Write ``# key=value`` metadata lines, the header and one line per
+    group.  With ``slack``, group k gains the slack, levels[k] + slack and
+    the combined confidence level."""
+    if slack is not None:
+        columns = columns + ["slack", "combined_bound", "combined_confidence"]
+        confidence = _fmt(combined_confidence if combined_confidence is not None else 0.0)
+        rows = [
+            row + [_fmt(float(s)), _fmt(level + float(s)), confidence]
+            for row, level, s in zip(rows, levels, slack)
+        ]
+    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(row) for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_bound_report_csv(
@@ -494,14 +500,8 @@ def write_bound_report_csv(
     confidence level of that statement.
     """
     columns = ["notion", "k", "chi", "dist", "dist_provenance", "markov", "truncated", "chernoff", "best", "flags"]
-    if slack is not None:
-        columns += ["slack", "combined_bound", "combined_confidence"]
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(columns))
-    for entry in report.entries:
-        row = [
+    rows = [
+        [
             report.notion,
             str(entry.group),
             _fmt(entry.chi),
@@ -513,15 +513,10 @@ def write_bound_report_csv(
             _fmt(entry.best),
             ";".join(entry.flags + report.flags),
         ]
-        if slack is not None:
-            row += [
-                _fmt(float(slack[entry.group])),
-                _fmt(entry.best + float(slack[entry.group])),
-                _fmt(combined_confidence if combined_confidence is not None else 0.0),
-            ]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for entry in report.entries
+    ]
+    levels = [entry.best for entry in report.entries]
+    _write_report(path, metadata, columns, rows, levels, slack, combined_confidence)
 
 
 def write_audit_csv(
@@ -533,33 +528,20 @@ def write_audit_csv(
     slack: np.ndarray | None = None,
     combined_confidence: float | None = None,
 ) -> None:
-    """Audit rows: (k, group description, fairness level, flags)."""
+    """Audit rows: (k, group description, fairness level, flags).  With
+    ``slack``, the combined bound is |fairness level| plus slack."""
     columns = ["k", "group", "fairness", "flags"]
-    if slack is not None:
-        columns += ["slack", "combined_bound", "combined_confidence"]
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(columns))
-    for k in range(spec.num_groups):
-        flags = list(spec.flags)
-        if empty_groups[k]:
-            flags.append("empty_group")
-        row = [
+    rows = [
+        [
             str(k),
             spec.partition.descriptions[k].replace(",", "/"),
             _fmt(float(fairness_values[k])),
-            ";".join(flags),
+            ";".join(spec.flags + (("empty_group",) if empty_groups[k] else ())),
         ]
-        if slack is not None:
-            row += [
-                _fmt(float(slack[k])),
-                _fmt(abs(float(fairness_values[k])) + float(slack[k])),
-                _fmt(combined_confidence if combined_confidence is not None else 0.0),
-            ]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for k in range(spec.num_groups)
+    ]
+    levels = [abs(float(v)) for v in fairness_values]
+    _write_report(path, metadata, columns, rows, levels, slack, combined_confidence)
 
 
 def finite_sample_slacks(

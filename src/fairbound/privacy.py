@@ -9,13 +9,13 @@ the exact optimum, calibrated to the optimum's replace-one sensitivity
 DP-SGD runs projected stochastic gradient steps from zero with per-step
 Gaussian noise
 
-    sigma^2 = 64 * Lambda^2 * T^k * log(3T/delta) * log(2/delta) / (n^2 eps^2),
+    sigma^2 = 64 * Lambda^2 * T^2 * log(3T/delta) * log(2/delta) / (n^2 eps^2),
 
-where the exponent k is 2 by default ("T_squared") and 1 ("T_linear") as an
-alternative calibration; when in doubt the noisier default is used.  Both
-mechanisms come with closed-form high-probability bounds on the distance
-between the released model and the optimum, which the fairness-gap bounds
-consume.
+where T is the step count of the lemma-3 schedule.  Every DP-SGD release
+uses this T-squared calibration; the T-linear variance survives only as a
+comparison value of ``dpsgd_noise``.  Both mechanisms come with closed-form
+high-probability bounds on the distance between the released model and the
+optimum, which the fairness-gap bounds consume.
 
 All randomness flows through numpy SeedSequence substreams keyed by
 (seed, substream), so independent draws are reproducible and can run
@@ -128,8 +128,9 @@ def dpsgd_noise(
     delta: float,
     exponent: str = "T_squared",
 ) -> float:
-    """Per-step DP-SGD noise variance; ``exponent`` selects the T^2 (default,
-    noisier) or T calibration."""
+    """Per-step DP-SGD noise variance; ``exponent`` selects the T^2
+    calibration every release uses (default, noisier) or the T variance,
+    which is kept only as a comparison value."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if exponent not in NOISE_EXPONENTS:
@@ -158,7 +159,6 @@ class DpSgdConfig:
     step_size: float
     noise_variance: float
     radius: float
-    noise_exponent: str = "T_squared"
 
     def __post_init__(self):
         if self.steps < 0:
@@ -167,26 +167,13 @@ class DpSgdConfig:
             raise ValueError("step_size and radius must be positive")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be nonnegative")
-        if self.noise_exponent not in NOISE_EXPONENTS:
-            raise ValueError(f"unknown noise exponent {self.noise_exponent!r}")
 
     @classmethod
-    def calibrated(
-        cls,
-        c: LossConstants,
-        n: int,
-        pp: PrivacyParams,
-        steps: int,
-        exponent: str = "T_squared",
-    ) -> "DpSgdConfig":
-        """Step size 1/(2*beta) and the privacy-calibrated noise variance."""
-        return cls(
-            steps=steps,
-            step_size=0.5 / c.smoothness,
-            noise_variance=dpsgd_noise(c.loss_lipschitz, steps, n, pp.epsilon, pp.delta, exponent),
-            radius=c.radius,
-            noise_exponent=exponent,
-        )
+    def calibrated(cls, c: LossConstants, n: int, pp: PrivacyParams, steps: int) -> "DpSgdConfig":
+        """Step size 1/(2*beta) and the privacy-calibrated T^2 noise variance;
+        no noise at T = 0, where the release is the zero start model."""
+        noise = dpsgd_noise(c.loss_lipschitz, steps, n, pp.epsilon, pp.delta) if steps else 0.0
+        return cls(steps=steps, step_size=0.5 / c.smoothness, noise_variance=noise, radius=c.radius)
 
 
 def dpsgd(
@@ -223,7 +210,6 @@ class DpSgdBound:
     distance: float
     steps: int
     noise_variance: float
-    already_converged: bool = False
 
 
 def dpsgd_distance_bound(
@@ -232,16 +218,16 @@ def dpsgd_distance_bound(
     n: int,
     pp: PrivacyParams,
     h0_dist_bound: float | None = None,
-    exponent: str = "T_squared",
 ) -> DpSgdBound:
     """High-probability distance bound for DP-SGD started at zero.
 
     ``h0_dist_bound`` upper-bounds the start-to-optimum distance and defaults
     to 2R (the start is the zero model and the optimum lies in the ball).
-    The returned step count T follows the geometric-decay schedule; when the
-    schedule says the start already satisfies the target (log argument <= 1),
-    the start bound itself is returned with T = 0 and a flag.  ``num_params``
-    is carried for report symmetry; the closed form is dimension-free.
+    The returned step count T follows the geometric-decay schedule, with the
+    T^2 noise variance; when the schedule says the start already satisfies
+    the target (log argument <= 1), the start bound itself is returned with
+    T = 0.  ``num_params`` is carried for report symmetry; the closed form is
+    dimension-free.
     """
     mu = c.strong_convexity
     beta = c.smoothness
@@ -254,7 +240,7 @@ def dpsgd_distance_bound(
     m2 = 64.0 * lam_lip**2 * math.log(2.0 / pp.delta) / (n**2 * pp.epsilon**2)
     arg = mu * beta * h0_dist_bound**2 / (2.0 * m2)
     if arg <= 1.0:
-        return DpSgdBound(distance=h0_dist_bound, steps=0, noise_variance=0.0, already_converged=True)
+        return DpSgdBound(distance=h0_dist_bound, steps=0, noise_variance=0.0)
 
     log_arg = math.log(arg)
     steps = max(1, math.ceil(2.0 * beta / mu * log_arg))
@@ -266,7 +252,7 @@ def dpsgd_distance_bound(
         * log_arg
         * math.log(6.0 * beta * log_arg / (mu * pp.delta))
     )
-    sigma2 = dpsgd_noise(lam_lip, steps, n, pp.epsilon, pp.delta, exponent)
+    sigma2 = dpsgd_noise(lam_lip, steps, n, pp.epsilon, pp.delta)
     return DpSgdBound(distance=math.sqrt(dist_sq), steps=steps, noise_variance=sigma2)
 
 

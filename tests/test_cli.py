@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from fairbound.cli import main
-from fairbound.model import load_model
+from fairbound.dataset import load_csv
+from fairbound.experiment import release
+from fairbound.model import load_model, save_model
+from fairbound.privacy import PrivacyParams
+from fairbound.trainer import constants
 
 SPEC_TEXT = """\
 features = 2
@@ -69,7 +73,7 @@ class TestPipeline:
         assert run(["bound", "--model", model, "--other", priv, "--data", data,
                     "--train-data", data, "--lambda", "1.0",
                     "--notion", "accuracy-parity", "--epsilon", "1",
-                    "--zeta", "0.01", "--variant", "best",
+                    "--zeta", "0.01",
                     "--out", str(workdir / "bound.csv")]) == 0
 
         audit = (workdir / "audit.csv").read_text(encoding="utf-8")
@@ -87,9 +91,26 @@ class TestPipeline:
         run(["train", "--data", data, "--lambda", "1.0", "--out", model])
         assert run(["privatize", "--model", model, "--data", data, "--lambda", "1.0",
                     "--mechanism", "dp-sgd", "--epsilon", "1", "--delta", "auto",
-                    "--seed", "7", "--steps", "50", "--out", priv]) == 0
+                    "--seed", "7", "--out", priv]) == 0
         released = load_model(priv)
         assert np.all(np.isfinite(released.weights))
+
+    def test_privatize_dpsgd_bytes_match_release(self, workdir):
+        spec = str(workdir / "synth.cfg")
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        priv = workdir / "priv_sgd.txt"
+        run(["gen-data", "--spec", spec, "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "0.5", "--out", model])
+        assert run(["privatize", "--model", model, "--data", data, "--lambda", "0.5",
+                    "--mechanism", "dp-sgd", "--epsilon", "0.7", "--delta", "auto",
+                    "--seed", "9", "--out", str(priv)]) == 0
+        d = load_csv(data, "s", "y")
+        hstar = load_model(model)
+        pp = PrivacyParams(epsilon=0.7, delta=1.0 / d.n**2, zeta=0.01, mechanism="dp_sgd", seed=9)
+        expected = workdir / "expected.txt"
+        save_model(release(hstar, d, constants(d, 0.5, hstar.radius), pp, substream=0), str(expected))
+        assert priv.read_bytes() == expected.read_bytes()
 
     def test_deterministic_reruns(self, workdir):
         spec = str(workdir / "synth.cfg")
@@ -161,6 +182,16 @@ class TestExitCodes:
         assert run(["experiment", "--config", missing, "--seed", "1",
                     "--out-dir", str(workdir / "r")]) == 2
 
+    def test_unknown_experiment_config_key_is_config_error_2(self, workdir, capsys):
+        exp = workdir / "exp.cfg"
+        exp.write_text(EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg")) + "varaint = markov\n",
+                       encoding="utf-8")
+        out_dir = workdir / "results"
+        assert run(["experiment", "--config", str(exp), "--seed", "5",
+                    "--out-dir", str(out_dir)]) == 2
+        assert "varaint" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_convergence_error_is_3(self, workdir):
         spec = str(workdir / "synth.cfg")
         data = str(workdir / "data.csv")
@@ -197,9 +228,14 @@ class TestExitCodes:
              "--epsilon", "0"],
             ["table", "--train-data", "DATA", "--lambda", "1.0", "--delta", "abc"],
             ["table", "--train-data", "DATA", "--lambda", "1.0", "--epsilon", "-1"],
+            ["train", "--lambda", "0"],
+            ["privatize", "--lambda", "-1", "--epsilon", "0.5", "--seed", "1"],
+            ["bound", "--train-data", "DATA", "--lambda", "0", "--notion", "accuracy"],
+            ["table", "--train-data", "DATA", "--lambda", "-0.5"],
         ],
         ids=["privatize_negative_epsilon", "privatize_zeta_above_one", "bound_zero_epsilon",
-             "table_non_numeric_delta", "table_negative_epsilon"],
+             "table_non_numeric_delta", "table_negative_epsilon", "train_zero_lambda",
+             "privatize_negative_lambda", "bound_zero_lambda", "table_negative_lambda"],
     )
     def test_bad_privacy_flag_is_config_error_2(self, workdir, command, capsys):
         data = str(workdir / "data.csv")
@@ -208,7 +244,8 @@ class TestExitCodes:
         run(["train", "--data", data, "--lambda", "1.0", "--out", model])
         out = workdir / "out.txt"
         args = [data if a == "DATA" else a for a in command]
-        assert run(args + ["--data", data, "--model", model, "--out", str(out)]) == 2
+        model_flag = [] if command[0] == "train" else ["--model", model]
+        assert run(args + ["--data", data, *model_flag, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -234,6 +271,36 @@ class TestExitCodes:
         args = [data if a == "DATA" else a for a in command]
         assert run(args + ["--data", data, "--model", str(model), out_flag, str(out)]) == 4
         assert "labels x" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_on_three_labels_is_data_error_4(self, workdir, capsys):
+        spec = workdir / "three.cfg"
+        spec.write_text(SPEC_TEXT + "cell.2.0.count = 80\ncell.2.0.mean = 0.0, 2.0\n"
+                        "cell.2.0.cov = 1.0, 1.0\n", encoding="utf-8")
+        data = str(workdir / "three.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(spec), "--seed", "3", "--out", data])
+        assert run(["train", "--data", data, "--lambda", "1.0", "--out", model]) == 0
+        out = workdir / "table.csv"
+        assert run(["table", "--model", model, "--data", data, "--train-data", data,
+                    "--lambda", "1.0", "--out", str(out)]) == 4
+        assert "binary labels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--steps", "50"], ["--noise-exponent", "T_linear"]],
+                             ids=["steps", "noise_exponent"])
+    def test_removed_privatize_flags_exit_2(self, workdir, flag, capsys):
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "priv.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["privatize", "--model", model, "--data", data, "--lambda", "1.0",
+                 "--mechanism", "dp-sgd", "--epsilon", "1", "--seed", "7", *flag,
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_flag_exits_2(self, workdir, capsys):
