@@ -32,12 +32,12 @@ data = fb.synthesize(
 )
 model = fb.fit_erm(data, lam=0.1)  # weaker ridge: larger margins
 spec = fb.coefficients(data, "accuracy_parity")
-profile = fb.margin_profile(model, data, spec.partition)
+profile = fb.margin_profile(model, data)
 
 print("margin statistics per group:")
 chi = [entry.chi for entry in fb.bound_report(profile, spec, 0.0).entries]
 for k in range(spec.num_groups):
-    in_group = profile.assignment == k
+    in_group = spec.partition.assignment == k
     ratios = profile.abs_margins[in_group] / profile.lipschitz[in_group]
     print(f"  group {spec.partition.descriptions[k]}: chi = {chi[k]:8.3f}, "
           f"median |margin|/L = {np.median(ratios):.4f}")
@@ -53,7 +53,7 @@ for dist in (0.001, 0.01, 0.05, 0.1, 0.5, 1.0):
 # component of each input along the weight difference.
 other = fb.LinearModel(model.weights + 0.05, model.radius * 2)
 dist = fb.distance(model, other)
-refined = fb.refined_lipschitz_profile(model, other, data, spec.partition)
+refined = fb.refined_lipschitz_profile(model, other, data)
 print(f"\nmeasured distance to a nearby model: {dist:.4f}")
 for k in range(spec.num_groups):
     std = fb.gap_bound(profile, spec, k, dist, "best")

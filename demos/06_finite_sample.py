@@ -13,12 +13,6 @@ import warnings
 import numpy as np
 
 import fairbound as fb
-from fairbound.finite_sample import (
-    FiniteSampleParams,
-    dependent_slack,
-    independent_slack,
-    sample_size_sufficient,
-)
 
 warnings.filterwarnings("ignore")
 
@@ -43,12 +37,12 @@ delta = 0.05
 print("slack per group at different sample sizes (equalized odds, delta=0.05):")
 print(f"{'n':>8} {'precondition':>13} {'independent':>12} {'dependent':>11}")
 for n in (1_000, 10_000, 100_000, 1_000_000):
-    fp = FiniteSampleParams.from_fairness_spec(
-        spec, n=n, delta=delta, num_labels=data.num_labels, num_features=data.p
+    ok = fb.sample_size_sufficient(spec, n, delta)
+    independent, dependent = (
+        fb.finite_sample_slacks(spec, n, delta, data.num_labels, data.p, mode)[0]
+        for mode in ("independent", "dependent")
     )
-    ok = sample_size_sufficient(fp)
-    print(f"{n:>8} {str(ok):>13} {independent_slack(fp, 0):>12.5f} "
-          f"{dependent_slack(fp, 0):>11.5f}")
+    print(f"{n:>8} {str(ok):>13} {independent:>12.5f} {dependent:>11.5f}")
 
 print("\nthe dependent regime pays for fitting on the sample: its slack")
 print("carries the Natarajan dimension (default |labels| * features =",
@@ -60,11 +54,8 @@ c = fb.constants(data, lam=1.0, radius=model.radius)
 params = fb.PrivacyParams(epsilon=1.0, delta=1.0 / data.n**2, zeta=0.01,
                           mechanism="output_perturbation", seed=0)
 report = fb.theorem3_report(model, data, spec, c, data.n, params)
-fp = FiniteSampleParams.from_fairness_spec(
-    spec, n=data.n, delta=delta, num_labels=data.num_labels, num_features=data.p
-)
+slack = fb.finite_sample_slacks(spec, data.n, delta, data.num_labels, data.p, "independent")
 print(f"\ncombined true-vs-empirical bound, probability >= {1 - delta - params.zeta}:")
-for entry in report.entries:
-    slack = independent_slack(fp, entry.group)
+for entry, s in zip(report.entries, slack):
     print(f"  group {entry.description}: gap bound {entry.best:.4f} "
-          f"+ slack {slack:.4f} = {entry.best + slack:.4f}")
+          f"+ slack {s:.4f} = {entry.best + s:.4f}")

@@ -49,7 +49,7 @@ from .fairness import (
     group_fairness_all,
     group_fairness_many,
 )
-from .finite_sample import FiniteSampleParams, dependent_slack, independent_slack
+from .finite_sample import finite_sample_slacks, sample_size_sufficient
 from .model import (
     LinearModel,
     distance,

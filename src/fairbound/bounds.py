@@ -3,10 +3,12 @@
 Every variant is read off one margin profile: per example, the absolute
 confidence margin |m| and the margin's Lipschitz constant L in the model.
 A model within distance d of the profiled one can change the prediction
-only on examples with |m|/L <= d, the "at-risk" examples.  ``bound_report``
-makes one pass over the profile and builds three per-group term vectors,
-then combines each with the fairness coefficient magnitudes exactly as the
-fairness layer combines conditional accuracies:
+only on examples with |m|/L <= d, the "at-risk" examples.  A profile
+belongs to one model on one dataset and knows no groups, so one profile
+serves every fairness notion.  ``bound_report`` takes the groups from the
+fairness spec's partition, makes one pass over the profile and builds three
+per-group term vectors, then combines each with the fairness coefficient
+magnitudes exactly as the fairness layer combines conditional accuracies:
 
 - "markov": the group mean of L/|m| (the pointwise Lipschitz factor chi)
   times d;
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, GroupPartition
+from .dataset import Dataset
 from .fairness import FairnessSpec
 from .model import LinearModel, distance as model_distance
 from .model import margins_many, pointwise_lipschitz_many
@@ -47,46 +49,39 @@ DIST_PROVENANCES = ("lemma2", "lemma3", "measured")
 
 @dataclass(frozen=True)
 class MarginProfile:
-    """Per-example (|margin|, Lipschitz constant, group) triples: the
-    sufficient statistic every bound variant consumes."""
+    """Per-example (|margin|, Lipschitz constant) pairs of one model on one
+    dataset: the sufficient statistic every bound variant consumes.  The
+    groups belong to the fairness spec it is combined with."""
 
     abs_margins: np.ndarray
     lipschitz: np.ndarray
-    assignment: np.ndarray
-    num_groups: int
 
     def __post_init__(self):
         abs_margins = np.asarray(self.abs_margins, dtype=np.float64)
         lipschitz = np.asarray(self.lipschitz, dtype=np.float64)
-        assignment = np.asarray(self.assignment, dtype=np.int64)
-        if not (abs_margins.shape == lipschitz.shape == assignment.shape):
+        if abs_margins.shape != lipschitz.shape:
             raise ValueError("profile arrays must have matching shapes")
         if np.any(abs_margins < 0) or np.any(lipschitz < 0):
             raise ValueError("margins and Lipschitz constants are stored as nonnegative values")
-        for arr in (abs_margins, lipschitz, assignment):
+        for arr in (abs_margins, lipschitz):
             arr.setflags(write=False)
         object.__setattr__(self, "abs_margins", abs_margins)
         object.__setattr__(self, "lipschitz", lipschitz)
-        object.__setattr__(self, "assignment", assignment)
 
     @property
     def n(self) -> int:
         return self.abs_margins.shape[0]
 
 
-def margin_profile(m: LinearModel, d: Dataset, part: GroupPartition) -> MarginProfile:
+def margin_profile(m: LinearModel, d: Dataset) -> MarginProfile:
     """Absolute margins and 2*||x||_2 Lipschitz constants for every example."""
     return MarginProfile(
         abs_margins=np.abs(margins_many(m, d.features, d.labels)),
         lipschitz=pointwise_lipschitz_many(d.features),
-        assignment=part.assignment,
-        num_groups=part.num_groups,
     )
 
 
-def refined_lipschitz_profile(
-    h: LinearModel, hprime: LinearModel, d: Dataset, part: GroupPartition
-) -> MarginProfile:
+def refined_lipschitz_profile(h: LinearModel, hprime: LinearModel, d: Dataset) -> MarginProfile:
     """Diagnostic profile using the direction-aware Lipschitz constants.
 
     When both models are known, the margin change on x is controlled by the
@@ -108,8 +103,6 @@ def refined_lipschitz_profile(
     return MarginProfile(
         abs_margins=np.abs(margins_many(h, d.features, d.labels)),
         lipschitz=lipschitz,
-        assignment=part.assignment,
-        num_groups=part.num_groups,
     )
 
 
@@ -174,15 +167,16 @@ def bound_report(
     zeta: float | None = None,
     mechanism: str | None = None,
 ) -> BoundReport:
-    """Evaluate every variant for every group at a fixed distance."""
+    """Evaluate every variant for every group of ``spec`` at a fixed
+    distance.  The profile must cover the examples of the spec's partition."""
     if dist_provenance not in DIST_PROVENANCES:
         raise ValueError(f"unknown distance provenance {dist_provenance!r}")
     if not 0.0 <= dist < math.inf:
         raise ValueError("dist must be finite and nonnegative")
-    if profile.num_groups != spec.num_groups:
-        raise ValueError("profile and fairness spec have different group counts")
+    groups = spec.partition.assignment
+    if profile.n != groups.shape[0]:
+        raise ValueError(f"profile has {profile.n} examples, the fairness spec {groups.shape[0]}")
     num_groups = spec.num_groups
-    groups = profile.assignment
     margins, lipschitz = profile.abs_margins, profile.lipschitz
 
     pos_l = lipschitz > 0
@@ -274,7 +268,7 @@ def theorem3_report(
         dist, provenance = resolve_distance(reference.num_params, c, n, pp)
     else:
         dist, provenance = model_distance(reference, other), "measured"
-    profile = margin_profile(reference, d, spec.partition)
+    profile = margin_profile(reference, d)
     return bound_report(
         profile, spec, dist, provenance, zeta=pp.zeta, mechanism=pp.mechanism
     )

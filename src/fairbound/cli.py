@@ -21,6 +21,7 @@ from .config import read_config, read_synthetic_spec
 from .dataset import Dataset, load_csv, synthesize, write_csv
 from .exceptions import ConfigError, ConvergenceError, DataError
 from .fairness import NOTIONS, FairnessSpec, coefficients, group_fairness_all
+from .finite_sample import finite_sample_slacks
 from .model import LinearModel, check_fits, load_model, save_model
 from .privacy import (
     MECHANISMS,
@@ -28,7 +29,7 @@ from .privacy import (
     dpsgd_distance_bound,
     warn_if_gradient_noise_dominates,
 )
-from .trainer import constants, constants_from_feature_bound, fit_erm
+from .trainer import constants, fit_erm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,6 +94,18 @@ def _parse_desirable(value: str) -> frozenset[int]:
         return frozenset(int(t) for t in value.split(",") if t.strip())
     except ValueError:
         raise ConfigError(f"--desirable must be comma-separated label ids, got {value!r}")
+
+
+def _fairness_spec(d: Dataset, notion: str, desirable: str) -> FairnessSpec:
+    """The notion's coefficients on ``d``.  Demographic parity on data whose
+    labels are not binary is a data error; a --desirable set the notion
+    rejects (empty, or naming a label the data lacks) is a config error."""
+    if notion == "demographic_parity_binary" and d.num_labels != 2:
+        raise DataError(f"demographic parity needs binary labels; the data has {d.num_labels}")
+    try:
+        return coefficients(d, notion, _parse_desirable(desirable))
+    except ValueError as exc:
+        raise ConfigError(f"--desirable {desirable!r}: {exc}")
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -183,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="reference model")
     p.add_argument("--other", default=None, help="second model: use the measured distance")
-    p.add_argument("--train-data", default=None, help="training CSV (for n and feature bound)")
-    p.add_argument("--train-n", type=int, default=None, help="training size if --train-data absent")
+    p.add_argument("--train-data", required=True, help="training CSV (for n and feature bound)")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
     p.add_argument("--notion", required=True)
     p.add_argument("--desirable", default="1")
@@ -271,13 +283,19 @@ def _finite_sample(
     args: argparse.Namespace, spec: FairnessSpec, d: Dataset
 ) -> tuple[np.ndarray | None, float]:
     """Per-group true-vs-empirical slack on ``d`` and its confidence level
-    1 - fs_delta, or (None, 1.0) under ``--finite-sample off``."""
+    1 - fs_delta, or (None, 1.0) under ``--finite-sample off``.  A flag
+    value the slack formulas reject is a config error."""
     if args.finite_sample == "off":
         return None, 1.0
-    slack = experiment_mod.finite_sample_slacks(
-        spec, d.n, args.fs_delta, d.num_labels, d.p, args.finite_sample,
-        b3=args.b3, b4=args.b4, natarajan_dim=args.natarajan_dim,
-    )
+    if d.num_labels < 2:
+        raise DataError(f"finite-sample slack needs two or more labels; the data has {d.num_labels}")
+    try:
+        slack = finite_sample_slacks(
+            spec, d.n, args.fs_delta, d.num_labels, d.p, args.finite_sample,
+            b3=args.b3, b4=args.b4, natarajan_dim=args.natarajan_dim,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"finite-sample flags: {exc}")
     return slack, 1.0 - args.fs_delta
 
 
@@ -285,7 +303,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     model = _load_model_for(args.model, d)
     notion = _notion_key(args.notion)
-    spec = coefficients(d, notion, _parse_desirable(args.desirable))
+    spec = _fairness_spec(d, notion, args.desirable)
     values = group_fairness_all(model, d, spec)
     empty = spec.partition.proportions == 0
     slack, confidence = _finite_sample(args, spec, d)
@@ -305,18 +323,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     notion = _notion_key(args.notion)
     mechanism = _mechanism_key(args.mechanism)
 
-    if args.train_data:
-        train = load_csv(args.train_data, args.sensitive_col, args.label_col)
-        n, feature_bound = train.n, train.feature_norm_bound
-    elif args.train_n:
-        n, feature_bound = int(args.train_n), eval_data.feature_norm_bound
-    else:
-        raise ConfigError("bound needs --train-data or --train-n for the training size")
-
-    c = constants_from_feature_bound(_lambda(args), feature_bound, reference.radius)
-    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, n), float(args.zeta), mechanism)
-    spec = coefficients(eval_data, notion, _parse_desirable(args.desirable))
-    report = bounds_mod.theorem3_report(reference, eval_data, spec, c, n, pp, other=other)
+    train = load_csv(args.train_data, args.sensitive_col, args.label_col)
+    c = constants(train, _lambda(args), reference.radius)
+    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
+                         mechanism)
+    spec = _fairness_spec(eval_data, notion, args.desirable)
+    report = bounds_mod.theorem3_report(reference, eval_data, spec, c, train.n, pp, other=other)
     slack, confidence = _finite_sample(args, spec, eval_data)
     experiment_mod.write_bound_report_csv(
         report, args.out,

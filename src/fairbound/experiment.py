@@ -11,13 +11,14 @@ fairness range next to three certificates per group:
 - the refined direction-aware bound for that farthest draw.
 
 Work that depends only on the training set runs once per training set: the
-optimum, its loss constants, and per notion its fairness levels and margin
-profile.  The epsilon axis trains every point on the same set, so it solves
+optimum, its loss constants and margin profile, and per notion its fairness
+levels.  The epsilon axis trains every point on the same set, so it solves
 the optimum once per run; the n axis draws a fresh subsample, and solves
-once, per point.  The fairness specs depend only on the evaluation set and
-are built once per run on both axes.  An error in shared work fails every
-grid point that needs it, with the same failure row it would have had
-alone.  The M draws of a point are scored in one blocked pass over their
+once, per point.  Profiles carry no groups, so one profile of h* and one
+refined profile per point serve every notion.  The fairness specs depend
+only on the evaluation set and are built once per run on both axes.  An
+error in shared work fails every grid point that needs it, with the same
+failure row it would have had alone.  The M draws of a point are scored in one blocked pass over their
 stacked weights (``group_fairness_many``).
 
 All CSV output is byte-reproducible: a metadata preamble carries the config
@@ -31,6 +32,7 @@ import hashlib
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -40,7 +42,6 @@ from .config import parse_synthetic_spec, read_config
 from .dataset import Dataset, load_csv, split, synthesize
 from .exceptions import ConfigError, DataError, FairboundError
 from .fairness import FairnessSpec, NOTIONS, coefficients, group_fairness_all, group_fairness_many
-from .finite_sample import FiniteSampleParams, dependent_slack, independent_slack
 from .model import LinearModel, distance
 from .privacy import (
     DpSgdConfig,
@@ -250,22 +251,23 @@ class _Memo:
 
 class _Optimum:
     """h* of one training set with the work that depends only on it and the
-    evaluation set: the loss constants, and per notion F(h*) and the margin
-    profile of h* (computed on first use)."""
+    evaluation set: the loss constants, the margin profile of h* and per
+    notion F(h*) (each computed on first use)."""
 
     def __init__(self, cfg: ExperimentConfig, train: Dataset, eval_data: Dataset):
         self.hstar = fit_erm(train, cfg.lam, tol=cfg.tol)
         self.c = constants(train, cfg.lam, self.hstar.radius)
         self._eval_data = eval_data
-        self._by_notion: dict[str, tuple[np.ndarray, bounds_mod.MarginProfile]] = {}
+        self._f_star: dict[str, np.ndarray] = {}
 
-    def per_notion(self, notion: str, spec: FairnessSpec) -> tuple[np.ndarray, bounds_mod.MarginProfile]:
-        if notion not in self._by_notion:
-            self._by_notion[notion] = (
-                group_fairness_all(self.hstar, self._eval_data, spec),
-                bounds_mod.margin_profile(self.hstar, self._eval_data, spec.partition),
-            )
-        return self._by_notion[notion]
+    @cached_property
+    def profile(self) -> bounds_mod.MarginProfile:
+        return bounds_mod.margin_profile(self.hstar, self._eval_data)
+
+    def f_star(self, notion: str, spec: FairnessSpec) -> np.ndarray:
+        if notion not in self._f_star:
+            self._f_star[notion] = group_fairness_all(self.hstar, self._eval_data, spec)
+        return self._f_star[notion]
 
 
 def _specs(cfg: ExperimentConfig, eval_data: Dataset) -> dict[str, FairnessSpec]:
@@ -367,18 +369,16 @@ def _run_grid_point(
     notion_specs = specs()
     dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
     f_draws_all = group_fairness_many(models, eval_data, list(notion_specs.values()))
+    refined_profile = bounds_mod.refined_lipschitz_profile(hstar, models[far_idx], eval_data)
 
     rows: list[str] = []
     for (notion, spec), f_draws in zip(notion_specs.items(), f_draws_all):
-        f_star, profile = optimum.per_notion(notion, spec)
+        f_star = optimum.f_star(notion, spec)
         lemma = bounds_mod.bound_report(
-            profile, spec, dist_lemma, provenance, zeta=pp.zeta, mechanism=pp.mechanism
+            optimum.profile, spec, dist_lemma, provenance, zeta=pp.zeta, mechanism=pp.mechanism
         )
         measured = bounds_mod.bound_report(
-            profile, spec, dist_measured, "measured", zeta=pp.zeta, mechanism=pp.mechanism
-        )
-        refined_profile = bounds_mod.refined_lipschitz_profile(
-            hstar, models[far_idx], eval_data, spec.partition
+            optimum.profile, spec, dist_measured, "measured", zeta=pp.zeta, mechanism=pp.mechanism
         )
         refined = bounds_mod.bound_report(
             refined_profile, spec, dist_measured, "measured", zeta=pp.zeta, mechanism=pp.mechanism
@@ -542,25 +542,3 @@ def write_audit_csv(
     ]
     levels = [abs(float(v)) for v in fairness_values]
     _write_report(path, metadata, columns, rows, levels, slack, combined_confidence)
-
-
-def finite_sample_slacks(
-    spec: FairnessSpec,
-    n: int,
-    delta: float,
-    num_labels: int,
-    num_features: int,
-    mode: str,
-    b3: float | None = None,
-    b4: float = 2.0,
-    natarajan_dim: float | None = None,
-) -> np.ndarray:
-    """Per-group slack values under the requested regime."""
-    if mode not in ("independent", "dependent"):
-        raise ConfigError(f"unknown finite-sample mode {mode!r}")
-    fp = FiniteSampleParams.from_fairness_spec(
-        spec, n, delta, num_labels=num_labels, num_features=num_features,
-        b3=b3, b4=b4, natarajan_dim=natarajan_dim,
-    )
-    fn = independent_slack if mode == "independent" else dependent_slack
-    return np.array([fn(fp, k) for k in range(spec.num_groups)])

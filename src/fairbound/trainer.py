@@ -53,14 +53,7 @@ class LossConstants:
 
 
 def constants(d: Dataset, lam: float, radius: float) -> LossConstants:
-    return constants_from_feature_bound(lam, d.feature_norm_bound, radius)
-
-
-def constants_from_feature_bound(lam: float, feature_bound: float, radius: float) -> LossConstants:
-    if lam <= 0 or radius <= 0:
-        raise ValueError("lam and radius must be positive")
-    if feature_bound < 0:
-        raise ValueError("feature bound must be nonnegative")
+    feature_bound = d.feature_norm_bound
     return LossConstants(
         lam=lam,
         strong_convexity=lam,

@@ -112,7 +112,7 @@ def test_criterion_2_bound_validity():
     instances = 0
     for d, h, h2, spec, k in _random_bound_instances(1000, seed=202):
         dist = distance(h, h2)
-        prof = margin_profile(h, d, spec.partition)
+        prof = margin_profile(h, d)
         gap = abs(group_fairness(h, d, spec, k) - group_fairness(h2, d, spec, k))
         for variant in ("markov", "truncated", "chernoff", "best"):
             bound = gap_bound(prof, spec, k, dist, variant)
@@ -132,7 +132,7 @@ def test_criterion_3_variant_ordering_and_degeneracies():
     ordering_breaks = 0
     for d, h, h2, spec, k in _random_bound_instances(1000, seed=202):
         dist = distance(h, h2)
-        prof = margin_profile(h, d, spec.partition)
+        prof = margin_profile(h, d)
         best = gap_bound(prof, spec, k, dist, "best")
         trunc = gap_bound(prof, spec, k, dist, "truncated")
         mark = gap_bound(prof, spec, k, dist, "markov")
@@ -149,7 +149,7 @@ def test_criterion_3_variant_ordering_and_degeneracies():
         d = random_dataset(rng, 15)
         h = LinearModel(rng.normal(size=(2, d.p)) * 3, 100.0)
         spec = coefficients(d, "accuracy_parity")
-        prof = margin_profile(h, d, spec.partition)
+        prof = margin_profile(h, d)
         if np.any(prof.abs_margins == 0):
             continue
         dist = 0.9 * float(np.min(prof.abs_margins / prof.lipschitz))

@@ -13,7 +13,7 @@ from fairbound.bounds import (
     refined_lipschitz_profile,
     theorem3_report,
 )
-from fairbound.dataset import GroupPartition, partition
+from fairbound.dataset import GroupPartition
 from fairbound.fairness import FairnessSpec, coefficients, group_fairness
 from fairbound.model import LinearModel, distance, predict_many
 from fairbound.privacy import PrivacyParams
@@ -46,21 +46,19 @@ def coefficient_spec(groups, coeffs):
     )
 
 
-def single_entry(prof, dist, k=0):
-    """Report entry of group k under the identity coefficient matrix."""
-    spec = coefficient_spec(prof.assignment, np.eye(prof.num_groups))
+def single_entry(prof, dist, k=0, groups=None, num_groups=1):
+    """Report entry of group k under the identity coefficient matrix; every
+    example is in group 0 unless ``groups`` says otherwise."""
+    if groups is None:
+        groups = np.zeros(prof.n, dtype=np.int64)
+    spec = coefficient_spec(groups, np.eye(num_groups))
     return bound_report(prof, spec, dist).entry(k)
 
 
-def profile_from_ratios(margins, lipschitz, groups=None, num_groups=1):
-    margins = np.asarray(margins, dtype=float)
-    if groups is None:
-        groups = np.zeros(margins.size, dtype=np.int64)
+def profile_from_ratios(margins, lipschitz):
     return MarginProfile(
-        abs_margins=margins,
+        abs_margins=np.asarray(margins, dtype=float),
         lipschitz=np.asarray(lipschitz, dtype=float),
-        assignment=np.asarray(groups),
-        num_groups=num_groups,
     )
 
 
@@ -82,22 +80,21 @@ class TestMarginProfile:
         x = np.array([3.0, 4.0, 1.0])
         d = make_dataset(np.array([x]), [0], [0], num_sensitive=1)
         m = LinearModel(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 10.0)
-        part = partition(d, "by_sensitive")
-        prof = margin_profile(m, d, part)
+        prof = margin_profile(m, d)
         assert prof.abs_margins[0] == pytest.approx(3.0)
         assert prof.lipschitz[0] == pytest.approx(2 * math.sqrt(26))
 
     def test_zero_model_zero_margins(self, rng):
         d = random_dataset(rng, 12)
         m = LinearModel(np.zeros((2, 3)), 1.0)
-        prof = margin_profile(m, d, partition(d, "by_sensitive"))
+        prof = margin_profile(m, d)
         assert np.all(prof.abs_margins == 0.0)
 
     def test_high_margin_model_positive(self, desk_data):
         from fairbound.trainer import fit_erm
 
         m = fit_erm(desk_data, lam=0.01, tol=1e-8)
-        prof = margin_profile(m, desk_data, partition(desk_data, "by_sensitive"))
+        prof = margin_profile(m, desk_data)
         assert np.all(prof.abs_margins >= 0.0)
         assert np.mean(prof.abs_margins > 0) > 0.99
 
@@ -136,11 +133,11 @@ class TestChi:
         d = random_dataset(rng, 30)
         m = LinearModel(rng.normal(size=(2, 3)), 100.0)
         spec = coefficients(d, "equalized_odds")
-        prof = margin_profile(m, d, spec.partition)
+        prof = margin_profile(m, d)
         perm = rng.permutation(d.n)
         d2 = d.subset(perm)
         spec2 = coefficients(d2, "equalized_odds")
-        prof2 = margin_profile(m, d2, spec2.partition)
+        prof2 = margin_profile(m, d2)
         chi1 = [e.chi for e in bound_report(prof, spec, 0.0).entries]
         chi2 = [e.chi for e in bound_report(prof2, spec2, 0.0).entries]
         for k in range(4):
@@ -184,8 +181,8 @@ class TestChernoffTerm:
         assert single_entry(prof, 0.5).chernoff == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_group(self):
-        prof = profile_from_ratios([1.0], [1.0], groups=[0], num_groups=2)
-        entry = single_entry(prof, 0.5, k=1)
+        prof = profile_from_ratios([1.0], [1.0])
+        entry = single_entry(prof, 0.5, k=1, groups=[0], num_groups=2)
         assert entry.chernoff == 0.0
         assert entry.flags == ("empty_group:1",)
 
@@ -209,7 +206,7 @@ class TestVariantBehavior:
         for _ in range(20):
             d = random_dataset(rng, 15)
             h = LinearModel(rng.normal(size=(2, 3)) * 3, 100.0)
-            prof = margin_profile(h, d, partition(d, "by_sensitive"))
+            prof = margin_profile(h, d)
             if np.any(prof.abs_margins == 0):
                 continue
             ratios = prof.abs_margins / prof.lipschitz
@@ -237,7 +234,7 @@ class TestVariantBehavior:
         d = random_dataset(rng, 20)
         m = LinearModel(rng.normal(size=(2, 3)), 100.0)
         spec = coefficients(d, "equalized_odds")
-        prof = margin_profile(m, d, spec.partition)
+        prof = margin_profile(m, d)
         for k in range(4):
             for variant in ("markov", "truncated", "chernoff", "best"):
                 assert gap_bound(prof, spec, k, 0.0, variant) == 0.0
@@ -247,7 +244,7 @@ class TestVariantBehavior:
             d = random_dataset(rng, int(rng.integers(8, 30)))
             m = LinearModel(rng.normal(size=(2, 3)), 100.0)
             spec = coefficients(d, "equalized_odds")
-            prof = margin_profile(m, d, spec.partition)
+            prof = margin_profile(m, d)
             dist = float(rng.uniform(0, 2))
             for k in range(4):
                 best = gap_bound(prof, spec, k, dist, "best")
@@ -261,7 +258,7 @@ class TestVariantBehavior:
         d = random_dataset(rng, 40)
         m = LinearModel(rng.normal(size=(2, 3)), 100.0)
         spec = coefficients(d, "equalized_odds")
-        report = bound_report(margin_profile(m, d, spec.partition), spec, dist)
+        report = bound_report(margin_profile(m, d), spec, dist)
         for k, entry in enumerate(report.entries):
             cap = float(np.sum(np.abs(spec.coeffs[k])))
             assert 0.0 <= entry.best <= entry.chernoff <= cap
@@ -271,6 +268,12 @@ class TestVariantBehavior:
         prof = profile_from_ratios([1.0], [1.0])
         with pytest.raises(ValueError):
             bound_report(prof, single_group_spec(1), dist)
+
+    @pytest.mark.parametrize("spec_examples", [1, 3])
+    def test_profile_must_cover_the_spec_examples(self, spec_examples):
+        prof = profile_from_ratios([1.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="examples"):
+            bound_report(prof, single_group_spec(spec_examples), 0.5)
 
 
 def naive_entry(margins, lipschitz, groups, coeffs, k, dist):
@@ -318,7 +321,7 @@ def profiles_and_specs(draw):
     coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
     coeffs = np.array(draw(st.lists(coeff, min_size=num_groups**2, max_size=num_groups**2)))
     dist = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(0.0, 1e300)))
-    prof = MarginProfile(margins, lipschitz, groups, num_groups)
+    prof = MarginProfile(margins, lipschitz)
     return prof, coefficient_spec(groups, coeffs.reshape(num_groups, num_groups)), dist
 
 
@@ -329,8 +332,8 @@ class TestAgainstNaiveLoop:
         prof, spec, dist = case
         report = bound_report(prof, spec, dist)
         for k, entry in enumerate(report.entries):
-            expected, flags = naive_entry(prof.abs_margins, prof.lipschitz, prof.assignment,
-                                          spec.coeffs, k, dist)
+            expected, flags = naive_entry(prof.abs_margins, prof.lipschitz,
+                                          spec.partition.assignment, spec.coeffs, k, dist)
             assert entry.flags == flags
             for field, want in expected.items():
                 got = getattr(entry, field)
@@ -356,7 +359,7 @@ class TestValidity:
             notion = notions[trial % 4]
             desirable = frozenset({1}) if notion == "equality_of_opportunity" else None
             spec = coefficients(d, notion, desirable=desirable)
-            prof = margin_profile(h, d, spec.partition)
+            prof = margin_profile(h, d)
             k = int(rng.integers(spec.num_groups))
             gap = abs(group_fairness(h, d, spec, k) - group_fairness(h2, d, spec, k))
             for variant in ("markov", "truncated", "chernoff", "best"):
@@ -371,7 +374,7 @@ class TestRefinedProfile:
         h2 = LinearModel(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 10.0)
         # x = (0, 1, 1) is orthogonal to the only active direction (1, 0, 0)?
         # no: rows differ in coordinate 0 only, and x_0 = 0 -> projection 0
-        prof = refined_lipschitz_profile(h, h2, d, partition(d, "by_sensitive"))
+        prof = refined_lipschitz_profile(h, h2, d)
         assert prof.lipschitz[0] == 0.0
 
     def test_never_exceeds_standard(self, rng):
@@ -379,15 +382,14 @@ class TestRefinedProfile:
             d = random_dataset(rng, 15)
             h = LinearModel(rng.normal(size=(2, 3)), 100.0)
             h2 = LinearModel(rng.normal(size=(2, 3)), 100.0)
-            part = partition(d, "by_sensitive")
-            refined = refined_lipschitz_profile(h, h2, d, part)
-            standard = margin_profile(h, d, part)
+            refined = refined_lipschitz_profile(h, h2, d)
+            standard = margin_profile(h, d)
             assert np.all(refined.lipschitz <= standard.lipschitz + 1e-12)
 
     def test_identical_models_zero_profile(self, rng):
         d = random_dataset(rng, 10)
         h = LinearModel(rng.normal(size=(2, 3)), 100.0)
-        prof = refined_lipschitz_profile(h, h, d, partition(d, "by_sensitive"))
+        prof = refined_lipschitz_profile(h, h, d)
         assert np.all(prof.lipschitz == 0.0)
         spec = coefficients(d, "accuracy_parity")
         for k in range(2):
@@ -400,8 +402,8 @@ class TestRefinedProfile:
             h2 = LinearModel(h.weights + rng.normal(size=(2, 3)) * 0.4, 100.0)
             dist = distance(h, h2)
             spec = coefficients(d, "accuracy_parity")
-            refined = refined_lipschitz_profile(h, h2, d, spec.partition)
-            standard = margin_profile(h, d, spec.partition)
+            refined = refined_lipschitz_profile(h, h2, d)
+            standard = margin_profile(h, d)
             for k in range(2):
                 gap = abs(group_fairness(h, d, spec, k) - group_fairness(h2, d, spec, k))
                 br = gap_bound(refined, spec, k, dist, "best")
@@ -451,7 +453,7 @@ class TestTheorem3:
         d = random_dataset(rng, 10)
         m = LinearModel(np.zeros((2, 3)), 1.0)  # all margins zero
         spec = coefficients(d, "accuracy_parity")
-        prof = margin_profile(m, d, spec.partition)
+        prof = margin_profile(m, d)
         report = bound_report(prof, spec, 0.5, "measured")
         assert any("zero_margin" in f for f in report.entry(0).flags)
         assert report.entry(0).markov == math.inf

@@ -26,6 +26,12 @@ cell.1.1.mean = -2.0, 0.5
 cell.1.1.cov = 1.0, 1.0
 """
 
+THREE_LABEL_SPEC_TEXT = SPEC_TEXT + """\
+cell.2.0.count = 80
+cell.2.0.mean = 0.0, 2.0
+cell.2.0.cov = 1.0, 1.0
+"""
+
 EXPERIMENT_TEXT = """\
 data = {spec}
 data-format = synthetic
@@ -52,6 +58,16 @@ def run(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return main(args)
+
+
+def _report_argv(command, data, model, notion, out):
+    """``audit`` or ``bound`` of ``model`` on ``data`` (which is also the
+    training set of ``bound``), writing ``out``."""
+    if command == "audit":
+        return ["audit", "--data", data, "--model", model, "--notion", notion,
+                "--report", str(out)]
+    return ["bound", "--data", data, "--model", model, "--train-data", data,
+            "--lambda", "1.0", "--notion", notion, "--out", str(out)]
 
 
 class TestPipeline:
@@ -275,8 +291,7 @@ class TestExitCodes:
 
     def test_table_on_three_labels_is_data_error_4(self, workdir, capsys):
         spec = workdir / "three.cfg"
-        spec.write_text(SPEC_TEXT + "cell.2.0.count = 80\ncell.2.0.mean = 0.0, 2.0\n"
-                        "cell.2.0.cov = 1.0, 1.0\n", encoding="utf-8")
+        spec.write_text(THREE_LABEL_SPEC_TEXT, encoding="utf-8")
         data = str(workdir / "three.csv")
         model = str(workdir / "model.txt")
         run(["gen-data", "--spec", str(spec), "--seed", "3", "--out", data])
@@ -285,6 +300,79 @@ class TestExitCodes:
         assert run(["table", "--model", model, "--data", data, "--train-data", data,
                     "--lambda", "1.0", "--out", str(out)]) == 4
         assert "binary labels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "bound"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--fs-delta", "1.5"], ["--fs-delta", "0"], ["--b3", "0"], ["--b4", "0"],
+         ["--natarajan-dim", "-1"], ["--b3", "0.001", "--fs-delta", "0.5"]],
+        ids=["fs_delta_above_one", "fs_delta_zero", "b3_zero", "b4_zero", "natarajan_dim_negative",
+             "b3_below_delta_share"],
+    )
+    def test_bad_finite_sample_flag_is_config_error_2(self, workdir, command, flag, capsys):
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "out.csv"
+        args = _report_argv(command, data, model, "accuracy-parity", out)
+        assert run(args + ["--finite-sample", "dependent", *flag]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finite_sample_on_one_label_data_is_data_error_4(self, workdir, capsys):
+        data = workdir / "one_label.csv"
+        data.write_text("f0,s,y\n0.5,0,0\n-1.0,1,0\n2.0,0,0\n", encoding="utf-8")
+        model = workdir / "one_label_model.txt"
+        model.write_text("1 2 5\n1 0\n", encoding="utf-8")
+        out = workdir / "audit.csv"
+        args = _report_argv("audit", str(data), str(model), "accuracy", out)
+        assert run(args + ["--finite-sample", "independent"]) == 4
+        assert "two or more labels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "bound"])
+    def test_desirable_label_outside_data_is_config_error_2(self, workdir, command, capsys):
+        data = str(workdir / "data.csv")  # labels 0 and 1
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "out.csv"
+        args = _report_argv(command, data, model, "equality-of-opportunity", out)
+        assert run(args + ["--desirable", "5"]) == 2
+        assert "desirable labels out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "bound"])
+    def test_demographic_parity_on_three_labels_is_data_error_4(self, workdir, command, capsys):
+        spec = workdir / "three.cfg"
+        spec.write_text(THREE_LABEL_SPEC_TEXT, encoding="utf-8")
+        data = str(workdir / "three.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(spec), "--seed", "3", "--out", data])
+        assert run(["train", "--data", data, "--lambda", "1.0", "--out", model]) == 0
+        out = workdir / "out.csv"
+        assert run(_report_argv(command, data, model, "demographic-parity-binary", out)) == 4
+        assert "binary labels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_bound_train_n_flag_exits_2(self, workdir, capsys):
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "report.csv"
+        argv = ["bound", "--model", model, "--data", data, "--lambda", "1.0",
+                "--notion", "accuracy", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--train-data", data, "--train-n", "500"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --train-n 500" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--train-n", "500"])
+        assert exc.value.code == 2
+        assert "--train-data" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--steps", "50"], ["--noise-exponent", "T_linear"]],

@@ -1,21 +1,23 @@
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
 from fairbound import experiment
+from fairbound.config import parse_config_text, parse_synthetic_spec
 from fairbound.dataset import synthesize
 from fairbound.exceptions import ConfigError
 from fairbound.experiment import (
     ExperimentConfig,
-    finite_sample_slacks,
     run_experiment,
     table_report,
     write_audit_csv,
     write_bound_report_csv,
 )
 from fairbound.fairness import coefficients, group_fairness_all
+from fairbound.finite_sample import finite_sample_slacks
 from fairbound.trainer import constants, fit_erm
 
 from conftest import two_blob_spec
@@ -222,6 +224,25 @@ class TestRunExperiment:
         cfg2 = ExperimentConfig.from_mapping(values)
         assert cfg2 == cfg
 
+    def test_readme_config_blocks_load(self):
+        def block(heading):
+            text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+                encoding="utf-8")
+            return text.split(f"### {heading}\n", 1)[1].split("```\n", 2)[1]
+
+        spec = parse_synthetic_spec(parse_config_text(block("Synthetic spec grammar")))
+        assert spec.num_features == 2
+        assert sorted(spec.cells) == [(0, 0), (1, 0)]
+        assert spec.cells[(0, 0)].count == 500
+        cfg = ExperimentConfig.from_mapping(parse_config_text(block("Experiment config keys")),
+                                            seed=5)
+        assert (cfg.data, cfg.data_format, cfg.mechanism) == (
+            "synth.cfg", "synthetic", "output_perturbation")
+        assert (cfg.sweep_axis, cfg.grid_start, cfg.grid_stop, cfg.grid_count, cfg.draws) == (
+            "n", 100.0, 10000.0, 20, 100)
+        assert (cfg.delta_policy, cfg.epsilon, cfg.eval_split, cfg.desirable) == (
+            "inverse_n_squared", 1.0, "test", frozenset({1}))
+
 
 class TestTableReport:
     def test_all_columns_present_and_finite(self):
@@ -249,7 +270,7 @@ class TestReportWriters:
         d = random_dataset(rng, 10)
         m = LinearModel(np.zeros((2, 3)), 1.0)
         spec = coefficients(d, "accuracy_parity")
-        prof = margin_profile(m, d, spec.partition)
+        prof = margin_profile(m, d)
         report = bound_report(prof, spec, 0.5, "measured")
         path = tmp_path / "r.csv"
         write_bound_report_csv(report, str(path))

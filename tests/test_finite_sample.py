@@ -3,65 +3,93 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairbound.fairness import coefficients
-from fairbound.finite_sample import (
-    FiniteSampleParams,
-    dependent_slack,
-    independent_slack,
-    sample_size_sufficient,
-)
+from fairbound.dataset import GroupPartition
+from fairbound.exceptions import ConfigError
+from fairbound.fairness import FairnessSpec, coefficients
+from fairbound.finite_sample import finite_sample_slacks, sample_size_sufficient
 
 from conftest import random_dataset
 
 
-def uniform_params(num_groups=4, delta=0.05, n=10_000, coeff=0.5, b3=1.0, b4=1.0,
-                   natarajan_dim=1.0, num_labels=2):
-    return FiniteSampleParams(
-        num_groups=num_groups,
-        delta=delta,
-        n=n,
-        proportions=np.full(num_groups, 1.0 / num_groups),
-        coeff_magnitudes=np.full((num_groups, num_groups), coeff),
-        b3=b3,
-        b4=b4,
-        natarajan_dim=natarajan_dim,
-        num_labels=num_labels,
+def slack_spec(proportions, coeffs):
+    """Spec with the given group proportions and coefficient matrix; the
+    slack reads nothing else from it."""
+    k = len(proportions)
+    part = GroupPartition(
+        num_groups=k,
+        assignment=np.zeros(0, dtype=np.int64),
+        proportions=np.asarray(proportions, dtype=float),
+        descriptions=tuple(f"g{j}" for j in range(k)),
     )
+    return FairnessSpec(
+        notion="accuracy",
+        partition=part,
+        offsets=np.zeros(k),
+        coeffs=np.asarray(coeffs, dtype=float),
+        desirable=None,
+        flags=(),
+    )
+
+
+def uniform_spec(num_groups=4, coeff=0.5):
+    return slack_spec(np.full(num_groups, 1.0 / num_groups),
+                      np.full((num_groups, num_groups), coeff))
+
+
+def group0(mode, num_groups=4, delta=0.05, n=10_000, coeff=0.5, b3=1.0, b4=1.0,
+           natarajan_dim=1.0, num_labels=2, spec=None):
+    """Slack of group 0 on a uniform spec (or ``spec``)."""
+    spec = uniform_spec(num_groups, coeff) if spec is None else spec
+    return finite_sample_slacks(spec, n, delta, num_labels, 1, mode, b3=b3, b4=b4,
+                                natarajan_dim=natarajan_dim)[0]
+
+
+def oracle_slack(spec, n, delta, num_labels, mode, b3, b4, natarajan_dim, k):
+    """Slack of group k as a scalar loop over the two documented formulas."""
+    num_groups = spec.num_groups
+    proportions = spec.partition.proportions
+    total = math.sqrt(math.log(b3 * (2 * num_groups + 1) / delta) / (b4 * n))
+    for kp in range(num_groups):
+        weight = abs(float(spec.coeffs[k, kp]))
+        if weight == 0.0 or proportions[kp] == 0.0:
+            continue
+        n_kp = n * float(proportions[kp])
+        if mode == "independent":
+            alpha = math.sqrt(math.log(2.0 * (2 * num_groups + 1) / delta) / n_kp)
+        else:
+            inner = (natarajan_dim * (math.log(n_kp / 2.0) + 2.0 * math.log(num_labels))
+                     + math.log(8.0 * (2 * num_groups + 1) / delta))
+            alpha = math.sqrt(64.0 * inner / n_kp)
+        total += weight * alpha
+    return total
 
 
 class TestIndependentSlack:
     def test_frozen_transcription(self):
         # independent transcription of the two-term formula pinned this value
-        fp = uniform_params()
-        assert independent_slack(fp, 0) == pytest.approx(0.11983323751083457, rel=1e-12)
+        assert group0("independent") == pytest.approx(0.11983323751083457, rel=1e-12)
 
     def test_quadrupling_n_halves(self):
-        a = independent_slack(uniform_params(n=10_000), 0)
-        b = independent_slack(uniform_params(n=40_000), 0)
+        a = group0("independent", n=10_000)
+        b = group0("independent", n=40_000)
         assert b == pytest.approx(a / 2, rel=1e-12)
 
     def test_zero_coefficients_leave_only_constant_term(self):
-        fp = uniform_params(coeff=0.0)
-        expected = math.sqrt(math.log(fp.b3 * 9 / fp.delta) / (fp.b4 * fp.n))
-        assert independent_slack(fp, 0) == pytest.approx(expected, rel=1e-12)
+        expected = math.sqrt(math.log(1.0 * 9 / 0.05) / (1.0 * 10_000))
+        assert group0("independent", coeff=0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_proportion_group_contributes_nothing(self):
-        fp = uniform_params()
-        fp2 = FiniteSampleParams(
-            num_groups=4, delta=0.05, n=10_000,
-            proportions=np.array([1 / 3, 1 / 3, 1 / 3, 0.0]),
-            coeff_magnitudes=np.full((4, 4), 0.5),
-            b3=1.0, b4=1.0, natarajan_dim=1.0, num_labels=2,
-        )
+        spec = slack_spec(np.array([1 / 3, 1 / 3, 1 / 3, 0.0]), np.full((4, 4), 0.5))
         manual = math.sqrt(math.log(9 / 0.05) / 10_000)
         per_group = 0.5 * math.sqrt(math.log(2 * 9 / 0.05) / (10_000 / 3))
-        assert independent_slack(fp2, 0) == pytest.approx(manual + 3 * per_group, rel=1e-12)
+        assert group0("independent", spec=spec) == pytest.approx(manual + 3 * per_group, rel=1e-12)
 
     def test_undersized_sample_warns_but_returns(self):
-        fp = uniform_params(n=10)
         with pytest.warns(UserWarning, match="precondition"):
-            value = independent_slack(fp, 0)
+            value = group0("independent", n=10)
         assert value > 0
 
 
@@ -70,33 +98,31 @@ class TestDependentSlack:
         for _ in range(50):
             k = int(rng.integers(2, 6))
             n = int(rng.integers(200, 100_000))
-            fp = FiniteSampleParams(
-                num_groups=k,
-                delta=float(rng.uniform(0.001, 0.2)),
-                n=n,
-                proportions=np.full(k, 1.0 / k),
-                coeff_magnitudes=rng.uniform(0, 1, (k, k)),
-                b3=float(rng.uniform(0.5, 10)),
-                b4=float(rng.uniform(0.5, 4)),
-                natarajan_dim=float(rng.integers(1, 20)),
-                num_labels=2,
-            )
+            delta = float(rng.uniform(0.001, 0.2))
+            spec = slack_spec(np.full(k, 1.0 / k), rng.uniform(0, 1, (k, k)))
+            b3 = float(rng.uniform(0.5, 10))
+            b4 = float(rng.uniform(0.5, 4))
+            natarajan_dim = float(rng.integers(1, 20))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                for g in range(k):
-                    assert dependent_slack(fp, g) >= independent_slack(fp, g) - 1e-12
+                slacks = {
+                    mode: finite_sample_slacks(spec, n, delta, 2, 1, mode, b3=b3, b4=b4,
+                                               natarajan_dim=natarajan_dim)
+                    for mode in ("independent", "dependent")
+                }
+            for g in range(k):
+                assert slacks["dependent"][g] >= slacks["independent"][g] - 1e-12
 
     def test_zero_dimension_edge_formula(self):
         # natarajan_dim -> 0 reduces alpha to sqrt(64*log(8(2K+1)/delta)/(n p))
-        fp = uniform_params(natarajan_dim=1e-300)
-        k_groups, delta, n = 4, 0.05, 10_000
+        delta, n = 0.05, 10_000
         alpha = math.sqrt(64 * math.log(8 * 9 / delta) / (n / 4))
         expected = math.sqrt(math.log(9 / delta) / n) + 4 * 0.5 * alpha
-        assert dependent_slack(fp, 0) == pytest.approx(expected, rel=1e-9)
+        assert group0("dependent", natarajan_dim=1e-300) == pytest.approx(expected, rel=1e-9)
 
     def test_sqrt_dimension_scaling(self):
         # at large d the per-group term grows like sqrt(d)
-        values = [dependent_slack(uniform_params(natarajan_dim=d, coeff=1.0, n=10**8), 0)
+        values = [group0("dependent", natarajan_dim=d, coeff=1.0, n=10**8)
                   for d in (100, 400, 1600)]
         assert values[1] / values[0] == pytest.approx(2.0, rel=0.05)
         assert values[2] / values[1] == pytest.approx(2.0, rel=0.05)
@@ -104,46 +130,91 @@ class TestDependentSlack:
 
 class TestMonotonicity:
     def test_decreasing_in_n_increasing_in_k_and_inverse_delta(self):
-        base = uniform_params()
-        more_n = uniform_params(n=20_000)
-        assert independent_slack(more_n, 0) < independent_slack(base, 0)
-        assert dependent_slack(more_n, 0) < dependent_slack(base, 0)
-        more_k = uniform_params(num_groups=8)
-        assert independent_slack(more_k, 0) > independent_slack(base, 0)
-        smaller_delta = uniform_params(delta=0.005)
-        assert independent_slack(smaller_delta, 0) > independent_slack(base, 0)
-        assert dependent_slack(smaller_delta, 0) > dependent_slack(base, 0)
+        for mode in ("independent", "dependent"):
+            assert group0(mode, n=20_000) < group0(mode)
+            assert group0(mode, delta=0.005) > group0(mode)
+        assert group0("independent", num_groups=8) > group0("independent")
 
     def test_decreasing_in_proportions(self):
-        balanced = uniform_params()
-        skewed = FiniteSampleParams(
-            num_groups=4, delta=0.05, n=10_000,
-            proportions=np.array([0.7, 0.1, 0.1, 0.1]),
-            coeff_magnitudes=np.full((4, 4), 0.5),
-            b3=1.0, b4=1.0, natarajan_dim=1.0, num_labels=2,
-        )
+        skewed = slack_spec(np.array([0.7, 0.1, 0.1, 0.1]), np.full((4, 4), 0.5))
         # shrinking the smallest groups inflates the slack
-        assert independent_slack(skewed, 0) > independent_slack(balanced, 0)
+        assert group0("independent", spec=skewed) > group0("independent")
 
 
 class TestConstruction:
     def test_from_fairness_spec_defaults(self, rng):
         d = random_dataset(rng, 60)
         spec = coefficients(d, "equalized_odds")
-        fp = FiniteSampleParams.from_fairness_spec(
-            spec, n=d.n, delta=0.05, num_labels=d.num_labels, num_features=d.p
-        )
-        assert fp.b3 == 2.0 * (spec.num_groups + 1)
-        assert fp.b4 == 2.0
-        assert fp.natarajan_dim == d.num_labels * d.p
-        assert np.array_equal(fp.coeff_magnitudes, np.abs(spec.coeffs))
+        k = spec.num_groups
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for mode in ("independent", "dependent"):
+                defaults = finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, mode)
+                explicit = finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, mode,
+                                                b3=2.0 * (k + 1), b4=2.0,
+                                                natarajan_dim=d.num_labels * d.p)
+                assert np.array_equal(defaults, explicit)
+            # the defaults are not inert: other constants move the slack
+            assert not np.array_equal(
+                defaults, finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, "dependent",
+                                               natarajan_dim=d.num_labels * d.p + 1))
+            assert not np.array_equal(
+                finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, "independent"),
+                finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, "independent", b3=1.0))
 
     def test_precondition_check(self):
-        assert sample_size_sufficient(uniform_params(n=10_000))
-        assert not sample_size_sufficient(uniform_params(n=10))
+        assert sample_size_sufficient(uniform_spec(), 10_000, 0.05)
+        assert not sample_size_sufficient(uniform_spec(), 10, 0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            uniform_params(delta=1.5)
+            group0("independent", delta=1.5)
         with pytest.raises(ValueError):
-            uniform_params(b3=0.0)
+            group0("independent", b3=0.0)
+        with pytest.raises(ValueError, match="alpha_C"):
+            group0("independent", b3=0.005, delta=0.05)  # log(B3*9/delta) < 0
+        with pytest.raises(ConfigError):
+            group0("both")
+
+
+@st.composite
+def slack_cases(draw):
+    k = draw(st.integers(1, 15))
+    counts = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k).filter(any))
+    total = sum(counts)
+    coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    coeffs = np.array(draw(st.lists(coeff, min_size=k * k, max_size=k * k))).reshape(k, k)
+    spec = slack_spec(np.array(counts) / total, coeffs)
+    n = draw(st.integers(total, 10**7))  # every nonempty group holds >= 1 example
+    delta = draw(st.floats(1e-6, 0.5))
+    b3 = draw(st.one_of(st.none(), st.floats(1.0, 100.0)))  # keeps log(B3(2K+1)/delta) > 0
+    b4 = draw(st.floats(0.1, 10.0))
+    num_labels = draw(st.integers(2, 6))
+    num_features = draw(st.integers(1, 30))
+    natarajan_dim = draw(st.one_of(st.none(), st.floats(1e-3, 500.0)))
+    mode = draw(st.sampled_from(["independent", "dependent"]))
+    return spec, n, delta, num_labels, num_features, mode, b3, b4, natarajan_dim
+
+
+class TestAgainstScalarLoop:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(slack_cases())
+    def test_vector_pass_equals_scalar_loop(self, case):
+        spec, n, delta, num_labels, num_features, mode, b3, b4, natarajan_dim = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = finite_sample_slacks(spec, n, delta, num_labels, num_features, mode,
+                                       b3=b3, b4=b4, natarajan_dim=natarajan_dim)
+        b3 = 2.0 * (spec.num_groups + 1) if b3 is None else b3
+        natarajan_dim = num_labels * num_features if natarajan_dim is None else natarajan_dim
+        assert got.shape == (spec.num_groups,)
+        for k in range(spec.num_groups):
+            want = oracle_slack(spec, n, delta, num_labels, mode, b3, b4, natarajan_dim, k)
+            assert got[k] == want, k
+
+    def test_undersized_sample_warns_once_per_call(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            slack = finite_sample_slacks(uniform_spec(4), 10, 0.05, 2, 1, "independent")
+        assert slack.shape == (4,)
+        assert len(caught) == 1 and "precondition" in str(caught[0].message)
