@@ -43,7 +43,6 @@ from .fairness import (
     FairnessSpec,
     aggregate_fairness,
     coefficients,
-    conditional_accuracy,
     direct_fairness,
     group_fairness,
     group_fairness_all,
@@ -55,7 +54,6 @@ from .model import (
     distance,
     load_model,
     margin,
-    pointwise_lipschitz,
     predict,
     project,
     save_model,

@@ -29,7 +29,7 @@ from .privacy import (
     dpsgd_distance_bound,
     warn_if_gradient_noise_dominates,
 )
-from .trainer import constants, fit_erm
+from .trainer import DEFAULT_MAX_ITERS, DEFAULT_TOL, constants, fit_erm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,8 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     _add_data_flags(p)
     p.add_argument("--lambda", dest="lam", required=True, type=float, help="ridge weight")
-    p.add_argument("--tol", type=float, default=1e-10, help="gradient-norm stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=200_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="gradient-norm stopping tolerance")
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+                   help="cap on Newton iterations")
     p.add_argument("--radius", type=float, default=None, help="ball radius override")
     p.add_argument("--out", required=True, help="output model path")
 
@@ -358,9 +360,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     model = _load_model_for(args.model, eval_data, train)
     pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
                          "output_perturbation")
+    # the one notion that reads --desirable checks it against the data
+    eo = _fairness_spec(eval_data, "equality_of_opportunity", args.desirable)
     row = experiment_mod.table_report(
         model, train, eval_data, _lambda(args), pp=pp,
-        desirable=_parse_desirable(args.desirable), dataset_name=args.name,
+        desirable=eo.desirable, dataset_name=args.name,
     )
     experiment_mod.write_table_csv([row], args.out)
     print(f"table row for {args.name!r} -> {args.out}")

@@ -50,7 +50,7 @@ from .privacy import (
     dpsgd_distance_bound,
     output_perturb,
 )
-from .trainer import constants, fit_erm
+from .trainer import DEFAULT_TOL, constants, fit_erm
 
 def _fmt(value) -> str:
     """Shortest round-trip decimal form for floats; str otherwise."""
@@ -103,7 +103,7 @@ class ExperimentConfig:
     desirable: frozenset[int] = frozenset({1})
     eval_split: str = "test"
     test_fraction: float = 0.1
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     variant: str = "best"
 
     def __post_init__(self):

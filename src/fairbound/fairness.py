@@ -188,13 +188,6 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
     )
 
 
-def conditional_accuracy(m: LinearModel, d: Dataset, group: int, part: GroupPartition) -> float:
-    """Fraction of group members the model classifies correctly; 0 for an
-    empty group (use :func:`conditional_accuracies` to observe the flag)."""
-    values, _ = conditional_accuracies(m, d, part)
-    return float(values[group])
-
-
 def _correct_counts(
     weights: np.ndarray, d: Dataset, partitions: Sequence[GroupPartition]
 ) -> list[np.ndarray]:
@@ -202,31 +195,34 @@ def _correct_counts(
     each of the M stacked (M, Y, p) models classifies correctly.
 
     Models are scored a block at a time, as many as fit in ``SCORE_BLOCK``
-    scores (at least one); each model's argmax over labels (lowest label on
-    ties) is taken once and shared by every partition.
+    scores (at least one), as a (models, Y, n) array.  A model classifies
+    example i correctly exactly when its true-label score beats every lower
+    label's strictly and every higher label's or ties it: argmax with ties
+    going to the lowest label.  The 0/1 flags of a block are multiplied by
+    the one-hot group matrices of all partitions side by side; the products
+    sum integers below 2**53, so the float64 counts are exact.
     """
     num_models, num_labels, p = weights.shape
     flat = weights.reshape(num_models * num_labels, p)
     models_per_block = min(num_models, max(1, SCORE_BLOCK // (d.n * num_labels)))
-    # bincount cell of (block model j, example i) is j*K + group(i), laid out
-    # model by model so that a short last block uses a prefix
-    cells = [
-        (part.num_groups * np.arange(models_per_block)[:, None] + part.assignment).ravel()
-        for part in partitions
-    ]
-    counts = [np.zeros((num_models, part.num_groups), dtype=np.int64) for part in partitions]
+    # flat index of example i's true-label score in a model's (Y, n) scores,
+    # and the (Y, n) mask of labels y >= y_i, which lose ties to y_i
+    at_label = d.labels * d.n + np.arange(d.n)
+    ties_win = np.arange(num_labels)[:, None] >= d.labels
+    ends = np.cumsum([part.num_groups for part in partitions])
+    onehot = np.zeros((d.n, ends[-1]))
+    for part, end in zip(partitions, ends):
+        onehot[np.arange(d.n), end - part.num_groups + part.assignment] = 1.0
+    counts = np.empty((num_models, ends[-1]), dtype=np.int64)
     for m0 in range(0, num_models, models_per_block):
         m1 = min(m0 + models_per_block, num_models)
-        width = m1 - m0
-        scores = d.features @ flat[m0 * num_labels : m1 * num_labels].T
-        predicted = scores.reshape(d.n, width, num_labels).argmax(axis=2)
-        # 0/1 weights sum exactly in float64, so the cast back loses nothing
-        correct = (predicted.T == d.labels).ravel().astype(np.float64)
-        for part, part_cells, total in zip(partitions, cells, counts):
-            k = part.num_groups
-            sums = np.bincount(part_cells[: width * d.n], weights=correct, minlength=width * k)
-            total[m0:m1] = sums.reshape(width, k).astype(np.int64)
-    return counts
+        scores = (flat[m0 * num_labels : m1 * num_labels] @ d.features.T).reshape(
+            m1 - m0, num_labels, d.n
+        )
+        true = np.take(scores.reshape(m1 - m0, -1), at_label, axis=1)[:, None, :]
+        beats = (true > scores) | ((true == scores) & ties_win)
+        counts[m0:m1] = beats.all(axis=1).astype(np.float64) @ onehot
+    return np.split(counts, ends[:-1], axis=1)
 
 
 def _accuracies(counts: np.ndarray, part: GroupPartition) -> tuple[np.ndarray, np.ndarray]:

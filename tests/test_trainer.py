@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fairbound.dataset import Dataset
+from fairbound import trainer
+from fairbound.dataset import CellSpec, Dataset, SyntheticSpec, synthesize
 from fairbound.exceptions import ConvergenceError
 from fairbound.model import LinearModel, distance
 from fairbound.trainer import (
     LossConstants,
     constants,
-    erm_sensitivity,
     fit_erm,
     gradient,
     loss,
@@ -17,6 +17,33 @@ from fairbound.trainer import (
 )
 
 from conftest import make_dataset, random_dataset
+
+
+def gradient_descent(d, lam, tol):
+    """Oracle for ``fit_erm``: full-batch gradient descent from zero with
+    step 1/beta, beta = B^2 + lam bounding the objective's smoothness."""
+    step = 1.0 / (d.feature_norm_bound**2 + lam)
+    weights = np.zeros((d.num_labels, d.p))
+    for _ in range(200_000):
+        grad = objective_gradient(weights, d, lam)
+        if np.linalg.norm(grad) <= tol:
+            return weights
+        weights = weights - step * grad
+    raise AssertionError("gradient descent did not converge")
+
+
+def sweep_generator_data():
+    """Data shaped like the epsilon-sweep benchmark's: 2 labels x 2 groups,
+    1,000 rows per cell, 4 features; label y has mean 2 on axis y and the
+    group shifts axis y+1 by -0.5 or +0.5."""
+    cells = {}
+    for label in (0, 1):
+        for sens in (0, 1):
+            mean = np.zeros(4)
+            mean[label] += 2.0
+            mean[label + 1] += 0.5 if sens else -0.5
+            cells[(label, sens)] = CellSpec(count=1000, mean=mean, cov=np.ones(4))
+    return synthesize(SyntheticSpec(num_features=4, cells=cells), seed=7000)
 
 
 class TestLoss:
@@ -106,12 +133,63 @@ class TestFitErm:
             fit_erm(desk_data, lam=1.0, tol=1e-10, max_iters=2)
         assert err.value.gradient_norm > 0
 
+    def test_unaccepted_step_raises_at_once(self, rng, monkeypatch):
+        # an objective that rejects every step away from zero leaves no step
+        # to accept along the first Newton direction
+        d = random_dataset(rng, 40)
+        real_value = trainer._objective_value
+        monkeypatch.setattr(
+            trainer, "_objective_value",
+            lambda w, d, lam: real_value(w, d, lam) if not w.any() else math.inf,
+        )
+        norms = []
+        with pytest.raises(ConvergenceError, match="no acceptable step") as err:
+            fit_erm(d, lam=1.0, callback=lambda it, lo, gn: norms.append(gn))
+        assert len(norms) == 1
+        assert err.value.gradient_norm == norms[0]
+
+    def test_singular_hessian_is_convergence_error(self):
+        # intercept-only binary data: the Hessian at zero is
+        # [[1, -1], [-1, 1]]/4, and lam = 1e-300 vanishes against it
+        d = make_dataset(np.ones((4, 1)), [0, 1, 0, 1], [0, 0, 0, 1])
+        with pytest.raises(ConvergenceError, match="singular Hessian") as err:
+            fit_erm(d, lam=1e-300)
+        assert err.value.gradient_norm > 0
+
     def test_monotone_loss_decrease(self, rng):
         d = random_dataset(rng, 40)
         losses = []
         fit_erm(d, lam=1.0, tol=1e-9, callback=lambda it, lo, gn: losses.append(lo))
         assert len(losses) > 2
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("case", ["sweep_generator", "small_lambda", "rounding_floor"])
+    def test_reaches_tol_within_ten_iterations(self, rng, case):
+        # Newton converges quadratically; gradient descent takes hundreds
+        # of iterations on each case.  The rounding-floor case is the data of
+        # test_duplication_invariance, where the objective cannot resolve the
+        # last Armijo decrease.
+        tol = 1e-10
+        if case == "sweep_generator":
+            datasets, lam = [sweep_generator_data()], 1.0
+        elif case == "small_lambda":
+            datasets, lam = [random_dataset(rng, 200, p=4, num_labels=3)], 0.01
+        else:
+            d, lam = random_dataset(rng, 15), 0.5
+            datasets = [d, d.subset(np.concatenate([np.arange(d.n), np.arange(d.n)]))]
+        for d in datasets:
+            norms = []
+            m = fit_erm(d, lam=lam, tol=tol, callback=lambda it, lo, gn: norms.append(gn))
+            assert len(norms) <= 10
+            assert norms[-1] <= tol
+            assert np.linalg.norm(objective_gradient(m.weights, d, lam)) <= tol
+
+    @pytest.mark.parametrize("num_labels", [2, 3, 5])
+    def test_agrees_with_gradient_descent(self, rng, num_labels):
+        d = random_dataset(rng, 60, p=3, num_labels=num_labels)
+        lam, tol = 1.0, 1e-10
+        m = fit_erm(d, lam=lam, tol=tol)
+        assert np.linalg.norm(m.weights - gradient_descent(d, lam, tol)) <= 2 * tol / lam
 
     def test_accuracy_floor_on_separated_blobs(self, desk_data):
         # frozen regression: means +-2 with unit covariance train to > 0.9
