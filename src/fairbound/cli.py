@@ -10,6 +10,7 @@ override config values.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -71,9 +72,10 @@ def _privacy_params(
 
 
 def _lambda(args: argparse.Namespace) -> float:
-    """The --lambda ridge weight; a nonpositive value is a config error."""
-    if not args.lam > 0:
-        raise ConfigError(f"--lambda must be positive, got {args.lam!r}")
+    """The --lambda ridge weight; a nonpositive or non-finite value is a
+    config error."""
+    if not 0 < args.lam < math.inf:
+        raise ConfigError(f"--lambda must be positive and finite, got {args.lam!r}")
     return float(args.lam)
 
 
@@ -256,8 +258,11 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     lam = _lambda(args)
     d = load_csv(args.data, args.sensitive_col, args.label_col)
-    model = fit_erm(d, lam, tol=float(args.tol), max_iters=int(args.max_iters),
-                    radius=None if args.radius is None else float(args.radius))
+    try:
+        model = fit_erm(d, lam, tol=float(args.tol), max_iters=int(args.max_iters),
+                        radius=None if args.radius is None else float(args.radius))
+    except ValueError as exc:  # a --tol or --radius the solver rejects
+        raise ConfigError(str(exc))
     save_model(model, args.out)
     print(f"trained on n={d.n}; weight norm {np.linalg.norm(model.weights):.6g}, "
           f"radius {model.radius:.6g} -> {args.out}")

@@ -12,6 +12,8 @@ round-trips reproduce it exactly.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -138,73 +140,112 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
     One column is the sensitive attribute, one is the label; every other
     column must be numeric and becomes a feature.  An intercept coordinate
     (constant 1) is appended after the named feature columns.
+
+    The header is read with :mod:`csv`; the data rows are parsed in one
+    C-level ``np.loadtxt`` pass.  A feature cell is a finite float in
+    ``float()`` syntax between optional whitespace padding, with only
+    ASCII characters and no digit-group underscores inside the padding;
+    padding is any character ``str.isspace`` accepts.  A ragged row, any
+    other feature cell, and a file that is not UTF-8 are data errors.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty")
-        if sensitive_col not in header:
-            raise SchemaError(f"{path}: no column named {sensitive_col!r} for the sensitive role")
-        if label_col not in header:
-            raise SchemaError(f"{path}: no column named {label_col!r} for the label role")
-        if sensitive_col == label_col:
-            raise SchemaError("sensitive and label roles must name distinct columns")
-        s_idx = header.index(sensitive_col)
-        y_idx = header.index(label_col)
-        feat_idx = [j for j in range(len(header)) if j not in (s_idx, y_idx)]
-        feature_names = tuple(header[j] for j in feat_idx)
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise EmptyDatasetError(f"{path}: file is empty")
+            if sensitive_col not in header:
+                raise SchemaError(f"{path}: no column named {sensitive_col!r} for the sensitive role")
+            if label_col not in header:
+                raise SchemaError(f"{path}: no column named {label_col!r} for the label role")
+            if sensitive_col == label_col:
+                raise SchemaError("sensitive and label roles must name distinct columns")
+            s_idx = header.index(sensitive_col)
+            y_idx = header.index(label_col)
+            feat_idx = [j for j in range(len(header)) if j not in (s_idx, y_idx)]
+            dtype = np.dtype(
+                [(f"c{j}", object if j in (s_idx, y_idx) else np.float64) for j in range(len(header))]
+            )
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})")
+        except ValueError as exc:
+            raise _parse_error(path, len(header), feat_idx, fallback=str(exc))
 
-        rows: list[list[float]] = []
-        sens_raw: list[str] = []
-        lab_raw: list[str] = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            try:
-                rows.append([float(row[j]) for j in feat_idx])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {row_num}: non-numeric feature cell ({exc})")
-            sens_raw.append(row[s_idx])
-            lab_raw.append(row[y_idx])
-
-    if not rows:
+    if table.shape[0] == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
+    features = np.empty((table.shape[0], len(feat_idx) + 1))
+    for k, j in enumerate(feat_idx):
+        features[:, k] = table[f"c{j}"]
+    features[:, -1] = 1.0
+    if not np.all(np.isfinite(features)):
+        raise _parse_error(path, len(header), feat_idx, fallback="non-finite feature cell")
 
-    sens_values: list[str] = []
-    lab_values: list[str] = []
-    sens_ids = [_dense_id(v, sens_values) for v in sens_raw]
-    lab_ids = [_dense_id(v, lab_values) for v in lab_raw]
-
-    features = np.asarray(rows, dtype=np.float64)
-    features = np.hstack([features, np.ones((features.shape[0], 1))])
+    sens_ids, sens_values = _dense_ids(table[f"c{s_idx}"])
+    lab_ids, lab_values = _dense_ids(table[f"c{y_idx}"])
     return Dataset(
         features=features,
-        sensitive=np.asarray(sens_ids),
-        labels=np.asarray(lab_ids),
+        sensitive=sens_ids,
+        labels=lab_ids,
         num_labels=len(lab_values),
         num_sensitive=len(sens_values),
-        label_values=tuple(lab_values),
-        sensitive_values=tuple(sens_values),
-        feature_names=feature_names,
+        label_values=lab_values,
+        sensitive_values=sens_values,
+        feature_names=tuple(header[j] for j in feat_idx),
         sensitive_col=sensitive_col,
         label_col=label_col,
     )
 
 
-def _dense_id(value: str, seen: list[str]) -> int:
-    try:
-        return seen.index(value)
-    except ValueError:
-        seen.append(value)
-        return len(seen) - 1
+def _dense_ids(values: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Dense integer ids of ``values`` in first-appearance order, and the
+    distinct values indexed by id."""
+    seen: dict[str, int] = {}
+    ids = np.fromiter((seen.setdefault(v, len(seen)) for v in values), np.int64, len(values))
+    return ids, tuple(seen)
+
+
+def _parse_error(path: str, width: int, feat_idx: list[int], fallback: str) -> ParseError:
+    """The error for the first row, in file order, that :func:`load_csv`
+    rejects: a ragged row, or a feature cell that is not a finite ASCII
+    float.  Row numbers are 1-based csv records, header included; blank
+    lines count but are skipped.  Undecodable bytes read as U+FFFD here, so
+    the first bad row is found wherever they are.  ``fallback`` describes
+    the failure when no single row is to blame."""
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                return ParseError(f"{path}: row {row_num} has {len(row)} cells, expected {width}")
+            for j in feat_idx:
+                # the loadtxt rule: strip Unicode whitespace, then parse ASCII
+                cell = row[j]
+                number = cell.strip()
+                try:
+                    value = float(number)
+                except ValueError:
+                    return ParseError(
+                        f"{path}: row {row_num}: non-numeric feature cell "
+                        f"(could not convert string to float: {cell!r})"
+                    )
+                if not number.isascii() or "_" in number:
+                    return ParseError(
+                        f"{path}: row {row_num}: feature cell {cell!r} is not an ASCII "
+                        "float without underscores"
+                    )
+                if not math.isfinite(value):
+                    return ParseError(f"{path}: row {row_num}: non-finite feature cell {cell!r}")
+    return ParseError(f"{path}: {fallback}")
 
 
 def write_csv(d: Dataset, path: str) -> None:

@@ -50,8 +50,8 @@ class PrivacyParams:
     seed: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if not 0 < self.zeta < 1:

@@ -163,6 +163,12 @@ def _line_search(
     """Backtrack the Newton step to an accepted point; returns its weights,
     objective value and gradient.
 
+    Each trial point is centred: the label-mean of its weight rows is
+    subtracted.  The cross-entropy is invariant to a shift common to all
+    rows, so centring can only lower the ridge term, and it keeps the
+    iterates in the zero-sum subspace that holds the optimum when rounding
+    in a near-singular Newton solve would move them along the flat
+    direction.
     A step is accepted on Armijo decrease, or, at the rounding floor where
     the objective cannot resolve a decrease of about |grad|^2/lam, when its
     value rises by at most 8*eps*|f| and it lowers the gradient norm.
@@ -172,6 +178,7 @@ def _line_search(
     step = 1.0
     for _ in range(_MAX_HALVINGS):
         trial = weights + step * direction
+        trial -= trial.mean(axis=0)
         trial_value = _objective_value(trial, d, lam)
         if trial_value <= value + _ARMIJO * step * slope:
             return trial, trial_value, objective_gradient(trial, d, lam)
@@ -208,8 +215,10 @@ def fit_erm(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if radius is not None and not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     weights = np.zeros((d.num_labels, d.p))
     value = _objective_value(weights, d, lam)
     grad = objective_gradient(weights, d, lam)

@@ -74,6 +74,21 @@ def _report_argv(command, data, model, notion, out):
             "--lambda", "1.0", "--notion", notion, "--out", str(out)]
 
 
+def _assert_config_error(workdir, command, capsys):
+    """``command`` on generated data and a trained model exits 2 with a
+    config error and writes no output; ``DATA`` in it names the data."""
+    data = str(workdir / "data.csv")
+    model = str(workdir / "model.txt")
+    run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+    run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+    out = workdir / "out.txt"
+    args = [data if a == "DATA" else a for a in command]
+    model_flag = [] if command[0] == "train" else ["--model", model]
+    assert run(args + ["--data", data, *model_flag, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_full_pipeline_exit_codes(self, workdir):
         spec = str(workdir / "synth.cfg")
@@ -258,15 +273,46 @@ class TestExitCodes:
              "privatize_negative_lambda", "bound_zero_lambda", "table_negative_lambda"],
     )
     def test_bad_privacy_flag_is_config_error_2(self, workdir, command, capsys):
-        data = str(workdir / "data.csv")
-        model = str(workdir / "model.txt")
-        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
-        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
-        out = workdir / "out.txt"
-        args = [data if a == "DATA" else a for a in command]
-        model_flag = [] if command[0] == "train" else ["--model", model]
-        assert run(args + ["--data", data, *model_flag, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        _assert_config_error(workdir, command, capsys)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["privatize", "--lambda", "1.0", "--epsilon", "nan", "--seed", "1"],
+            ["privatize", "--lambda", "1.0", "--epsilon", "inf", "--seed", "1"],
+            ["bound", "--train-data", "DATA", "--lambda", "1.0", "--notion", "accuracy",
+             "--epsilon", "nan"],
+            ["bound", "--train-data", "DATA", "--lambda", "1.0", "--notion", "accuracy",
+             "--epsilon", "inf"],
+            ["table", "--train-data", "DATA", "--lambda", "1.0", "--epsilon", "inf"],
+            ["train", "--lambda", "inf"],
+            ["bound", "--train-data", "DATA", "--lambda", "nan", "--notion", "accuracy"],
+            ["train", "--lambda", "1.0", "--tol", "nan"],
+            ["train", "--lambda", "1.0", "--radius", "1e-3"],
+            ["train", "--lambda", "1.0", "--radius", "inf"],
+        ],
+        ids=["privatize_nan_epsilon", "privatize_inf_epsilon", "bound_nan_epsilon",
+             "bound_inf_epsilon", "table_inf_epsilon", "train_inf_lambda", "bound_nan_lambda",
+             "train_nan_tol", "train_radius_below_optimum_norm", "train_inf_radius"],
+    )
+    def test_non_finite_or_unattainable_flag_is_config_error_2(self, workdir, command, capsys):
+        _assert_config_error(workdir, command, capsys)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_cell_is_data_error_4(self, workdir, cell, capsys):
+        data = workdir / "data.csv"
+        data.write_text(f"f0,s,y\n0.5,0,0\n{cell},1,1\n", encoding="utf-8")
+        out = workdir / "m.txt"
+        assert run(["train", "--data", str(data), "--lambda", "1.0", "--out", str(out)]) == 4
+        assert "row 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_data_is_data_error_4(self, workdir, capsys):
+        data = workdir / "data.csv"
+        data.write_bytes(b"f0,s,y\n0.5,0,0\n-1.0,\xe9,1\n")
+        out = workdir / "m.txt"
+        assert run(["train", "--data", str(data), "--lambda", "1.0", "--out", str(out)]) == 4
+        assert "UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["2 4 5\n1 0 0 0\n0 1 0 0\n", "3 3 5\n1 0 0\n0 1 0\n0 0 1\n"],

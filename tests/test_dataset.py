@@ -1,10 +1,15 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairbound.dataset import (
     CellSpec,
+    Dataset,
     SyntheticSpec,
     load_csv,
     partition,
@@ -12,7 +17,7 @@ from fairbound.dataset import (
     synthesize,
     write_csv,
 )
-from fairbound.exceptions import EmptyDatasetError, ParseError, SchemaError
+from fairbound.exceptions import DataError, EmptyDatasetError, ParseError, SchemaError
 from fairbound.fairness import conditional_accuracies
 from fairbound.model import LinearModel, predict_many
 
@@ -21,6 +26,160 @@ from conftest import make_dataset, random_dataset, two_blob_spec
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
+    """The csv.reader + float() loader that ``load_csv`` replaced, kept
+    verbatim as an oracle: one Python ``float()`` per cell and a
+    ``list.index`` id lookup per value."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}")
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDatasetError(f"{path}: file is empty")
+        if sensitive_col not in header:
+            raise SchemaError(f"{path}: no column named {sensitive_col!r} for the sensitive role")
+        if label_col not in header:
+            raise SchemaError(f"{path}: no column named {label_col!r} for the label role")
+        if sensitive_col == label_col:
+            raise SchemaError("sensitive and label roles must name distinct columns")
+        s_idx = header.index(sensitive_col)
+        y_idx = header.index(label_col)
+        feat_idx = [j for j in range(len(header)) if j not in (s_idx, y_idx)]
+        feature_names = tuple(header[j] for j in feat_idx)
+
+        rows: list[list[float]] = []
+        sens_raw: list[str] = []
+        lab_raw: list[str] = []
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
+            try:
+                rows.append([float(row[j]) for j in feat_idx])
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {row_num}: non-numeric feature cell ({exc})")
+            sens_raw.append(row[s_idx])
+            lab_raw.append(row[y_idx])
+
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no data rows")
+
+    sens_values: list[str] = []
+    lab_values: list[str] = []
+    sens_ids = [_dense_id(v, sens_values) for v in sens_raw]
+    lab_ids = [_dense_id(v, lab_values) for v in lab_raw]
+
+    features = np.asarray(rows, dtype=np.float64)
+    features = np.hstack([features, np.ones((features.shape[0], 1))])
+    return Dataset(
+        features=features,
+        sensitive=np.asarray(sens_ids),
+        labels=np.asarray(lab_ids),
+        num_labels=len(lab_values),
+        num_sensitive=len(sens_values),
+        label_values=tuple(lab_values),
+        sensitive_values=tuple(sens_values),
+        feature_names=feature_names,
+        sensitive_col=sensitive_col,
+        label_col=label_col,
+    )
+
+
+def _dense_id(value: str, seen: list[str]) -> int:
+    try:
+        return seen.index(value)
+    except ValueError:
+        seen.append(value)
+        return len(seen) - 1
+
+
+def assert_same_dataset(got: Dataset, want: Dataset):
+    assert got.features.shape == want.features.shape
+    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    assert np.array_equal(got.sensitive, want.sensitive)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.sensitive_values == want.sensitive_values
+    assert got.label_values == want.label_values
+    assert got.feature_names == want.feature_names
+    assert (got.num_sensitive, got.num_labels) == (want.num_sensitive, want.num_labels)
+
+
+def _row_of(exc: Exception) -> str | None:
+    found = re.search(r"row \d+", str(exc))
+    return found.group(0) if found else None
+
+
+def _outcome(loader, path: str):
+    """The dataset ``loader`` returns, or the class and ``row N`` of the
+    data error it raises."""
+    try:
+        return loader(path, "s", "y")
+    except DataError as exc:
+        return type(exc), _row_of(exc)
+
+
+def _quote(cell: str, force: bool) -> str:
+    if force or any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.floats(min_value=0.0, max_value=1e-307, allow_subnormal=True).map(lambda v: repr(-v)),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0.0", "0", "+1e5", ".5", "5.", "1E-3", "-.0e+0", "00012.50"]),
+)
+_PADDING = st.sampled_from(["", " ", "  ", "\t", " \t", "\u00a0", "\u3000"])
+_CATEGORY = st.text(alphabet='ab,"\n\r xé', max_size=4)
+_BAD_CELL = st.sampled_from(["abc", "", "1 2", "0x10", "1e", "--1", "1.2.3", "e5"])
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a CSV file with feature columns and the roles ``s`` and
+    ``y`` in a random order, and the encoding choices the loader must
+    treat exactly like csv.reader + float(): quoting, CR / LF / CRLF line
+    ends, blank lines, padded and 17-digit numbers, subnormals, -0.0, and
+    categories holding commas, quotes and newlines.  Some files carry a
+    ragged row, a whitespace-only line or a non-numeric feature cell."""
+    num_features = draw(st.integers(0, 3))
+    header = [f"f{j}" for j in range(num_features)] + ["s", "y"]
+    header = draw(st.permutations(header))
+    quote_all = draw(st.booleans())
+    newline = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(_quote(h, quote_all) for h in header)]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = []
+        for name in header:
+            if name in ("s", "y"):
+                cells.append(_quote(draw(_CATEGORY), quote_all or draw(st.booleans())))
+            else:
+                number = draw(_PADDING) + draw(_NUMBER) + draw(_PADDING)
+                cells.append(_quote(number, draw(st.booleans())))
+        fault = draw(st.sampled_from(["none"] * 12 + ["ragged", "blank", "space", "bad"]))
+        if fault == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        elif fault == "bad" and num_features:
+            j = draw(st.sampled_from([k for k, h in enumerate(header) if h not in ("s", "y")]))
+            cells[j] = draw(_BAD_CELL)
+        if fault == "blank":
+            lines.append("")
+        elif fault == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        lines.append(",".join(cells))
+    text = "".join(line + draw(newline) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
 
 
 class TestLoadCsv:
@@ -77,6 +236,98 @@ class TestLoadCsv:
         assert np.array_equal(d.labels, d2.labels)
         assert d.label_values == d2.label_values
         assert d.sensitive_values == d2.sensitive_values
+
+
+class TestLoadCsvMatchesReference:
+    """``load_csv`` against the csv.reader + float() oracle: the same
+    dataset bit for bit on every file the oracle accepts, and the same
+    error class and row on every file it rejects."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(text=csv_files())
+    def test_generated_files(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("gen") / "d.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        want = _outcome(reference_load_csv, str(f))
+        got = _outcome(load_csv, str(f))
+        if isinstance(want, Dataset):
+            assert isinstance(got, Dataset), got
+            assert_same_dataset(got, want)
+        else:
+            assert got == want
+
+    def test_cli_shaped_file(self, tmp_path, rng):
+        d = random_dataset(rng, 300, p=5, num_labels=4, num_sensitive=3)
+        f = tmp_path / "d.csv"
+        write_csv(d, str(f))
+        assert_same_dataset(load_csv(str(f), "s", "y"), reference_load_csv(str(f), "s", "y"))
+
+    @pytest.mark.parametrize(
+        "lines, row",
+        [
+            (["f1,s,y", "1.0,a,0", "", "", "2.0,b"], "row 5"),
+            (["f1,s,y", "1.0,a,0", "oops,b,1", "2.0,b"], "row 3"),
+            (["f1,s,y", "1.0,a,0", "2.0,b", "oops,b,1"], "row 3"),
+            (["f1,s,y", '1.0,"a', 'b",0', " ", "2.0,b,1"], "row 3"),
+        ],
+        ids=["ragged_after_blank_lines", "bad_cell_before_ragged", "ragged_before_bad_cell",
+             "whitespace_line_after_quoted_newline"],
+    )
+    def test_first_bad_row_in_file_order(self, tmp_path, lines, row):
+        f = tmp_path / "d.csv"
+        write_lines(f, lines)
+        with pytest.raises(ParseError, match=row + r"\b"):
+            reference_load_csv(str(f), "s", "y")
+        with pytest.raises(ParseError, match=row + r"\b"):
+            load_csv(str(f), "s", "y")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "2.\uff15"],
+                             ids=["underscore", "arabic_indic_digit", "fullwidth_digit"])
+    def test_float_only_forms_are_rejected(self, tmp_path, cell):
+        """Python's float() accepts these; a feature cell must be ASCII
+        inside its padding and carry no digit-group underscores."""
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "1.0,a,0", f"{cell},b,1", "2.0,b"])
+        with pytest.raises(ParseError, match=r"row 4\b"):
+            reference_load_csv(str(f), "s", "y")  # float() takes row 3
+        with pytest.raises(ParseError, match=r"row 3\b.*ASCII"):
+            load_csv(str(f), "s", "y")
+
+    def test_unicode_whitespace_padding_is_accepted(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "\u00a01.5\u2003,a,0", "\x0b-2e3\u3000,b,1"])
+        assert_same_dataset(load_csv(str(f), "s", "y"), reference_load_csv(str(f), "s", "y"))
+
+    def test_separator_control_padding_is_accepted(self, tmp_path):
+        """U+001C..U+001F are whitespace to str.isspace and loadtxt but not
+        to float(): the one form accepted now that was rejected before."""
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "\x1c1.5\x1f,a,0", "oops,b,1"])
+        with pytest.raises(ParseError, match=r"row 2\b"):
+            reference_load_csv(str(f), "s", "y")
+        with pytest.raises(ParseError, match=r"row 3\b"):
+            load_csv(str(f), "s", "y")
+        write_lines(f, ["f1,s,y", "\x1c1.5\x1f,a,0"])
+        assert load_csv(str(f), "s", "y").features[0, 0] == 1.5
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_reports_row(self, tmp_path, cell):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,f2,s,y", "1.0,2.0,a,0", f"0.5,{cell},b,1"])
+        with pytest.raises(ParseError, match=r"row 3\b.*non-finite"):
+            load_csv(str(f), "s", "y")
+
+    def test_non_utf8_is_data_error(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"f1,s,y\n1.0,a,0\n2.0,\xff,1\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(str(f), "s", "y")
+
+    def test_blank_lines_only_is_empty(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("f1,s,y\r\n\r\n\n", encoding="utf-8", newline="")
+        with pytest.raises(EmptyDatasetError):
+            load_csv(str(f), "s", "y")
 
 
 class TestSynthesize:

@@ -156,6 +156,21 @@ class TestFitErm:
             fit_erm(d, lam=1e-300)
         assert err.value.gradient_norm > 0
 
+    @pytest.mark.parametrize("num_labels", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 1e-6, 1e-12, 1e-300])
+    def test_weight_rows_sum_to_zero(self, rng, lam, num_labels):
+        # the loss is flat along a shift common to all weight rows, so the
+        # optimum's rows sum to zero; rounding in a near-singular Newton
+        # solve must not move h* along that direction
+        d = random_dataset(rng, 40, num_labels=num_labels)
+        try:
+            m = fit_erm(d, lam=lam)
+        except ConvergenceError:
+            assert lam == 1e-300
+            return
+        column_sums = m.weights.sum(axis=0)
+        assert np.all(np.abs(column_sums) <= 1e-12 * np.linalg.norm(m.weights)), column_sums
+
     def test_monotone_loss_decrease(self, rng):
         d = random_dataset(rng, 40)
         losses = []
