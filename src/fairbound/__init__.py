@@ -68,6 +68,7 @@ from .privacy import (
     output_noise_variance,
     output_perturb,
     output_perturb_distance_bound,
+    output_perturb_many,
 )
 from .trainer import LossConstants, constants, fit_erm, gradient, loss
 

@@ -85,7 +85,7 @@ def _load_model_for(path: str, *datasets: Dataset) -> LinearModel:
     model = load_model(path)
     for d in datasets:
         try:
-            check_fits(model, d)
+            check_fits(model.weights, d)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}")
     return model
@@ -261,7 +261,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     try:
         model = fit_erm(d, lam, tol=float(args.tol), max_iters=int(args.max_iters),
                         radius=None if args.radius is None else float(args.radius))
-    except ValueError as exc:  # a --tol or --radius the solver rejects
+    except ValueError as exc:  # a --tol, --max-iters or --radius the solver rejects
         raise ConfigError(str(exc))
     save_model(model, args.out)
     print(f"trained on n={d.n}; weight norm {np.linalg.norm(model.weights):.6g}, "

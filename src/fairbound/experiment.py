@@ -18,8 +18,13 @@ once, per point.  Profiles carry no groups, so one profile of h* and one
 refined profile per point serve every notion.  The fairness specs depend
 only on the evaluation set and are built once per run on both axes.  An
 error in shared work fails every grid point that needs it, with the same
-failure row it would have had alone.  The M draws of a point are scored in one blocked pass over their
-stacked weights (``group_fairness_many``).
+failure row it would have had alone.
+
+The M draws of a point are one (M, Y, p) weight array from release to
+score: ``release_many`` draws and projects them together, their distances
+to h* are one vector pass, and ``group_fairness_many`` scores them in one
+blocked pass.  Only the farthest draw becomes a ``LinearModel``, for its
+refined profile.
 
 All CSV output is byte-reproducible: a metadata preamble carries the config
 hash and seed, floats are printed in shortest round-trip form, and every
@@ -33,7 +38,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -42,13 +47,14 @@ from .config import parse_synthetic_spec, read_config
 from .dataset import Dataset, load_csv, split, synthesize
 from .exceptions import ConfigError, DataError, FairboundError
 from .fairness import FairnessSpec, NOTIONS, coefficients, group_fairness_all, group_fairness_many
-from .model import LinearModel, distance
+from .model import LinearModel, frobenius_norms
 from .privacy import (
+    MECHANISMS,
     DpSgdConfig,
     PrivacyParams,
     dpsgd,
     dpsgd_distance_bound,
-    output_perturb,
+    output_perturb_many,
 )
 from .trainer import DEFAULT_TOL, constants, fit_erm
 
@@ -77,33 +83,43 @@ _CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
 }
 
 
+# open interval (low, high) for a numeric field, in field metadata
+_POSITIVE = {"range": (0.0, math.inf)}
+_FRACTION = {"range": (0.0, 1.0)}
+
+
+def _config_key(f) -> str:
+    return f.metadata.get("key", f.name.replace("_", "-"))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved sweep configuration; every field is a config-file key, named
     by the field with dashes for underscores unless its metadata says
-    otherwise.  A field without a default is a required key."""
+    otherwise.  A field without a default is a required key; a field with
+    a ``range`` must lie strictly inside it."""
 
     data: str
-    lam: float = field(metadata={"key": "lambda"})
+    lam: float = field(metadata={"key": "lambda", **_POSITIVE})
     notions: tuple[str, ...]
     sweep_axis: str  # "n" | "epsilon"
-    grid_start: float
-    grid_stop: float
+    grid_start: float = field(metadata=_POSITIVE)
+    grid_stop: float = field(metadata=_POSITIVE)
     grid_count: int
     draws: int
     seed: int
     data_format: str = "csv"  # "csv" | "synthetic"
     mechanism: str = "output_perturbation"
-    zeta: float = 0.01
+    zeta: float = field(default=0.01, metadata=_FRACTION)
     delta_policy: str = "inverse_n_squared"  # "fixed" | "inverse_n_squared"
-    epsilon: float = 1.0
-    delta: float = 1e-6
+    epsilon: float = field(default=1.0, metadata=_POSITIVE)
+    delta: float = field(default=1e-6, metadata=_FRACTION)
     sensitive_col: str = "s"
     label_col: str = "y"
     desirable: frozenset[int] = frozenset({1})
     eval_split: str = "test"
-    test_fraction: float = 0.1
-    tol: float = DEFAULT_TOL
+    test_fraction: float = field(default=0.1, metadata=_FRACTION)
+    tol: float = field(default=DEFAULT_TOL, metadata=_POSITIVE)
     variant: str = "best"
 
     def __post_init__(self):
@@ -111,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown data format {self.data_format!r}")
         if self.sweep_axis not in ("n", "epsilon"):
             raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
+        if self.mechanism not in MECHANISMS:
+            raise ConfigError(f"unknown mechanism {self.mechanism!r}")
         if self.delta_policy not in ("fixed", "inverse_n_squared"):
             raise ConfigError(f"unknown delta policy {self.delta_policy!r}")
         if self.eval_split not in ("train", "test"):
@@ -119,6 +137,15 @@ class ExperimentConfig:
             raise ConfigError("grid-count must be at least 1")
         if self.draws < 1:
             raise ConfigError("draws must be at least 1")
+        for f in fields(self):
+            if "range" in f.metadata:
+                low, high = f.metadata["range"]
+                value = getattr(self, f.name)
+                if not low < value < high:
+                    raise ConfigError(
+                        f"{_config_key(f)} must lie strictly between {low} and {high}, "
+                        f"got {value!r}"
+                    )
         if self.variant not in bounds_mod.VARIANTS:
             raise ConfigError(f"unknown bound variant {self.variant!r}")
         for notion in self.notions:
@@ -152,9 +179,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-_CONFIG_KEYS = {
-    f.metadata.get("key", f.name.replace("_", "-")): f for f in fields(ExperimentConfig)
-}
+_CONFIG_KEYS = {_config_key(f): f for f in fields(ExperimentConfig)}
 
 
 def load_experiment_config(path: str, seed: int | None = None) -> ExperimentConfig:
@@ -180,6 +205,24 @@ def _delta_for(cfg: ExperimentConfig, n: int) -> float:
     return cfg.delta
 
 
+def release_many(
+    hstar: LinearModel,
+    train: Dataset,
+    c,
+    pp: PrivacyParams,
+    substreams: Sequence[int | tuple[int, ...]],
+) -> np.ndarray:
+    """(M, Y, p) stack of the private models that the lemma distance of
+    ``pp.mechanism`` describes: output perturbation of h*, or DP-SGD on
+    ``train`` for the lemma-3 schedule's T steps with T^2 noise.  Draw j
+    is deterministic per (pp.seed, substreams[j])."""
+    if pp.mechanism == "output_perturbation":
+        return output_perturb_many(hstar, c, train.n, pp, substreams)
+    steps = dpsgd_distance_bound(hstar.num_params, c, train.n, pp).steps
+    cfg = DpSgdConfig.calibrated(c, train.n, pp, steps)
+    return np.stack([dpsgd(train, c, pp, cfg, substream=s).weights for s in substreams])
+
+
 def release(
     hstar: LinearModel,
     train: Dataset,
@@ -187,14 +230,8 @@ def release(
     pp: PrivacyParams,
     substream: int | tuple[int, ...] = 0,
 ) -> LinearModel:
-    """The private model that the lemma distance of ``pp.mechanism``
-    describes: output perturbation of h*, or DP-SGD on ``train`` for the
-    lemma-3 schedule's T steps with T^2 noise.  Deterministic per
-    (pp.seed, substream)."""
-    if pp.mechanism == "output_perturbation":
-        return output_perturb(hstar, c, train.n, pp, substream=substream)
-    steps = dpsgd_distance_bound(hstar.num_params, c, train.n, pp).steps
-    return dpsgd(train, c, pp, DpSgdConfig.calibrated(c, train.n, pp, steps), substream=substream)
+    """One private model: the one-draw case of :func:`release_many`."""
+    return LinearModel(release_many(hstar, train, c, pp, [substream])[0], c.radius)
 
 
 @dataclass
@@ -361,15 +398,16 @@ def _run_grid_point(
         seed=cfg.seed,
     )
 
-    models = [release(hstar, train, c, pp, substream=(g, j)) for j in range(cfg.draws)]
-    dists = [distance(hstar, m) for m in models]
+    weights = release_many(hstar, train, c, pp, [(g, j) for j in range(cfg.draws)])
+    dists = frobenius_norms(hstar.weights - weights)
     far_idx = int(np.argmax(dists))
-    dist_measured = dists[far_idx]
+    dist_measured = float(dists[far_idx])
 
     notion_specs = specs()
     dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
-    f_draws_all = group_fairness_many(models, eval_data, list(notion_specs.values()))
-    refined_profile = bounds_mod.refined_lipschitz_profile(hstar, models[far_idx], eval_data)
+    f_draws_all = group_fairness_many(weights, eval_data, list(notion_specs.values()))
+    farthest = LinearModel(weights[far_idx], c.radius)
+    refined_profile = bounds_mod.refined_lipschitz_profile(hstar, farthest, eval_data)
 
     rows: list[str] = []
     for (notion, spec), f_draws in zip(notion_specs.items(), f_draws_all):

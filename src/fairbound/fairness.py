@@ -8,8 +8,8 @@ where the coefficients depend only on empirical group frequencies, never on
 the model.  ``coefficients`` builds those tables; ``direct_fairness``
 evaluates each notion's definitional formula straight from counts and serves
 as the independent oracle that the affine form must reproduce exactly.
-``group_fairness_many`` evaluates many models under several notions in one
-blocked pass over stacked weights; every affine-form evaluation, one model
+``group_fairness_many`` evaluates an (M, Y, p) stack of models under several
+notions in one blocked pass; every affine-form evaluation, one model
 included, goes through it.
 
 Supported notions and their group indexing:
@@ -194,34 +194,44 @@ def _correct_counts(
     """Per partition, the (M, K) integer count of each group's examples that
     each of the M stacked (M, Y, p) models classifies correctly.
 
-    Models are scored a block at a time, as many as fit in ``SCORE_BLOCK``
-    scores (at least one), as a (models, Y, n) array.  A model classifies
-    example i correctly exactly when its true-label score beats every lower
-    label's strictly and every higher label's or ties it: argmax with ties
-    going to the lowest label.  The 0/1 flags of a block are multiplied by
-    the one-hot group matrices of all partitions side by side; the products
-    sum integers below 2**53, so the float64 counts are exact.
+    The examples are sorted by label once (stably), so each label's examples
+    form one segment of the (models, Y, n) scores.  Models are scored a
+    block at a time, as many as fit in ``SCORE_BLOCK`` scores (at least
+    one).  On label y's segment a model classifies an example correctly
+    exactly when row y's score beats every lower label's row strictly and
+    every higher label's row or ties it: argmax with ties going to the
+    lowest label.  The 0/1 flags of a block are multiplied by the one-hot
+    group matrices of all partitions side by side, with rows in the same
+    sorted order; the products sum integers below 2**53, so the float64
+    counts are exact.
     """
     num_models, num_labels, p = weights.shape
     flat = weights.reshape(num_models * num_labels, p)
     models_per_block = min(num_models, max(1, SCORE_BLOCK // (d.n * num_labels)))
-    # flat index of example i's true-label score in a model's (Y, n) scores,
-    # and the (Y, n) mask of labels y >= y_i, which lose ties to y_i
-    at_label = d.labels * d.n + np.arange(d.n)
-    ties_win = np.arange(num_labels)[:, None] >= d.labels
+    order = np.argsort(d.labels, kind="stable")
+    features = d.features[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(d.labels, minlength=num_labels))))
     ends = np.cumsum([part.num_groups for part in partitions])
     onehot = np.zeros((d.n, ends[-1]))
     for part, end in zip(partitions, ends):
-        onehot[np.arange(d.n), end - part.num_groups + part.assignment] = 1.0
+        onehot[np.arange(d.n), end - part.num_groups + part.assignment[order]] = 1.0
     counts = np.empty((num_models, ends[-1]), dtype=np.int64)
+    correct = np.empty((models_per_block, d.n), dtype=bool)
     for m0 in range(0, num_models, models_per_block):
         m1 = min(m0 + models_per_block, num_models)
-        scores = (flat[m0 * num_labels : m1 * num_labels] @ d.features.T).reshape(
+        scores = (flat[m0 * num_labels : m1 * num_labels] @ features.T).reshape(
             m1 - m0, num_labels, d.n
         )
-        true = np.take(scores.reshape(m1 - m0, -1), at_label, axis=1)[:, None, :]
-        beats = (true > scores) | ((true == scores) & ties_win)
-        counts[m0:m1] = beats.all(axis=1).astype(np.float64) @ onehot
+        for y in range(num_labels):
+            lo, hi = bounds[y], bounds[y + 1]
+            true = scores[:, y, lo:hi]
+            segment = correct[: m1 - m0, lo:hi]
+            segment[...] = True
+            for other in range(num_labels):
+                if other != y:
+                    beats = np.greater if other < y else np.greater_equal
+                    segment &= beats(true, scores[:, other, lo:hi])
+        counts[m0:m1] = correct[: m1 - m0].astype(np.float64) @ onehot
     return np.split(counts, ends[:-1], axis=1)
 
 
@@ -234,19 +244,12 @@ def _accuracies(counts: np.ndarray, part: GroupPartition) -> tuple[np.ndarray, n
     return values, empty
 
 
-def _stack_weights(models: Sequence[LinearModel], d: Dataset) -> np.ndarray:
-    if not models:
-        raise ValueError("at least one model is required")
-    for m in models:
-        check_fits(m, d)
-    return np.stack([m.weights for m in models])
-
-
 def conditional_accuracies(
     m: LinearModel, d: Dataset, part: GroupPartition
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group accuracies and the mask of empty (flagged) groups."""
-    (counts,) = _correct_counts(_stack_weights([m], d), d, [part])
+    check_fits(m.weights, d)
+    (counts,) = _correct_counts(m.weights[None], d, [part])
     return _accuracies(counts[0], part)
 
 
@@ -260,29 +263,34 @@ def group_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec, k: int) -> fl
 
 
 def group_fairness_many(
-    models: Sequence[LinearModel], d: Dataset, specs: Sequence[FairnessSpec]
+    weights: np.ndarray, d: Dataset, specs: Sequence[FairnessSpec]
 ) -> list[np.ndarray]:
-    """Fairness levels of M models under several specs in one pass.
+    """Fairness levels of the M models of an (M, Y, p) weight stack under
+    several specs in one pass.
 
     Returns one (M, K) array per spec whose row j equals
-    ``group_fairness_all(models[j], d, spec)`` exactly.  Every model must
-    have the data's (num_labels, p) shape.
+    ``group_fairness_all(LinearModel(weights[j], R), d, spec)`` exactly.
+    Every model must have the data's (num_labels, p) shape.
     """
-    weights = _stack_weights(models, d)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 3 or len(weights) == 0:
+        raise ValueError("an (M, num_labels, p) stack of at least one model is required")
+    check_fits(weights, d)
     counts = _correct_counts(weights, d, [spec.partition for spec in specs])
     levels = []
     for spec, spec_counts in zip(specs, counts):
         values, _ = _accuracies(spec_counts, spec.partition)
-        # a matrix-vector product per model keeps each row's rounding
-        # independent of how many models are evaluated together
-        levels.append(np.array([spec.offsets + spec.coeffs @ v for v in values]))
+        # a batched matrix-vector product runs one gemv per model, so each
+        # row rounds as spec.coeffs @ v alone, however many models there
+        # are; values @ coeffs.T, einsum and vecdot round differently
+        levels.append(spec.offsets + (spec.coeffs @ values[:, :, None])[:, :, 0])
     return levels
 
 
 def group_fairness_all(m: LinearModel, d: Dataset, spec: FairnessSpec) -> np.ndarray:
     """Per-group fairness levels of one model: the one-model case of
     :func:`group_fairness_many`."""
-    return group_fairness_many([m], d, [spec])[0][0]
+    return group_fairness_many(m.weights[None], d, [spec])[0][0]
 
 
 def aggregate_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec) -> float:

@@ -10,12 +10,20 @@ matrix, under which the margin is 2*||x||_2-Lipschitz in the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .exceptions import DataError
+
+
+def frobenius_norms(weights: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of an (M, Y, p) stack, bit-equal to
+    ``np.linalg.norm`` of each."""
+    flat = weights.reshape(len(weights), math.prod(weights.shape[1:]))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 @dataclass(frozen=True)
@@ -59,12 +67,14 @@ class LinearModel:
         return self.weights @ x
 
 
-def check_fits(m: LinearModel, d: Dataset) -> None:
-    """Raise ValueError unless m has one weight row per label of d and one
-    column per feature of d (intercept included)."""
-    if m.weights.shape != (d.num_labels, d.p):
+def check_fits(weights: np.ndarray, d: Dataset) -> None:
+    """Raise ValueError unless the (num_labels, p) weight matrix, or each
+    matrix of a stack of them, has one row per label of d and one column
+    per feature of d (intercept included)."""
+    num_labels, p = weights.shape[-2:]
+    if (num_labels, p) != (d.num_labels, d.p):
         raise ValueError(
-            f"model has {m.num_labels} labels x {m.p} features but the data has "
+            f"model has {num_labels} labels x {p} features but the data has "
             f"{d.num_labels} labels x {d.p} features (intercept included)"
         )
 
@@ -120,14 +130,28 @@ def project(m: LinearModel, radius: float) -> LinearModel:
     return clip_to_ball(m.weights, radius)
 
 
-def clip_to_ball(weights: np.ndarray, radius: float) -> LinearModel:
-    """Model whose weights are ``weights`` radially projected onto the ball."""
+def clip_to_ball_many(weights: np.ndarray, radius: float) -> np.ndarray:
+    """Each matrix of an (M, Y, p) stack radially projected onto the ball,
+    checked as :class:`LinearModel` checks one model; matrices inside the
+    ball are returned unchanged."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    norm = np.linalg.norm(weights)
-    if norm <= radius:
-        return LinearModel(weights, radius)
-    return LinearModel(weights * (radius / norm), radius)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    norms = frobenius_norms(weights)
+    outside = norms > radius
+    scale = np.divide(radius, norms, out=np.ones(norms.shape), where=outside)
+    clipped = weights * scale[:, None, None]
+    if (frobenius_norms(clipped) > radius + 1e-9).any():
+        raise ValueError("weight norm exceeds the declared ball radius")
+    return clipped
+
+
+def clip_to_ball(weights: np.ndarray, radius: float) -> LinearModel:
+    """Model whose weights are ``weights`` radially projected onto the ball:
+    the one-model case of :func:`clip_to_ball_many`."""
+    return LinearModel(clip_to_ball_many(np.asarray(weights)[None], radius)[0], radius)
 
 
 def save_model(m: LinearModel, path: str) -> None:

@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset
-from .model import LinearModel, clip_to_ball
+from .model import LinearModel, clip_to_ball, clip_to_ball_many
 from .trainer import LossConstants, empirical_gradient_second_moment, gradient
 
 MECHANISMS = ("output_perturbation", "dp_sgd")
@@ -85,6 +86,30 @@ def output_noise_variance(
     )
 
 
+def output_perturb_many(
+    hstar: LinearModel,
+    c: LossConstants,
+    n: int,
+    pp: PrivacyParams,
+    substreams: Sequence[int | tuple[int, ...]],
+) -> np.ndarray:
+    """(M, Y, p) stack of releases project(h* + N(0, sigma^2 I), R), draw j
+    deterministic per (pp.seed, substreams[j]).
+
+    Each draw's noise comes from its own substream, so a draw does not
+    depend on which other draws are released with it.
+    """
+    if pp.mechanism != "output_perturbation":
+        raise ValueError("privacy params request a different mechanism")
+    sigma = math.sqrt(
+        output_noise_variance(c.loss_lipschitz, c.strong_convexity, n, pp.epsilon, pp.delta)
+    )
+    noise = np.empty((len(substreams), *hstar.weights.shape))
+    for j, substream in enumerate(substreams):
+        noise[j] = _substream(pp.seed, substream).normal(0.0, sigma, size=hstar.weights.shape)
+    return clip_to_ball_many(hstar.weights + noise, c.radius)
+
+
 def output_perturb(
     hstar: LinearModel,
     c: LossConstants,
@@ -92,16 +117,9 @@ def output_perturb(
     pp: PrivacyParams,
     substream: int | tuple[int, ...] = 0,
 ) -> LinearModel:
-    """Release project(h* + N(0, sigma^2 I), R); deterministic per
-    (pp.seed, substream)."""
-    if pp.mechanism != "output_perturbation":
-        raise ValueError("privacy params request a different mechanism")
-    sigma = math.sqrt(
-        output_noise_variance(c.loss_lipschitz, c.strong_convexity, n, pp.epsilon, pp.delta)
-    )
-    rng = _substream(pp.seed, substream)
-    noisy = hstar.weights + rng.normal(0.0, sigma, size=hstar.weights.shape)
-    return clip_to_ball(noisy, c.radius)
+    """One release project(h* + N(0, sigma^2 I), R): the one-draw case of
+    :func:`output_perturb_many`."""
+    return LinearModel(output_perturb_many(hstar, c, n, pp, [substream])[0], c.radius)
 
 
 def output_perturb_distance_bound(

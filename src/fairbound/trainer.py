@@ -219,6 +219,8 @@ def fit_erm(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if radius is not None and not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     weights = np.zeros((d.num_labels, d.p))
     value = _objective_value(weights, d, lam)
     grad = objective_gradient(weights, d, lam)

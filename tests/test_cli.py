@@ -298,6 +298,47 @@ class TestExitCodes:
     def test_non_finite_or_unattainable_flag_is_config_error_2(self, workdir, command, capsys):
         _assert_config_error(workdir, command, capsys)
 
+    @pytest.mark.parametrize("max_iters", ["0", "-1"])
+    def test_max_iters_below_one_is_config_error_2(self, workdir, max_iters, capsys):
+        _assert_config_error(workdir, ["train", "--lambda", "1.0", "--max-iters", max_iters],
+                             capsys)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["epsilon = nan"],
+            ["epsilon = inf"],
+            ["epsilon = 0"],
+            ["delta-policy = fixed", "delta = 2.0"],
+            ["delta = 0"],
+            ["zeta = 1"],
+            ["mechanism = laplace"],
+            ["lambda = 0"],
+            ["lambda = inf"],
+            ["tol = nan"],
+            ["tol = -1e-10"],
+            ["grid-start = 0"],
+            ["grid-stop = inf"],
+            ["grid-start = nan"],
+            ["test-fraction = 1.0"],
+            ["test-fraction = 0"],
+        ],
+        ids=lambda lines: ";".join(lines),
+    )
+    def test_bad_experiment_config_value_is_config_error_2(self, workdir, lines, capsys):
+        # each value used to surface only per grid point, as a failures.csv
+        # row or a traceback, after the run had started
+        exp = workdir / "exp.cfg"
+        text = EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg"))
+        keys = {line.split(" = ")[0] for line in lines}
+        kept = [line for line in text.splitlines() if line.split(" = ")[0] not in keys]
+        exp.write_text("\n".join(kept + lines) + "\n", encoding="utf-8")
+        out_dir = workdir / "results"
+        assert run(["experiment", "--config", str(exp), "--seed", "5",
+                    "--out-dir", str(out_dir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_feature_cell_is_data_error_4(self, workdir, cell, capsys):
         data = workdir / "data.csv"

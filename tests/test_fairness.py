@@ -262,7 +262,7 @@ class TestGroupFairnessMany:
         expected = [np.array([group_fairness_all(m, d, s) for m in models]) for s in specs]
         partitions = [spec.partition for spec in specs]
         with mock.patch.object(fairness, "SCORE_BLOCK", block):
-            got = group_fairness_many(models, d, specs)
+            got = group_fairness_many(np.stack([m.weights for m in models]), d, specs)
             counts = fairness._correct_counts(weights, d, partitions)
         for c, e in zip(counts, argmax_bincount_counts(weights, d, partitions)):
             assert c.dtype == np.int64 and np.all(c == e)
@@ -276,7 +276,7 @@ class TestGroupFairnessMany:
         spec, _ = spec_for(d, "equalized_odds")
         assert spec.num_groups == 15
         models = [LinearModel(rng.normal(size=(5, 4)), 10.0) for _ in range(7)]
-        (got,) = group_fairness_many(models, d, [spec])
+        (got,) = group_fairness_many(np.stack([m.weights for m in models]), d, [spec])
         for row, m in zip(got, models):
             assert np.all(row == group_fairness_all(m, d, spec))
 
@@ -284,10 +284,9 @@ class TestGroupFairnessMany:
     def test_shape_mismatch_is_value_error(self, rng, shape):
         d = random_dataset(rng, 30)  # 2 labels, 3 features with the intercept
         spec, _ = spec_for(d, "accuracy_parity")
-        good = LinearModel(rng.normal(size=(2, 3)), 10.0)
         bad = LinearModel(rng.normal(size=shape), 10.0)
         with pytest.raises(ValueError, match="labels x"):
-            group_fairness_many([good, bad], d, [spec])
+            group_fairness_many(np.stack([bad.weights]), d, [spec])
         with pytest.raises(ValueError, match="labels x"):
             group_fairness_all(bad, d, spec)
 
@@ -295,4 +294,25 @@ class TestGroupFairnessMany:
         d = random_dataset(rng, 30)
         spec, _ = spec_for(d, "accuracy")
         with pytest.raises(ValueError):
-            group_fairness_many([], d, [spec])
+            group_fairness_many(np.empty((0, 2, 3)), d, [spec])
+
+    @pytest.mark.parametrize(
+        "num_labels, num_sensitive", [(2, 1), (2, 3), (3, 2), (4, 3), (5, 3)]
+    )
+    def test_levels_equal_one_matvec_per_model(self, num_labels, num_sensitive):
+        # oracle independent of fairness.py: counts from argmax + bincount,
+        # then offsets + coeffs @ v one model at a time; K reaches 15 at
+        # 5 labels x 3 groups, where batched reductions round differently
+        rng = np.random.default_rng(1000 * num_labels + num_sensitive)
+        d = random_dataset(rng, 120, p=4, num_labels=num_labels, num_sensitive=num_sensitive)
+        weights = rng.normal(size=(40, num_labels, 4))
+        notions = [t for t in NOTIONS if num_labels == 2 or t != "demographic_parity_binary"]
+        specs = [spec_for(d, notion)[0] for notion in notions]
+        got = group_fairness_many(weights, d, specs)
+        oracle = argmax_bincount_counts(weights, d, [spec.partition for spec in specs])
+        for levels, counts, spec in zip(got, oracle, specs):
+            sizes = np.bincount(spec.partition.assignment, minlength=spec.num_groups)
+            assert levels.shape == (len(weights), spec.num_groups)
+            for row, c in zip(levels, counts):
+                v = np.divide(c, sizes, out=np.zeros(spec.num_groups), where=sizes > 0)
+                assert np.all(row == spec.offsets + spec.coeffs @ v)

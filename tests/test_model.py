@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fairbound.model import (
     LinearModel,
+    clip_to_ball,
+    clip_to_ball_many,
     distance,
+    frobenius_norms,
     load_model,
     margin,
     margins_many,
@@ -133,6 +137,45 @@ class TestProject:
             pa, pb = project(a, r), project(b, r)
             assert np.allclose(project(pa, r).weights, pa.weights)
             assert distance(pa, pb) <= distance(a, b) + 1e-12
+
+
+class TestStackedProjection:
+    def test_frobenius_norms_equal_linalg_norm(self, rng):
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 9, size=3))
+            weights = rng.normal(size=shape) * 10.0 ** float(rng.integers(-6, 7))
+            expected = np.array([np.linalg.norm(w) for w in weights])
+            assert np.all(frobenius_norms(weights) == expected)
+
+    def test_rows_equal_one_matrix_at_a_time(self, rng):
+        weights = rng.normal(size=(60, 3, 4))
+        clipped = clip_to_ball_many(weights, 3.0)
+        norms = np.array([np.linalg.norm(w) for w in weights])
+        assert np.any(norms > 3.0) and np.any(norms <= 3.0)
+        for w, row, norm in zip(weights, clipped, norms):
+            assert np.array_equal(row, w if norm <= 3.0 else w * (3.0 / norm))
+            assert np.array_equal(row, clip_to_ball(w, 3.0).weights)
+
+    def test_zero_matrix_projects_without_warning(self):
+        weights = np.stack([np.zeros((2, 2)), np.full((2, 2), 4.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped = clip_to_ball_many(weights, 1.0)
+            single = clip_to_ball(np.zeros((2, 2)), 1.0)
+        assert np.array_equal(clipped[0], np.zeros((2, 2)))
+        assert np.array_equal(single.weights, np.zeros((2, 2)))
+        assert np.linalg.norm(clipped[1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_is_value_error(self, bad):
+        weights = np.zeros((3, 2, 2))
+        weights[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            clip_to_ball_many(weights, 1.0)
+
+    def test_bad_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            clip_to_ball_many(np.zeros((2, 1, 1)), 0.0)
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from fairbound.privacy import (
     output_noise_variance,
     output_perturb,
     output_perturb_distance_bound,
+    output_perturb_many,
     warn_if_gradient_noise_dominates,
 )
 from fairbound.trainer import (
@@ -106,6 +107,35 @@ class TestOutputNoise:
         for i in range(50):
             released = output_perturb(hstar, c, 1, pp, substream=i)
             assert np.linalg.norm(released.weights) <= 1.0 + 1e-9
+
+
+class TestOutputPerturbMany:
+    def test_rows_equal_single_draws(self):
+        # sigma about 0.2 around a point of norm 0.8 in the unit ball: some
+        # draws are projected and some are not
+        hstar = LinearModel(np.full((2, 2), 0.4), radius=1.0)
+        c = flat_constants(loss_lipschitz=0.02, radius=1.0)
+        pp = quiet_params(0.5, 0.05, 0.1, "output_perturbation", seed=11)
+        sigma = math.sqrt(output_noise_variance(0.02, 1.0, 1, 0.5, 0.05))
+        substreams = [(3, j) for j in range(200)]
+        stack = output_perturb_many(hstar, c, 1, pp, substreams)
+        assert stack.shape == (200, 2, 2)
+        clipped = 0
+        for row, key in zip(stack, substreams):
+            assert np.array_equal(row, output_perturb(hstar, c, 1, pp, substream=key).weights)
+            # the per-draw recipe, written out: own substream, then projection
+            rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=key))
+            noisy = hstar.weights + rng.normal(0.0, sigma, size=(2, 2))
+            norm = np.linalg.norm(noisy)
+            clipped += norm > 1.0
+            assert np.array_equal(row, noisy if norm <= 1.0 else noisy * (1.0 / norm))
+        assert 0 < clipped < len(substreams)
+
+    def test_wrong_mechanism(self):
+        hstar = LinearModel(np.zeros((2, 2)), radius=1.0)
+        pp = quiet_params(0.5, 0.05, 0.1, "dp_sgd", seed=0)
+        with pytest.raises(ValueError, match="mechanism"):
+            output_perturb_many(hstar, flat_constants(), 1, pp, [0, 1])
 
 
 class TestOutputDistanceBound:

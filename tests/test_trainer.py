@@ -133,6 +133,11 @@ class TestFitErm:
             fit_erm(desk_data, lam=1.0, tol=1e-10, max_iters=2)
         assert err.value.gradient_norm > 0
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_is_value_error(self, desk_data, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            fit_erm(desk_data, lam=1.0, max_iters=max_iters)
+
     def test_unaccepted_step_raises_at_once(self, rng, monkeypatch):
         # an objective that rejects every step away from zero leaves no step
         # to accept along the first Newton direction
