@@ -246,6 +246,8 @@ def _add_finite_sample_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     spec = read_synthetic_spec(args.spec)
     d = synthesize(spec, seed=int(args.seed))
     if args.sensitive_col != "s" or args.label_col != "y":

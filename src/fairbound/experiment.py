@@ -28,7 +28,10 @@ refined profile.
 
 All CSV output is byte-reproducible: a metadata preamble carries the config
 hash and seed, floats are printed in shortest round-trip form, and every
-random draw comes from a substream keyed by (grid index, draw index).
+random draw comes from its own PCG64 substream of the seed: draw j of grid
+point g from key (g, j), and grid point g's n-axis training subsample from
+key (g,).  A subsample key has one element and a draw key two, so no draw
+shares the stream that chose its training rows.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .privacy import (
     dpsgd,
     dpsgd_distance_bound,
     output_perturb_many,
+    _substream,
 )
 from .trainer import DEFAULT_TOL, constants, fit_erm
 
@@ -133,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown delta policy {self.delta_policy!r}")
         if self.eval_split not in ("train", "test"):
             raise ConfigError(f"unknown eval split {self.eval_split!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.grid_count < 1:
             raise ConfigError("grid-count must be at least 1")
         if self.draws < 1:
@@ -378,7 +384,8 @@ def _run_grid_point(
         n_g = int(round(grid_value))
         if n_g < 2 or n_g > train_all.n:
             raise ConfigError(f"grid n={n_g} outside [2, {train_all.n}]")
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2, g)))
+        # a one-element key, so it equals no draw key (g, j)
+        rng = _substream(cfg.seed, (g,))
         idx = np.sort(rng.choice(train_all.n, size=n_g, replace=False))
         train = train_all.subset(idx)
         epsilon = cfg.epsilon

@@ -298,6 +298,28 @@ class TestExitCodes:
     def test_non_finite_or_unattainable_flag_is_config_error_2(self, workdir, command, capsys):
         _assert_config_error(workdir, command, capsys)
 
+    def test_privatize_negative_seed_is_config_error_2(self, workdir, capsys):
+        # NumPy's seeding used to reject it with a ValueError traceback (exit 1)
+        _assert_config_error(
+            workdir, ["privatize", "--lambda", "1.0", "--epsilon", "1", "--seed", "-1"], capsys)
+
+    def test_gen_data_negative_seed_is_config_error_2(self, workdir, capsys):
+        out = workdir / "data.csv"
+        assert run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "-1",
+                    "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_negative_seed_is_config_error_2(self, workdir, capsys):
+        exp = workdir / "exp.cfg"
+        exp.write_text(EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg")),
+                       encoding="utf-8")
+        out_dir = workdir / "results"
+        assert run(["experiment", "--config", str(exp), "--seed", "-5",
+                    "--out-dir", str(out_dir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("max_iters", ["0", "-1"])
     def test_max_iters_below_one_is_config_error_2(self, workdir, max_iters, capsys):
         _assert_config_error(workdir, ["train", "--lambda", "1.0", "--max-iters", max_iters],

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairbound import experiment
+from fairbound import experiment, privacy
 from fairbound.config import parse_config_text, parse_synthetic_spec
 from fairbound.dataset import synthesize
 from fairbound.exceptions import ConfigError
@@ -91,6 +91,25 @@ class TestRunExperiment:
             r2 = run_experiment(cfg, str(tmp_path / "b"))
         assert open(r1.sweep_path, "rb").read() == open(r2.sweep_path, "rb").read()
         assert open(r1.failures_path, "rb").read() == open(r2.failures_path, "rb").read()
+
+    def test_subsample_key_is_never_a_draw_key(self, spec_file, tmp_path, monkeypatch):
+        # grid point 2's subsample once came from key (2, 2), the stream of
+        # that point's third draw
+        keys = []
+        states = privacy.pcg64_states
+
+        def recording(seed, batch):
+            keys.extend(batch)
+            return states(seed, batch)
+
+        monkeypatch.setattr(privacy, "pcg64_states", recording)
+        cfg = base_config(spec_file, grid_count=3, draws=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(cfg, str(tmp_path / "out"))
+        assert not result.failures
+        assert len(keys) == cfg.grid_count * (1 + cfg.draws)
+        assert len(set(keys)) == len(keys)
 
     def test_envelope_width_shrinks_with_n(self, spec_file, tmp_path):
         # frozen regression at fixed seeds: more data -> narrower attainable band
@@ -214,6 +233,15 @@ class TestRunExperiment:
             base_config(spec_file, sweep_axis="gamma")
         with pytest.raises(ConfigError):
             base_config(spec_file, notions=("not_a_notion",))
+
+    def test_negative_seed_is_config_error(self, spec_file):
+        with pytest.raises(ConfigError, match="seed"):
+            base_config(spec_file, seed=-1)
+        values = dict(line.split(" = ", 1)
+                      for line in base_config(spec_file).canonical_text().splitlines())
+        values["seed"] = "-3"
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig.from_mapping(values)
 
     def test_from_mapping_round_trip(self, spec_file):
         cfg = base_config(spec_file)

@@ -3,9 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairbound.model import LinearModel, distance
 from fairbound.privacy import (
+    _generators,
+    _substream,
     DpSgdBound,
     DpSgdConfig,
     PrivacyParams,
@@ -16,6 +20,7 @@ from fairbound.privacy import (
     output_perturb,
     output_perturb_distance_bound,
     output_perturb_many,
+    pcg64_states,
     warn_if_gradient_noise_dominates,
 )
 from fairbound.trainer import (
@@ -56,10 +61,68 @@ class TestPrivacyParams:
             PrivacyParams(0.5, 0.1, 0.0, "output_perturbation", 0)
         with pytest.raises(ValueError):
             PrivacyParams(0.5, 0.1, 0.1, "magic", 0)
+        with pytest.raises(ValueError, match="seed"):
+            PrivacyParams(0.5, 0.1, 0.1, "output_perturbation", -1)
 
     def test_large_epsilon_warns_not_raises(self):
         with pytest.warns(UserWarning, match="epsilon"):
             PrivacyParams(2.0, 0.1, 0.1, "output_perturbation", 0)
+
+
+def numpy_state(seed, key):
+    """The oracle: (state, inc) of NumPy's own seeding for one key."""
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
+    return state["state"], state["inc"]
+
+
+WORD_EDGES = [0, 2**32 - 1, 2**32, 2**64, 2**64 + 1, 2**70]
+key_elements = st.one_of(st.integers(0, 2**70), st.sampled_from(WORD_EDGES))
+seeds = st.one_of(st.integers(0, 2**130 - 1), st.integers(0, 2**20).map(lambda k: 2**64 + k),
+                  st.sampled_from(WORD_EDGES))
+
+
+class TestPcg64States:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=seeds,
+           keys=st.lists(st.lists(key_elements, min_size=1, max_size=3).map(tuple),
+                         min_size=1, max_size=6))
+    @example(seed=0, keys=[(0,)])
+    @example(seed=2**32 - 1, keys=[(1, 2)])
+    @example(seed=2**32, keys=[(2**32, 0, 2**32 - 1)])
+    @example(seed=2**64 + 7, keys=[(3,), (3, 0), (2**70,)])
+    def test_equals_numpy_seed_sequence(self, seed, keys):
+        # keys of different word counts share one batch, as draws of mixed
+        # key lengths would
+        assert pcg64_states(seed, keys) == [numpy_state(seed, key) for key in keys]
+
+    def test_no_keys(self):
+        assert pcg64_states(3, []) == []
+
+    @pytest.mark.parametrize("seed,key", [(-1, (0,)), (1, (0, -2))])
+    def test_negative_seed_or_key_element_is_value_error(self, seed, key):
+        with pytest.raises(ValueError, match="non-negative"):
+            pcg64_states(seed, [key])
+
+    @pytest.mark.parametrize("seed,key", [(0, (0,)), (7000, (2, 399)), (2**64 + 1, (2**40, 3, 0))])
+    def test_substream_equals_default_rng(self, seed, key):
+        ours = _substream(seed, key)
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        for i in range(1000):
+            if i % 3 == 0:
+                assert np.array_equal(ours.normal(0.0, 2.0, size=3), ref.normal(0.0, 2.0, size=3))
+            elif i % 3 == 1:
+                assert ours.integers(1000) == ref.integers(1000)
+            else:  # 32-bit draws use the bit generator's buffered half word
+                assert ours.integers(2**31, dtype=np.int32) == ref.integers(2**31, dtype=np.int32)
+
+    def test_reused_generator_drops_buffered_half_word(self):
+        keys = [(5, j) for j in range(20)]
+        for key, rng in zip(keys, _generators(9, keys)):
+            ref = np.random.default_rng(np.random.SeedSequence(9, spawn_key=key))
+            # an odd number of 32-bit draws leaves half a word buffered
+            for _ in range(3):
+                assert rng.integers(2**31, dtype=np.int32) == ref.integers(2**31, dtype=np.int32)
+            assert np.array_equal(rng.normal(size=4), ref.normal(size=4))
 
 
 class TestOutputNoise:
