@@ -128,8 +128,6 @@ class BoundReport:
     entries: tuple[BoundEntry, ...]
     dist: float
     dist_provenance: str
-    zeta: float | None
-    mechanism: str | None
     flags: tuple[str, ...]
 
     @property
@@ -164,8 +162,6 @@ def bound_report(
     spec: FairnessSpec,
     dist: float,
     dist_provenance: str = "measured",
-    zeta: float | None = None,
-    mechanism: str | None = None,
 ) -> BoundReport:
     """Evaluate every variant for every group of ``spec`` at a fixed
     distance.  The profile must cover the examples of the spec's partition."""
@@ -233,8 +229,6 @@ def bound_report(
         entries=tuple(entries),
         dist=dist,
         dist_provenance=dist_provenance,
-        zeta=zeta,
-        mechanism=mechanism,
         flags=spec.flags,
     )
 
@@ -268,8 +262,5 @@ def theorem3_report(
         dist, provenance = resolve_distance(reference.num_params, c, n, pp)
     else:
         dist, provenance = model_distance(reference, other), "measured"
-    profile = margin_profile(reference, d)
-    return bound_report(
-        profile, spec, dist, provenance, zeta=pp.zeta, mechanism=pp.mechanism
-    )
+    return bound_report(margin_profile(reference, d), spec, dist, provenance)
 

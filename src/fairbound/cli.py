@@ -110,18 +110,42 @@ def _fairness_spec(d: Dataset, notion: str, desirable: str) -> FairnessSpec:
         raise ConfigError(f"--desirable {desirable!r}: {exc}")
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Merge --config file values as defaults; actual flags still win.
+class _Probe(argparse.ArgumentParser):
+    """Parser that raises ``ValueError`` where argparse would exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _config_path(parser: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """The --config path in ``argv`` under every spelling ``parser`` accepts:
+    ``--config FILE``, ``--config=FILE`` and unique prefixes such as
+    ``--conf FILE``.  The probe knows ``parser``'s flags, so a prefix is
+    resolved as ``parser`` resolves it; argv it cannot read gives None and
+    is left for ``parser`` to reject."""
+    if not any(arg.startswith("--c") for arg in argv):
+        return None  # every spelling starts so; most calls skip the probe
+    probe = _Probe(add_help=False)
+    for action in parser._actions:
+        if action.option_strings and action.nargs is None:
+            probe.add_argument(*action.option_strings, dest=action.dest)
+    try:
+        return probe.parse_known_args(argv)[0].config
+    except ValueError:
+        return None
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Merge the --config file's values into ``parser`` as defaults; flags
+    on the command line still win.
 
     Config keys are the long flag names without the leading dashes (e.g.
     ``label-col``, ``lambda``); underscores are accepted as well.
     """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config needs a file path")
-    values = read_config(argv[idx + 1])
+    path = _config_path(parser, argv)
+    if path is None:
+        return
+    values = read_config(path)
     option_to_dest = {}
     for action in parser._actions:
         for opt in action.option_strings:
@@ -138,7 +162,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     for action in parser._actions:
         if action.dest in defaults:
             action.required = False
-    return [a for i, a in enumerate(argv) if i not in (idx, idx + 1)]
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -240,9 +263,6 @@ def _add_finite_sample_flags(parser: argparse.ArgumentParser) -> None:
         help="add true-vs-empirical slack columns",
     )
     parser.add_argument("--fs-delta", type=float, default=0.05, help="slack failure probability")
-    parser.add_argument("--b3", type=float, default=None, help="coefficient concentration constant")
-    parser.add_argument("--b4", type=float, default=2.0, help="coefficient concentration exponent")
-    parser.add_argument("--natarajan-dim", type=float, default=None)
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -299,10 +319,7 @@ def _finite_sample(
     if d.num_labels < 2:
         raise DataError(f"finite-sample slack needs two or more labels; the data has {d.num_labels}")
     try:
-        slack = finite_sample_slacks(
-            spec, d.n, args.fs_delta, d.num_labels, d.p, args.finite_sample,
-            b3=args.b3, b4=args.b4, natarajan_dim=args.natarajan_dim,
-        )
+        slack = finite_sample_slacks(spec, d.n, args.fs_delta, d.num_labels, d.p, args.finite_sample)
     except ValueError as exc:
         raise ConfigError(f"finite-sample flags: {exc}")
     return slack, 1.0 - args.fs_delta
@@ -394,8 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         if argv and argv[0] in _COMMANDS and argv[0] != "experiment":
-            subparser = _subparser_for(parser, argv[0])
-            argv = [argv[0]] + _apply_config_file(subparser, argv[1:])
+            _apply_config_file(_subparser_for(parser, argv[0]), argv[1:])
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -124,7 +124,6 @@ class ExperimentConfig:
     eval_split: str = "test"
     test_fraction: float = field(default=0.1, metadata=_FRACTION)
     tol: float = field(default=DEFAULT_TOL, metadata=_POSITIVE)
-    variant: str = "best"
 
     def __post_init__(self):
         if self.data_format not in ("csv", "synthetic"):
@@ -152,8 +151,8 @@ class ExperimentConfig:
                         f"{_config_key(f)} must lie strictly between {low} and {high}, "
                         f"got {value!r}"
                     )
-        if self.variant not in bounds_mod.VARIANTS:
-            raise ConfigError(f"unknown bound variant {self.variant!r}")
+        if not self.notions:
+            raise ConfigError("notions must name at least one fairness notion")
         for notion in self.notions:
             if notion not in NOTIONS:
                 raise ConfigError(f"unknown fairness notion {notion!r}")
@@ -323,12 +322,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     A failure at one grid point is recorded and the sweep continues; the
     whole run is deterministic given the config (including its seed).
     """
-    os.makedirs(out_dir, exist_ok=True)
     base = _load_base_data(cfg)
     if cfg.eval_split == "test":
-        train_all, eval_data = split(base, 1.0 - cfg.test_fraction, seed=cfg.seed)
+        try:
+            train_all, eval_data = split(base, 1.0 - cfg.test_fraction, seed=cfg.seed)
+        except ValueError as exc:  # a test-fraction that leaves one part empty
+            raise ConfigError(f"test-fraction {cfg.test_fraction!r}: {exc}")
     else:
         train_all, eval_data = base, base
+    os.makedirs(out_dir, exist_ok=True)
 
     grid = _grid_values(cfg)
     header = [
@@ -337,7 +339,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
         f"# seed={cfg.seed}",
         "# substreams=(grid_index,draw_index)",
         f"# eval_split={cfg.eval_split}",
-        f"# variant={cfg.variant}",
     ]
     lines = header + [",".join(SWEEP_COLUMNS)]
     failures: list[str] = []
@@ -419,15 +420,9 @@ def _run_grid_point(
     rows: list[str] = []
     for (notion, spec), f_draws in zip(notion_specs.items(), f_draws_all):
         f_star = optimum.f_star(notion, spec)
-        lemma = bounds_mod.bound_report(
-            optimum.profile, spec, dist_lemma, provenance, zeta=pp.zeta, mechanism=pp.mechanism
-        )
-        measured = bounds_mod.bound_report(
-            optimum.profile, spec, dist_measured, "measured", zeta=pp.zeta, mechanism=pp.mechanism
-        )
-        refined = bounds_mod.bound_report(
-            refined_profile, spec, dist_measured, "measured", zeta=pp.zeta, mechanism=pp.mechanism
-        )
+        lemma = bounds_mod.bound_report(optimum.profile, spec, dist_lemma, provenance)
+        measured = bounds_mod.bound_report(optimum.profile, spec, dist_measured)
+        refined = bounds_mod.bound_report(refined_profile, spec, dist_measured)
         for k in range(spec.num_groups):
             entry = lemma.entry(k)
             flags = ";".join(entry.flags + spec.flags)
@@ -445,9 +440,9 @@ def _run_grid_point(
                         _fmt(float(f_star[k])),
                         _fmt(float(np.min(f_draws[:, k]))),
                         _fmt(float(np.max(f_draws[:, k]))),
-                        _fmt(getattr(entry, cfg.variant)),
-                        _fmt(getattr(measured.entry(k), cfg.variant)),
-                        _fmt(getattr(refined.entry(k), cfg.variant)),
+                        _fmt(entry.best),
+                        _fmt(measured.entry(k).best),
+                        _fmt(refined.entry(k).best),
                         _fmt(lemma.dist),
                         _fmt(dist_measured),
                         lemma.dist_provenance,

@@ -23,10 +23,9 @@ the coefficients from the spec itself, so like the bound layer the slack
 builds one per-group alpha vector and combines it through |coeff|.  Empty
 groups contribute no accuracy term.
 
-B3 and B4 are concentration constants for the coefficient estimates and
-default to 2*(K+1) and 2 (per-coefficient Hoeffding plus a union bound).
-The Natarajan dimension defaults to the
-linear-multiclass value |Y|*p and can be overridden.
+B3 and B4 are the concentration constants of the coefficient estimates,
+fixed at 2*(K+1) and 2 (per-coefficient Hoeffding plus a union bound), and
+d is the Natarajan dimension of the linear multiclass models, |Y|*p.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ def finite_sample_slacks(
     num_labels: int,
     num_features: int,
     mode: str,
-    b3: float | None = None,
-    b4: float = 2.0,
-    natarajan_dim: float | None = None,
 ) -> np.ndarray:
     """Per-group slack values, shape (K,), under the requested regime:
     ``"independent"`` for models chosen independently of the sample,
@@ -66,16 +62,10 @@ def finite_sample_slacks(
     if mode not in ("independent", "dependent"):
         raise ConfigError(f"unknown finite-sample mode {mode!r}")
     num_groups = spec.num_groups
-    b3 = 2.0 * (num_groups + 1) if b3 is None else b3
-    natarajan_dim = num_labels * num_features if natarajan_dim is None else natarajan_dim
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be positive")
-    if b3 <= 0 or b4 <= 0 or natarajan_dim <= 0:
-        raise ValueError("B3, B4 and the Natarajan dimension must be positive")
-    if b3 * (2 * num_groups + 1) < delta:
-        raise ValueError("B3*(2K+1)/delta must be at least 1 for alpha_C to exist")
     if num_labels < 2:
         raise ValueError("num_labels must be at least 2")
     if not sample_size_sufficient(spec, n, delta):
@@ -95,13 +85,16 @@ def finite_sample_slacks(
         for kp in np.flatnonzero(used):
             alpha[kp] = math.sqrt(log_term / (n * float(proportions[kp])))
     else:
+        dim = num_labels * num_features  # Natarajan dimension of the linear models
         log_tail = math.log(8.0 * (2 * num_groups + 1) / delta)
         for kp in np.flatnonzero(used):
             n_kp = n * float(proportions[kp])
-            inner = natarajan_dim * (math.log(n_kp / 2.0) + 2.0 * math.log(num_labels)) + log_tail
+            inner = dim * (math.log(n_kp / 2.0) + 2.0 * math.log(num_labels)) + log_tail
             alpha[kp] = math.sqrt(64.0 * inner / n_kp)
 
-    slack = np.full(num_groups, math.sqrt(math.log(b3 * (2 * num_groups + 1) / delta) / (b4 * n)))
+    # alpha_C with B3 = 2(K+1) and B4 = 2
+    log_c = math.log(2.0 * (num_groups + 1) * (2 * num_groups + 1) / delta)
+    slack = np.full(num_groups, math.sqrt(log_c / (2.0 * n)))
     # one column at a time in group order, so each sum rounds like a scalar loop
     for kp in range(num_groups):
         slack += magnitudes[:, kp] * alpha[kp]

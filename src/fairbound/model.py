@@ -39,8 +39,8 @@ class LinearModel:
             raise ValueError("weights must be a (num_labels, p) matrix")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if np.linalg.norm(weights) > self.radius + 1e-9:
             raise ValueError("weight norm exceeds the declared ball radius")
         weights = weights.copy()

@@ -368,30 +368,26 @@ def dpsgd_distance_bound(
     c: LossConstants,
     n: int,
     pp: PrivacyParams,
-    h0_dist_bound: float | None = None,
 ) -> DpSgdBound:
     """High-probability distance bound for DP-SGD started at zero.
 
-    ``h0_dist_bound`` upper-bounds the start-to-optimum distance and defaults
-    to 2R (the start is the zero model and the optimum lies in the ball).
-    The returned step count T follows the geometric-decay schedule, with the
-    T^2 noise variance; when the schedule says the start already satisfies
-    the target (log argument <= 1), the start bound itself is returned with
-    T = 0.  ``num_params`` is carried for report symmetry; the closed form is
+    The start-to-optimum distance is at most 2R, because the start is the
+    zero model and the optimum lies in the ball of radius R.  The returned
+    step count T follows the geometric-decay schedule, with the T^2 noise
+    variance; when the schedule says the start already satisfies the target
+    (log argument <= 1), the start bound 2R itself is returned with T = 0.
+    ``num_params`` is carried for report symmetry; the closed form is
     dimension-free.
     """
     mu = c.strong_convexity
     beta = c.smoothness
     lam_lip = c.loss_lipschitz
-    if h0_dist_bound is None:
-        h0_dist_bound = 2.0 * c.radius
-    if h0_dist_bound < 0:
-        raise ValueError("h0_dist_bound must be nonnegative")
+    start_dist = 2.0 * c.radius
 
     m2 = 64.0 * lam_lip**2 * math.log(2.0 / pp.delta) / (n**2 * pp.epsilon**2)
-    arg = mu * beta * h0_dist_bound**2 / (2.0 * m2)
+    arg = mu * beta * start_dist**2 / (2.0 * m2)
     if arg <= 1.0:
-        return DpSgdBound(distance=h0_dist_bound, steps=0, noise_variance=0.0)
+        return DpSgdBound(distance=start_dist, steps=0, noise_variance=0.0)
 
     log_arg = math.log(arg)
     steps = max(1, math.ceil(2.0 * beta / mu * log_arg))

@@ -1,9 +1,15 @@
+import argparse
+import pathlib
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairbound.cli import main
+from fairbound import experiment
+from fairbound.cli import build_parser, main
 from fairbound.dataset import load_csv
 from fairbound.experiment import release
 from fairbound.model import load_model, save_model
@@ -205,6 +211,22 @@ class TestConfigFileSupport:
         assert (workdir / "used.txt").exists()
         assert not (workdir / "ignored.txt").exists()
 
+    @pytest.mark.parametrize("spelling", [["--config=CFG"], ["--conf", "CFG"]],
+                             ids=["equals", "prefix"])
+    def test_every_config_spelling_merges_the_file(self, workdir, spelling):
+        data = str(workdir / "data.csv")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        cfg = workdir / "t.cfg"
+        cfg.write_text("tol = 1e-3\n", encoding="utf-8")
+        train = ["train", "--data", data, "--lambda", "1.0", "--out"]
+        assert run(train + [str(workdir / "flag.txt"), "--tol", "1e-3"]) == 0
+        assert run(train + [str(workdir / "default.txt")]) == 0
+        args = [a.replace("CFG", str(cfg)) for a in spelling]
+        assert run(train + [str(workdir / "config.txt"), *args]) == 0
+        merged = (workdir / "config.txt").read_bytes()
+        assert merged == (workdir / "flag.txt").read_bytes()
+        assert merged != (workdir / "default.txt").read_bytes()
+
     def test_unknown_config_key_is_config_error(self, workdir):
         cfg = workdir / "bad.cfg"
         cfg.write_text("frobnicate = yes\n", encoding="utf-8")
@@ -253,6 +275,27 @@ class TestExitCodes:
                     "--notion", "accuracy-parity",
                     "--report", str(workdir / "audit.csv")]) == 4
         assert not (workdir / "audit.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["privatize", "--lambda", "1.0", "--epsilon", "0.5", "--seed", "1"],
+            ["bound", "--train-data", "DATA", "--lambda", "1.0", "--notion", "accuracy"],
+            ["audit", "--notion", "accuracy-parity"],
+        ],
+        ids=["privatize", "bound", "audit"],
+    )
+    def test_infinite_model_radius_is_data_error_4(self, workdir, command, capsys):
+        data = str(workdir / "data.csv")  # two features plus the intercept, two labels
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        model = workdir / "inf_radius.txt"
+        model.write_text("2 3 inf\n0.5 0 0\n0 0.5 0\n", encoding="utf-8")
+        out = workdir / "out.csv"
+        out_flag = "--report" if command[0] == "audit" else "--out"
+        args = [data if a == "DATA" else a for a in command]
+        assert run(args + ["--data", data, "--model", str(model), out_flag, str(out)]) == 4
+        assert "radius must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command",
@@ -344,6 +387,8 @@ class TestExitCodes:
             ["grid-start = nan"],
             ["test-fraction = 1.0"],
             ["test-fraction = 0"],
+            ["test-fraction = 0.9999"],
+            ["notions ="],
         ],
         ids=lambda lines: ";".join(lines),
     )
@@ -352,8 +397,8 @@ class TestExitCodes:
         # row or a traceback, after the run had started
         exp = workdir / "exp.cfg"
         text = EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg"))
-        keys = {line.split(" = ")[0] for line in lines}
-        kept = [line for line in text.splitlines() if line.split(" = ")[0] not in keys]
+        keys = {line.partition("=")[0].strip() for line in lines}
+        kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
         exp.write_text("\n".join(kept + lines) + "\n", encoding="utf-8")
         out_dir = workdir / "results"
         assert run(["experiment", "--config", str(exp), "--seed", "5",
@@ -418,10 +463,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["audit", "bound"])
     @pytest.mark.parametrize(
         "flag",
-        [["--fs-delta", "1.5"], ["--fs-delta", "0"], ["--b3", "0"], ["--b4", "0"],
-         ["--natarajan-dim", "-1"], ["--b3", "0.001", "--fs-delta", "0.5"]],
-        ids=["fs_delta_above_one", "fs_delta_zero", "b3_zero", "b4_zero", "natarajan_dim_negative",
-             "b3_below_delta_share"],
+        [["--fs-delta", "1.5"], ["--fs-delta", "0"]],
+        ids=["fs_delta_above_one", "fs_delta_zero"],
     )
     def test_bad_finite_sample_flag_is_config_error_2(self, workdir, command, flag, capsys):
         data = str(workdir / "data.csv")
@@ -433,6 +476,39 @@ class TestExitCodes:
         assert run(args + ["--finite-sample", "dependent", *flag]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "bound"])
+    @pytest.mark.parametrize("flag", ["b3", "b4", "natarajan-dim"])
+    def test_removed_finite_sample_flags_exit_2(self, workdir, command, flag, capsys):
+        # B3 = 2(K+1), B4 = 2 and d = |Y|*p are fixed: a larger B4 or a
+        # smaller d prints a smaller slack at the same confidence
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "out.csv"
+        args = _report_argv(command, data, model, "accuracy-parity", out)
+        args += ["--finite-sample", "dependent"]
+        with pytest.raises(SystemExit) as exc:
+            run(args + [f"--{flag}", "1000"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag} 1000" in capsys.readouterr().err
+        cfg = workdir / "fs.cfg"
+        cfg.write_text(f"{flag} = 1000\n", encoding="utf-8")
+        assert run(args + ["--config", str(cfg)]) == 2
+        assert f"config key {flag!r} does not match any flag" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_variant_key_is_config_error_2(self, workdir, capsys):
+        # the sweep always reports the best variant
+        exp = workdir / "exp.cfg"
+        exp.write_text(EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg")) + "variant = best\n",
+                       encoding="utf-8")
+        out_dir = workdir / "results"
+        assert run(["experiment", "--config", str(exp), "--seed", "5",
+                    "--out-dir", str(out_dir)]) == 2
+        assert "unknown experiment config key(s): variant" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_finite_sample_on_one_label_data_is_data_error_4(self, workdir, capsys):
         data = workdir / "one_label.csv"
@@ -508,3 +584,110 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["train", "--no-such-flag"])
         assert exc.value.code == 2
+
+
+TINY_SPEC_TEXT = "features = 2\n" + "".join(
+    f"cell.{y}.{g}.count = 30\ncell.{y}.{g}.mean = {2 - 4 * y}.0, {g - 0.5}\n"
+    f"cell.{y}.{g}.cov = 1.0, 1.0\n"
+    for y in (0, 1) for g in (0, 1)
+)
+
+# Per experiment-config key: (values a working run may take, values that
+# break it).  None leaves the key out.  The data is always the tiny
+# synthetic spec (``SPEC`` in a value), never read as a CSV, so no run
+# reaches a data error; grids stay at two points of two draws.
+FUZZ_VALUES = {
+    "data": (["SPEC"], [None, "", "missing.cfg"]),
+    "data-format": (["synthetic"], ["", "xml"]),
+    "lambda": (["1.0", "0.5"], [None, "", "0", "-1", "inf", "nan", "abc"]),
+    "notions": (["accuracy_parity", "equalized_odds, accuracy", "demographic_parity_binary",
+                 "equality_of_opportunity"], [None, "", ",", "fairness"]),
+    "sweep-axis": (["n", "epsilon"], [None, "", "m"]),
+    "grid-start": (["20", "60", "0.5", "4"], [None, "", "0", "-5", "inf", "nan", "x"]),
+    "grid-stop": (["20", "90", "2"], [None, "", "0", "inf", "1e400", "x"]),
+    "grid-count": (["1", "2"], [None, "", "0", "-1", "1.5", "x"]),
+    "draws": (["1", "2"], [None, "", "0", "-3", "x"]),
+    "seed": ([None, "3"], ["", "-1", "x"]),
+    "mechanism": ([None, "output_perturbation", "dp_sgd"], ["", "laplace", "dp-sgd"]),
+    "zeta": ([None, "0.01", "0.5"], ["", "0", "1", "nan", "x"]),
+    "delta-policy": ([None, "inverse_n_squared", "fixed"], ["", "auto"]),
+    "epsilon": ([None, "1.0", "0.1", "5"], ["", "0", "-1", "inf", "nan", "x"]),
+    "delta": ([None, "1e-6", "0.5"], ["", "0", "1", "x"]),
+    "sensitive-col": ([None, "s"], ["", "nope"]),
+    "label-col": ([None, "y"], ["", "nope"]),
+    "desirable": ([None, "1", "0,1"], ["", "5", "-1", "x"]),
+    "eval-split": ([None, "test", "train"], ["", "all"]),
+    "test-fraction": ([None, "0.1", "0.5"], ["", "0", "1", "1.5", "0.001", "x"]),
+    "tol": ([None, "1e-8", "1e-3"], ["", "0", "-1", "nan", "x"]),
+}
+
+
+@st.composite
+def experiment_config_texts(draw):
+    """Config text with up to two keys set to a breaking value and every
+    other key to a working one."""
+    broken = draw(st.sets(st.sampled_from(sorted(FUZZ_VALUES)), max_size=2))
+    lines = []
+    for key, (working, breaking) in FUZZ_VALUES.items():
+        value = draw(st.sampled_from(breaking if key in broken else working))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestExperimentConfigFuzz:
+    def test_keys_are_the_config_keys(self):
+        assert sorted(FUZZ_VALUES) == sorted(experiment._CONFIG_KEYS)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(text=experiment_config_texts())
+    def test_experiment_exits_0_or_2(self, tmp_path_factory, text):
+        root = tmp_path_factory.mktemp("fuzz")
+        spec = root / "spec.cfg"
+        spec.write_text(TINY_SPEC_TEXT, encoding="utf-8")
+        cfg = root / "exp.cfg"
+        cfg.write_text(text.replace("SPEC", str(spec)), encoding="utf-8")
+        code = run(["experiment", "--config", str(cfg), "--seed", "5",
+                    "--out-dir", str(root / "out")])
+        assert code in (0, 2), text
+
+
+def readme_flags(text: str) -> set[str]:
+    """``--flags`` on the ``fairbound`` command lines of the fenced blocks
+    of ``text`` (with their continuation lines) and in its backticked
+    prose.  Other command lines, such as ``pip install``, are not read."""
+    prose, commands = [], []
+    in_block = continued = False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif not in_block:
+            prose.append(line)
+        elif continued or line.lstrip().startswith("fairbound "):
+            commands.append(line)
+            continued = line.endswith("\\")
+    spans = re.findall(r"`([^`]+)`", "\n".join(prose))
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(commands + spans)))
+
+
+def parser_flags() -> set[str]:
+    """Every long flag some ``fairbound`` subcommand defines."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {opt for sub in subparsers.choices.values() for action in sub._actions
+            for opt in action.option_strings if opt.startswith("--")}
+
+
+class TestReadmeFlags:
+    def test_reader_sees_commands_and_prose_only(self):
+        text = ("run `fairbound bound --zeta 0.1` or `--fs-delta`\n"
+                "```bash\npip install -e . --no-build-isolation\n"
+                "fairbound train --data d.csv \\\n    --lambda 1.0\n--stray\n```\n")
+        assert readme_flags(text) == {"--zeta", "--fs-delta", "--data", "--lambda"}
+
+    def test_every_readme_flag_is_defined(self):
+        text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        documented = readme_flags(text)
+        assert {"--config", "--finite-sample", "--out-dir"} <= documented
+        assert sorted(documented - parser_flags()) == []

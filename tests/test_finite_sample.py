@@ -39,18 +39,19 @@ def uniform_spec(num_groups=4, coeff=0.5):
                       np.full((num_groups, num_groups), coeff))
 
 
-def group0(mode, num_groups=4, delta=0.05, n=10_000, coeff=0.5, b3=1.0, b4=1.0,
-           natarajan_dim=1.0, num_labels=2, spec=None):
+def group0(mode, num_groups=4, delta=0.05, n=10_000, coeff=0.5, num_labels=2, num_features=1,
+           spec=None):
     """Slack of group 0 on a uniform spec (or ``spec``)."""
     spec = uniform_spec(num_groups, coeff) if spec is None else spec
-    return finite_sample_slacks(spec, n, delta, num_labels, 1, mode, b3=b3, b4=b4,
-                                natarajan_dim=natarajan_dim)[0]
+    return finite_sample_slacks(spec, n, delta, num_labels, num_features, mode)[0]
 
 
-def oracle_slack(spec, n, delta, num_labels, mode, b3, b4, natarajan_dim, k):
-    """Slack of group k as a scalar loop over the two documented formulas."""
+def oracle_slack(spec, n, delta, num_labels, num_features, mode, k):
+    """Slack of group k as a scalar loop over the two documented formulas,
+    with B3 = 2(K+1), B4 = 2 and Natarajan dimension |Y|*p."""
     num_groups = spec.num_groups
     proportions = spec.partition.proportions
+    b3, b4, natarajan_dim = 2.0 * (num_groups + 1), 2.0, num_labels * num_features
     total = math.sqrt(math.log(b3 * (2 * num_groups + 1) / delta) / (b4 * n))
     for kp in range(num_groups):
         weight = abs(float(spec.coeffs[k, kp]))
@@ -70,7 +71,7 @@ def oracle_slack(spec, n, delta, num_labels, mode, b3, b4, natarajan_dim, k):
 class TestIndependentSlack:
     def test_frozen_transcription(self):
         # independent transcription of the two-term formula pinned this value
-        assert group0("independent") == pytest.approx(0.11983323751083457, rel=1e-12)
+        assert group0("independent") == pytest.approx(0.11640433791749132, rel=1e-12)
 
     def test_quadrupling_n_halves(self):
         a = group0("independent", n=10_000)
@@ -78,12 +79,12 @@ class TestIndependentSlack:
         assert b == pytest.approx(a / 2, rel=1e-12)
 
     def test_zero_coefficients_leave_only_constant_term(self):
-        expected = math.sqrt(math.log(1.0 * 9 / 0.05) / (1.0 * 10_000))
+        expected = math.sqrt(math.log(10.0 * 9 / 0.05) / (2.0 * 10_000))
         assert group0("independent", coeff=0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_proportion_group_contributes_nothing(self):
         spec = slack_spec(np.array([1 / 3, 1 / 3, 1 / 3, 0.0]), np.full((4, 4), 0.5))
-        manual = math.sqrt(math.log(9 / 0.05) / 10_000)
+        manual = math.sqrt(math.log(10.0 * 9 / 0.05) / (2.0 * 10_000))
         per_group = 0.5 * math.sqrt(math.log(2 * 9 / 0.05) / (10_000 / 3))
         assert group0("independent", spec=spec) == pytest.approx(manual + 3 * per_group, rel=1e-12)
 
@@ -100,30 +101,20 @@ class TestDependentSlack:
             n = int(rng.integers(200, 100_000))
             delta = float(rng.uniform(0.001, 0.2))
             spec = slack_spec(np.full(k, 1.0 / k), rng.uniform(0, 1, (k, k)))
-            b3 = float(rng.uniform(0.5, 10))
-            b4 = float(rng.uniform(0.5, 4))
-            natarajan_dim = float(rng.integers(1, 20))
+            num_features = int(rng.integers(1, 20))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 slacks = {
-                    mode: finite_sample_slacks(spec, n, delta, 2, 1, mode, b3=b3, b4=b4,
-                                               natarajan_dim=natarajan_dim)
+                    mode: finite_sample_slacks(spec, n, delta, 2, num_features, mode)
                     for mode in ("independent", "dependent")
                 }
             for g in range(k):
                 assert slacks["dependent"][g] >= slacks["independent"][g] - 1e-12
 
-    def test_zero_dimension_edge_formula(self):
-        # natarajan_dim -> 0 reduces alpha to sqrt(64*log(8(2K+1)/delta)/(n p))
-        delta, n = 0.05, 10_000
-        alpha = math.sqrt(64 * math.log(8 * 9 / delta) / (n / 4))
-        expected = math.sqrt(math.log(9 / delta) / n) + 4 * 0.5 * alpha
-        assert group0("dependent", natarajan_dim=1e-300) == pytest.approx(expected, rel=1e-9)
-
     def test_sqrt_dimension_scaling(self):
-        # at large d the per-group term grows like sqrt(d)
-        values = [group0("dependent", natarajan_dim=d, coeff=1.0, n=10**8)
-                  for d in (100, 400, 1600)]
+        # at large d = |Y|*p the per-group term grows like sqrt(d)
+        values = [group0("dependent", num_features=p, coeff=1.0, n=10**8)
+                  for p in (50, 200, 800)]
         assert values[1] / values[0] == pytest.approx(2.0, rel=0.05)
         assert values[2] / values[1] == pytest.approx(2.0, rel=0.05)
 
@@ -143,24 +134,16 @@ class TestMonotonicity:
 
 class TestConstruction:
     def test_from_fairness_spec_defaults(self, rng):
+        # the constants derive from the spec's K and the data's |Y| and p
         d = random_dataset(rng, 60)
         spec = coefficients(d, "equalized_odds")
-        k = spec.num_groups
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for mode in ("independent", "dependent"):
-                defaults = finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, mode)
-                explicit = finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, mode,
-                                                b3=2.0 * (k + 1), b4=2.0,
-                                                natarajan_dim=d.num_labels * d.p)
-                assert np.array_equal(defaults, explicit)
-            # the defaults are not inert: other constants move the slack
-            assert not np.array_equal(
-                defaults, finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, "dependent",
-                                               natarajan_dim=d.num_labels * d.p + 1))
-            assert not np.array_equal(
-                finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, "independent"),
-                finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, "independent", b3=1.0))
+                got = finite_sample_slacks(spec, d.n, 0.05, d.num_labels, d.p, mode)
+                want = [oracle_slack(spec, d.n, 0.05, d.num_labels, d.p, mode, k)
+                        for k in range(spec.num_groups)]
+                assert got.tolist() == want
 
     def test_precondition_check(self):
         assert sample_size_sufficient(uniform_spec(), 10_000, 0.05)
@@ -170,9 +153,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             group0("independent", delta=1.5)
         with pytest.raises(ValueError):
-            group0("independent", b3=0.0)
-        with pytest.raises(ValueError, match="alpha_C"):
-            group0("independent", b3=0.005, delta=0.05)  # log(B3*9/delta) < 0
+            group0("independent", num_labels=1)
         with pytest.raises(ConfigError):
             group0("both")
 
@@ -187,29 +168,23 @@ def slack_cases(draw):
     spec = slack_spec(np.array(counts) / total, coeffs)
     n = draw(st.integers(total, 10**7))  # every nonempty group holds >= 1 example
     delta = draw(st.floats(1e-6, 0.5))
-    b3 = draw(st.one_of(st.none(), st.floats(1.0, 100.0)))  # keeps log(B3(2K+1)/delta) > 0
-    b4 = draw(st.floats(0.1, 10.0))
     num_labels = draw(st.integers(2, 6))
     num_features = draw(st.integers(1, 30))
-    natarajan_dim = draw(st.one_of(st.none(), st.floats(1e-3, 500.0)))
     mode = draw(st.sampled_from(["independent", "dependent"]))
-    return spec, n, delta, num_labels, num_features, mode, b3, b4, natarajan_dim
+    return spec, n, delta, num_labels, num_features, mode
 
 
 class TestAgainstScalarLoop:
     @settings(max_examples=200, deadline=None, database=None)
     @given(slack_cases())
     def test_vector_pass_equals_scalar_loop(self, case):
-        spec, n, delta, num_labels, num_features, mode, b3, b4, natarajan_dim = case
+        spec, n, delta, num_labels, num_features, mode = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = finite_sample_slacks(spec, n, delta, num_labels, num_features, mode,
-                                       b3=b3, b4=b4, natarajan_dim=natarajan_dim)
-        b3 = 2.0 * (spec.num_groups + 1) if b3 is None else b3
-        natarajan_dim = num_labels * num_features if natarajan_dim is None else natarajan_dim
+            got = finite_sample_slacks(spec, n, delta, num_labels, num_features, mode)
         assert got.shape == (spec.num_groups,)
         for k in range(spec.num_groups):
-            want = oracle_slack(spec, n, delta, num_labels, mode, b3, b4, natarajan_dim, k)
+            want = oracle_slack(spec, n, delta, num_labels, num_features, mode, k)
             assert got[k] == want, k
 
     def test_undersized_sample_warns_once_per_call(self):

@@ -191,7 +191,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             LinearModel(np.full((2, 2), 10.0), radius=1.0)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_radius_must_be_positive(self, radius):
         with pytest.raises(ValueError):
             LinearModel(np.zeros((2, 2)), radius=radius)

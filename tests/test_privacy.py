@@ -293,7 +293,7 @@ class TestDpSgdDistanceBound:
     def test_frozen_golden(self):
         c = flat_constants(loss_lipschitz=2.0, strong_convexity=1.0, smoothness=5.0)
         pp = quiet_params(1.0, 1e-6, 0.1, "dp_sgd", seed=0)
-        b = dpsgd_distance_bound(4, c, 1000, pp, h0_dist_bound=2.0)
+        b = dpsgd_distance_bound(4, c, 1000, pp)  # start bound 2R = 2
         # frozen from an independent transcription of the closed form
         assert b.distance == pytest.approx(6.727179680384024, rel=1e-12)
         assert b.steps == 79
@@ -303,24 +303,17 @@ class TestDpSgdDistanceBound:
         c = flat_constants(loss_lipschitz=2.0, smoothness=5.0)
         pa = quiet_params(1.0, 1e-6, 0.1, "dp_sgd", seed=0)
         pb = quiet_params(1.0, 1e-6, 0.05, "dp_sgd", seed=0)
-        a = dpsgd_distance_bound(4, c, 1000, pa, h0_dist_bound=2.0).distance
-        b = dpsgd_distance_bound(4, c, 1000, pb, h0_dist_bound=2.0).distance
+        a = dpsgd_distance_bound(4, c, 1000, pa).distance
+        b = dpsgd_distance_bound(4, c, 1000, pb).distance
         assert b / a == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_already_converged_branch(self):
-        # enormous noise floor: mu*beta*h0^2 <= 2M^2
-        c = flat_constants(loss_lipschitz=100.0, smoothness=1.0)
+        # enormous noise floor: mu*beta*(2R)^2 <= 2M^2
+        c = flat_constants(loss_lipschitz=100.0, smoothness=1.0, radius=0.05)
         pp = quiet_params(0.01, 1e-6, 0.1, "dp_sgd", seed=0)
-        b = dpsgd_distance_bound(4, c, 10, pp, h0_dist_bound=0.1)
+        b = dpsgd_distance_bound(4, c, 10, pp)
         assert b.steps == 0
         assert b.distance == 0.1
-
-    def test_default_start_bound_is_two_radii(self):
-        c = flat_constants(loss_lipschitz=2.0, smoothness=5.0, radius=1.0)
-        pp = quiet_params(1.0, 1e-6, 0.1, "dp_sgd", seed=0)
-        explicit = dpsgd_distance_bound(4, c, 1000, pp, h0_dist_bound=2.0)
-        default = dpsgd_distance_bound(4, c, 1000, pp)
-        assert default.distance == explicit.distance
 
 
 class TestGradientMomentWarning:
