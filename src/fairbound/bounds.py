@@ -3,12 +3,14 @@
 Every variant is read off one margin profile: per example, the absolute
 confidence margin |m| and the margin's Lipschitz constant L in the model.
 A model within distance d of the profiled one can change the prediction
-only on examples with |m|/L <= d, the "at-risk" examples.  A profile
-belongs to one model on one dataset and knows no groups, so one profile
-serves every fairness notion.  ``bound_report`` takes the groups from the
-fairness spec's partition, makes one pass over the profile and builds three
-per-group term vectors, then combines each with the fairness coefficient
-magnitudes exactly as the fairness layer combines conditional accuracies:
+only on examples with |m|/L <= d, the "at-risk" examples.  That ratio is
+``MarginProfile.ratio``, which the fairness layer also reads to skip the
+examples a private draw cannot flip.  A profile belongs to one model on one
+dataset and knows no groups, so one profile serves every fairness notion.
+``bound_report`` takes the groups from the fairness spec's partition, makes
+one pass over the profile and builds three per-group term vectors, then
+combines each with the fairness coefficient magnitudes exactly as the
+fairness layer combines conditional accuracies:
 
 - "markov": the group mean of L/|m| (the pointwise Lipschitz factor chi)
   times d;
@@ -71,6 +73,17 @@ class MarginProfile:
     @property
     def n(self) -> int:
         return self.abs_margins.shape[0]
+
+    @property
+    def ratio(self) -> np.ndarray:
+        """|m|/L per example, infinite where L = 0.  A model can change the
+        prediction on an example only at a distance of at least its ratio
+        from the profiled model; within distance d, the examples with
+        ratio <= d are at risk."""
+        positive = self.lipschitz > 0
+        return np.divide(
+            self.abs_margins, self.lipschitz, out=np.full(self.n, math.inf), where=positive
+        )
 
 
 def margin_profile(m: LinearModel, d: Dataset) -> MarginProfile:
@@ -180,9 +193,7 @@ def bound_report(
     inverse_ratio = np.zeros(profile.n)  # L/|m|
     inverse_ratio[pos_l & ~live] = math.inf
     inverse_ratio[live] = lipschitz[live] / margins[live]
-    ratio = np.full(profile.n, math.inf)  # |m|/L
-    ratio[pos_l] = margins[pos_l] / lipschitz[pos_l]
-    at_risk = ratio <= dist
+    at_risk = profile.ratio <= dist
     zero_margin = np.isinf(inverse_ratio)  # also margins too small for L/|m| to be finite
 
     sizes = np.bincount(groups, minlength=num_groups)

@@ -11,10 +11,10 @@ fairness range next to three certificates per group:
 - the refined direction-aware bound for that farthest draw.
 
 Work that depends only on the training set runs once per training set: the
-optimum, its loss constants and margin profile, and per notion its fairness
-levels.  The epsilon axis trains every point on the same set, so it solves
-the optimum once per run; the n axis draws a fresh subsample, and solves
-once, per point.  Profiles carry no groups, so one profile of h* and one
+optimum, its loss constants, margin profile and scoring reference, and per
+notion its fairness levels.  The epsilon axis trains every point on the
+same set, so it solves the optimum once per run; the n axis draws a fresh
+subsample, and solves once, per point.  Profiles carry no groups, so one profile of h* and one
 refined profile per point serve every notion.  The fairness specs depend
 only on the evaluation set and are built once per run on both axes.  An
 error in shared work fails every grid point that needs it, with the same
@@ -22,9 +22,15 @@ failure row it would have had alone.
 
 The M draws of a point are one (M, Y, p) weight array from release to
 score: ``release_many`` draws and projects them together, their distances
-to h* are one vector pass, and ``group_fairness_many`` scores them in one
-blocked pass.  Only the farthest draw becomes a ``LinearModel``, for its
-refined profile.
+to h* are one vector pass, and ``group_fairness_many`` scores them.  It
+takes the draws in blocks, nearest to h* first, and scores a block only on
+the evaluation rows that its largest distance lets a draw flip: the rows
+whose |m|/L at h* is at most that distance, with a rounding allowance.
+The optimum's scoring reference sorts the rows by label and |m|/L once
+per h*, and supplies h*'s correct counts for the other rows, so every
+count, and every sweep value, is what scoring every row gives.  F(h*) is
+read from the same reference.  Only the farthest draw becomes a
+``LinearModel``, for its refined profile.
 
 All CSV output is byte-reproducible: a metadata preamble carries the config
 hash and seed, floats are printed in shortest round-trip form, and every
@@ -39,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -49,7 +55,13 @@ from . import bounds as bounds_mod
 from .config import parse_synthetic_spec, read_config
 from .dataset import Dataset, load_csv, split, synthesize
 from .exceptions import ConfigError, DataError, FairboundError
-from .fairness import FairnessSpec, NOTIONS, coefficients, group_fairness_all, group_fairness_many
+from .fairness import (
+    NOTIONS,
+    FairnessSpec,
+    ScoringReference,
+    coefficients,
+    group_fairness_many,
+)
 from .model import LinearModel, frobenius_norms
 from .privacy import (
     MECHANISMS,
@@ -159,22 +171,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, values: dict[str, str], seed: int | None = None) -> "ExperimentConfig":
-        """Config from file keys; ``seed``, when given, overrides the file's."""
+        """Config from file keys; ``seed``, when given, overrides the file's
+        once the file's own value has been checked."""
         unknown = sorted(set(values) - set(_CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown experiment config key(s): {', '.join(unknown)}")
         kwargs: dict[str, Any] = {} if seed is None else {"seed": seed}
         for key, f in _CONFIG_KEYS.items():
-            if f.name in kwargs:
-                continue
             if key in values:
                 try:
                     kwargs[f.name] = _CODECS[f.type][0](values[key])
                 except ValueError as exc:
                     raise ConfigError(f"bad experiment config value: {exc}")
-            elif f.default is MISSING:
+            elif f.default is MISSING and f.name not in kwargs:
                 raise ConfigError(f"experiment config is missing {key!r}")
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        return cfg if seed is None else replace(cfg, seed=seed)
 
     def canonical_text(self) -> str:
         pairs = {key: _CODECS[f.type][1](getattr(self, f.name)) for key, f in _CONFIG_KEYS.items()}
@@ -293,23 +305,33 @@ class _Memo:
 
 class _Optimum:
     """h* of one training set with the work that depends only on it and the
-    evaluation set: the loss constants, the margin profile of h* and per
-    notion F(h*) (each computed on first use)."""
+    evaluation set: the loss constants, the margin profile of h*, the
+    scoring reference that sorts the evaluation rows by label and |m|/L,
+    and F(h*) per notion (each computed on first use)."""
 
-    def __init__(self, cfg: ExperimentConfig, train: Dataset, eval_data: Dataset):
+    def __init__(self, cfg: ExperimentConfig, train: Dataset, eval_data: Dataset, specs: _Memo):
         self.hstar = fit_erm(train, cfg.lam, tol=cfg.tol)
         self.c = constants(train, cfg.lam, self.hstar.radius)
         self._eval_data = eval_data
-        self._f_star: dict[str, np.ndarray] = {}
+        self._specs = specs
 
     @cached_property
     def profile(self) -> bounds_mod.MarginProfile:
         return bounds_mod.margin_profile(self.hstar, self._eval_data)
 
-    def f_star(self, notion: str, spec: FairnessSpec) -> np.ndarray:
-        if notion not in self._f_star:
-            self._f_star[notion] = group_fairness_all(self.hstar, self._eval_data, spec)
-        return self._f_star[notion]
+    @cached_property
+    def reference(self) -> ScoringReference:
+        partitions = [spec.partition for spec in self._specs().values()]
+        return ScoringReference(self.hstar.weights, self.profile.ratio, self._eval_data, partitions)
+
+    @cached_property
+    def f_star(self) -> list[np.ndarray]:
+        """F(h*) per notion: h* scored as the distance-0 model of its own
+        reference, so it takes its counts from the reference."""
+        levels = group_fairness_many(
+            self.hstar.weights[None], self._eval_data, list(self._specs().values()), self.reference
+        )
+        return [level[0] for level in levels]
 
 
 def _specs(cfg: ExperimentConfig, eval_data: Dataset) -> dict[str, FairnessSpec]:
@@ -346,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
 
     specs = _Memo(lambda: _specs(cfg, eval_data))
     # every epsilon-axis point trains on train_all, so its h* is solved once
-    shared_optimum = _Memo(lambda: _Optimum(cfg, train_all, eval_data))
+    shared_optimum = _Memo(lambda: _Optimum(cfg, train_all, eval_data, specs))
     for g, grid_value in enumerate(grid):
         try:
             new_rows = _run_grid_point(
@@ -390,7 +412,7 @@ def _run_grid_point(
         idx = np.sort(rng.choice(train_all.n, size=n_g, replace=False))
         train = train_all.subset(idx)
         epsilon = cfg.epsilon
-        optimum = _Optimum(cfg, train, eval_data)
+        optimum = _Optimum(cfg, train, eval_data, specs)
     else:
         train = train_all
         n_g = train.n
@@ -413,13 +435,14 @@ def _run_grid_point(
 
     notion_specs = specs()
     dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
-    f_draws_all = group_fairness_many(weights, eval_data, list(notion_specs.values()))
+    f_draws_all = group_fairness_many(
+        weights, eval_data, list(notion_specs.values()), optimum.reference
+    )
     farthest = LinearModel(weights[far_idx], c.radius)
     refined_profile = bounds_mod.refined_lipschitz_profile(hstar, farthest, eval_data)
 
     rows: list[str] = []
-    for (notion, spec), f_draws in zip(notion_specs.items(), f_draws_all):
-        f_star = optimum.f_star(notion, spec)
+    for (notion, spec), f_star, f_draws in zip(notion_specs.items(), optimum.f_star, f_draws_all):
         lemma = bounds_mod.bound_report(optimum.profile, spec, dist_lemma, provenance)
         measured = bounds_mod.bound_report(optimum.profile, spec, dist_measured)
         refined = bounds_mod.bound_report(refined_profile, spec, dist_measured)

@@ -9,8 +9,11 @@ the model.  ``coefficients`` builds those tables; ``direct_fairness``
 evaluates each notion's definitional formula straight from counts and serves
 as the independent oracle that the affine form must reproduce exactly.
 ``group_fairness_many`` evaluates an (M, Y, p) stack of models under several
-notions in one blocked pass; every affine-form evaluation, one model
-included, goes through it.
+notions at once; every affine-form evaluation, one model included, goes
+through it.  Given a ``ScoringReference`` h*, it scores each model only on
+the examples whose margin at h* the model's distance from h* lets it flip,
+and takes its other correct counts from h*.  The counts are integers and
+exactly those of scoring every example, so the levels are too.
 
 Supported notions and their group indexing:
 
@@ -42,13 +45,19 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, GroupPartition, partition, single_group_partition
-from .model import LinearModel, check_fits, predict_many
+from .model import LinearModel, check_fits, frobenius_norms, predict_many
 
-# Number of (example, model, label) scores computed at once when evaluating
-# many models: as many models as fit, and at least one, so working memory
-# does not grow with the model count.  At 2**15 the block temporaries add
-# about 1 MB to peak memory on a 400-draw sweep; 2**16 was no faster and
-# added twice that.
+# Models are scored DRAW_BLOCK at a time.  With a reference, a block is
+# scored on the longest prefix any of its models needs, so small blocks
+# prune more and large ones pay less per call: on the 400-draw, 4,000-row
+# sweep-eps-op points 25 draws scored fastest, and 50 or 100 were slower.
+# A block's scores are computed at most SCORE_BLOCK (model, label, example)
+# scores at a time, so working memory grows with neither the model nor the
+# example count.  2**15 keeps peak memory at its level before pruning;
+# 2**18 scored no faster and added about 1.5 MB to a sweep-eps-op op.  The
+# bound also keeps each float32 count of a chunk, a sum of at most
+# SCORE_BLOCK ones, exact.
+DRAW_BLOCK = 25
 SCORE_BLOCK = 1 << 15
 
 NOTIONS = (
@@ -188,51 +197,186 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
     )
 
 
+class _Layout:
+    """The examples of a dataset in scoring order, with the one-hot group
+    matrices of several partitions side by side in the same order (float32,
+    which holds each count of a chunk exactly; see ``SCORE_BLOCK``).
+
+    The examples are sorted by label (stably), so each label's examples form
+    one segment; with ``key``, each segment is sorted by it in turn.  The
+    features are stored transposed, one example per column, because a
+    matrix product reads a column range of that faster than a row range
+    of the (n, p) matrix.
+    """
+
+    def __init__(
+        self, d: Dataset, partitions: Sequence[GroupPartition], key: np.ndarray | None = None
+    ):
+        if key is None:
+            self.order = np.argsort(d.labels, kind="stable")
+        else:
+            self.order = np.lexsort((key, d.labels))
+        self.features_t = np.ascontiguousarray(d.features[self.order].T)
+        sizes = np.bincount(d.labels, minlength=d.num_labels)
+        self.bounds = np.concatenate(([0], np.cumsum(sizes)))
+        self.ends = np.cumsum([part.num_groups for part in partitions])
+        self.onehot = np.zeros((d.n, self.ends[-1]), dtype=np.float32)
+        for part, end in zip(partitions, self.ends):
+            self.onehot[np.arange(d.n), end - part.num_groups + part.assignment[self.order]] = 1.0
+
+    def segments(self):
+        """(label, first row, end row) of each label's segment."""
+        return zip(range(len(self.bounds) - 1), self.bounds[:-1], self.bounds[1:])
+
+
+def _correct(weights: np.ndarray, features_t: np.ndarray, y: int) -> np.ndarray:
+    """(M, n) flags: whether each model of the (M, Y, p) stack classifies
+    each column of the (p, n) ``features_t``, all of label y, correctly.
+    That is exactly when row y's score beats every lower label's row
+    strictly and every higher label's row or ties it: argmax with ties
+    going to the lowest label."""
+    num_models, num_labels, p = weights.shape
+    scores = (weights.reshape(num_models * num_labels, p) @ features_t).reshape(
+        num_models, num_labels, features_t.shape[1]
+    )
+    true = scores[:, y]
+    correct = np.ones(true.shape, dtype=bool) if num_labels == 1 else None
+    for other in range(num_labels):
+        if other != y:
+            beats = np.greater if other < y else np.greater_equal
+            flags = beats(true, scores[:, other])
+            correct = flags if correct is None else np.logical_and(correct, flags, out=correct)
+    return correct
+
+
+class ScoringReference:
+    """A model h* prepared so that :func:`group_fairness_many` scores each
+    model of a stack only on the rows that its distance from h* lets it
+    flip, and takes the rest of its counts from h*.
+
+    ``ratio`` holds, per example of ``d``, the ratio |m|/L of h*'s margin
+    to its Lipschitz constant, as ``MarginProfile.ratio`` of h*'s margin
+    profile on ``d`` gives it.  The reference serves only ``d`` and
+    ``partitions``, the very objects it was built with.
+    """
+
+    def __init__(
+        self,
+        weights: np.ndarray,
+        ratio: np.ndarray,
+        d: Dataset,
+        partitions: Sequence[GroupPartition],
+    ):
+        weights = np.asarray(weights, dtype=np.float64)
+        check_fits(weights, d)
+        if np.shape(ratio) != (d.n,):
+            raise ValueError(f"ratio must have one entry per example of the data, {d.n}")
+        self.data = d
+        self.partitions = tuple(partitions)
+        self.weights = weights
+        self.norm = float(np.linalg.norm(weights))
+        # 8g of the derivation in _correct_counts
+        k = (weights.shape[0] + 1) * weights.shape[1] + 4
+        self.widening = 8.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        self.layout = _Layout(d, partitions, key=ratio)
+        self.ratio = np.asarray(ratio, dtype=np.float64)[self.layout.order]
+        correct = np.concatenate(
+            [_correct(weights[None], self.layout.features_t[:, lo:hi], y)[0]
+             for y, lo, hi in self.layout.segments()]
+        )
+        # per-group counts of the rows before each position that h* gets
+        # right; int32 holds any count of a dataset that fits in memory
+        self.correct_before = np.zeros((d.n + 1, self.layout.ends[-1]), dtype=np.int32)
+        np.cumsum(self.layout.onehot * correct[:, None], axis=0, dtype=np.int32,
+                  out=self.correct_before[1:])
+
+
 def _correct_counts(
-    weights: np.ndarray, d: Dataset, partitions: Sequence[GroupPartition]
+    weights: np.ndarray,
+    d: Dataset,
+    partitions: Sequence[GroupPartition],
+    reference: ScoringReference | None = None,
 ) -> list[np.ndarray]:
     """Per partition, the (M, K) integer count of each group's examples that
     each of the M stacked (M, Y, p) models classifies correctly.
 
-    The examples are sorted by label once (stably), so each label's examples
-    form one segment of the (models, Y, n) scores.  Models are scored a
-    block at a time, as many as fit in ``SCORE_BLOCK`` scores (at least
-    one).  On label y's segment a model classifies an example correctly
-    exactly when row y's score beats every lower label's row strictly and
-    every higher label's row or ties it: argmax with ties going to the
-    lowest label.  The 0/1 flags of a block are multiplied by the one-hot
-    group matrices of all partitions side by side, with rows in the same
-    sorted order; the products sum integers below 2**53, so the float64
-    counts are exact.
+    Models are scored a block at a time (see ``DRAW_BLOCK``), each label's
+    segment of examples in chunks of at most ``SCORE_BLOCK`` scores, with
+    one matrix product and the comparisons of :func:`_correct` per chunk.
+    The 0/1 flags of a chunk are multiplied by the one-hot group matrices
+    of all partitions side by side; each product sums at most
+    ``SCORE_BLOCK`` ones, so every count is exact.
+
+    Without a reference every example is scored.  With a reference h*, the
+    models are taken in order of their distance d' from h*, computed here.
+    A block scores each label's segment only on its prefix of examples
+    whose ratio r = |m|/L at h* is at most t(d') = d' + 8g(d' + ||h*||), d'
+    the block's largest distance; each model's counts on the other examples
+    are h*'s.  The result is exactly the every-example count, because a
+    model classifies each skipped example as h* does, in floating point:
+
+    - Let u = 2**-53, gamma_k = k*u / (1 - k*u) and g = gamma_k at
+      k = (Y + 1)p + 4, which bounds each relative rounding below.
+      Underflow and overflow are left out.
+    - A p-term dot product w.x computed in any order, with or without FMA,
+      is within gamma_p ||w|| ||x|| of its exact value, and a weight row's
+      norm is at most its model's.  So a model W at exact distance d from
+      h* has every score within g(||h*|| + d)||x||, and h* within
+      g||h*|| ||x||.
+    - Take an example x of label y and L = 2||x||.  Its margin m at h* is
+      the smallest exact gap s_y - s_y' over the labels y' != y.  Going
+      from h* to W moves each gap by (W - h*)_y.x - (W - h*)_y'.x, at most
+      sqrt(2) d ||x|| <= L d in size.
+    - So if |m| > L d + 2g(||h*|| + d)||x||, the computed scores of W and
+      of h* order the labels alike where it matters: for m > 0 label y
+      beats every other label strictly under both, and for m < 0 the label
+      whose gap is m beats y strictly under both.  In ratio units the
+      condition is |m|/L > d + g(||h*|| + d).
+    - The ratio is computed too.  The profile's margin is within
+      2g||h*|| ||x|| of m, and r = fl(|m'|/fl(L)) of that margin m' gives
+      |m'| >= r L (1 - g); so |m|/L >= r(1 - g) - g||h*||.  The computed
+      distance gives d <= d'/(1 - g).
+    - For g <= 0.01 the condition then holds once
+      r > d' + 4g(d' + ||h*||).  t doubles that widening to cover the
+      rounding of t and of ||h*||.
+
+    An example with L = 0 is the zero vector: every model scores it 0 on
+    every label, and its ratio is infinite.
     """
-    num_models, num_labels, p = weights.shape
-    flat = weights.reshape(num_models * num_labels, p)
-    models_per_block = min(num_models, max(1, SCORE_BLOCK // (d.n * num_labels)))
-    order = np.argsort(d.labels, kind="stable")
-    features = d.features[order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(d.labels, minlength=num_labels))))
-    ends = np.cumsum([part.num_groups for part in partitions])
-    onehot = np.zeros((d.n, ends[-1]))
-    for part, end in zip(partitions, ends):
-        onehot[np.arange(d.n), end - part.num_groups + part.assignment[order]] = 1.0
-    counts = np.empty((num_models, ends[-1]), dtype=np.int64)
-    correct = np.empty((models_per_block, d.n), dtype=bool)
-    for m0 in range(0, num_models, models_per_block):
-        m1 = min(m0 + models_per_block, num_models)
-        scores = (flat[m0 * num_labels : m1 * num_labels] @ features.T).reshape(
-            m1 - m0, num_labels, d.n
-        )
-        for y in range(num_labels):
-            lo, hi = bounds[y], bounds[y + 1]
-            true = scores[:, y, lo:hi]
-            segment = correct[: m1 - m0, lo:hi]
-            segment[...] = True
-            for other in range(num_labels):
-                if other != y:
-                    beats = np.greater if other < y else np.greater_equal
-                    segment &= beats(true, scores[:, other, lo:hi])
-        counts[m0:m1] = correct[: m1 - m0].astype(np.float64) @ onehot
-    return np.split(counts, ends[:-1], axis=1)
+    num_models, num_labels = weights.shape[:2]
+    if reference is None:
+        layout = _Layout(d, partitions)
+        order = np.arange(num_models)
+    else:
+        if d is not reference.data or [*map(id, partitions)] != [*map(id, reference.partitions)]:
+            raise ValueError("the scoring reference was built for other data or partitions")
+        layout = reference.layout
+        dists = frobenius_norms(weights - reference.weights)
+        order = np.argsort(dists, kind="stable")
+    counts = np.empty((num_models, layout.ends[-1]), dtype=np.int64)
+    for b0 in range(0, num_models, DRAW_BLOCK):
+        block = order[b0 : b0 + DRAW_BLOCK]
+        block_weights = weights[block]
+        rows_per_chunk = max(1, SCORE_BLOCK // (len(block) * num_labels))
+        if reference is None:
+            stops = layout.bounds[1:]
+            block_counts = np.zeros(layout.ends[-1])
+        else:
+            dist = dists[block[-1]]
+            limit = dist + reference.widening * (dist + reference.norm)
+            stops = np.array(
+                [lo + np.searchsorted(reference.ratio[lo:hi], limit, side="right")
+                 for _, lo, hi in layout.segments()]
+            )
+            skipped = reference.correct_before[layout.bounds[1:]] - reference.correct_before[stops]
+            block_counts = skipped.sum(axis=0).astype(np.float64)
+        for (y, lo, _), stop in zip(layout.segments(), stops):
+            for start in range(lo, stop, rows_per_chunk):
+                end = min(start + rows_per_chunk, stop)
+                correct = _correct(block_weights, layout.features_t[:, start:end], y)
+                block_counts = block_counts + correct.astype(np.float32) @ layout.onehot[start:end]
+        counts[block] = block_counts
+    return np.split(counts, layout.ends[:-1], axis=1)
 
 
 def _accuracies(counts: np.ndarray, part: GroupPartition) -> tuple[np.ndarray, np.ndarray]:
@@ -263,20 +407,26 @@ def group_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec, k: int) -> fl
 
 
 def group_fairness_many(
-    weights: np.ndarray, d: Dataset, specs: Sequence[FairnessSpec]
+    weights: np.ndarray,
+    d: Dataset,
+    specs: Sequence[FairnessSpec],
+    reference: ScoringReference | None = None,
 ) -> list[np.ndarray]:
     """Fairness levels of the M models of an (M, Y, p) weight stack under
     several specs in one pass.
 
     Returns one (M, K) array per spec whose row j equals
     ``group_fairness_all(LinearModel(weights[j], R), d, spec)`` exactly.
-    Every model must have the data's (num_labels, p) shape.
+    Every model must have the data's (num_labels, p) shape.  A
+    ``reference`` built for ``d`` and the specs' partitions, in order,
+    saves scoring each model on the examples it cannot flip; the levels
+    are the same.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 3 or len(weights) == 0:
         raise ValueError("an (M, num_labels, p) stack of at least one model is required")
     check_fits(weights, d)
-    counts = _correct_counts(weights, d, [spec.partition for spec in specs])
+    counts = _correct_counts(weights, d, [spec.partition for spec in specs], reference)
     levels = []
     for spec, spec_counts in zip(specs, counts):
         values, _ = _accuracies(spec_counts, spec.partition)

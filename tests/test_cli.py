@@ -389,6 +389,8 @@ class TestExitCodes:
             ["test-fraction = 0"],
             ["test-fraction = 0.9999"],
             ["notions ="],
+            ["seed = x"],
+            ["seed = -1"],
         ],
         ids=lambda lines: ";".join(lines),
     )

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairbound import experiment, privacy
+from fairbound import experiment, fairness, privacy
 from fairbound.config import parse_config_text, parse_synthetic_spec
 from fairbound.dataset import synthesize
 from fairbound.exceptions import ConfigError
@@ -180,6 +180,45 @@ class TestRunExperiment:
             worst = max(abs(float(row["f_priv_min"]) - f_star),
                         abs(float(row["f_priv_max"]) - f_star))
             assert worst <= bound + 1e-12
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(sweep_axis="epsilon", grid_start=0.1, grid_stop=4.0, grid_count=4, draws=60,
+                 notions=("equalized_odds", "accuracy_parity", "demographic_parity_binary")),
+            dict(mechanism="dp_sgd", grid_start=150, grid_stop=300, grid_count=2, draws=3,
+                 notions=("equalized_odds", "accuracy_parity")),
+        ],
+        ids=["epsilon-output-perturbation", "n-dp-sgd"],
+    )
+    def test_pruned_scoring_leaves_the_sweep_unchanged(self, spec_file, tmp_path, monkeypatch,
+                                                       overrides):
+        # at these sizes a DP-SGD draw lies far enough from h* to flip
+        # every row, so only the epsilon sweep must score fewer rows
+        scored = []
+        real_correct = fairness._correct
+
+        def counting(weights, features_t, y):
+            scored[-1] += len(weights) * features_t.shape[1]
+            return real_correct(weights, features_t, y)
+
+        monkeypatch.setattr(fairness, "_correct", counting)
+        cfg = base_config(spec_file, **overrides)
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for name in ("pruned", "every_row"):
+                if name == "every_row":
+                    monkeypatch.setattr(experiment._Optimum, "reference", None)
+                scored.append(0)
+                results.append(run_experiment(cfg, str(tmp_path / name)))
+        pruned, every_row = results
+        assert pruned.failures == [] and pruned.rows > 0
+        if cfg.mechanism == "output_perturbation":
+            assert scored[0] < 0.7 * scored[1]
+        for a, b in [(pruned.sweep_path, every_row.sweep_path),
+                     (pruned.failures_path, every_row.failures_path)]:
+            assert open(a, "rb").read() == open(b, "rb").read()
 
     @pytest.mark.parametrize("axis,grid,fits", [("epsilon", (0.1, 1.0), 1), ("n", (100, 800), 3)])
     def test_optimum_solved_once_per_training_set(self, spec_file, tmp_path, monkeypatch,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairbound import fairness
+from fairbound.bounds import margin_profile
 from fairbound.dataset import partition
 from fairbound.fairness import (
     NOTIONS,
@@ -316,3 +317,110 @@ class TestGroupFairnessMany:
             for row, c in zip(levels, counts):
                 v = np.divide(c, sizes, out=np.zeros(spec.num_groups), where=sizes > 0)
                 assert np.all(row == spec.offsets + spec.coeffs @ v)
+
+
+def _unit(rng, shape):
+    direction = rng.normal(size=shape)
+    return direction / np.linalg.norm(direction)
+
+
+class TestPrunedScoring:
+    """A scoring reference skips the examples a model cannot flip; the
+    counts must equal scoring every example."""
+
+    @given(
+        num_labels=st.integers(2, 5),
+        num_sensitive=st.integers(1, 3),
+        n=st.integers(1, 60),
+        p=st.integers(1, 4),
+        num_draws=st.integers(1, 30),
+        block=st.integers(1, 30),
+        score_block=st.integers(1, 400),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_every_row_counts(
+        self, num_labels, num_sensitive, n, p, num_draws, block, score_block, integer, seed
+    ):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, num_labels, n)
+        sensitive = rng.integers(0, num_sensitive, n)
+        if integer:
+            # exact arithmetic: ties at h* are exact, and so are the draws'
+            # scores however a matrix product orders its sums
+            features = np.hstack([rng.integers(-2, 3, (n, p - 1)), np.ones((n, 1))])
+            hstar = rng.integers(-1, 2, (num_labels, p)).astype(float)
+            steps = rng.integers(-1, 2, (num_draws, num_labels, p))
+            draws = hstar + steps * rng.integers(0, 3, (num_draws, 1, 1))
+        else:
+            features = np.hstack([rng.normal(size=(n, p - 1)), np.ones((n, 1))])
+            hstar = rng.normal(size=(num_labels, p))
+            # near-tie margins at h*: labels 0 and 1 score almost alike
+            hstar[1] = hstar[0] + 1e-9 * rng.normal(size=p)
+        # one more sensitive value than is drawn, so some groups are empty
+        d = make_dataset(features, sensitive, labels, num_labels, num_sensitive + 1)
+        parts = [partition(d, "by_label_and_sensitive"), partition(d, "by_sensitive"),
+                 coefficients(d, "accuracy").partition]
+        radius = np.linalg.norm(hstar)
+        ratio = margin_profile(LinearModel(hstar, radius + 1.0), d).ratio
+        reference = fairness.ScoringReference(hstar, ratio, d, parts)
+        if not integer:
+            draws = []
+            for kind in rng.integers(0, 5, num_draws):
+                i = rng.integers(n)
+                if kind == 0:  # distance 0
+                    draws.append(hstar.copy())
+                elif kind == 1:  # at row i's ratio, straight against its margin
+                    rival = (labels[i] + 1 + rng.integers(num_labels - 1)) % num_labels
+                    step = np.zeros((num_labels, p))
+                    step[rival], step[labels[i]] = features[i], -features[i]
+                    draws.append(hstar + ratio[i] * step / np.linalg.norm(step))
+                elif kind == 2:  # at row i's ratio, in a random direction
+                    draws.append(hstar + ratio[i] * _unit(rng, (num_labels, p)))
+                elif kind == 3:  # beyond the ball's diameter
+                    draws.append(hstar + (2 * radius + 1.0) * _unit(rng, (num_labels, p)))
+                else:
+                    draws.append(hstar + rng.exponential(0.3) * _unit(rng, (num_labels, p)))
+            draws = np.stack(draws)
+        with mock.patch.multiple(fairness, DRAW_BLOCK=block, SCORE_BLOCK=score_block):
+            pruned = fairness._correct_counts(draws, d, parts, reference)
+        every_row = fairness._correct_counts(draws, d, parts)
+        for a, b in zip(pruned, every_row):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+
+    def test_skips_rows_and_keeps_levels(self, rng):
+        d = random_dataset(rng, 400, p=4, num_labels=3, num_sensitive=2)
+        hstar = rng.normal(size=(3, 4))
+        draws = hstar + 0.05 * rng.normal(size=(60, 3, 4))
+        specs = [spec_for(d, notion)[0] for notion in ("equalized_odds", "accuracy_parity")]
+        ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
+        reference = fairness.ScoringReference(hstar, ratio, d, [s.partition for s in specs])
+        scored = []
+        real = fairness._correct
+
+        def counting(weights, features_t, y):
+            scored.append(len(weights) * features_t.shape[1])
+            return real(weights, features_t, y)
+
+        with mock.patch.object(fairness, "_correct", counting):
+            pruned = group_fairness_many(draws, d, specs, reference)
+        assert sum(scored) < 0.5 * len(draws) * d.n
+        for a, b in zip(pruned, group_fairness_many(draws, d, specs)):
+            assert np.array_equal(a, b)
+
+    def test_reference_serves_only_its_data_and_partitions(self, rng):
+        d = random_dataset(rng, 50)
+        other = random_dataset(rng, 50)
+        spec = coefficients(d, "accuracy_parity")
+        hstar = rng.normal(size=(2, 3))
+        ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
+        reference = fairness.ScoringReference(hstar, ratio, d, [spec.partition])
+        weights = hstar[None] + 0.1
+        group_fairness_many(weights, d, [spec], reference)
+        with pytest.raises(ValueError, match="scoring reference"):
+            group_fairness_many(weights, other, [coefficients(other, "accuracy_parity")], reference)
+        with pytest.raises(ValueError, match="scoring reference"):
+            group_fairness_many(weights, d, [coefficients(d, "accuracy_parity")], reference)
+        with pytest.raises(ValueError, match="one entry per example"):
+            fairness.ScoringReference(hstar, ratio[:-1], d, [spec.partition])
