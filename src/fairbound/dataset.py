@@ -325,8 +325,11 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
     )
 
 
-def split(d: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Random disjoint (train, test) split; deterministic per seed.
+def split(
+    d: Dataset, fraction: float, seed: int | np.random.SeedSequence | np.random.Generator
+) -> tuple[Dataset, Dataset]:
+    """Random disjoint (train, test) split; deterministic per seed, which is
+    anything ``np.random.default_rng`` accepts.
 
     ``fraction`` is the train share.  Both parts keep the parent's id
     mappings and appear in the parent's row order.

@@ -28,16 +28,25 @@ the evaluation rows that its largest distance lets a draw flip: the rows
 whose |m|/L at h* is at most that distance, with a rounding allowance.
 The optimum's scoring reference sorts the rows by label and |m|/L once
 per h*, and supplies h*'s correct counts for the other rows, so every
-count, and every sweep value, is what scoring every row gives.  F(h*) is
-read from the same reference.  Only the farthest draw becomes a
+count, and every sweep value, is what scoring every row gives, up to the
+rounding-level ties noted at ``group_fairness_many``.  F(h*) is read from
+the same reference.  Only the farthest draw becomes a
 ``LinearModel``, for its refined profile.
 
 All CSV output is byte-reproducible: a metadata preamble carries the config
-hash and seed, floats are printed in shortest round-trip form, and every
-random draw comes from its own PCG64 substream of the seed: draw j of grid
-point g from key (g, j), and grid point g's n-axis training subsample from
-key (g,).  A subsample key has one element and a draw key two, so no draw
-shares the stream that chose its training rows.
+hash and seed, and floats are printed in shortest round-trip form.  Every
+random value comes from a NumPy stream of the seed,
+``default_rng(SeedSequence(seed, spawn_key=key))``, keyed by role:
+
+    key      stream of
+    ()       the synthetic data (the root stream of the seed)
+    (0,)     the eval split's train/test permutation
+    (1, g)   grid point g: on the n axis its training subsample first,
+             then its M private draws
+
+A grid point's draws come from its stream one after another (all the
+output-perturbation noise in one ``normal`` call), so draw j does not
+depend on M.  The ``# streams=`` preamble line names this layout.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -70,7 +79,7 @@ from .privacy import (
     dpsgd,
     dpsgd_distance_bound,
     output_perturb_many,
-    _substream,
+    stream,
 )
 from .trainer import DEFAULT_TOL, constants, fit_erm
 
@@ -227,17 +236,19 @@ def release_many(
     train: Dataset,
     c,
     pp: PrivacyParams,
-    substreams: Sequence[int | tuple[int, ...]],
+    rng: np.random.Generator,
+    draws: int,
 ) -> np.ndarray:
-    """(M, Y, p) stack of the private models that the lemma distance of
+    """(draws, Y, p) stack of the private models that the lemma distance of
     ``pp.mechanism`` describes: output perturbation of h*, or DP-SGD on
-    ``train`` for the lemma-3 schedule's T steps with T^2 noise.  Draw j
-    is deterministic per (pp.seed, substreams[j])."""
+    ``train`` for the lemma-3 schedule's T steps with T^2 noise.  Every
+    draw comes from ``rng``, one draw after another, so draw j is the same
+    for every ``draws`` > j."""
     if pp.mechanism == "output_perturbation":
-        return output_perturb_many(hstar, c, train.n, pp, substreams)
+        return output_perturb_many(hstar, c, train.n, pp, rng, draws)
     steps = dpsgd_distance_bound(hstar.num_params, c, train.n, pp).steps
     cfg = DpSgdConfig.calibrated(c, train.n, pp, steps)
-    return np.stack([dpsgd(train, c, pp, cfg, substream=s).weights for s in substreams])
+    return np.stack([dpsgd(train, c, pp, cfg, substream=rng).weights for _ in range(draws)])
 
 
 def release(
@@ -247,8 +258,10 @@ def release(
     pp: PrivacyParams,
     substream: int | tuple[int, ...] = 0,
 ) -> LinearModel:
-    """One private model: the one-draw case of :func:`release_many`."""
-    return LinearModel(release_many(hstar, train, c, pp, [substream])[0], c.radius)
+    """One private model, deterministic per (pp.seed, substream): the first
+    draw of :func:`release_many` on ``stream(pp.seed, substream)``."""
+    weights = release_many(hstar, train, c, pp, stream(pp.seed, substream), 1)[0]
+    return LinearModel(weights, c.radius)
 
 
 @dataclass
@@ -347,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     base = _load_base_data(cfg)
     if cfg.eval_split == "test":
         try:
-            train_all, eval_data = split(base, 1.0 - cfg.test_fraction, seed=cfg.seed)
+            train_all, eval_data = split(base, 1.0 - cfg.test_fraction, seed=stream(cfg.seed, (0,)))
         except ValueError as exc:  # a test-fraction that leaves one part empty
             raise ConfigError(f"test-fraction {cfg.test_fraction!r}: {exc}")
     else:
@@ -359,7 +372,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
         "# fairbound experiment",
         f"# config_hash={cfg.config_hash()}",
         f"# seed={cfg.seed}",
-        "# substreams=(grid_index,draw_index)",
+        "# streams=data:root,eval_split:(0,),grid_point:(1,grid_index)",
         f"# eval_split={cfg.eval_split}",
     ]
     lines = header + [",".join(SWEEP_COLUMNS)]
@@ -403,12 +416,11 @@ def _run_grid_point(
     specs: _Memo,
     shared_optimum: _Memo,
 ) -> list[str]:
+    rng = stream(cfg.seed, (1, g))
     if cfg.sweep_axis == "n":
         n_g = int(round(grid_value))
         if n_g < 2 or n_g > train_all.n:
             raise ConfigError(f"grid n={n_g} outside [2, {train_all.n}]")
-        # a one-element key, so it equals no draw key (g, j)
-        rng = _substream(cfg.seed, (g,))
         idx = np.sort(rng.choice(train_all.n, size=n_g, replace=False))
         train = train_all.subset(idx)
         epsilon = cfg.epsilon
@@ -428,7 +440,7 @@ def _run_grid_point(
         seed=cfg.seed,
     )
 
-    weights = release_many(hstar, train, c, pp, [(g, j) for j in range(cfg.draws)])
+    weights = release_many(hstar, train, c, pp, rng, cfg.draws)
     dists = frobenius_norms(hstar.weights - weights)
     far_idx = int(np.argmax(dists))
     dist_measured = float(dists[far_idx])

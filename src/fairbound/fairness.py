@@ -13,7 +13,8 @@ notions at once; every affine-form evaluation, one model included, goes
 through it.  Given a ``ScoringReference`` h*, it scores each model only on
 the examples whose margin at h* the model's distance from h* lets it flip,
 and takes its other correct counts from h*.  The counts are integers and
-exactly those of scoring every example, so the levels are too.
+equal those of scoring every example, up to the rounding-level near ties
+described at ``group_fairness_many``.
 
 Supported notions and their group indexing:
 
@@ -415,12 +416,14 @@ def group_fairness_many(
     """Fairness levels of the M models of an (M, Y, p) weight stack under
     several specs in one pass.
 
-    Returns one (M, K) array per spec whose row j equals
-    ``group_fairness_all(LinearModel(weights[j], R), d, spec)`` exactly.
-    Every model must have the data's (num_labels, p) shape.  A
+    Returns one (M, K) array per spec.  Row j has the correct counts of
+    ``group_fairness_all(LinearModel(weights[j], R), d, spec)`` except on
+    an example where model j's two best label scores tie to within the
+    rounding of the BLAS matrix product, which varies with the product's
+    shape: such an example may count as correct in one stack and not in
+    another.  Every model must have the data's (num_labels, p) shape.  A
     ``reference`` built for ``d`` and the specs' partitions, in order,
-    saves scoring each model on the examples it cannot flip; the levels
-    are the same.
+    saves scoring each model on the examples it cannot flip.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 3 or len(weights) == 0:

@@ -17,22 +17,18 @@ comparison value of ``dpsgd_noise``.  Both mechanisms come with closed-form
 high-probability bounds on the distance between the released model and the
 optimum, which the fairness-gap bounds consume.
 
-All randomness flows through PCG64 substreams keyed by (seed, key), each in
-the state of NumPy's ``default_rng(SeedSequence(seed, spawn_key=key))``, so
-independent draws are reproducible and can run concurrently.
-:func:`pcg64_states` computes those states for many keys at once: the
-SeedSequence hash (NumPy NEP 19) mixes every key with the same constants,
-so it runs as uint32 array arithmetic over the keys, and PCG64's seeding
-step runs in Python integers.  No SeedSequence object is built.
+Every random value comes from a NumPy generator.  :func:`stream` builds
+the generator of one key, ``default_rng(SeedSequence(seed, spawn_key=key))``;
+the one-release functions take a key (``dpsgd`` also takes a generator),
+and the many-release functions take a generator and draw all their
+releases from it in order.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,134 +71,11 @@ class PrivacyParams:
             )
 
 
-# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative integer, [0] for 0, as
-    SeedSequence splits its entropy and spawn key elements."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hashmix(value: np.ndarray, hash_const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * np.uint32(hash_const)
-    return value ^ (value >> _XSHIFT), hash_const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> _XSHIFT)
-
-
-def pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=key))``
-    for every key, bit for bit.
-
-    SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` run as
-    uint32 array arithmetic with one column per key; the run entropy is
-    zero-padded to the pool size, as NumPy does when a spawn key is present
-    (for an empty key the padding hashes the same as the pool's own
-    zero-fill).  A negative seed or key element raises ``ValueError``.
-    """
-    run = _uint32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    spawn = [[w for element in key for w in _uint32_words(element)] for key in keys]
-    if not spawn:
-        return []
-    lengths = np.array([len(run) + len(words) for words in spawn])
-    width = max(map(len, spawn))
-    entropy = np.array(
-        [run + words + [0] * (width - len(words)) for words in spawn], dtype=np.uint32
-    ).T
-
-    # mix_entropy: hash the first pool-size words, cross-mix the pool, then
-    # fold each further word into every pool word (only where a key has it)
-    hash_const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        value, hash_const = _hashmix(entropy[i], hash_const)
-        pool.append(value)
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                value, hash_const = _hashmix(pool[i_src], hash_const)
-                pool[i_dst] = _mix(pool[i_dst], value)
-    for i_src in range(_POOL_SIZE, entropy.shape[0]):
-        present = i_src < lengths
-        for i_dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(entropy[i_src], hash_const)
-            pool[i_dst] = np.where(present, _mix(pool[i_dst], value), pool[i_dst])
-
-    # generate_state(4, uint64): eight words cycling over the pool, read as
-    # four little-endian uint64 words
-    hash_const = _INIT_B
-    out = []
-    for i in range(2 * _POOL_SIZE):
-        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        out.append(value.astype(np.uint64))
-    words = [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-
-    # pcg64_set_seed: initstate = (w0, w1), initseq = (w2, w3) as (high, low)
-    states = []
-    for w0, w1, w2, w3 in zip(*words):
-        initstate, initseq = w0 << 64 | w1, w2 << 64 | w3
-        inc = (initseq << 1 | 1) & _MASK128
-        state = inc  # one LCG step from state 0
-        state = (state + initstate) & _MASK128
-        state = (state * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
-
-
-class _PlaceholderSeed(np.random.bit_generator.ISeedSequence):
-    """Zero seed words for a PCG64 whose state is set before every use;
-    building it this way skips NumPy's SeedSequence."""
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return np.zeros(n_words, dtype=dtype)
-
-
-def _generators(seed: int, keys: Sequence[tuple[int, ...]]) -> Iterator[np.random.Generator]:
-    """For each key in turn, a generator in the state of
-    ``default_rng(SeedSequence(seed, spawn_key=key))``.  One generator is
-    reset and yielded every time, so use it before advancing."""
-    rng = np.random.Generator(np.random.PCG64(_PlaceholderSeed()))
-    for state, inc in pcg64_states(seed, keys):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-
-
-def _key(substream: int | tuple[int, ...]) -> tuple[int, ...]:
-    return substream if isinstance(substream, tuple) else (substream,)
-
-
-def _substream(seed: int, substream: int | tuple[int, ...]) -> np.random.Generator:
-    """The generator of one key: the one-key case of :func:`_generators`."""
-    return next(_generators(seed, [_key(substream)]))
+def stream(seed: int, key: int | tuple[int, ...] = ()) -> np.random.Generator:
+    """NumPy's ``default_rng(SeedSequence(seed, spawn_key=key))``; an int
+    key k is the key (k,), and the empty key is the seed's root stream."""
+    spawn_key = key if isinstance(key, tuple) else (key,)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
 def output_noise_variance(
@@ -223,23 +96,20 @@ def output_perturb_many(
     c: LossConstants,
     n: int,
     pp: PrivacyParams,
-    substreams: Sequence[int | tuple[int, ...]],
+    rng: np.random.Generator,
+    draws: int,
 ) -> np.ndarray:
-    """(M, Y, p) stack of releases project(h* + N(0, sigma^2 I), R), draw j
-    deterministic per (pp.seed, substreams[j]).
+    """(draws, Y, p) stack of releases project(h* + N(0, sigma^2 I), R).
 
-    Each draw's noise comes from its own substream, so a draw does not
-    depend on which other draws are released with it.
+    The noise is one ``rng.normal`` call of shape (draws, Y, p), which NumPy
+    fills draw by draw, so draw j is the same for every ``draws`` > j.
     """
     if pp.mechanism != "output_perturbation":
         raise ValueError("privacy params request a different mechanism")
     sigma = math.sqrt(
         output_noise_variance(c.loss_lipschitz, c.strong_convexity, n, pp.epsilon, pp.delta)
     )
-    noise = np.empty((len(substreams), *hstar.weights.shape))
-    keys = [_key(substream) for substream in substreams]
-    for j, rng in enumerate(_generators(pp.seed, keys)):
-        noise[j] = rng.normal(0.0, sigma, size=hstar.weights.shape)
+    noise = rng.normal(0.0, sigma, size=(draws, *hstar.weights.shape))
     return clip_to_ball_many(hstar.weights + noise, c.radius)
 
 
@@ -250,9 +120,11 @@ def output_perturb(
     pp: PrivacyParams,
     substream: int | tuple[int, ...] = 0,
 ) -> LinearModel:
-    """One release project(h* + N(0, sigma^2 I), R): the one-draw case of
-    :func:`output_perturb_many`."""
-    return LinearModel(output_perturb_many(hstar, c, n, pp, [substream])[0], c.radius)
+    """One release project(h* + N(0, sigma^2 I), R), deterministic per
+    (pp.seed, substream): the first draw of :func:`output_perturb_many` on
+    ``stream(pp.seed, substream)``."""
+    weights = output_perturb_many(hstar, c, n, pp, stream(pp.seed, substream), 1)[0]
+    return LinearModel(weights, c.radius)
 
 
 def output_perturb_distance_bound(
@@ -332,17 +204,18 @@ def dpsgd(
     c: LossConstants,
     pp: PrivacyParams,
     cfg: DpSgdConfig,
-    substream: int | tuple[int, ...] = 0,
+    substream: int | tuple[int, ...] | np.random.Generator = 0,
 ) -> LinearModel:
     """Projected noisy SGD from the zero model; deterministic per
-    (pp.seed, substream).
+    (pp.seed, substream).  A ``Generator`` substream is used as it is, as
+    ``np.random.default_rng`` does, and is advanced by the run.
 
     Each step samples one example uniformly, adds isotropic Gaussian noise
     to its loss gradient, steps, and projects onto the radius ball.
     """
     if cfg.step_size > 0.5 / c.smoothness + 1e-12:
         raise ValueError("step_size must not exceed 1/(2*smoothness)")
-    rng = _substream(pp.seed, substream)
+    rng = substream if isinstance(substream, np.random.Generator) else stream(pp.seed, substream)
     sigma = math.sqrt(cfg.noise_variance)
     model = LinearModel(np.zeros((d.num_labels, d.p)), cfg.radius)
     for _ in range(cfg.steps):

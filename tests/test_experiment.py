@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairbound import experiment, fairness, privacy
+from fairbound import experiment, fairness
 from fairbound.config import parse_config_text, parse_synthetic_spec
 from fairbound.dataset import synthesize
 from fairbound.exceptions import ConfigError
@@ -92,24 +92,28 @@ class TestRunExperiment:
         assert open(r1.sweep_path, "rb").read() == open(r2.sweep_path, "rb").read()
         assert open(r1.failures_path, "rb").read() == open(r2.failures_path, "rb").read()
 
-    def test_subsample_key_is_never_a_draw_key(self, spec_file, tmp_path, monkeypatch):
-        # grid point 2's subsample once came from key (2, 2), the stream of
-        # that point's third draw
+    def test_every_stream_key_is_distinct_and_not_root(self, spec_file, tmp_path, monkeypatch):
+        # the eval split once drew its permutation from the root stream that
+        # had drawn the synthetic rows
         keys = []
-        states = privacy.pcg64_states
+        default_rng = np.random.default_rng
 
-        def recording(seed, batch):
-            keys.extend(batch)
-            return states(seed, batch)
+        def recording(seed=None):
+            if not isinstance(seed, np.random.Generator):
+                seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+                keys.append((seq.entropy, seq.spawn_key))
+            return default_rng(seed)
 
-        monkeypatch.setattr(privacy, "pcg64_states", recording)
-        cfg = base_config(spec_file, grid_count=3, draws=4)
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        cfg = base_config(spec_file, grid_count=3, draws=4, eval_split="test")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg, str(tmp_path / "out"))
         assert not result.failures
-        assert len(keys) == cfg.grid_count * (1 + cfg.draws)
+        # the synthetic data, the eval split, then one stream per grid point
+        assert keys[0] == (cfg.seed, ())
         assert len(set(keys)) == len(keys)
+        assert len(keys) == 2 + cfg.grid_count
 
     def test_envelope_width_shrinks_with_n(self, spec_file, tmp_path):
         # frozen regression at fixed seeds: more data -> narrower attainable band
@@ -309,6 +313,29 @@ class TestRunExperiment:
             "n", 100.0, 10000.0, 20, 100)
         assert (cfg.delta_policy, cfg.epsilon, cfg.eval_split, cfg.desirable) == (
             "inverse_n_squared", 1.0, "test", frozenset({1}))
+
+
+class TestReleaseMany:
+    def test_dpsgd_draws_are_one_stream_in_order(self, rng):
+        from fairbound.privacy import PrivacyParams, dpsgd_distance_bound, stream
+        from conftest import random_dataset
+
+        d = random_dataset(rng, 40)
+        hstar = fit_erm(d, lam=1.0)
+        c = constants(d, 1.0, hstar.radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pp = PrivacyParams(5.0, 1e-3, 0.1, "dp_sgd", seed=17)
+        assert dpsgd_distance_bound(hstar.num_params, c, d.n, pp).steps > 0
+        stack = experiment.release_many(hstar, d, c, pp, stream(17, (1, 0)), 6)
+        assert stack.shape == (6, d.num_labels, d.p)
+        assert len({row.tobytes() for row in stack}) == 6
+        # draw j does not depend on how many draws follow it
+        for k in (1, 4):
+            prefix = experiment.release_many(hstar, d, c, pp, stream(17, (1, 0)), k)
+            assert np.array_equal(stack[:k], prefix)
+        single = experiment.release(hstar, d, c, pp, substream=(1, 0))
+        assert np.array_equal(stack[0], single.weights)
 
 
 class TestTableReport:

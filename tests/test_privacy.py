@@ -3,13 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from fairbound.model import LinearModel, distance
 from fairbound.privacy import (
-    _generators,
-    _substream,
     DpSgdBound,
     DpSgdConfig,
     PrivacyParams,
@@ -20,7 +16,7 @@ from fairbound.privacy import (
     output_perturb,
     output_perturb_distance_bound,
     output_perturb_many,
-    pcg64_states,
+    stream,
     warn_if_gradient_noise_dominates,
 )
 from fairbound.trainer import (
@@ -69,60 +65,25 @@ class TestPrivacyParams:
             PrivacyParams(2.0, 0.1, 0.1, "output_perturbation", 0)
 
 
-def numpy_state(seed, key):
-    """The oracle: (state, inc) of NumPy's own seeding for one key."""
-    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
-    return state["state"], state["inc"]
+def numpy_stream(seed, key):
+    """The oracle: NumPy's own generator of one key."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-WORD_EDGES = [0, 2**32 - 1, 2**32, 2**64, 2**64 + 1, 2**70]
-key_elements = st.one_of(st.integers(0, 2**70), st.sampled_from(WORD_EDGES))
-seeds = st.one_of(st.integers(0, 2**130 - 1), st.integers(0, 2**20).map(lambda k: 2**64 + k),
-                  st.sampled_from(WORD_EDGES))
+class TestStream:
+    @pytest.mark.parametrize("seed,key", [(0, (0,)), (7000, (2, 399)), (2**64 + 1, (2**40, 3, 0))])
+    def test_equals_default_rng(self, seed, key):
+        ours, ref = stream(seed, key), numpy_stream(seed, key)
+        assert np.array_equal(ours.normal(size=100), ref.normal(size=100))
 
-
-class TestPcg64States:
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(seed=seeds,
-           keys=st.lists(st.lists(key_elements, min_size=1, max_size=3).map(tuple),
-                         min_size=1, max_size=6))
-    @example(seed=0, keys=[(0,)])
-    @example(seed=2**32 - 1, keys=[(1, 2)])
-    @example(seed=2**32, keys=[(2**32, 0, 2**32 - 1)])
-    @example(seed=2**64 + 7, keys=[(3,), (3, 0), (2**70,)])
-    def test_equals_numpy_seed_sequence(self, seed, keys):
-        # keys of different word counts share one batch, as draws of mixed
-        # key lengths would
-        assert pcg64_states(seed, keys) == [numpy_state(seed, key) for key in keys]
-
-    def test_no_keys(self):
-        assert pcg64_states(3, []) == []
+    def test_int_key_and_root(self):
+        assert stream(5, 3).integers(2**62) == numpy_stream(5, (3,)).integers(2**62)
+        assert stream(5).integers(2**62) == np.random.default_rng(5).integers(2**62)
 
     @pytest.mark.parametrize("seed,key", [(-1, (0,)), (1, (0, -2))])
     def test_negative_seed_or_key_element_is_value_error(self, seed, key):
-        with pytest.raises(ValueError, match="non-negative"):
-            pcg64_states(seed, [key])
-
-    @pytest.mark.parametrize("seed,key", [(0, (0,)), (7000, (2, 399)), (2**64 + 1, (2**40, 3, 0))])
-    def test_substream_equals_default_rng(self, seed, key):
-        ours = _substream(seed, key)
-        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-        for i in range(1000):
-            if i % 3 == 0:
-                assert np.array_equal(ours.normal(0.0, 2.0, size=3), ref.normal(0.0, 2.0, size=3))
-            elif i % 3 == 1:
-                assert ours.integers(1000) == ref.integers(1000)
-            else:  # 32-bit draws use the bit generator's buffered half word
-                assert ours.integers(2**31, dtype=np.int32) == ref.integers(2**31, dtype=np.int32)
-
-    def test_reused_generator_drops_buffered_half_word(self):
-        keys = [(5, j) for j in range(20)]
-        for key, rng in zip(keys, _generators(9, keys)):
-            ref = np.random.default_rng(np.random.SeedSequence(9, spawn_key=key))
-            # an odd number of 32-bit draws leaves half a word buffered
-            for _ in range(3):
-                assert rng.integers(2**31, dtype=np.int32) == ref.integers(2**31, dtype=np.int32)
-            assert np.array_equal(rng.normal(size=4), ref.normal(size=4))
+        with pytest.raises(ValueError):
+            stream(seed, key)
 
 
 class TestOutputNoise:
@@ -153,6 +114,24 @@ class TestOutputNoise:
         mean = total / draws
         assert np.all(np.abs(mean) <= 4 * sigma / math.sqrt(draws))
 
+    def test_one_key_release_is_its_stream_written_out(self):
+        # sigma about 0.2 around a point of norm 0.8 in the unit ball: some
+        # draws are projected and some are not
+        hstar = LinearModel(np.full((2, 2), 0.4), radius=1.0)
+        c = flat_constants(loss_lipschitz=0.02, radius=1.0)
+        pp = quiet_params(0.5, 0.05, 0.1, "output_perturbation", seed=11)
+        sigma = math.sqrt(output_noise_variance(0.02, 1.0, 1, 0.5, 0.05))
+        keys = [(3, j) for j in range(200)]
+        clipped = 0
+        for key in keys:
+            row = output_perturb(hstar, c, 1, pp, substream=key).weights
+            # the recipe, written out: the key's own stream, then projection
+            noisy = hstar.weights + numpy_stream(11, key).normal(0.0, sigma, size=(2, 2))
+            norm = np.linalg.norm(noisy)
+            clipped += norm > 1.0
+            assert np.array_equal(row, noisy if norm <= 1.0 else noisy * (1.0 / norm))
+        assert 0 < clipped < len(keys)
+
     def test_deterministic_per_substream(self):
         hstar = LinearModel(np.ones((2, 2)), radius=10.0)
         c = flat_constants(radius=10.0)
@@ -173,32 +152,24 @@ class TestOutputNoise:
 
 
 class TestOutputPerturbMany:
-    def test_rows_equal_single_draws(self):
-        # sigma about 0.2 around a point of norm 0.8 in the unit ball: some
-        # draws are projected and some are not
-        hstar = LinearModel(np.full((2, 2), 0.4), radius=1.0)
+    def test_rows_are_one_stream_in_order(self):
+        hstar = LinearModel(np.full((2, 3), 0.3), radius=1.0)
         c = flat_constants(loss_lipschitz=0.02, radius=1.0)
         pp = quiet_params(0.5, 0.05, 0.1, "output_perturbation", seed=11)
-        sigma = math.sqrt(output_noise_variance(0.02, 1.0, 1, 0.5, 0.05))
-        substreams = [(3, j) for j in range(200)]
-        stack = output_perturb_many(hstar, c, 1, pp, substreams)
-        assert stack.shape == (200, 2, 2)
-        clipped = 0
-        for row, key in zip(stack, substreams):
-            assert np.array_equal(row, output_perturb(hstar, c, 1, pp, substream=key).weights)
-            # the per-draw recipe, written out: own substream, then projection
-            rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=key))
-            noisy = hstar.weights + rng.normal(0.0, sigma, size=(2, 2))
-            norm = np.linalg.norm(noisy)
-            clipped += norm > 1.0
-            assert np.array_equal(row, noisy if norm <= 1.0 else noisy * (1.0 / norm))
-        assert 0 < clipped < len(substreams)
+        stack = output_perturb_many(hstar, c, 1, pp, stream(11, (1, 4)), 50)
+        assert stack.shape == (50, 2, 3)
+        # draw j does not depend on how many draws follow it
+        for k in (1, 7, 49):
+            assert np.array_equal(stack[:k], output_perturb_many(hstar, c, 1, pp, stream(11, (1, 4)), k))
+        # one stream: the first row is the one-key release of the same key
+        assert np.array_equal(stack[0], output_perturb(hstar, c, 1, pp, substream=(1, 4)).weights)
+        assert len({row.tobytes() for row in stack}) == 50
 
     def test_wrong_mechanism(self):
         hstar = LinearModel(np.zeros((2, 2)), radius=1.0)
         pp = quiet_params(0.5, 0.05, 0.1, "dp_sgd", seed=0)
         with pytest.raises(ValueError, match="mechanism"):
-            output_perturb_many(hstar, flat_constants(), 1, pp, [0, 1])
+            output_perturb_many(hstar, flat_constants(), 1, pp, stream(0), 2)
 
 
 class TestOutputDistanceBound:
@@ -271,6 +242,18 @@ class TestDpSgd:
         a = dpsgd(d, c, pp, cfg)
         b = dpsgd(d, c, pp, cfg)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_generator_substream_is_used_as_given(self, rng):
+        d = random_dataset(rng, 12)
+        c = constants(d, 1.0, 2.0)
+        pp = quiet_params(0.9, 0.01, 0.1, "dp_sgd", seed=21)
+        cfg = DpSgdConfig.calibrated(c, d.n, pp, steps=25)
+        keyed = dpsgd(d, c, pp, cfg, substream=(1, 2))
+        shared = stream(21, (1, 2))
+        first = dpsgd(d, c, pp, cfg, substream=shared)
+        second = dpsgd(d, c, pp, cfg, substream=shared)
+        assert np.array_equal(first.weights, keyed.weights)
+        assert not np.array_equal(second.weights, first.weights)
 
     def test_stays_in_ball(self, rng):
         d = random_dataset(rng, 12)
