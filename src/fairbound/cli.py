@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import experiment as experiment_mod
-from .config import read_config, read_synthetic_spec
+from .config import label_ids, read_config, read_synthetic_spec
 from .dataset import Dataset, load_csv, synthesize, write_csv
 from .exceptions import ConfigError, ConvergenceError, DataError
 from .fairness import NOTIONS, FairnessSpec, coefficients, group_fairness_all
@@ -89,25 +89,6 @@ def _load_model_for(path: str, *datasets: Dataset) -> LinearModel:
         except ValueError as exc:
             raise DataError(f"{path}: {exc}")
     return model
-
-
-def _parse_desirable(value: str) -> frozenset[int]:
-    try:
-        return frozenset(int(t) for t in value.split(",") if t.strip())
-    except ValueError:
-        raise ConfigError(f"--desirable must be comma-separated label ids, got {value!r}")
-
-
-def _fairness_spec(d: Dataset, notion: str, desirable: str) -> FairnessSpec:
-    """The notion's coefficients on ``d``.  Demographic parity on data whose
-    labels are not binary is a data error; a --desirable set the notion
-    rejects (empty, or naming a label the data lacks) is a config error."""
-    if notion == "demographic_parity_binary" and d.num_labels != 2:
-        raise DataError(f"demographic parity needs binary labels; the data has {d.num_labels}")
-    try:
-        return coefficients(d, notion, _parse_desirable(desirable))
-    except ValueError as exc:
-        raise ConfigError(f"--desirable {desirable!r}: {exc}")
 
 
 class _Probe(argparse.ArgumentParser):
@@ -329,7 +310,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     model = _load_model_for(args.model, d)
     notion = _notion_key(args.notion)
-    spec = _fairness_spec(d, notion, args.desirable)
+    spec = coefficients(d, notion, label_ids(args.desirable))
     values = group_fairness_all(model, d, spec)
     empty = spec.partition.proportions == 0
     slack, confidence = _finite_sample(args, spec, d)
@@ -353,7 +334,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     c = constants(train, _lambda(args), reference.radius)
     pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
                          mechanism)
-    spec = _fairness_spec(eval_data, notion, args.desirable)
+    spec = coefficients(eval_data, notion, label_ids(args.desirable))
     report = bounds_mod.theorem3_report(reference, eval_data, spec, c, train.n, pp, other=other)
     slack, confidence = _finite_sample(args, spec, eval_data)
     experiment_mod.write_bound_report_csv(
@@ -384,11 +365,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     model = _load_model_for(args.model, eval_data, train)
     pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
                          "output_perturbation")
-    # the one notion that reads --desirable checks it against the data
-    eo = _fairness_spec(eval_data, "equality_of_opportunity", args.desirable)
     row = experiment_mod.table_report(
         model, train, eval_data, _lambda(args), pp=pp,
-        desirable=eo.desirable, dataset_name=args.name,
+        desirable=label_ids(args.desirable), dataset_name=args.name,
     )
     experiment_mod.write_table_csv([row], args.out)
     print(f"table row for {args.name!r} -> {args.out}")
@@ -423,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:  # an output path; every input read maps its own OSError
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:

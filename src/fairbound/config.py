@@ -52,6 +52,15 @@ def read_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}")
 
 
+def label_ids(value: str) -> frozenset[int]:
+    """A desirable label set written as comma-separated ids, such as
+    ``"0, 2"``; a token that is not an integer is a config error."""
+    try:
+        return frozenset(int(t) for t in value.split(",") if t.strip())
+    except ValueError:
+        raise ConfigError(f"desirable labels must be comma-separated integer ids, got {value!r}")
+
+
 def _floats(value: str) -> list[float]:
     try:
         return [float(tok) for tok in value.split(",") if tok.strip()]

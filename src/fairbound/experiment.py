@@ -16,9 +16,12 @@ notion its fairness levels.  The epsilon axis trains every point on the
 same set, so it solves the optimum once per run; the n axis draws a fresh
 subsample, and solves once, per point.  Profiles carry no groups, so one profile of h* and one
 refined profile per point serve every notion.  The fairness specs depend
-only on the evaluation set and are built once per run on both axes.  An
-error in shared work fails every grid point that needs it, with the same
-failure row it would have had alone.
+only on the evaluation set; they are built once per run, before the output
+directory is made, so a notion the evaluation data cannot carry (demographic
+parity on non-binary labels, a desirable set that is empty or names a label
+the data lacks) stops the run with its typed error and writes nothing.  If
+the epsilon axis's shared optimum fails, every grid point fails with that
+error, each with the failure row it would have had alone.
 
 The M draws of a point are one (M, Y, p) weight array from release to
 score: ``release_many`` draws and projects them together, their distances
@@ -55,15 +58,14 @@ import hashlib
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import parse_synthetic_spec, read_config
+from .config import label_ids, parse_synthetic_spec, read_config
 from .dataset import Dataset, load_csv, split, synthesize
-from .exceptions import ConfigError, DataError, FairboundError
+from .exceptions import ConfigError, FairboundError
 from .fairness import (
     NOTIONS,
     FairnessSpec,
@@ -94,17 +96,13 @@ def _names(value: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in value.split(",") if t.strip())
 
 
-def _label_ids(value: str) -> frozenset[int]:
-    return frozenset(int(t) for t in value.split(",") if t.strip())
-
-
 # config-file (parse, canonical format) per field annotation
 _CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     "str": (str, str),
     "int": (int, str),
     "float": (float, _fmt),
     "tuple[str, ...]": (_names, ",".join),
-    "frozenset[int]": (_label_ids, lambda v: ",".join(str(t) for t in sorted(v))),
+    "frozenset[int]": (label_ids, lambda v: ",".join(str(t) for t in sorted(v))),
 }
 
 
@@ -294,68 +292,38 @@ SWEEP_COLUMNS = (
 )
 
 
-class _Memo:
-    """Value of ``fn()``, computed on first use.  A ``FairboundError`` or
-    ``ValueError`` it raises is kept and raised again at every later use, so
-    each grid point fails at the step, and with the text, it would have had
-    computing the value itself."""
-
-    def __init__(self, fn: Callable[[], Any]):
-        self._fn = fn
-        self._outcome: tuple[bool, Any] | None = None
-
-    def __call__(self) -> Any:
-        if self._outcome is None:
-            try:
-                self._outcome = (True, self._fn())
-            except (FairboundError, ValueError) as exc:
-                self._outcome = (False, exc)
-        ok, value = self._outcome
-        if not ok:
-            raise value
-        return value
-
-
 class _Optimum:
     """h* of one training set with the work that depends only on it and the
     evaluation set: the loss constants, the margin profile of h*, the
     scoring reference that sorts the evaluation rows by label and |m|/L,
-    and F(h*) per notion (each computed on first use)."""
+    and F(h*) per notion."""
 
-    def __init__(self, cfg: ExperimentConfig, train: Dataset, eval_data: Dataset, specs: _Memo):
+    def __init__(
+        self, cfg: ExperimentConfig, train: Dataset, eval_data: Dataset,
+        specs: dict[str, FairnessSpec],
+    ):
         self.hstar = fit_erm(train, cfg.lam, tol=cfg.tol)
         self.c = constants(train, cfg.lam, self.hstar.radius)
-        self._eval_data = eval_data
-        self._specs = specs
-
-    @cached_property
-    def profile(self) -> bounds_mod.MarginProfile:
-        return bounds_mod.margin_profile(self.hstar, self._eval_data)
-
-    @cached_property
-    def reference(self) -> ScoringReference:
-        partitions = [spec.partition for spec in self._specs().values()]
-        return ScoringReference(self.hstar.weights, self.profile.ratio, self._eval_data, partitions)
-
-    @cached_property
-    def f_star(self) -> list[np.ndarray]:
-        """F(h*) per notion: h* scored as the distance-0 model of its own
-        reference, so it takes its counts from the reference."""
-        levels = group_fairness_many(
-            self.hstar.weights[None], self._eval_data, list(self._specs().values()), self.reference
+        self.profile = bounds_mod.margin_profile(self.hstar, eval_data)
+        self.reference = ScoringReference(
+            self.hstar.weights, self.profile.ratio, eval_data,
+            [spec.partition for spec in specs.values()],
         )
-        return [level[0] for level in levels]
-
-
-def _specs(cfg: ExperimentConfig, eval_data: Dataset) -> dict[str, FairnessSpec]:
-    return {notion: coefficients(eval_data, notion, cfg.desirable) for notion in cfg.notions}
+        # h* is the distance-0 model of its own reference, so F(h*) takes
+        # its counts from the reference
+        levels = group_fairness_many(
+            self.hstar.weights[None], eval_data, list(specs.values()), self.reference
+        )
+        self.f_star = [level[0] for level in levels]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Execute the sweep and write ``sweep.csv`` and ``failures.csv``.
 
     A failure at one grid point is recorded and the sweep continues; the
-    whole run is deterministic given the config (including its seed).
+    whole run is deterministic given the config (including its seed).  A
+    notion the evaluation data cannot carry raises the ``ConfigError`` or
+    ``DataError`` of :func:`coefficients` before ``out_dir`` is made.
     """
     base = _load_base_data(cfg)
     if cfg.eval_split == "test":
@@ -365,6 +333,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
             raise ConfigError(f"test-fraction {cfg.test_fraction!r}: {exc}")
     else:
         train_all, eval_data = base, base
+    specs = {notion: coefficients(eval_data, notion, cfg.desirable) for notion in cfg.notions}
     os.makedirs(out_dir, exist_ok=True)
 
     grid = _grid_values(cfg)
@@ -379,9 +348,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     failures: list[str] = []
     rows = 0
 
-    specs = _Memo(lambda: _specs(cfg, eval_data))
-    # every epsilon-axis point trains on train_all, so its h* is solved once
-    shared_optimum = _Memo(lambda: _Optimum(cfg, train_all, eval_data, specs))
+    # every epsilon-axis point trains on train_all, so its h* is solved once;
+    # an error solving it is raised again at every point
+    shared_optimum: _Optimum | Exception | None = None
+    if cfg.sweep_axis == "epsilon":
+        try:
+            shared_optimum = _Optimum(cfg, train_all, eval_data, specs)
+        except (FairboundError, ValueError) as exc:
+            shared_optimum = exc
     for g, grid_value in enumerate(grid):
         try:
             new_rows = _run_grid_point(
@@ -413,8 +387,8 @@ def _run_grid_point(
     grid_value: float,
     train_all: Dataset,
     eval_data: Dataset,
-    specs: _Memo,
-    shared_optimum: _Memo,
+    specs: dict[str, FairnessSpec],
+    shared_optimum: _Optimum | Exception | None,
 ) -> list[str]:
     rng = stream(cfg.seed, (1, g))
     if cfg.sweep_axis == "n":
@@ -429,7 +403,9 @@ def _run_grid_point(
         train = train_all
         n_g = train.n
         epsilon = grid_value
-        optimum = shared_optimum()
+        if isinstance(shared_optimum, Exception):
+            raise shared_optimum
+        optimum = shared_optimum
 
     hstar, c = optimum.hstar, optimum.c
     pp = PrivacyParams(
@@ -445,16 +421,15 @@ def _run_grid_point(
     far_idx = int(np.argmax(dists))
     dist_measured = float(dists[far_idx])
 
-    notion_specs = specs()
     dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
     f_draws_all = group_fairness_many(
-        weights, eval_data, list(notion_specs.values()), optimum.reference
+        weights, eval_data, list(specs.values()), optimum.reference
     )
     farthest = LinearModel(weights[far_idx], c.radius)
     refined_profile = bounds_mod.refined_lipschitz_profile(hstar, farthest, eval_data)
 
     rows: list[str] = []
-    for (notion, spec), f_star, f_draws in zip(notion_specs.items(), optimum.f_star, f_draws_all):
+    for (notion, spec), f_star, f_draws in zip(specs.items(), optimum.f_star, f_draws_all):
         lemma = bounds_mod.bound_report(optimum.profile, spec, dist_lemma, provenance)
         measured = bounds_mod.bound_report(optimum.profile, spec, dist_measured)
         refined = bounds_mod.bound_report(refined_profile, spec, dist_measured)
@@ -509,21 +484,18 @@ def table_report(
     """One summary row: the group-averaged best-variant certificate for each
     notion plus plain accuracy, at the given privacy parameters (by default
     output perturbation at epsilon 1, zeta 0.01 and delta 1/n^2 over the
-    training size)."""
-    if eval_data.num_labels != 2:
-        raise DataError(
-            f"table needs binary labels for its demographic_parity_binary column; "
-            f"the evaluation data has {eval_data.num_labels}"
-        )
+    training size).  Non-binary labels (a ``DataError`` of the demographic
+    parity column) or a bad ``desirable`` set (a ``ConfigError``) fail
+    before any bound is computed."""
+    specs = [coefficients(eval_data, notion, desirable) for notion in TABLE_NOTIONS]
     if pp is None:
         pp = PrivacyParams(epsilon=1.0, delta=1.0 / train.n**2, zeta=0.01,
                            mechanism="output_perturbation", seed=0)
     c = constants(train, lam, hstar.radius)
     row: dict[str, str] = {"dataset": dataset_name}
-    for notion in TABLE_NOTIONS:
-        spec = coefficients(eval_data, notion, desirable)
+    for spec in specs:
         report = bounds_mod.theorem3_report(hstar, eval_data, spec, c, train.n, pp)
-        row[notion] = _fmt(report.aggregate)
+        row[spec.notion] = _fmt(report.aggregate)
     return row
 
 

@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, GroupPartition, partition, single_group_partition
+from .exceptions import ConfigError, DataError
 from .model import LinearModel, check_fits, frobenius_norms, predict_many
 
 # Models are scored DRAW_BLOCK at a time.  With a reference, a block is
@@ -104,7 +105,11 @@ def _cell_index(label: int, sensitive: int, num_sensitive: int) -> int:
 
 
 def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = None) -> FairnessSpec:
-    """Build the coefficient tables of a notion from empirical frequencies."""
+    """Build the coefficient tables of a notion from empirical frequencies.
+
+    Demographic parity on data whose labels are not binary is a
+    ``DataError``; an empty ``desirable`` set, or one naming a label id
+    the data lacks, is a ``ConfigError`` for equality of opportunity."""
     if notion not in NOTIONS:
         raise ValueError(f"unknown fairness notion {notion!r}")
     flags: list[str] = []
@@ -148,10 +153,12 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
     if notion in ("equalized_odds", "equality_of_opportunity"):
         if notion == "equality_of_opportunity":
             if not desirable:
-                raise ValueError("equality_of_opportunity requires a nonempty desirable label set")
+                raise ConfigError("equality_of_opportunity requires a nonempty desirable label set")
             desirable = frozenset(int(y) for y in desirable)
             if any(y < 0 or y >= ny for y in desirable):
-                raise ValueError("desirable labels out of range")
+                raise ConfigError(
+                    f"desirable labels out of range: {sorted(desirable)}; the data has {ny} labels"
+                )
         for y in range(ny):
             if notion == "equality_of_opportunity" and y not in desirable:
                 continue  # row stays identically zero
@@ -167,7 +174,7 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
                         coeffs[k, _cell_index(y, r2, ns)] = -p_s_given_y[r2]
     else:  # demographic_parity_binary
         if ny != 2:
-            raise ValueError("demographic parity is defined for binary labels only")
+            raise DataError(f"demographic parity needs binary labels; the data has {ny}")
         p_y = label_counts / d.n
         p_joint = cell_counts / d.n
         for y in range(2):

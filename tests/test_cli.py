@@ -389,6 +389,8 @@ class TestExitCodes:
             ["test-fraction = 0"],
             ["test-fraction = 0.9999"],
             ["notions ="],
+            ["notions = equality_of_opportunity", "desirable ="],
+            ["notions = equality_of_opportunity", "desirable = 7"],
             ["seed = x"],
             ["seed = -1"],
         ],
@@ -407,6 +409,52 @@ class TestExitCodes:
                     "--out-dir", str(out_dir)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_experiment_demographic_parity_on_three_labels_is_data_error_4(self, workdir, capsys):
+        spec = workdir / "three.cfg"
+        spec.write_text(THREE_LABEL_SPEC_TEXT, encoding="utf-8")
+        exp = workdir / "exp.cfg"
+        text = EXPERIMENT_TEXT.format(spec=str(spec))
+        exp.write_text(text.replace("notions = accuracy_parity", "notions = demographic_parity_binary"),
+                       encoding="utf-8")
+        out_dir = workdir / "results"
+        assert run(["experiment", "--config", str(exp), "--seed", "5",
+                    "--out-dir", str(out_dir)]) == 4
+        assert "binary labels" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen-data", "--spec", "SPEC", "--seed", "3", "--out", "OUT"],
+            ["train", "--data", "DATA", "--lambda", "1.0", "--out", "OUT"],
+            ["privatize", "--data", "DATA", "--model", "MODEL", "--lambda", "1.0",
+             "--epsilon", "1", "--seed", "1", "--out", "OUT"],
+            ["audit", "--data", "DATA", "--model", "MODEL", "--notion", "accuracy",
+             "--report", "OUT"],
+            ["bound", "--data", "DATA", "--model", "MODEL", "--train-data", "DATA",
+             "--lambda", "1.0", "--notion", "accuracy", "--out", "OUT"],
+            ["table", "--data", "DATA", "--model", "MODEL", "--train-data", "DATA",
+             "--lambda", "1.0", "--out", "OUT"],
+            ["experiment", "--config", "EXP", "--seed", "5", "--out-dir", "OUT"],
+        ],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize("out", ["under_a_file", "empty"])
+    def test_unwritable_output_path_is_config_error_2(self, workdir, command, out, capsys):
+        # an output the program cannot create once ended in an OSError
+        # traceback (exit 1)
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        exp = workdir / "exp.cfg"
+        exp.write_text(EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg")), encoding="utf-8")
+        (workdir / "a_file").write_text("", encoding="utf-8")
+        paths = {"SPEC": str(workdir / "synth.cfg"), "DATA": data, "MODEL": model,
+                 "EXP": str(exp), "OUT": str(workdir / "a_file" / "out") if out != "empty" else ""}
+        assert run([paths.get(a, a) for a in command]) == 2
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_feature_cell_is_data_error_4(self, workdir, cell, capsys):
@@ -625,16 +673,16 @@ FUZZ_VALUES = {
 
 
 @st.composite
-def experiment_config_texts(draw):
-    """Config text with up to two keys set to a breaking value and every
-    other key to a working one."""
-    broken = draw(st.sets(st.sampled_from(sorted(FUZZ_VALUES)), max_size=2))
+def config_lines(draw, pool):
+    """``key = value`` lines with up to two keys of ``pool`` set to a
+    breaking value and every other key to a working one."""
+    broken = draw(st.sets(st.sampled_from(sorted(pool)), max_size=2))
     lines = []
-    for key, (working, breaking) in FUZZ_VALUES.items():
+    for key, (working, breaking) in pool.items():
         value = draw(st.sampled_from(breaking if key in broken else working))
         if value is not None:
             lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 class TestExperimentConfigFuzz:
@@ -642,16 +690,101 @@ class TestExperimentConfigFuzz:
         assert sorted(FUZZ_VALUES) == sorted(experiment._CONFIG_KEYS)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @given(text=experiment_config_texts())
-    def test_experiment_exits_0_or_2(self, tmp_path_factory, text):
+    @given(lines=config_lines(FUZZ_VALUES))
+    def test_experiment_exits_0_or_2(self, tmp_path_factory, lines):
         root = tmp_path_factory.mktemp("fuzz")
         spec = root / "spec.cfg"
         spec.write_text(TINY_SPEC_TEXT, encoding="utf-8")
         cfg = root / "exp.cfg"
+        text = "\n".join(lines) + "\n"
         cfg.write_text(text.replace("SPEC", str(spec)), encoding="utf-8")
         code = run(["experiment", "--config", str(cfg), "--seed", "5",
                     "--out-dir", str(root / "out")])
         assert code in (0, 2), text
+
+
+def subcommand_keys(command: str) -> set[str]:
+    """The config-file keys of ``command``: its long flags without the
+    dashes, ``--config`` left out."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {opt[2:] for action in sub._actions for opt in action.option_strings
+            if opt.startswith("--") and opt not in ("--config", "--help")}
+
+
+# Per audit/bound config key: (working values, breaking values), as in
+# FUZZ_VALUES.  Upper-case names stand for the files of ``report_inputs``;
+# NODIR is an output path whose directory does not exist.
+_DATA_FLAG_VALUES = {
+    "data": (["DATA"], [None, "", "missing.csv", "THREE"]),
+    "sensitive-col": ([None, "s"], ["", "nope", "y"]),
+    "label-col": ([None, "y"], ["", "nope", "f0"]),
+    "model": (["MODEL", "PRIV"], [None, "", "missing.txt", "BADMODEL"]),
+    "notion": (["accuracy", "accuracy-parity", "equalized_odds", "equality-of-opportunity",
+                "demographic-parity-binary"], [None, "", "fairness"]),
+    "desirable": ([None, "1", "0,1"], ["", "5", "-1", "x"]),
+    "finite-sample": ([None, "off", "independent", "dependent"], ["", "both"]),
+    "fs-delta": ([None, "0.05", "0.5"], ["", "0", "1", "1.5", "nan", "x"]),
+}
+REPORT_FUZZ_VALUES = {
+    "audit": {**_DATA_FLAG_VALUES, "report": (["OUT"], [None, "", "NODIR"])},
+    "bound": {
+        **_DATA_FLAG_VALUES,
+        "other": ([None, "PRIV", "MODEL"], ["missing.txt", "BADMODEL"]),
+        "train-data": (["DATA"], [None, "", "missing.csv", "THREE"]),
+        "lambda": (["1.0", "0.5"], [None, "", "0", "-1", "inf", "nan", "abc"]),
+        "mechanism": ([None, "output-perturbation", "dp-sgd", "output_perturbation"],
+                      ["", "laplace"]),
+        "epsilon": ([None, "1.0", "0.1", "5"], ["", "0", "-1", "inf", "1e400", "nan", "x"]),
+        "delta": ([None, "auto", "1e-6"], ["", "0", "1", "nan", "x"]),
+        "zeta": ([None, "0.01", "0.5"], ["", "0", "1", "nan", "x"]),
+        "out": (["OUT"], [None, "", "NODIR"]),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    """Binary and three-label data, h*, a private release and a malformed
+    model, each written once."""
+    root = tmp_path_factory.mktemp("report_inputs")
+    paths = {name: str(root / f"{name.lower()}.txt") for name in ("MODEL", "PRIV", "BADMODEL")}
+    for name, text in (("DATA", TINY_SPEC_TEXT), ("THREE", THREE_LABEL_SPEC_TEXT)):
+        spec = root / f"{name.lower()}.cfg"
+        spec.write_text(text, encoding="utf-8")
+        paths[name] = str(root / f"{name.lower()}.csv")
+        assert run(["gen-data", "--spec", str(spec), "--seed", "3", "--out", paths[name]]) == 0
+    assert run(["train", "--data", paths["DATA"], "--lambda", "1.0", "--out", paths["MODEL"]]) == 0
+    assert run(["privatize", "--data", paths["DATA"], "--model", paths["MODEL"], "--lambda", "1.0",
+                "--epsilon", "1", "--seed", "1", "--out", paths["PRIV"]]) == 0
+    pathlib.Path(paths["BADMODEL"]).write_text("2 3 nan\n1 0 0\n0 1 0\n", encoding="utf-8")
+    return paths
+
+
+class TestReportConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(REPORT_FUZZ_VALUES))
+    def test_keys_are_the_flags(self, command):
+        assert sorted(REPORT_FUZZ_VALUES[command]) == sorted(subcommand_keys(command))
+
+    @pytest.mark.parametrize("command", sorted(REPORT_FUZZ_VALUES))
+    def test_config_file_exits_0_2_or_4(self, tmp_path_factory, report_inputs, command):
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @given(lines=config_lines(REPORT_FUZZ_VALUES[command]))
+        def check(lines):
+            root = tmp_path_factory.mktemp("fuzz")
+            paths = {**report_inputs, "OUT": str(root / "out.csv"),
+                     "NODIR": str(root / "missing" / "out.csv")}
+            cfg = root / "report.cfg"
+            cfg.write_text("".join(
+                f"{key} = {paths.get(value, value)}\n"
+                for key, _, value in (line.partition(" = ") for line in lines)), encoding="utf-8")
+            try:
+                code = run([command, "--config", str(cfg)])
+            except SystemExit as exc:  # argparse: a required key left out, or a bad number
+                code = exc.code
+            assert code in (0, 2, 4), lines
+
+        check()
 
 
 def readme_flags(text: str) -> set[str]:

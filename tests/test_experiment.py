@@ -213,7 +213,7 @@ class TestRunExperiment:
             warnings.simplefilter("ignore")
             for name in ("pruned", "every_row"):
                 if name == "every_row":
-                    monkeypatch.setattr(experiment._Optimum, "reference", None)
+                    monkeypatch.setattr(experiment, "ScoringReference", lambda *a, **k: None)
                 scored.append(0)
                 results.append(run_experiment(cfg, str(tmp_path / name)))
         pruned, every_row = results

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fairbound import fairness
 from fairbound.bounds import margin_profile
 from fairbound.dataset import partition
+from fairbound.exceptions import ConfigError, DataError
 from fairbound.fairness import (
     NOTIONS,
     aggregate_fairness,
@@ -80,12 +81,12 @@ class TestCoefficients:
 
     def test_eopp_requires_desirable(self, rng):
         d = random_dataset(rng, 12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             coefficients(d, "equality_of_opportunity")
 
     def test_demographic_parity_needs_binary(self, rng):
         d = random_dataset(rng, 20, num_labels=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             coefficients(d, "demographic_parity_binary")
 
     def test_equalized_odds_rows_sum_to_zero(self, rng):
