@@ -12,6 +12,7 @@ from .bounds import (
     BoundReport,
     MarginProfile,
     bound_report,
+    bound_reports,
     gap_bound,
     margin_profile,
     refined_lipschitz_profile,

@@ -5,12 +5,16 @@ confidence margin |m| and the margin's Lipschitz constant L in the model.
 A model within distance d of the profiled one can change the prediction
 only on examples with |m|/L <= d, the "at-risk" examples.  That ratio is
 ``MarginProfile.ratio``, which the fairness layer also reads to skip the
-examples a private draw cannot flip.  A profile belongs to one model on one
-dataset and knows no groups, so one profile serves every fairness notion.
-``bound_report`` takes the groups from the fairness spec's partition, makes
-one pass over the profile and builds three per-group term vectors, then
-combines each with the fairness coefficient magnitudes exactly as the
-fairness layer combines conditional accuracies:
+examples a private draw cannot flip; the profile computes it and its
+inverse L/|m| once, when it is built.  A profile belongs to one model on
+one dataset and knows no groups, so one profile serves every fairness
+notion.  ``bound_reports`` mirrors ``group_fairness_many``: for several
+specs and distances at once, it takes the at-risk examples once per
+distance, and per group partition of the specs it builds the per-group
+term vectors below, the distance-free ones once and the others once per
+distance.  Each spec then combines them with its coefficient magnitudes
+exactly as the fairness layer combines conditional accuracies.
+``bound_report`` is its one-spec, one-distance case.  The variants:
 
 - "markov": the group mean of L/|m| (the pointwise Lipschitz factor chi)
   times d;
@@ -34,11 +38,12 @@ Every variant is 0 at d = 0, and empty groups contribute 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, GroupPartition
 from .fairness import FairnessSpec
 from .model import LinearModel, distance as model_distance
 from .model import margins_many, pointwise_lipschitz_many
@@ -53,10 +58,21 @@ DIST_PROVENANCES = ("lemma2", "lemma3", "measured")
 class MarginProfile:
     """Per-example (|margin|, Lipschitz constant) pairs of one model on one
     dataset: the sufficient statistic every bound variant consumes.  The
-    groups belong to the fairness spec it is combined with."""
+    groups belong to the fairness spec it is combined with.
+
+    Both per-example ratios are computed once, when the profile is built:
+    ``ratio`` = |m|/L, infinite where L = 0.  A model can change the
+    prediction on an example only at a distance of at least its ratio from
+    the profiled model; within distance d, the examples with ratio <= d are
+    at risk.  ``inverse_ratio`` = L/|m|, the example's pointwise Lipschitz
+    factor: 0 where L = 0, and infinite where L > 0 and |m| = 0 or is too
+    small for the quotient to be finite.  A quotient that overflows
+    saturates at +inf."""
 
     abs_margins: np.ndarray
     lipschitz: np.ndarray
+    ratio: np.ndarray = field(init=False, repr=False)
+    inverse_ratio: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         abs_margins = np.asarray(self.abs_margins, dtype=np.float64)
@@ -65,25 +81,23 @@ class MarginProfile:
             raise ValueError("profile arrays must have matching shapes")
         if np.any(abs_margins < 0) or np.any(lipschitz < 0):
             raise ValueError("margins and Lipschitz constants are stored as nonnegative values")
-        for arr in (abs_margins, lipschitz):
+        positive = lipschitz > 0
+        with np.errstate(over="ignore"):
+            ratio = np.divide(
+                abs_margins, lipschitz, out=np.full(abs_margins.shape, math.inf), where=positive
+            )
+            inverse_ratio = np.divide(
+                lipschitz, abs_margins, out=np.where(positive, math.inf, 0.0),
+                where=positive & (abs_margins > 0),
+            )
+        for name, arr in (("abs_margins", abs_margins), ("lipschitz", lipschitz),
+                          ("ratio", ratio), ("inverse_ratio", inverse_ratio)):
             arr.setflags(write=False)
-        object.__setattr__(self, "abs_margins", abs_margins)
-        object.__setattr__(self, "lipschitz", lipschitz)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return self.abs_margins.shape[0]
-
-    @property
-    def ratio(self) -> np.ndarray:
-        """|m|/L per example, infinite where L = 0.  A model can change the
-        prediction on an example only at a distance of at least its ratio
-        from the profiled model; within distance d, the examples with
-        ratio <= d are at risk."""
-        positive = self.lipschitz > 0
-        return np.divide(
-            self.abs_margins, self.lipschitz, out=np.full(self.n, math.inf), where=positive
-        )
 
 
 def margin_profile(m: LinearModel, d: Dataset) -> MarginProfile:
@@ -94,13 +108,14 @@ def margin_profile(m: LinearModel, d: Dataset) -> MarginProfile:
     )
 
 
-def refined_lipschitz_profile(h: LinearModel, hprime: LinearModel, d: Dataset) -> MarginProfile:
-    """Diagnostic profile using the direction-aware Lipschitz constants.
+def refined_lipschitz(h: LinearModel, hprime: LinearModel, d: Dataset) -> np.ndarray:
+    """Direction-aware Lipschitz constants of the margin between two known
+    models.
 
-    When both models are known, the margin change on x is controlled by the
-    component of x along each weight-row difference, not by the full norm:
+    The margin change on x is controlled by the component of x along each
+    weight-row difference, not by the full norm:
     L_i = 2 * max_y |(W_y - W'_y) . x_i| / ||W_y - W'_y||_2, with rows where
-    the models agree contributing zero.  Margins are taken from h.
+    the models agree contributing zero.
     """
     if h.weights.shape != hprime.weights.shape:
         raise ValueError("models must have the same shape")
@@ -108,14 +123,18 @@ def refined_lipschitz_profile(h: LinearModel, hprime: LinearModel, d: Dataset) -
     row_norms = np.linalg.norm(diff, axis=1)
     active = row_norms > 0
     if not np.any(active):
-        lipschitz = np.zeros(d.n)
-    else:
-        # |projection of x on each active row direction|, maximized over rows
-        comps = np.abs(d.features @ diff[active].T) / row_norms[active]
-        lipschitz = 2.0 * np.max(comps, axis=1)
+        return np.zeros(d.n)
+    # |projection of x on each active row direction|, maximized over rows
+    comps = np.abs(d.features @ diff[active].T) / row_norms[active]
+    return 2.0 * np.max(comps, axis=1)
+
+
+def refined_lipschitz_profile(h: LinearModel, hprime: LinearModel, d: Dataset) -> MarginProfile:
+    """Diagnostic profile: h's margins with the :func:`refined_lipschitz`
+    constants of h and hprime."""
     return MarginProfile(
         abs_margins=np.abs(margins_many(h, d.features, d.labels)),
-        lipschitz=lipschitz,
+        lipschitz=refined_lipschitz(h, hprime, d),
     )
 
 
@@ -164,12 +183,138 @@ def resolve_distance(
 
 
 def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Per-group sums of weight * term; a zero weight drops its term even
-    when the term is infinite."""
-    return np.sum(weights * np.where(weights > 0, terms, 0.0), axis=1)
+    """Per-group sums of weight * term over the last axis; a zero weight
+    drops its term even when the term is infinite.  ``terms`` holds one
+    (K,) term vector per row, so each row of the result is that vector
+    combined with the (K, K) ``weights``, summed as it would be alone."""
+    return np.sum(weights * np.where(weights > 0, terms[..., None, :], 0.0), axis=-1)
+
+
+class _GroupTerms:
+    """The per-group term vectors of one partition, for every distance of a
+    :func:`bound_reports` call: group sizes, the zero-margin flags, and the
+    stacked terms, whose row 0 is the chi mean of L/|m| and whose rows
+    1 + 4j ... 4 + 4j are the markov, truncated, chernoff and best terms at
+    distance j."""
+
+    def __init__(
+        self,
+        partition: GroupPartition,
+        inverse_ratio: np.ndarray,
+        zero_margin: np.ndarray,
+        dists: Sequence[float],
+        at_risk: list[np.ndarray],
+        at_risk_inverse: list[np.ndarray],
+    ):
+        groups, num_groups = partition.assignment, partition.num_groups
+        self.partition = partition
+        self.sizes = np.bincount(groups, minlength=num_groups)
+        denom = np.maximum(self.sizes, 1)  # empty groups carry zero weight
+        self.has_zero_margin = np.bincount(groups[zero_margin], minlength=num_groups) > 0
+        mean_inverse = np.bincount(groups, weights=inverse_ratio, minlength=num_groups) / denom
+        rows = [mean_inverse]
+        for dist, risk, risk_inverse in zip(dists, at_risk, at_risk_inverse):
+            if dist == 0.0:
+                terms = np.zeros((3, num_groups))
+            else:
+                truncated_mean = (
+                    np.bincount(groups, weights=risk_inverse, minlength=num_groups) / denom
+                )
+                at_risk_fraction = np.bincount(groups[risk], minlength=num_groups) / denom
+                terms = np.array([mean_inverse * dist, truncated_mean * dist, at_risk_fraction])
+            rows.extend([*terms, terms.min(axis=0)])
+        self.terms = np.array(rows)
+
+    def serves(self, partition: GroupPartition) -> bool:
+        return self.partition is partition or (
+            self.partition.num_groups == partition.num_groups
+            and np.array_equal(self.partition.assignment, partition.assignment)
+        )
 
 
 @np.errstate(over="ignore")  # an overflowing upper bound saturates at +inf
+def bound_reports(
+    profile: MarginProfile,
+    specs: Sequence[FairnessSpec],
+    dists: Sequence[float],
+    provenances: Sequence[str],
+) -> list[list[BoundReport]]:
+    """Reports of every spec at every distance in one pass:
+    ``reports[i][j]`` evaluates every variant for every group of
+    ``specs[i]`` at ``dists[j]``, of provenance ``provenances[j]``.
+
+    The profile must cover the examples of every spec's partition.  The
+    at-risk masks are computed once per distance.  Per partition (specs
+    whose partitions assign the examples alike share one), the group
+    sizes, chi means and zero-margin flags are computed once, and the
+    truncated means and at-risk fractions once per distance.  Each spec
+    then combines the term vectors of every distance with its coefficient
+    magnitudes, as the fairness layer combines conditional accuracies.
+    """
+    if len(dists) != len(provenances):
+        raise ValueError("one provenance per distance is required")
+    for dist, provenance in zip(dists, provenances):
+        if provenance not in DIST_PROVENANCES:
+            raise ValueError(f"unknown distance provenance {provenance!r}")
+        if not 0.0 <= dist < math.inf:
+            raise ValueError("dist must be finite and nonnegative")
+    for spec in specs:
+        examples = spec.partition.assignment.shape[0]
+        if profile.n != examples:
+            raise ValueError(f"profile has {profile.n} examples, the fairness spec {examples}")
+    inverse_ratio = profile.inverse_ratio
+    zero_margin = np.isinf(inverse_ratio)
+    at_risk = [profile.ratio <= dist for dist in dists]
+    at_risk_inverse = [np.where(risk, inverse_ratio, 0.0) for risk in at_risk]
+
+    partitions: list[_GroupTerms] = []
+    reports = []
+    for spec in specs:
+        terms = next((t for t in partitions if t.serves(spec.partition)), None)
+        if terms is None:
+            terms = _GroupTerms(
+                spec.partition, inverse_ratio, zero_margin, dists, at_risk, at_risk_inverse
+            )
+            partitions.append(terms)
+        weights = np.abs(spec.coeffs) * (terms.sizes > 0)
+        combined = _combine(weights, terms.terms)
+        flags = []
+        for k in range(spec.num_groups):
+            flags_k: list[str] = []
+            for kp in np.flatnonzero(spec.coeffs[k]):
+                if terms.sizes[kp] == 0:
+                    flags_k.append(f"empty_group:{kp}")
+                elif terms.has_zero_margin[kp]:
+                    flags_k.append(f"zero_margin_in_group:{kp}")
+            flags.append(tuple(flags_k))
+        chi = combined[0]
+        spec_reports = []
+        for j, (dist, provenance) in enumerate(zip(dists, provenances)):
+            markov, truncated, chernoff, best = combined[1 + 4 * j : 5 + 4 * j]
+            entries = tuple(
+                BoundEntry(
+                    group=k,
+                    description=spec.partition.descriptions[k],
+                    chi=float(chi[k]),
+                    markov=float(markov[k]),
+                    truncated=float(truncated[k]),
+                    chernoff=float(chernoff[k]),
+                    best=float(best[k]),
+                    flags=flags[k],
+                )
+                for k in range(spec.num_groups)
+            )
+            spec_reports.append(BoundReport(
+                notion=spec.notion,
+                entries=entries,
+                dist=dist,
+                dist_provenance=provenance,
+                flags=spec.flags,
+            ))
+        reports.append(spec_reports)
+    return reports
+
+
 def bound_report(
     profile: MarginProfile,
     spec: FairnessSpec,
@@ -177,71 +322,9 @@ def bound_report(
     dist_provenance: str = "measured",
 ) -> BoundReport:
     """Evaluate every variant for every group of ``spec`` at a fixed
-    distance.  The profile must cover the examples of the spec's partition."""
-    if dist_provenance not in DIST_PROVENANCES:
-        raise ValueError(f"unknown distance provenance {dist_provenance!r}")
-    if not 0.0 <= dist < math.inf:
-        raise ValueError("dist must be finite and nonnegative")
-    groups = spec.partition.assignment
-    if profile.n != groups.shape[0]:
-        raise ValueError(f"profile has {profile.n} examples, the fairness spec {groups.shape[0]}")
-    num_groups = spec.num_groups
-    margins, lipschitz = profile.abs_margins, profile.lipschitz
-
-    pos_l = lipschitz > 0
-    live = pos_l & (margins > 0)
-    inverse_ratio = np.zeros(profile.n)  # L/|m|
-    inverse_ratio[pos_l & ~live] = math.inf
-    inverse_ratio[live] = lipschitz[live] / margins[live]
-    at_risk = profile.ratio <= dist
-    zero_margin = np.isinf(inverse_ratio)  # also margins too small for L/|m| to be finite
-
-    sizes = np.bincount(groups, minlength=num_groups)
-    denom = np.maximum(sizes, 1)  # empty groups carry zero weight below
-    mean_inverse = np.bincount(groups, weights=inverse_ratio, minlength=num_groups) / denom
-    truncated_mean = (
-        np.bincount(groups, weights=np.where(at_risk, inverse_ratio, 0.0), minlength=num_groups)
-        / denom
-    )
-    at_risk_fraction = np.bincount(groups[at_risk], minlength=num_groups) / denom
-    has_zero_margin = np.bincount(groups[zero_margin], minlength=num_groups) > 0
-
-    weights = np.abs(spec.coeffs) * (sizes > 0)
-    chi = _combine(weights, mean_inverse)
-    if dist == 0.0:
-        terms = np.zeros((3, num_groups))
-    else:
-        terms = np.array([mean_inverse * dist, truncated_mean * dist, at_risk_fraction])
-    markov, truncated, chernoff = (_combine(weights, t) for t in terms)
-    best = _combine(weights, terms.min(axis=0))
-
-    entries = []
-    for k in range(num_groups):
-        flags: list[str] = []
-        for kp in np.flatnonzero(spec.coeffs[k]):
-            if sizes[kp] == 0:
-                flags.append(f"empty_group:{kp}")
-            elif has_zero_margin[kp]:
-                flags.append(f"zero_margin_in_group:{kp}")
-        entries.append(
-            BoundEntry(
-                group=k,
-                description=spec.partition.descriptions[k],
-                chi=float(chi[k]),
-                markov=float(markov[k]),
-                truncated=float(truncated[k]),
-                chernoff=float(chernoff[k]),
-                best=float(best[k]),
-                flags=tuple(flags),
-            )
-        )
-    return BoundReport(
-        notion=spec.notion,
-        entries=tuple(entries),
-        dist=dist,
-        dist_provenance=dist_provenance,
-        flags=spec.flags,
-    )
+    distance: the one-spec, one-distance case of :func:`bound_reports`.
+    The profile must cover the examples of the spec's partition."""
+    return bound_reports(profile, [spec], [dist], [dist_provenance])[0][0]
 
 
 def gap_bound(

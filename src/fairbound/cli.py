@@ -345,7 +345,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             "zeta": repr(pp.zeta),
             "statement": "true-vs-empirical" if slack is not None else "empirical",
         },
-        slack=slack, combined_confidence=confidence - pp.zeta,
+        # the measured distance of --other holds surely; the lemma's only
+        # with probability 1 - zeta
+        slack=slack, combined_confidence=confidence if other else confidence - pp.zeta,
     )
     print(f"bound report ({report.dist_provenance} dist={report.dist:.6g}) -> {args.out}")
     return EXIT_OK

@@ -14,8 +14,13 @@ Work that depends only on the training set runs once per training set: the
 optimum, its loss constants, margin profile and scoring reference, and per
 notion its fairness levels.  The epsilon axis trains every point on the
 same set, so it solves the optimum once per run; the n axis draws a fresh
-subsample, and solves once, per point.  Profiles carry no groups, so one profile of h* and one
-refined profile per point serve every notion.  The fairness specs depend
+subsample, and solves once, per point.  Profiles carry no groups, so one
+profile of h* and one refined profile per point serve every notion.  The
+refined profile takes h*'s margins from h*'s profile and computes only its
+direction-aware Lipschitz constants.  A point's certificates take two
+``bound_reports`` passes: h*'s profile at the lemma and measured
+distances, and the refined profile at the measured distance, each over
+every notion at once.  The fairness specs depend
 only on the evaluation set; they are built once per run, before the output
 directory is made, so a notion the evaluation data cannot carry (demographic
 parity on non-binary labels, a desirable set that is empty or names a label
@@ -422,17 +427,23 @@ def _run_grid_point(
     dist_measured = float(dists[far_idx])
 
     dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
-    f_draws_all = group_fairness_many(
-        weights, eval_data, list(specs.values()), optimum.reference
-    )
+    spec_list = list(specs.values())
+    f_draws_all = group_fairness_many(weights, eval_data, spec_list, optimum.reference)
     farthest = LinearModel(weights[far_idx], c.radius)
-    refined_profile = bounds_mod.refined_lipschitz_profile(hstar, farthest, eval_data)
+    refined_profile = bounds_mod.MarginProfile(
+        optimum.profile.abs_margins, bounds_mod.refined_lipschitz(hstar, farthest, eval_data)
+    )
+    reports = bounds_mod.bound_reports(
+        optimum.profile, spec_list, [dist_lemma, dist_measured], [provenance, "measured"]
+    )
+    refined_reports = bounds_mod.bound_reports(
+        refined_profile, spec_list, [dist_measured], ["measured"]
+    )
 
     rows: list[str] = []
-    for (notion, spec), f_star, f_draws in zip(specs.items(), optimum.f_star, f_draws_all):
-        lemma = bounds_mod.bound_report(optimum.profile, spec, dist_lemma, provenance)
-        measured = bounds_mod.bound_report(optimum.profile, spec, dist_measured)
-        refined = bounds_mod.bound_report(refined_profile, spec, dist_measured)
+    for (notion, spec), f_star, f_draws, (lemma, measured), (refined,) in zip(
+        specs.items(), optimum.f_star, f_draws_all, reports, refined_reports
+    ):
         for k in range(spec.num_groups):
             entry = lemma.entry(k)
             flags = ";".join(entry.flags + spec.flags)

@@ -29,10 +29,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .dataset import Dataset
+from .exceptions import ConfigError
 from .model import LinearModel, clip_to_ball, clip_to_ball_many
 from .trainer import LossConstants, empirical_gradient_second_moment, gradient
 
@@ -71,6 +73,30 @@ class PrivacyParams:
             )
 
 
+def _finite_positive(what: str, formula: Callable[[], float]) -> float:
+    """The value of ``formula``, a closed-form noise scale or distance,
+    which must be a finite positive float.
+
+    At an extreme privacy budget or ridge weight, Python float arithmetic
+    raises ZeroDivisionError on a zero divisor and OverflowError on an
+    overflowing power, and a product that overflows or underflows gives
+    inf or 0.  None of these calibrates a release or bounds its distance,
+    so each is a ``ConfigError``, the error of every other budget the
+    mechanisms cannot serve.
+    """
+    try:
+        value = formula()
+        shown = repr(value)
+    except (ZeroDivisionError, OverflowError):
+        value, shown = math.nan, "out of floating-point range"
+    if not 0.0 < value < math.inf:
+        raise ConfigError(
+            f"{what} is {shown}, not a finite positive float; the privacy budget "
+            "or the ridge weight lies outside the range it can represent"
+        )
+    return value
+
+
 def stream(seed: int, key: int | tuple[int, ...] = ()) -> np.random.Generator:
     """NumPy's ``default_rng(SeedSequence(seed, spawn_key=key))``; an int
     key k is the key (k,), and the empty key is the seed's root stream."""
@@ -82,12 +108,14 @@ def output_noise_variance(
     loss_lipschitz: float, strong_convexity: float, n: int, epsilon: float, delta: float
 ) -> float:
     """Gaussian variance for output perturbation:
-    8*Lambda^2*log(1.25/delta) / (mu^2 n^2 eps^2)."""
-    return (
-        8.0
+    8*Lambda^2*log(1.25/delta) / (mu^2 n^2 eps^2).  A variance that is not
+    a finite positive float is a ``ConfigError``."""
+    return _finite_positive(
+        f"the output-perturbation noise variance at epsilon={epsilon!r}, lambda={strong_convexity!r}",
+        lambda: 8.0
         * loss_lipschitz**2
         * math.log(1.25 / delta)
-        / (strong_convexity**2 * n**2 * epsilon**2)
+        / (strong_convexity**2 * n**2 * epsilon**2),
     )
 
 
@@ -132,15 +160,17 @@ def output_perturb_distance_bound(
 ) -> float:
     """Distance (not squared) between release and optimum that holds with
     probability at least 1 - zeta:
-    sqrt(32 p Lambda^2 log(1.25/delta) log(2/zeta) / (mu^2 n^2 eps^2))."""
-    return math.sqrt(
-        32.0
+    sqrt(32 p Lambda^2 log(1.25/delta) log(2/zeta) / (mu^2 n^2 eps^2)).
+    A square that is not a finite positive float is a ``ConfigError``."""
+    return math.sqrt(_finite_positive(
+        f"the squared lemma-2 distance at epsilon={pp.epsilon!r}, lambda={c.strong_convexity!r}",
+        lambda: 32.0
         * num_params
         * c.loss_lipschitz**2
         * math.log(1.25 / pp.delta)
         * math.log(2.0 / pp.zeta)
-        / (c.strong_convexity**2 * n**2 * pp.epsilon**2)
-    )
+        / (c.strong_convexity**2 * n**2 * pp.epsilon**2),
+    ))
 
 
 def dpsgd_noise(
@@ -153,19 +183,20 @@ def dpsgd_noise(
 ) -> float:
     """Per-step DP-SGD noise variance; ``exponent`` selects the T^2
     calibration every release uses (default, noisier) or the T variance,
-    which is kept only as a comparison value."""
+    which is kept only as a comparison value.  A variance that is not a
+    finite positive float is a ``ConfigError``."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if exponent not in NOISE_EXPONENTS:
         raise ValueError(f"unknown noise exponent {exponent!r}")
-    t_factor = float(steps) ** 2 if exponent == "T_squared" else float(steps)
-    return (
-        64.0
+    return _finite_positive(
+        f"the DP-SGD noise variance at epsilon={epsilon!r} over {steps} steps",
+        lambda: 64.0
         * loss_lipschitz**2
-        * t_factor
+        * (float(steps) ** 2 if exponent == "T_squared" else float(steps))
         * math.log(3.0 * steps / delta)
         * math.log(2.0 / delta)
-        / (n**2 * epsilon**2)
+        / (n**2 * epsilon**2),
     )
 
 
@@ -250,27 +281,38 @@ def dpsgd_distance_bound(
     variance; when the schedule says the start already satisfies the target
     (log argument <= 1), the start bound 2R itself is returned with T = 0.
     ``num_params`` is carried for report symmetry; the closed form is
-    dimension-free.
+    dimension-free.  A noise scale, log argument, step count, distance or
+    noise variance that is not a finite positive float is a ``ConfigError``.
     """
     mu = c.strong_convexity
     beta = c.smoothness
     lam_lip = c.loss_lipschitz
     start_dist = 2.0 * c.radius
 
-    m2 = 64.0 * lam_lip**2 * math.log(2.0 / pp.delta) / (n**2 * pp.epsilon**2)
-    arg = mu * beta * start_dist**2 / (2.0 * m2)
+    at = f"at epsilon={pp.epsilon!r}, lambda={mu!r}"
+    m2 = _finite_positive(
+        f"the DP-SGD noise scale {at}",
+        lambda: 64.0 * lam_lip**2 * math.log(2.0 / pp.delta) / (n**2 * pp.epsilon**2),
+    )
+    arg = _finite_positive(
+        f"the DP-SGD schedule's log argument {at}",
+        lambda: mu * beta * start_dist**2 / (2.0 * m2),
+    )
     if arg <= 1.0:
         return DpSgdBound(distance=start_dist, steps=0, noise_variance=0.0)
 
     log_arg = math.log(arg)
-    steps = max(1, math.ceil(2.0 * beta / mu * log_arg))
-    dist_sq = (
-        512.0
+    steps = max(1, math.ceil(_finite_positive(
+        f"the DP-SGD step count {at}", lambda: 2.0 * beta / mu * log_arg
+    )))
+    dist_sq = _finite_positive(
+        f"the squared lemma-3 distance {at}",
+        lambda: 512.0
         * lam_lip**2
         * math.log(2.0 / pp.delta)
         / (pp.zeta * mu**2 * n**2 * pp.epsilon**2)
         * log_arg
-        * math.log(6.0 * beta * log_arg / (mu * pp.delta))
+        * math.log(6.0 * beta * log_arg / (mu * pp.delta)),
     )
     sigma2 = dpsgd_noise(lam_lip, steps, n, pp.epsilon, pp.delta)
     return DpSgdBound(distance=math.sqrt(dist_sq), steps=steps, noise_variance=sigma2)

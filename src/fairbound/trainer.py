@@ -76,17 +76,19 @@ def constants(d: Dataset, lam: float, radius: float) -> LossConstants:
     )
 
 
-def _objective_value(weights: np.ndarray, d: Dataset, lam: float) -> float:
+def _objective(weights: np.ndarray, d: Dataset, lam: float) -> tuple[float, np.ndarray]:
+    """Objective value at ``weights`` and the (n, Y) score matrix it is
+    computed from."""
     scores = d.features @ weights.T
     ce = logsumexp(scores, axis=1) - scores[np.arange(d.n), d.labels]
-    return float(np.mean(ce) + 0.5 * lam * np.sum(weights**2))
+    return float(np.mean(ce) + 0.5 * lam * np.sum(weights**2)), scores
 
 
 def loss(m: LinearModel, d: Dataset, lam: float) -> float:
     """Objective value: mean cross-entropy plus (lam/2)*||W||_F^2."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return _objective_value(m.weights, d, lam)
+    return _objective(m.weights, d, lam)[0]
 
 
 def gradient(m: LinearModel, example: Example, lam: float) -> np.ndarray:
@@ -98,17 +100,24 @@ def gradient(m: LinearModel, example: Example, lam: float) -> np.ndarray:
     return np.outer(residual, example.features) + lam * m.weights
 
 
-def residuals(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Row-wise softmax(scores) - onehot(labels): each example's
-    cross-entropy gradient with respect to its (n, Y) scores."""
-    residual = softmax(scores, axis=1)
+def residuals(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Row-wise probs - onehot(labels), for ``probs`` the row-wise softmax
+    of (n, Y) scores: each example's cross-entropy gradient with respect
+    to its scores."""
+    residual = probs.copy()
     residual[np.arange(len(labels)), labels] -= 1.0
     return residual
 
 
+def _gradient(probs: np.ndarray, weights: np.ndarray, d: Dataset, lam: float) -> np.ndarray:
+    """Objective gradient at ``weights``, given the row-wise softmax
+    ``probs`` of its scores."""
+    return residuals(probs, d.labels).T @ d.features / d.n + lam * weights
+
+
 def objective_gradient(weights: np.ndarray, d: Dataset, lam: float) -> np.ndarray:
     """Full-batch gradient of the objective at the given weight matrix."""
-    return residuals(d.features @ weights.T, d.labels).T @ d.features / d.n + lam * weights
+    return _gradient(softmax(d.features @ weights.T, axis=1), weights, d, lam)
 
 
 def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> float:
@@ -122,7 +131,7 @@ def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> 
     if lam <= 0:
         raise ValueError("lam must be positive")
     scores = d.features @ m.weights.T
-    residual = residuals(scores, d.labels)
+    residual = residuals(softmax(scores, axis=1), d.labels)
     squared_norms = (
         np.sum(residual**2, axis=1) * np.sum(d.features**2, axis=1)
         + 2.0 * lam * np.sum(residual * scores, axis=1)
@@ -131,13 +140,12 @@ def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> 
     return float(np.mean(squared_norms))
 
 
-def _hessian(weights: np.ndarray, d: Dataset, lam: float) -> np.ndarray:
+def _hessian(probs: np.ndarray, d: Dataset, lam: float) -> np.ndarray:
     """Objective Hessian on row-major vec(W): the (Y*p) x (Y*p) matrix
     (1/n) * sum_i (diag(s_i) - s_i s_i^T) kron x_i x_i^T + lam*I, with s_i
-    the softmax of example i's scores, built block by block from Y(Y+1)/2
-    weighted Gram products."""
-    num_labels, p = weights.shape
-    probs = softmax(d.features @ weights.T, axis=1)
+    example i's row of ``probs``, the softmax of its scores, built block by
+    block from Y(Y+1)/2 weighted Gram products."""
+    num_labels, p = probs.shape[1], d.p
     hess = np.empty((num_labels * p, num_labels * p))
     for a in range(num_labels):
         for b in range(a, num_labels):
@@ -159,9 +167,9 @@ def _line_search(
     direction: np.ndarray,
     d: Dataset,
     lam: float,
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Backtrack the Newton step to an accepted point; returns its weights,
-    objective value and gradient.
+    objective value, score softmax and gradient.
 
     Each trial point is centred: the label-mean of its weight rows is
     subtracted.  The cross-entropy is invariant to a shift common to all
@@ -172,6 +180,8 @@ def _line_search(
     A step is accepted on Armijo decrease, or, at the rounding floor where
     the objective cannot resolve a decrease of about |grad|^2/lam, when its
     value rises by at most 8*eps*|f| and it lowers the gradient norm.
+    The gradient is taken only there, from the softmax of the scores the
+    value was computed from.
     """
     slope = float(np.sum(grad * direction))
     floor = 8.0 * np.finfo(float).eps * abs(value)
@@ -179,13 +189,13 @@ def _line_search(
     for _ in range(_MAX_HALVINGS):
         trial = weights + step * direction
         trial -= trial.mean(axis=0)
-        trial_value = _objective_value(trial, d, lam)
-        if trial_value <= value + _ARMIJO * step * slope:
-            return trial, trial_value, objective_gradient(trial, d, lam)
-        if trial_value <= value + floor:
-            trial_grad = objective_gradient(trial, d, lam)
-            if np.linalg.norm(trial_grad) < grad_norm:
-                return trial, trial_value, trial_grad
+        trial_value, scores = _objective(trial, d, lam)
+        armijo = trial_value <= value + _ARMIJO * step * slope
+        if armijo or trial_value <= value + floor:
+            probs = softmax(scores, axis=1)
+            trial_grad = _gradient(probs, trial, d, lam)
+            if armijo or np.linalg.norm(trial_grad) < grad_norm:
+                return trial, trial_value, probs, trial_grad
         step *= 0.5
     raise ConvergenceError(
         f"line search found no acceptable step at gradient norm {grad_norm:.3e}",
@@ -206,8 +216,11 @@ def fit_erm(
     Stops when the gradient Frobenius norm drops to ``tol``; raises
     :class:`ConvergenceError` after ``max_iters`` Newton iterations, or at
     once when the Hessian is singular or no step along a Newton direction
-    is accepted.  The objective
-    never increases between iterations beyond rounding.  The returned
+    is accepted.  The objective never increases between iterations
+    beyond rounding.  Each trial point of the line search costs one (n, Y)
+    score matrix: the objective value comes from it, and once the step is
+    accepted, one softmax of it gives both the gradient and the next
+    iteration's Hessian.  The returned
     model's ball radius defaults to twice the optimum's norm, so the ball
     constraint is inactive at the optimum; pass ``radius`` to override.
     ``callback(iteration, loss, grad_norm)`` is invoked once per iteration
@@ -222,8 +235,9 @@ def fit_erm(
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     weights = np.zeros((d.num_labels, d.p))
-    value = _objective_value(weights, d, lam)
-    grad = objective_gradient(weights, d, lam)
+    value, scores = _objective(weights, d, lam)
+    probs = softmax(scores, axis=1)
+    grad = _gradient(probs, weights, d, lam)
     grad_norm = math.inf
     for iteration in range(max_iters):
         grad_norm = float(np.linalg.norm(grad))
@@ -232,7 +246,7 @@ def fit_erm(
         if grad_norm <= tol:
             break
         try:
-            newton = np.linalg.solve(_hessian(weights, d, lam), -grad.ravel())
+            newton = np.linalg.solve(_hessian(probs, d, lam), -grad.ravel())
         except np.linalg.LinAlgError:
             # lam below the rounding of the Hessian entries leaves it singular
             raise ConvergenceError(
@@ -240,7 +254,9 @@ def fit_erm(
                 gradient_norm=grad_norm,
             )
         newton = newton.reshape(grad.shape)
-        weights, value, grad = _line_search(weights, value, grad, grad_norm, newton, d, lam)
+        weights, value, probs, grad = _line_search(
+            weights, value, grad, grad_norm, newton, d, lam
+        )
     else:
         raise ConvergenceError(
             f"gradient norm {grad_norm:.3e} above tol {tol:.3e} after {max_iters} iterations",

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairbound.bounds import (
+    DIST_PROVENANCES,
     MarginProfile,
     bound_report,
+    bound_reports,
     gap_bound,
     margin_profile,
     refined_lipschitz_profile,
@@ -30,12 +33,21 @@ def single_group_spec(num_examples):
 def coefficient_spec(groups, coeffs):
     """Spec with the given coefficient matrix over a fixed group assignment."""
     num_groups = coeffs.shape[0]
-    part = GroupPartition(
+    return spec_on(group_partition(groups, num_groups), coeffs)
+
+
+def group_partition(groups, num_groups):
+    return GroupPartition(
         num_groups=num_groups,
         assignment=np.asarray(groups, dtype=np.int64),
         proportions=np.full(num_groups, 1.0 / num_groups),
         descriptions=tuple(f"g{k}" for k in range(num_groups)),
     )
+
+
+def spec_on(part, coeffs):
+    """Spec with the given coefficient matrix over a given partition."""
+    num_groups = coeffs.shape[0]
     return FairnessSpec(
         notion="accuracy",
         partition=part,
@@ -97,6 +109,15 @@ class TestMarginProfile:
         prof = margin_profile(m, desk_data)
         assert np.all(prof.abs_margins >= 0.0)
         assert np.mean(prof.abs_margins > 0) > 0.99
+
+
+    def test_ratios_saturate_without_warning(self):
+        # the suite fails on a RuntimeWarning; |m|/L and L/|m| overflowed
+        # with one outside the report's errstate
+        assert MarginProfile(np.array([1e300]), np.array([1e-10])).ratio.tolist() == [math.inf]
+        profile = MarginProfile(np.array([1e-320, 0.0, 0.5]), np.array([1e10, 0.0, 2.0]))
+        assert profile.inverse_ratio.tolist() == [math.inf, 0.0, 4.0]
+        assert profile.ratio.tolist() == [0.0, math.inf, 0.25]
 
 
 class TestChi:
@@ -343,6 +364,77 @@ class TestAgainstNaiveLoop:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (k, field)
             assert entry.best <= entry.truncated <= entry.markov
             assert entry.best <= entry.chernoff <= float(np.sum(np.abs(spec.coeffs[k])))
+
+
+@st.composite
+def batched_cases(draw):
+    """A profile, one to three specs over one or two partitions (a spec may
+    take another's partition object, or an equal copy of it), and one to
+    three distances with their provenances."""
+    n = draw(st.integers(0, 20))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    margins = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    lipschitz = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    partitions = []
+    for _ in range(draw(st.integers(1, 2))):
+        num_groups = draw(st.integers(1, 15))
+        groups = draw(st.lists(st.integers(0, num_groups - 1), min_size=n, max_size=n))
+        partitions.append(group_partition(groups, num_groups))
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        choice = draw(st.integers(0, len(partitions)))
+        part = (partitions[choice] if choice < len(partitions)
+                else dataclasses.replace(partitions[0]))
+        # up to 225 coefficients: seeded NumPy draws, about a third of them 0
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        k = part.num_groups
+        coeffs = rng.uniform(-2.0, 2.0, (k, k)) * (rng.random((k, k)) < 2 / 3)
+        specs.append(spec_on(part, coeffs))
+    dists = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(0.0, 1e300)),
+                          min_size=1, max_size=3))
+    provenances = draw(st.lists(st.sampled_from(DIST_PROVENANCES),
+                                min_size=len(dists), max_size=len(dists)))
+    return MarginProfile(margins, lipschitz), specs, dists, provenances
+
+
+def _every_case():
+    """Zero margins, zero Lipschitz constants, empty groups, K = 15, dist 0
+    and two specs on one partition, all in one case."""
+    part = group_partition([0, 0, 1, 1, 14, 14], 15)
+    coeffs = np.eye(15) - 1.0 / 15
+    specs = [spec_on(part, coeffs), spec_on(part, 2 * coeffs),
+             spec_on(dataclasses.replace(part), coeffs)]
+    profile = MarginProfile(np.array([0.0, 1.0, 0.5, 0.0, 2.0, 0.1]),
+                            np.array([1.0, 0.0, 2.0, 0.0, 1.0, 3.0]))
+    return profile, specs, [0.0, 0.3, 1e300], ["lemma2", "measured", "lemma3"]
+
+
+class TestBatchedReports:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(batched_cases())
+    @example(_every_case())
+    def test_equals_one_report_per_spec_and_distance(self, case):
+        profile, specs, dists, provenances = case
+        reports = bound_reports(profile, specs, dists, provenances)
+        assert len(reports) == len(specs)
+        for spec, spec_reports in zip(specs, reports):
+            assert len(spec_reports) == len(dists)
+            for report, dist, provenance in zip(spec_reports, dists, provenances):
+                single = bound_report(profile, spec, dist, provenance)
+                assert isinstance(report.entries, tuple)
+                assert report == single  # every field, every entry, bit for bit
+
+    def test_every_case_covers_its_conventions(self):
+        profile, specs, dists, provenances = _every_case()
+        report = bound_reports(profile, specs, dists, provenances)[0][1]
+        flags = {f for entry in report.entries for f in entry.flags}
+        assert "empty_group:2" in flags and "zero_margin_in_group:0" in flags
+        assert math.isinf(report.entry(0).chi)
+
+    def test_one_provenance_per_distance(self):
+        profile, specs, _, _ = _every_case()
+        with pytest.raises(ValueError, match="provenance"):
+            bound_reports(profile, specs, [0.1, 0.2], ["measured"])
 
 
 class TestValidity:

@@ -233,6 +233,22 @@ class TestConfigFileSupport:
         assert run(["train", "--config", str(cfg)]) == 2
 
 
+EXTREME_BUDGETS = {
+    "epsilon_tiny": ("--epsilon", "1e-300"),
+    "epsilon_huge": ("--epsilon", "1e300"),
+    "lambda_tiny": ("--lambda", "1e-300"),
+    "lambda_huge": ("--lambda", "1e300"),
+}
+EXTREME_BUDGET_COMMANDS = {
+    "privatize": ["privatize", "--mechanism", "output-perturbation", "--seed", "1"],
+    "privatize_dpsgd": ["privatize", "--mechanism", "dp-sgd", "--seed", "1"],
+    "bound": ["bound", "--train-data", "DATA", "--notion", "accuracy"],
+    "bound_dpsgd": ["bound", "--train-data", "DATA", "--notion", "accuracy",
+                    "--mechanism", "dp-sgd"],
+    "table": ["table", "--train-data", "DATA"],
+}
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, workdir):
         missing = str(workdir / "nope.cfg")
@@ -340,6 +356,44 @@ class TestExitCodes:
     )
     def test_non_finite_or_unattainable_flag_is_config_error_2(self, workdir, command, capsys):
         _assert_config_error(workdir, command, capsys)
+
+    @pytest.mark.parametrize(
+        "command, budget",
+        [(command, budget) for command in EXTREME_BUDGET_COMMANDS for budget in EXTREME_BUDGETS
+         # the DP-SGD schedule takes no step at lambda 1e-300: a 2R bound, exit 0
+         if not ("dp-sgd" in EXTREME_BUDGET_COMMANDS[command] and budget == "lambda_tiny")],
+    )
+    def test_extreme_budget_is_config_error_2(self, workdir, command, budget, capsys):
+        # the closed-form noise scale or lemma distance divided by zero or
+        # overflowed, a ZeroDivisionError or OverflowError traceback (exit 1)
+        flag, value = EXTREME_BUDGETS[budget]
+        values = {"--epsilon": "1.0", "--lambda": "1.0", flag: value}
+        _assert_config_error(
+            workdir, EXTREME_BUDGET_COMMANDS[command] + [f for kv in values.items() for f in kv],
+            capsys)
+
+    @pytest.mark.parametrize("mechanism", ["output_perturbation", "dp_sgd"])
+    def test_extreme_epsilon_grid_points_are_failure_rows(self, workdir, mechanism):
+        # an epsilon grid from 1e-300 to 1e300 aborted the whole sweep with a
+        # ZeroDivisionError (exit 1) and wrote no sweep.csv
+        exp = workdir / "exp.cfg"
+        exp.write_text(
+            EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg"))
+            .replace("sweep-axis = n", "sweep-axis = epsilon")
+            .replace("grid-start = 100", "grid-start = 1e-300")
+            .replace("grid-stop = 400", "grid-stop = 1e300")
+            .replace("grid-count = 2", "grid-count = 3")
+            .replace("output_perturbation", mechanism),
+            encoding="utf-8")
+        out_dir = workdir / "results"
+        assert run(["experiment", "--config", str(exp), "--seed", "5",
+                    "--out-dir", str(out_dir)]) == 0
+        failures = (out_dir / "failures.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in failures] == ["0", "2"]
+        assert all(",ConfigError: " in row and "finite positive" in row for row in failures)
+        rows = [line for line in (out_dir / "sweep.csv").read_text(encoding="utf-8").splitlines()
+                if line.startswith("epsilon,")]
+        assert len(rows) == 2 and all(row.split(",")[1] == "1.0" for row in rows)
 
     def test_privatize_negative_seed_is_config_error_2(self, workdir, capsys):
         # NumPy's seeding used to reject it with a ValueError traceback (exit 1)
@@ -560,6 +614,27 @@ class TestExitCodes:
         assert "unknown experiment config key(s): variant" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("other, confidence", [(False, 1 - 0.05 - 0.01), (True, 1 - 0.05)],
+                             ids=["lemma", "other"])
+    def test_bound_combined_confidence(self, workdir, other, confidence):
+        # --other once also subtracted zeta, though its measured distance
+        # holds surely
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        priv = str(workdir / "priv.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        run(["privatize", "--data", data, "--model", model, "--lambda", "1.0", "--epsilon", "1",
+             "--seed", "1", "--out", priv])
+        out = workdir / "bound.csv"
+        args = _report_argv("bound", data, model, "accuracy-parity", out)
+        assert run(args + ["--finite-sample", "independent", "--fs-delta", "0.05",
+                           "--zeta", "0.01", *(["--other", priv] if other else [])]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#")]
+        column = rows[0].index("combined_confidence")
+        assert {float(row[column]) for row in rows[1:]} == {confidence}
+
     def test_finite_sample_on_one_label_data_is_data_error_4(self, workdir, capsys):
         data = workdir / "one_label.csv"
         data.write_text("f0,s,y\n0.5,0,0\n-1.0,1,0\n2.0,0,0\n", encoding="utf-8")
@@ -761,6 +836,29 @@ def report_inputs(tmp_path_factory):
     return paths
 
 
+def fuzz_config_file(tmp_path_factory, report_inputs, command, lines_strategy, exits):
+    """Run ``command`` on 100 derandomized config files, each of the
+    ``key = value`` lines ``lines_strategy`` draws, and assert that each
+    ends with one of ``exits``."""
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(lines=lines_strategy)
+    def check(lines):
+        root = tmp_path_factory.mktemp("fuzz")
+        paths = {**report_inputs, "OUT": str(root / "out.csv"),
+                 "NODIR": str(root / "missing" / "out.csv")}
+        cfg = root / "command.cfg"
+        cfg.write_text("".join(
+            f"{key} = {paths.get(value, value)}\n"
+            for key, _, value in (line.partition(" = ") for line in lines)), encoding="utf-8")
+        try:
+            code = run([command, "--config", str(cfg)])
+        except SystemExit as exc:  # argparse: a required key left out, or a bad number
+            code = exc.code
+        assert code in exits, lines
+
+    check()
+
+
 class TestReportConfigFuzz:
     @pytest.mark.parametrize("command", sorted(REPORT_FUZZ_VALUES))
     def test_keys_are_the_flags(self, command):
@@ -768,23 +866,83 @@ class TestReportConfigFuzz:
 
     @pytest.mark.parametrize("command", sorted(REPORT_FUZZ_VALUES))
     def test_config_file_exits_0_2_or_4(self, tmp_path_factory, report_inputs, command):
-        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-        @given(lines=config_lines(REPORT_FUZZ_VALUES[command]))
-        def check(lines):
-            root = tmp_path_factory.mktemp("fuzz")
-            paths = {**report_inputs, "OUT": str(root / "out.csv"),
-                     "NODIR": str(root / "missing" / "out.csv")}
-            cfg = root / "report.cfg"
-            cfg.write_text("".join(
-                f"{key} = {paths.get(value, value)}\n"
-                for key, _, value in (line.partition(" = ") for line in lines)), encoding="utf-8")
-            try:
-                code = run([command, "--config", str(cfg)])
-            except SystemExit as exc:  # argparse: a required key left out, or a bad number
-                code = exc.code
-            assert code in (0, 2, 4), lines
+        fuzz_config_file(tmp_path_factory, report_inputs, command,
+                         config_lines(REPORT_FUZZ_VALUES[command]), (0, 2, 4))
 
-        check()
+
+# Per train/privatize/table config key, as in REPORT_FUZZ_VALUES.  The
+# budgets include 1e-300 and 1e300, where the closed-form noise scales and
+# distances leave the float range.
+_EXTREMES = ["1e-300", "1e300"]
+_PRIVACY_VALUES = {
+    "lambda": (["1.0", "0.5"], [None, "", "0", "-1", "inf", "nan", "abc", *_EXTREMES]),
+    "epsilon": ([None, "1.0", "0.1", "5"], ["", "0", "-1", "inf", "1e400", "nan", "x", *_EXTREMES]),
+    "delta": ([None, "auto", "1e-6"], ["", "0", "1", "nan", "x", *_EXTREMES]),
+    "zeta": ([None, "0.01", "0.5"], ["", "0", "1", "nan", "x", *_EXTREMES]),
+}
+_INPUT_VALUES = {key: _DATA_FLAG_VALUES[key] for key in ("data", "sensitive-col", "label-col", "model")}
+COMMAND_FUZZ_VALUES = {
+    "train": {
+        "data": (["DATA", "THREE"], [None, "", "missing.csv"]),
+        "sensitive-col": _DATA_FLAG_VALUES["sensitive-col"],
+        # a feature column as the label would train one label per row
+        "label-col": ([None, "y"], ["", "nope"]),
+        "lambda": _PRIVACY_VALUES["lambda"],
+        "tol": ([None, "1e-8", "1e-3", "1e300"], ["", "0", "-1", "inf", "nan", "x", "1e-300"]),
+        "max-iters": ([None, "1", "100"], ["", "0", "-1", "1.5", "x"]),
+        "radius": ([None, "10", "1e300"], ["", "0", "-1", "inf", "nan", "x", "1e-300"]),
+        "out": (["OUT"], [None, "", "NODIR"]),
+    },
+    "privatize": {
+        **_INPUT_VALUES,
+        **_PRIVACY_VALUES,
+        "epsilon": (_PRIVACY_VALUES["epsilon"][0][1:], [None, *_PRIVACY_VALUES["epsilon"][1]]),
+        "mechanism": ([None, "output-perturbation", "dp-sgd", "output_perturbation"],
+                      ["", "laplace"]),
+        "seed": (["1", "7"], [None, "", "-1", "1.5", "x"]),
+        "out": (["OUT"], [None, "", "NODIR"]),
+    },
+    "table": {
+        **_INPUT_VALUES,
+        **_PRIVACY_VALUES,
+        "train-data": (["DATA"], [None, "", "missing.csv", "THREE"]),
+        "desirable": _DATA_FLAG_VALUES["desirable"],
+        "name": ([None, "tiny"], ["", "a,b"]),
+        "out": (["OUT"], [None, "", "NODIR"]),
+    },
+}
+
+
+@st.composite
+def extreme_budget_lines(draw, pool):
+    """``key = value`` lines with one budget key of ``pool`` set to 1e-300 or
+    1e300 and every other key to a working value.  Drawn from ``pool`` by
+    :func:`config_lines`, such a config is rare: another broken key most
+    often fails first."""
+    extreme = draw(st.sampled_from(sorted(set(pool) & set(_PRIVACY_VALUES))))
+    lines = []
+    for key, (working, _) in pool.items():
+        value = draw(st.sampled_from(_EXTREMES if key == extreme else working))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return lines
+
+
+# train may also stop with a convergence error (exit 3)
+COMMAND_FUZZ_EXITS = {"train": (0, 2, 3, 4), "privatize": (0, 2, 4), "table": (0, 2, 4)}
+
+
+class TestCommandConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FUZZ_VALUES))
+    def test_keys_are_the_flags(self, command):
+        assert sorted(COMMAND_FUZZ_VALUES[command]) == sorted(subcommand_keys(command))
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FUZZ_VALUES))
+    def test_config_file_exit_codes(self, tmp_path_factory, report_inputs, command):
+        pool = COMMAND_FUZZ_VALUES[command]
+        fuzz_config_file(tmp_path_factory, report_inputs, command,
+                         st.one_of(config_lines(pool), extreme_budget_lines(pool)),
+                         COMMAND_FUZZ_EXITS[command])
 
 
 def readme_flags(text: str) -> set[str]:

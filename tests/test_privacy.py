@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fairbound.exceptions import ConfigError
 from fairbound.model import LinearModel, distance
 from fairbound.privacy import (
     DpSgdBound,
@@ -297,6 +298,34 @@ class TestDpSgdDistanceBound:
         b = dpsgd_distance_bound(4, c, 10, pp)
         assert b.steps == 0
         assert b.distance == 0.1
+
+
+class TestOutOfRangeCalibration:
+    # Python float arithmetic raised ZeroDivisionError or OverflowError here
+    @pytest.mark.parametrize("epsilon, lam", [(1e-300, 1.0), (1e300, 1.0), (1.0, 1e-300),
+                                              (1.0, 1e300)])
+    @pytest.mark.parametrize("mechanism", ["output_perturbation", "dp_sgd"])
+    def test_noise_scale_and_distance_are_config_errors(self, epsilon, lam, mechanism):
+        c = flat_constants(loss_lipschitz=2.0 + lam, strong_convexity=lam, smoothness=5.0 + lam)
+        pp = quiet_params(epsilon, 1e-6, 0.1, mechanism, seed=0)
+        if mechanism == "output_perturbation":
+            with pytest.raises(ConfigError, match="finite positive"):
+                output_noise_variance(c.loss_lipschitz, lam, 1000, epsilon, 1e-6)
+            with pytest.raises(ConfigError, match="finite positive"):
+                output_perturb_distance_bound(4, c, 1000, pp)
+        elif lam == 1e-300:  # mu*beta*(2R)^2 <= 2M^2: no step, the 2R bound
+            assert dpsgd_distance_bound(4, c, 1000, pp) == DpSgdBound(2.0, 0, 0.0)
+        else:
+            with pytest.raises(ConfigError, match="finite positive"):
+                dpsgd_distance_bound(4, c, 1000, pp)
+
+    def test_underflowing_variance_is_config_error(self):
+        with pytest.raises(ConfigError, match="is 0.0"):
+            output_noise_variance(1.0, 1e150, 10**6, 1e150, 0.5)
+
+    def test_dpsgd_noise_over_too_many_steps_is_config_error(self):
+        with pytest.raises(ConfigError, match="finite positive"):
+            dpsgd_noise(1.0, 10**200, 100, 1.0, 1e-6)
 
 
 class TestGradientMomentWarning:

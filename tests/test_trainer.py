@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp, softmax
 
 from fairbound import trainer
 from fairbound.dataset import CellSpec, Dataset, SyntheticSpec, synthesize
@@ -30,6 +31,61 @@ def gradient_descent(d, lam, tol):
             return weights
         weights = weights - step * grad
     raise AssertionError("gradient descent did not converge")
+
+
+def separate_evaluations_newton(d, lam, tol=trainer.DEFAULT_TOL):
+    """Oracle for ``fit_erm``: its damped Newton iteration, with the value,
+    the gradient and the Hessian each computed from scores of their own."""
+    rows = np.arange(d.n)
+
+    def value(w):
+        scores = d.features @ w.T
+        return float(np.mean(logsumexp(scores, axis=1) - scores[rows, d.labels])
+                     + 0.5 * lam * np.sum(w**2))
+
+    def grad(w):
+        residual = softmax(d.features @ w.T, axis=1)
+        residual[rows, d.labels] -= 1.0
+        return residual.T @ d.features / d.n + lam * w
+
+    def hessian(w):
+        probs = softmax(d.features @ w.T, axis=1)
+        num_labels, p = w.shape
+        hess = np.empty((num_labels * p, num_labels * p))
+        for a in range(num_labels):
+            for b in range(a, num_labels):
+                weight = -probs[:, a] * probs[:, b]
+                if a == b:
+                    weight += probs[:, a]
+                block = d.features.T @ (weight[:, None] * d.features) / d.n
+                hess[a * p : (a + 1) * p, b * p : (b + 1) * p] = block
+                hess[b * p : (b + 1) * p, a * p : (a + 1) * p] = block.T
+        hess[np.diag_indices_from(hess)] += lam
+        return hess
+
+    weights = np.zeros((d.num_labels, d.p))
+    val, g = value(weights), grad(weights)
+    for _ in range(trainer.DEFAULT_MAX_ITERS):
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm <= tol:
+            return weights
+        direction = np.linalg.solve(hessian(weights), -g.ravel()).reshape(g.shape)
+        slope = float(np.sum(g * direction))
+        floor = 8.0 * np.finfo(float).eps * abs(val)
+        step = 1.0
+        while True:
+            trial = weights + step * direction
+            trial -= trial.mean(axis=0)
+            trial_value = value(trial)
+            if trial_value <= val + 1e-4 * step * slope:
+                weights, val, g = trial, trial_value, grad(trial)
+                break
+            if trial_value <= val + floor and np.linalg.norm(grad(trial)) < grad_norm:
+                weights, val, g = trial, trial_value, grad(trial)
+                break
+            step *= 0.5
+            assert step > 2.0**-50, "no acceptable step"
+    raise AssertionError("the oracle did not converge")
 
 
 def sweep_generator_data():
@@ -138,14 +194,22 @@ class TestFitErm:
         with pytest.raises(ValueError, match="max_iters"):
             fit_erm(desk_data, lam=1.0, max_iters=max_iters)
 
+    @pytest.mark.parametrize("num_labels", [2, 3, 4, 5])
+    @pytest.mark.parametrize("lam", [1.0, 1e-3])
+    def test_equals_separate_evaluations_oracle(self, rng, num_labels, lam):
+        # one score matrix per trial point, and one softmax per accepted
+        # point, give the same iterates bit for bit
+        d = random_dataset(rng, 200, p=4, num_labels=num_labels)
+        assert np.array_equal(fit_erm(d, lam).weights, separate_evaluations_newton(d, lam))
+
     def test_unaccepted_step_raises_at_once(self, rng, monkeypatch):
         # an objective that rejects every step away from zero leaves no step
         # to accept along the first Newton direction
         d = random_dataset(rng, 40)
-        real_value = trainer._objective_value
+        real_objective = trainer._objective
         monkeypatch.setattr(
-            trainer, "_objective_value",
-            lambda w, d, lam: real_value(w, d, lam) if not w.any() else math.inf,
+            trainer, "_objective",
+            lambda w, d, lam: real_objective(w, d, lam) if not w.any() else (math.inf, None),
         )
         norms = []
         with pytest.raises(ConvergenceError, match="no acceptable step") as err:
