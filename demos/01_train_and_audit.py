@@ -45,4 +45,4 @@ for notion in fb.NOTIONS:
             tag = "advantaged" if level > 0 else ("disadvantaged" if level < 0 else "fair")
         print(f"  group {fairness_spec.partition.descriptions[k]:>10}: "
               f"F = {level:+.4f} ({tag}); definitional check {direct:+.4f}")
-    print(f"  aggregate |F| mean = {fb.aggregate_fairness(model, test, fairness_spec):.4f}\n")
+    print(f"  aggregate |F| mean = {np.mean(np.abs(levels)):.4f}\n")

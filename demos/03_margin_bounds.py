@@ -53,7 +53,7 @@ for dist in (0.001, 0.01, 0.05, 0.1, 0.5, 1.0):
 # component of each input along the weight difference.
 other = fb.LinearModel(model.weights + 0.05, model.radius * 2)
 dist = fb.distance(model, other)
-refined = fb.refined_lipschitz_profile(model, other, data)
+refined = fb.MarginProfile(profile.abs_margins, fb.refined_lipschitz(model, other, data))
 print(f"\nmeasured distance to a nearby model: {dist:.4f}")
 for k in range(spec.num_groups):
     std = fb.gap_bound(profile, spec, k, dist, "best")

@@ -15,7 +15,7 @@ from .bounds import (
     bound_reports,
     gap_bound,
     margin_profile,
-    refined_lipschitz_profile,
+    refined_lipschitz,
     theorem3_report,
 )
 from .dataset import (
@@ -42,7 +42,6 @@ from .exceptions import (
 from .fairness import (
     NOTIONS,
     FairnessSpec,
-    aggregate_fairness,
     coefficients,
     direct_fairness,
     group_fairness,
@@ -56,7 +55,6 @@ from .model import (
     load_model,
     margin,
     predict,
-    project,
     save_model,
 )
 from .privacy import (

@@ -14,7 +14,11 @@ distance, and per group partition of the specs it builds the per-group
 term vectors below, the distance-free ones once and the others once per
 distance.  Each spec then combines them with its coefficient magnitudes
 exactly as the fairness layer combines conditional accuracies.
-``bound_report`` is its one-spec, one-distance case.  The variants:
+``bound_report`` is its one-spec, one-distance case.  When both models are
+known, ``MarginProfile(margin_profile(h, d).abs_margins,
+refined_lipschitz(h, h2, d))`` is h's refined, direction-aware profile
+against h2: the same margins with Lipschitz constants that read only each
+example's component along the weight difference.  The variants:
 
 - "markov": the group mean of L/|m| (the pointwise Lipschitz factor chi)
   times d;
@@ -127,15 +131,6 @@ def refined_lipschitz(h: LinearModel, hprime: LinearModel, d: Dataset) -> np.nda
     # |projection of x on each active row direction|, maximized over rows
     comps = np.abs(d.features @ diff[active].T) / row_norms[active]
     return 2.0 * np.max(comps, axis=1)
-
-
-def refined_lipschitz_profile(h: LinearModel, hprime: LinearModel, d: Dataset) -> MarginProfile:
-    """Diagnostic profile: h's margins with the :func:`refined_lipschitz`
-    constants of h and hprime."""
-    return MarginProfile(
-        abs_margins=np.abs(margins_many(h, d.features, d.labels)),
-        lipschitz=refined_lipschitz(h, hprime, d),
-    )
 
 
 @dataclass(frozen=True)
@@ -276,8 +271,7 @@ def bound_reports(
                 spec.partition, inverse_ratio, zero_margin, dists, at_risk, at_risk_inverse
             )
             partitions.append(terms)
-        weights = np.abs(spec.coeffs) * (terms.sizes > 0)
-        combined = _combine(weights, terms.terms)
+        combined = _combine(np.abs(spec.coeffs), terms.terms)
         flags = []
         for k in range(spec.num_groups):
             flags_k: list[str] = []

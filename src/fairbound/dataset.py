@@ -91,9 +91,6 @@ class Dataset:
     def example(self, i: int) -> Example:
         return Example(self.features[i], int(self.sensitive[i]), int(self.labels[i]))
 
-    def __len__(self) -> int:
-        return self.n
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Dataset restricted to ``indices``; id mappings are inherited."""
         indices = np.asarray(indices)

@@ -68,7 +68,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import label_ids, parse_synthetic_spec, read_config
+from .config import label_ids, read_config, read_synthetic_spec
 from .dataset import Dataset, load_csv, split, synthesize
 from .exceptions import ConfigError, FairboundError
 from .fairness import (
@@ -223,8 +223,7 @@ def _grid_values(cfg: ExperimentConfig) -> np.ndarray:
 
 def _load_base_data(cfg: ExperimentConfig) -> Dataset:
     if cfg.data_format == "synthetic":
-        spec = parse_synthetic_spec(read_config(cfg.data), source=cfg.data)
-        return synthesize(spec, seed=cfg.seed)
+        return synthesize(read_synthetic_spec(cfg.data), seed=cfg.seed)
     return load_csv(cfg.data, cfg.sensitive_col, cfg.label_col)
 
 
@@ -495,17 +494,21 @@ def table_report(
     """One summary row: the group-averaged best-variant certificate for each
     notion plus plain accuracy, at the given privacy parameters (by default
     output perturbation at epsilon 1, zeta 0.01 and delta 1/n^2 over the
-    training size).  Non-binary labels (a ``DataError`` of the demographic
-    parity column) or a bad ``desirable`` set (a ``ConfigError``) fail
-    before any bound is computed."""
+    training size).  One margin profile of h* and one ``bound_reports``
+    pass at the mechanism's lemma distance serve every notion.  Non-binary
+    labels (a ``DataError`` of the demographic parity column) or a bad
+    ``desirable`` set (a ``ConfigError``) fail before any bound is
+    computed."""
     specs = [coefficients(eval_data, notion, desirable) for notion in TABLE_NOTIONS]
     if pp is None:
         pp = PrivacyParams(epsilon=1.0, delta=1.0 / train.n**2, zeta=0.01,
                            mechanism="output_perturbation", seed=0)
     c = constants(train, lam, hstar.radius)
+    dist, provenance = bounds_mod.resolve_distance(hstar.num_params, c, train.n, pp)
+    profile = bounds_mod.margin_profile(hstar, eval_data)
+    reports = bounds_mod.bound_reports(profile, specs, [dist], [provenance])
     row: dict[str, str] = {"dataset": dataset_name}
-    for spec in specs:
-        report = bounds_mod.theorem3_report(hstar, eval_data, spec, c, train.n, pp)
+    for spec, (report,) in zip(specs, reports):
         row[spec.notion] = _fmt(report.aggregate)
     return row
 

@@ -10,9 +10,11 @@ evaluates each notion's definitional formula straight from counts and serves
 as the independent oracle that the affine form must reproduce exactly.
 ``group_fairness_many`` evaluates an (M, Y, p) stack of models under several
 notions at once; every affine-form evaluation, one model included, goes
-through it.  Given a ``ScoringReference`` h*, it scores each model only on
-the examples whose margin at h* the model's distance from h* lets it flip,
-and takes its other correct counts from h*.  The counts are integers and
+through it: ``group_fairness_all`` is its one-model case, and
+``group_fairness(m, d, spec, k)`` is ``group_fairness_all(m, d, spec)[k]``.
+Given a ``ScoringReference`` h*, it scores each model only on the examples
+whose margin at h* the model's distance from h* lets it flip, and takes its
+other correct counts from h*.  The counts are integers and
 equal those of scoring every example, up to the rounding-level near ties
 described at ``group_fairness_many``.
 
@@ -79,7 +81,6 @@ class FairnessSpec:
     partition: GroupPartition
     offsets: np.ndarray  # (K,)
     coeffs: np.ndarray  # (K, K)
-    desirable: frozenset[int] | None
     flags: tuple[str, ...]
 
     def __post_init__(self):
@@ -120,7 +121,6 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
             partition=single_group_partition(d),
             offsets=np.zeros(1),
             coeffs=np.ones((1, 1)),
-            desirable=None,
             flags=(),
         )
 
@@ -135,7 +135,6 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
             partition=part,
             offsets=np.zeros(ns),
             coeffs=coeffs,
-            desirable=None,
             flags=(),
         )
 
@@ -200,7 +199,6 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
         partition=part,
         offsets=offsets,
         coeffs=coeffs,
-        desirable=desirable if notion == "equality_of_opportunity" else None,
         flags=tuple(dict.fromkeys(flags)),
     )
 
@@ -410,8 +408,7 @@ def group_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec, k: int) -> fl
     group is advantaged relative to its reference population."""
     if not 0 <= k < spec.num_groups:
         raise ValueError(f"group {k} out of range")
-    values, _ = conditional_accuracies(m, d, spec.partition)
-    return float(spec.offsets[k] + spec.coeffs[k] @ values)
+    return float(group_fairness_all(m, d, spec)[k])
 
 
 def group_fairness_many(
@@ -451,11 +448,6 @@ def group_fairness_all(m: LinearModel, d: Dataset, spec: FairnessSpec) -> np.nda
     """Per-group fairness levels of one model: the one-model case of
     :func:`group_fairness_many`."""
     return group_fairness_many(m.weights[None], d, [spec])[0][0]
-
-
-def aggregate_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec) -> float:
-    """Mean absolute per-group fairness level."""
-    return float(np.mean(np.abs(group_fairness_all(m, d, spec))))
 
 
 def direct_fairness(

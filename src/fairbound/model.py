@@ -26,6 +26,14 @@ def frobenius_norms(weights: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def outside_ball(norm: float | np.ndarray, radius: float) -> bool | np.ndarray:
+    """Whether a Frobenius norm, or each of an array of them, exceeds the
+    ball radius beyond rounding.  The slack, 1e-9 * max(1, radius), grows
+    with the radius, so a radially projected matrix, whose norm can exceed
+    the radius by a few ulps, lies inside at every scale."""
+    return norm > radius + 1e-9 * max(1.0, radius)
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Weight matrix (one row per label) inside a Frobenius ball."""
@@ -41,7 +49,7 @@ class LinearModel:
             raise ValueError("weights must be finite")
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
-        if np.linalg.norm(weights) > self.radius + 1e-9:
+        if outside_ball(np.linalg.norm(weights), self.radius):
             raise ValueError("weight norm exceeds the declared ball radius")
         weights = weights.copy()
         weights.setflags(write=False)
@@ -125,11 +133,6 @@ def distance(m: LinearModel, other: LinearModel) -> float:
     return float(np.linalg.norm(m.weights - other.weights))
 
 
-def project(m: LinearModel, radius: float) -> LinearModel:
-    """Radial projection onto the Frobenius ball of the given radius."""
-    return clip_to_ball(m.weights, radius)
-
-
 def clip_to_ball_many(weights: np.ndarray, radius: float) -> np.ndarray:
     """Each matrix of an (M, Y, p) stack radially projected onto the ball,
     checked as :class:`LinearModel` checks one model; matrices inside the
@@ -143,7 +146,7 @@ def clip_to_ball_many(weights: np.ndarray, radius: float) -> np.ndarray:
     outside = norms > radius
     scale = np.divide(radius, norms, out=np.ones(norms.shape), where=outside)
     clipped = weights * scale[:, None, None]
-    if (frobenius_norms(clipped) > radius + 1e-9).any():
+    if outside_ball(frobenius_norms(clipped), radius).any():
         raise ValueError("weight norm exceeds the declared ball radius")
     return clipped
 

@@ -251,7 +251,7 @@ def dpsgd(
     model = LinearModel(np.zeros((d.num_labels, d.p)), cfg.radius)
     for _ in range(cfg.steps):
         i = int(rng.integers(d.n))
-        grad = gradient(model, d.example(i), c.lam)
+        grad = gradient(model, d.example(i), c.strong_convexity)
         if sigma > 0:
             grad = grad + rng.normal(0.0, sigma, size=grad.shape)
         model = clip_to_ball(model.weights - cfg.step_size * grad, cfg.radius)

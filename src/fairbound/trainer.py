@@ -28,7 +28,7 @@ from scipy.special import logsumexp, softmax
 
 from .dataset import Dataset, Example
 from .exceptions import ConvergenceError
-from .model import LinearModel
+from .model import LinearModel, outside_ball
 
 DEFAULT_TOL = 1e-10
 # Newton iterations.  Every case measured converged in at most 9: 15,000
@@ -46,33 +46,30 @@ _MAX_HALVINGS = 50
 class LossConstants:
     """Constants of the training loss on the radius-R ball.
 
-    lam: ridge weight; equals the strong convexity constant.
+    strong_convexity: the objective's strong convexity constant, which is
+        the ridge weight lam.
     loss_lipschitz: upper bound on per-example gradient norms over the ball
         (sqrt(2)*B + lam*R).
     smoothness: upper bound on the objective's smoothness (B^2 + lam).
     """
 
-    lam: float
     strong_convexity: float
     loss_lipschitz: float
     smoothness: float
     radius: float
-    feature_bound: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.radius <= 0:
-            raise ValueError("lam and radius must be positive")
+        if self.strong_convexity <= 0 or self.radius <= 0:
+            raise ValueError("strong_convexity and radius must be positive")
 
 
 def constants(d: Dataset, lam: float, radius: float) -> LossConstants:
     feature_bound = d.feature_norm_bound
     return LossConstants(
-        lam=lam,
         strong_convexity=lam,
         loss_lipschitz=math.sqrt(2.0) * feature_bound + lam * radius,
         smoothness=feature_bound**2 + lam,
         radius=radius,
-        feature_bound=feature_bound,
     )
 
 
@@ -113,11 +110,6 @@ def _gradient(probs: np.ndarray, weights: np.ndarray, d: Dataset, lam: float) ->
     """Objective gradient at ``weights``, given the row-wise softmax
     ``probs`` of its scores."""
     return residuals(probs, d.labels).T @ d.features / d.n + lam * weights
-
-
-def objective_gradient(weights: np.ndarray, d: Dataset, lam: float) -> np.ndarray:
-    """Full-batch gradient of the objective at the given weight matrix."""
-    return _gradient(softmax(d.features @ weights.T, axis=1), weights, d, lam)
 
 
 def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> float:
@@ -266,7 +258,7 @@ def fit_erm(
     norm = float(np.linalg.norm(weights))
     if radius is None:
         radius = 2.0 * norm if norm > 0 else 1.0
-    elif norm > radius + 1e-9:
+    elif outside_ball(norm, radius):
         raise ValueError(
             f"radius override {radius} is smaller than the optimum's norm {norm:.6g}; "
             "the unconstrained solver cannot honor it"

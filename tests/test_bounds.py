@@ -13,13 +13,12 @@ from fairbound.bounds import (
     bound_reports,
     gap_bound,
     margin_profile,
-    refined_lipschitz_profile,
+    refined_lipschitz,
     theorem3_report,
 )
 from fairbound.dataset import GroupPartition
 from fairbound.fairness import FairnessSpec, coefficients, group_fairness
 from fairbound.model import LinearModel, distance, predict_many
-from fairbound.privacy import PrivacyParams
 from fairbound.trainer import constants
 
 from conftest import make_dataset, random_dataset
@@ -53,7 +52,6 @@ def spec_on(part, coeffs):
         partition=part,
         offsets=np.zeros(num_groups),
         coeffs=coeffs,
-        desirable=None,
         flags=(),
     )
 
@@ -129,7 +127,6 @@ class TestChi:
             partition=spec.partition,
             offsets=np.zeros(1),
             coeffs=np.zeros((1, 1)),
-            desirable=None,
             flags=(),
         )
         assert bound_report(prof, zeroed, 0.0).entry(0).chi == 0.0
@@ -459,6 +456,12 @@ class TestValidity:
                 assert gap <= bound * (1 + 1e-12) + 1e-12, (trial, notion, k, variant)
 
 
+def refined_profile(h, hprime, d):
+    """h's margin profile with the direction-aware Lipschitz constants of
+    h against hprime, composed as the sweep composes it."""
+    return MarginProfile(margin_profile(h, d).abs_margins, refined_lipschitz(h, hprime, d))
+
+
 class TestRefinedProfile:
     def test_orthogonal_direction_zero(self):
         d = make_dataset(np.array([[0.0, 1.0, 1.0]]), [0], [0], num_sensitive=1)
@@ -466,7 +469,7 @@ class TestRefinedProfile:
         h2 = LinearModel(np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 10.0)
         # x = (0, 1, 1) is orthogonal to the only active direction (1, 0, 0)?
         # no: rows differ in coordinate 0 only, and x_0 = 0 -> projection 0
-        prof = refined_lipschitz_profile(h, h2, d)
+        prof = refined_profile(h, h2, d)
         assert prof.lipschitz[0] == 0.0
 
     def test_never_exceeds_standard(self, rng):
@@ -474,14 +477,14 @@ class TestRefinedProfile:
             d = random_dataset(rng, 15)
             h = LinearModel(rng.normal(size=(2, 3)), 100.0)
             h2 = LinearModel(rng.normal(size=(2, 3)), 100.0)
-            refined = refined_lipschitz_profile(h, h2, d)
+            refined = refined_profile(h, h2, d)
             standard = margin_profile(h, d)
             assert np.all(refined.lipschitz <= standard.lipschitz + 1e-12)
 
     def test_identical_models_zero_profile(self, rng):
         d = random_dataset(rng, 10)
         h = LinearModel(rng.normal(size=(2, 3)), 100.0)
-        prof = refined_lipschitz_profile(h, h, d)
+        prof = refined_profile(h, h, d)
         assert np.all(prof.lipschitz == 0.0)
         spec = coefficients(d, "accuracy_parity")
         for k in range(2):
@@ -494,7 +497,7 @@ class TestRefinedProfile:
             h2 = LinearModel(h.weights + rng.normal(size=(2, 3)) * 0.4, 100.0)
             dist = distance(h, h2)
             spec = coefficients(d, "accuracy_parity")
-            refined = refined_lipschitz_profile(h, h2, d)
+            refined = refined_profile(h, h2, d)
             standard = margin_profile(h, d)
             for k in range(2):
                 gap = abs(group_fairness(h, d, spec, k) - group_fairness(h2, d, spec, k))

@@ -136,6 +136,22 @@ class TestPipeline:
         released = load_model(priv)
         assert np.all(np.isfinite(released.weights))
 
+    def test_privatize_dpsgd_at_large_radius(self, workdir, capsys):
+        # the ball checks' rounding slack scales with the radius: at 1e10
+        # a projected DP-SGD iterate's norm exceeds R by a few ulps of R,
+        # more than an absolute 1e-9
+        spec = str(workdir / "synth.cfg")
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        priv = str(workdir / "priv_sgd.txt")
+        run(["gen-data", "--spec", spec, "--seed", "3", "--out", data])
+        assert run(["train", "--data", data, "--lambda", "1.0", "--radius", "1e10",
+                    "--out", model]) == 0
+        assert run(["privatize", "--model", model, "--data", data, "--lambda", "1.0",
+                    "--mechanism", "dp-sgd", "--epsilon", "0.5", "--seed", "1",
+                    "--out", priv]) == 0, capsys.readouterr().err
+        assert load_model(priv).radius == 1e10
+
     def test_privatize_dpsgd_bytes_match_release(self, workdir):
         spec = str(workdir / "synth.cfg")
         data = str(workdir / "data.csv")

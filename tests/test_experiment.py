@@ -354,6 +354,26 @@ class TestTableReport:
             value = float(row[notion])
             assert value >= 0.0 and math.isfinite(value)
 
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    def test_cells_equal_one_report_per_notion(self, epsilon):
+        from fairbound.bounds import theorem3_report
+        from fairbound.dataset import split
+        from fairbound.privacy import PrivacyParams
+
+        data = synthesize(two_blob_spec(per_cell=200), seed=5)
+        train, test = split(data, 0.9, seed=1)
+        hstar = fit_erm(train, lam=1.0)
+        c = constants(train, 1.0, hstar.radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pp = PrivacyParams(epsilon=epsilon, delta=1.0 / train.n**2, zeta=0.01,
+                               mechanism="output_perturbation", seed=0)
+        row = table_report(hstar, train, test, lam=1.0, pp=pp)
+        for notion in experiment.TABLE_NOTIONS:
+            spec = coefficients(test, notion, frozenset({1}))
+            report = theorem3_report(hstar, test, spec, c, train.n, pp)
+            assert row[notion] == experiment._fmt(report.aggregate), notion
+
 
 class TestReportWriters:
     def test_infinite_chi_serialized_as_inf(self, tmp_path, rng):

@@ -11,7 +11,6 @@ from fairbound.dataset import partition
 from fairbound.exceptions import ConfigError, DataError
 from fairbound.fairness import (
     NOTIONS,
-    aggregate_fairness,
     coefficients,
     conditional_accuracies,
     direct_fairness,
@@ -149,6 +148,22 @@ class TestEquivalenceOracle:
                     direct = direct_fairness(m, d, notion, k, desirable=desirable)
                     assert affine == pytest.approx(direct, abs=1e-12), (trial, notion, k)
 
+    @pytest.mark.parametrize("num_labels", [2, 3, 4])
+    def test_one_group_is_the_one_model_case(self, rng, num_labels):
+        # group_fairness reads group k of group_fairness_all, bit for bit
+        for _ in range(20):
+            num_sensitive = int(rng.integers(2, 5))
+            d = random_dataset(rng, int(rng.integers(20, 61)), num_labels=num_labels,
+                               num_sensitive=num_sensitive)
+            m = LinearModel(rng.normal(size=(num_labels, 3)), 100.0)
+            for notion in NOTIONS:
+                if notion == "demographic_parity_binary" and num_labels != 2:
+                    continue
+                spec, _ = spec_for(d, notion)
+                levels = group_fairness_all(m, d, spec)
+                for k in range(spec.num_groups):
+                    assert group_fairness(m, d, spec, k) == levels[k], (notion, k)
+
     def test_perfect_classifier_equalized_odds_zero(self, desk_data):
         from fairbound.trainer import fit_erm
 
@@ -207,24 +222,6 @@ class TestEquivalenceOracle:
         for k in range(4):
             assert np.isfinite(group_fairness(m, d, spec, k))
             assert np.isfinite(direct_fairness(m, d, "demographic_parity_binary", k))
-
-
-class TestAggregate:
-    def test_zero_and_arithmetic(self, rng):
-        d = random_dataset(rng, 20)
-        spec = coefficients(d, "accuracy_parity")
-        m = LinearModel(rng.normal(size=(2, 3)), 100.0)
-        f = group_fairness_all(m, d, spec)
-        assert aggregate_fairness(m, d, spec) == pytest.approx(float(np.mean(np.abs(f))))
-
-    def test_lower_bounded_by_scaled_max(self, rng):
-        for _ in range(20):
-            d = random_dataset(rng, 25)
-            m = LinearModel(rng.normal(size=(2, 3)), 100.0)
-            spec = coefficients(d, "equalized_odds")
-            f = group_fairness_all(m, d, spec)
-            agg = aggregate_fairness(m, d, spec)
-            assert agg >= np.max(np.abs(f)) / spec.num_groups - 1e-15
 
 
 class TestGroupFairnessMany:

@@ -29,7 +29,6 @@ def slack_spec(proportions, coeffs):
         partition=part,
         offsets=np.zeros(k),
         coeffs=np.asarray(coeffs, dtype=float),
-        desirable=None,
         flags=(),
     )
 

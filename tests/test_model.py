@@ -15,7 +15,6 @@ from fairbound.model import (
     margins_many,
     pointwise_lipschitz_many,
     predict,
-    project,
     save_model,
 )
 
@@ -112,30 +111,30 @@ class TestDistance:
 class TestProject:
     def test_interior_unchanged(self):
         m = LinearModel(np.array([[2.0, 0.0]]), radius=5.0)
-        assert np.array_equal(project(m, 3.0).weights, m.weights)
+        assert np.array_equal(clip_to_ball(m.weights, 3.0).weights, m.weights)
 
     def test_radial_scaling(self):
         m = LinearModel(np.array([[0.0, 4.0]]), radius=5.0)
-        p = project(m, 2.0)
+        p = clip_to_ball(m.weights, 2.0)
         assert np.linalg.norm(p.weights) == pytest.approx(2.0)
         assert p.weights[0, 1] > 0  # direction preserved
 
     def test_zero_fixed_point(self):
         m = LinearModel(np.zeros((2, 2)), radius=1.0)
-        assert np.array_equal(project(m, 0.5).weights, np.zeros((2, 2)))
+        assert np.array_equal(clip_to_ball(m.weights, 0.5).weights, np.zeros((2, 2)))
 
     def test_bad_radius(self):
         m = LinearModel(np.zeros((1, 1)), radius=1.0)
         with pytest.raises(ValueError):
-            project(m, 0.0)
+            clip_to_ball(m.weights, 0.0)
 
     def test_idempotent_and_nonexpansive(self, rng):
         for _ in range(100):
             a = LinearModel(rng.normal(size=(2, 3)), radius=100.0)
             b = LinearModel(rng.normal(size=(2, 3)), radius=100.0)
             r = float(rng.uniform(0.1, 3.0))
-            pa, pb = project(a, r), project(b, r)
-            assert np.allclose(project(pa, r).weights, pa.weights)
+            pa, pb = clip_to_ball(a.weights, r), clip_to_ball(b.weights, r)
+            assert np.allclose(clip_to_ball(pa.weights, r).weights, pa.weights)
             assert distance(pa, pb) <= distance(a, b) + 1e-12
 
 
@@ -176,6 +175,23 @@ class TestStackedProjection:
     def test_bad_radius(self):
         with pytest.raises(ValueError, match="radius"):
             clip_to_ball_many(np.zeros((2, 1, 1)), 0.0)
+
+    @pytest.mark.parametrize("radius", [1e8, 1e10, 1e15])
+    def test_large_radius_projection_is_inside(self, radius):
+        # a projected norm can exceed R by a few ulps of R, which at these
+        # radii is more than an absolute 1e-9
+        weights = np.random.default_rng(0).normal(size=(200, 3, 5)) * (10.0 * radius)
+        clipped = clip_to_ball_many(weights, radius)
+        assert np.allclose(frobenius_norms(clipped), radius, rtol=1e-15, atol=0.0)
+        for w in clipped:
+            assert LinearModel(w, radius).radius == radius
+
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e10])
+    def test_ball_slack_scales_with_radius(self, radius):
+        slack = 1e-9 * max(1.0, radius)
+        assert LinearModel(np.array([[radius + 0.5 * slack]]), radius).radius == radius
+        with pytest.raises(ValueError, match="ball radius"):
+            LinearModel(np.array([[radius + 2.0 * slack]]), radius)
 
 
 class TestSerialization:

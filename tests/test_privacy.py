@@ -39,12 +39,10 @@ def quiet_params(epsilon, delta, zeta, mechanism, seed):
 
 def flat_constants(loss_lipschitz=1.0, strong_convexity=1.0, smoothness=1.0, radius=1.0):
     return LossConstants(
-        lam=strong_convexity,
         strong_convexity=strong_convexity,
         loss_lipschitz=loss_lipschitz,
         smoothness=smoothness,
         radius=radius,
-        feature_bound=0.0,
     )
 
 

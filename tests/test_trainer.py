@@ -5,19 +5,20 @@ import pytest
 from scipy.special import logsumexp, softmax
 
 from fairbound import trainer
-from fairbound.dataset import CellSpec, Dataset, SyntheticSpec, synthesize
+from fairbound.dataset import CellSpec, SyntheticSpec, synthesize
 from fairbound.exceptions import ConvergenceError
 from fairbound.model import LinearModel, distance
-from fairbound.trainer import (
-    LossConstants,
-    constants,
-    fit_erm,
-    gradient,
-    loss,
-    objective_gradient,
-)
+from fairbound.trainer import constants, fit_erm, gradient, loss
 
 from conftest import make_dataset, random_dataset
+
+
+def objective_gradient(weights, d, lam):
+    """Gradient of the mean cross-entropy plus (lam/2)*||W||^2, from its
+    definition: the mean of (softmax(W x_i) - onehot(y_i)) x_i^T, plus lam*W."""
+    residual = softmax(d.features @ weights.T, axis=1)
+    residual[np.arange(d.n), d.labels] -= 1.0
+    return residual.T @ d.features / d.n + lam * weights
 
 
 def gradient_descent(d, lam, tol):
@@ -44,9 +45,7 @@ def separate_evaluations_newton(d, lam, tol=trainer.DEFAULT_TOL):
                      + 0.5 * lam * np.sum(w**2))
 
     def grad(w):
-        residual = softmax(d.features @ w.T, axis=1)
-        residual[rows, d.labels] -= 1.0
-        return residual.T @ d.features / d.n + lam * w
+        return objective_gradient(w, d, lam)
 
     def hessian(w):
         probs = softmax(d.features @ w.T, axis=1)
