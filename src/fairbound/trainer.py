@@ -8,6 +8,16 @@ softmax-minus-onehot residual never exceeds sqrt(2) in Euclidean norm.
 Those three constants drive every privacy noise scale and distance bound
 downstream, so they are computed here, next to the loss they describe.
 
+The log-sum-exp and softmax of each row of scores s follow the shifted
+forms of Blanchard, Higham & Higham (2021), written out in NumPy exactly
+as SciPy 1.17's ``logsumexp`` and ``softmax`` evaluate them, so the
+weights are the same bits as a SciPy-based solve, whichever SciPy (if
+any) is installed.  With
+M = max(s), m the number of entries equal to M and r the sum of exp(s - M)
+over the other entries, log-sum-exp is log1p(r/m) + log(m) + M, and the
+softmax is exp(s - M) / sum(exp(s - M)).  Both come from one exp(s - M)
+pass; an all-equal row gives r = 0 and so exactly log(Y) + M.
+
 The solver is a damped Newton method started from zero: each iteration
 builds the (Y*p) x (Y*p) Hessian from Y(Y+1)/2 weighted Gram products,
 solves for the Newton step and backtracks it to an Armijo decrease, for
@@ -19,15 +29,15 @@ bit-identical, which the end-to-end determinism guarantees require.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .dataset import Dataset, Example
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, DataError
 from .model import LinearModel, outside_ball
 
 DEFAULT_TOL = 1e-10
@@ -40,6 +50,10 @@ DEFAULT_MAX_ITERS = 100
 # before a Newton direction counts as failed.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
+
+# Largest Newton Hessian fit_erm builds: (Y*p)^2 float64 entries in 256 MiB,
+# so Y*p up to 5,792 weights.
+MAX_HESSIAN_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -73,12 +87,40 @@ def constants(d: Dataset, lam: float, radius: float) -> LossConstants:
     )
 
 
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis: exp(s - max) / sum(exp(s - max))."""
+    shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def log_sum_exp_softmax(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-sum-exp and softmax of (n, Y) ``scores``, both from
+    one exp(s - max) pass.
+
+    Log-sum-exp is log1p(r/m) + log(m) + max, with m the number of entries
+    equal to the row max and r the sum of exp(s - max) over the others, so
+    an all-equal row gives exactly log(Y) + max.  Both values equal
+    SciPy's bit for bit on finite scores.  The row max and m
+    are taken one label column at a time, which is exact in any order and
+    far faster than a reduction along the short label axis; the two sums
+    are NumPy's row sums, as in SciPy.
+    """
+    columns = scores.T
+    top = functools.reduce(np.maximum, columns)
+    count = sum(column == top for column in columns)
+    shifted = np.exp(scores - top[:, None])
+    rest = np.where(scores == top[:, None], 0.0, shifted).sum(axis=1)
+    lse = np.log1p(rest / count) + np.log(count) + top
+    return lse, shifted / shifted.sum(axis=1, keepdims=True)
+
+
 def _objective(weights: np.ndarray, d: Dataset, lam: float) -> tuple[float, np.ndarray]:
-    """Objective value at ``weights`` and the (n, Y) score matrix it is
-    computed from."""
+    """Objective value at ``weights`` and the row-wise softmax of its
+    scores, both from the one exp pass of :func:`log_sum_exp_softmax`."""
     scores = d.features @ weights.T
-    ce = logsumexp(scores, axis=1) - scores[np.arange(d.n), d.labels]
-    return float(np.mean(ce) + 0.5 * lam * np.sum(weights**2)), scores
+    lse, probs = log_sum_exp_softmax(scores)
+    ce = lse - scores[np.arange(d.n), d.labels]
+    return float(np.mean(ce) + 0.5 * lam * np.sum(weights**2)), probs
 
 
 def loss(m: LinearModel, d: Dataset, lam: float) -> float:
@@ -123,7 +165,7 @@ def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> 
     if lam <= 0:
         raise ValueError("lam must be positive")
     scores = d.features @ m.weights.T
-    residual = residuals(softmax(scores, axis=1), d.labels)
+    residual = residuals(softmax(scores), d.labels)
     squared_norms = (
         np.sum(residual**2, axis=1) * np.sum(d.features**2, axis=1)
         + 2.0 * lam * np.sum(residual * scores, axis=1)
@@ -172,8 +214,8 @@ def _line_search(
     A step is accepted on Armijo decrease, or, at the rounding floor where
     the objective cannot resolve a decrease of about |grad|^2/lam, when its
     value rises by at most 8*eps*|f| and it lowers the gradient norm.
-    The gradient is taken only there, from the softmax of the scores the
-    value was computed from.
+    The gradient is taken only there, from the softmax that came with the
+    value.
     """
     slope = float(np.sum(grad * direction))
     floor = 8.0 * np.finfo(float).eps * abs(value)
@@ -181,10 +223,9 @@ def _line_search(
     for _ in range(_MAX_HALVINGS):
         trial = weights + step * direction
         trial -= trial.mean(axis=0)
-        trial_value, scores = _objective(trial, d, lam)
+        trial_value, probs = _objective(trial, d, lam)
         armijo = trial_value <= value + _ARMIJO * step * slope
         if armijo or trial_value <= value + floor:
-            probs = softmax(scores, axis=1)
             trial_grad = _gradient(probs, trial, d, lam)
             if armijo or np.linalg.norm(trial_grad) < grad_norm:
                 return trial, trial_value, probs, trial_grad
@@ -208,13 +249,18 @@ def fit_erm(
     Stops when the gradient Frobenius norm drops to ``tol``; raises
     :class:`ConvergenceError` after ``max_iters`` Newton iterations, or at
     once when the Hessian is singular or no step along a Newton direction
-    is accepted.  The objective never increases between iterations
-    beyond rounding.  Each trial point of the line search costs one (n, Y)
-    score matrix: the objective value comes from it, and once the step is
-    accepted, one softmax of it gives both the gradient and the next
-    iteration's Hessian.  The returned
-    model's ball radius defaults to twice the optimum's norm, so the ball
-    constraint is inactive at the optimum; pass ``radius`` to override.
+    is accepted.  Raises :class:`DataError` before solving when the data
+    has fewer than two rows per label, the mark of a label column holding
+    a feature, or when the Newton Hessian would exceed
+    ``MAX_HESSIAN_BYTES``.  The objective never increases between
+    iterations beyond rounding.  Each trial point of the line search costs
+    one (n, Y) score matrix and one exp(s - max) pass over it, which gives
+    both the exact log-sum-exp of the objective value and the row softmax
+    (see :func:`log_sum_exp_softmax`); once the step is accepted, that
+    softmax gives the gradient and the next iteration's Hessian.  The
+    returned model's ball radius defaults to twice the optimum's norm, so
+    the ball constraint is inactive at the optimum; pass ``radius`` to
+    override.
     ``callback(iteration, loss, grad_norm)`` is invoked once per iteration
     when given.
     """
@@ -226,9 +272,20 @@ def fit_erm(
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+    if 2 * d.num_labels > d.n:
+        raise DataError(
+            f"{d.num_labels} labels on {d.n} rows, fewer than two rows per label; "
+            "does the label column hold a feature?"
+        )
+    hessian_bytes = (d.num_labels * d.p) ** 2 * np.dtype(float).itemsize
+    if hessian_bytes > MAX_HESSIAN_BYTES:
+        raise DataError(
+            f"{d.num_labels} labels x {d.p} weights per label need a "
+            f"{hessian_bytes / 2**20:.0f} MiB Newton Hessian, above the "
+            f"{MAX_HESSIAN_BYTES / 2**20:.0f} MiB cap"
+        )
     weights = np.zeros((d.num_labels, d.p))
-    value, scores = _objective(weights, d, lam)
-    probs = softmax(scores, axis=1)
+    value, probs = _objective(weights, d, lam)
     grad = _gradient(probs, weights, d, lam)
     grad_norm = math.inf
     for iteration in range(max_iters):

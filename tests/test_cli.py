@@ -1,6 +1,9 @@
 import argparse
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairbound import experiment
+from fairbound import experiment, trainer
 from fairbound.cli import build_parser, main
 from fairbound.dataset import load_csv
 from fairbound.experiment import release
@@ -205,6 +208,18 @@ class TestPipeline:
         assert lines[1].startswith("blobs,")
 
 
+class TestImports:
+    def test_cli_loads_no_scipy(self):
+        # the package needs only NumPy; SciPy serves the benchmark and the
+        # tests that compare against it
+        src = pathlib.Path(experiment.__file__).parents[1]
+        code = ("import sys, fairbound.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert result.stdout.strip() == "[]"
+
+
 class TestConfigFileSupport:
     def test_flags_from_config_file(self, workdir):
         spec = str(workdir / "synth.cfg")
@@ -291,6 +306,18 @@ class TestExitCodes:
     def test_data_error_is_4(self, workdir):
         assert run(["train", "--data", str(workdir / "missing.csv"), "--lambda", "1.0",
                     "--out", str(workdir / "m.txt")]) == 4
+
+    def test_label_column_holding_a_feature_is_data_error_4(self, workdir, monkeypatch, capsys):
+        # --label-col f0 makes each of the 500 feature values a label; train
+        # exits before the solver computes any objective
+        data = str(workdir / "data.csv")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        monkeypatch.setattr(trainer, "_objective", None)
+        out = workdir / "m.txt"
+        assert run(["train", "--data", data, "--label-col", "f0", "--lambda", "1.0",
+                    "--out", str(out)]) == 4
+        assert "500 labels on 500 rows" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text",

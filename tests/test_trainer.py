@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp, softmax
 
 from fairbound import trainer
 from fairbound.dataset import CellSpec, SyntheticSpec, synthesize
-from fairbound.exceptions import ConvergenceError
+from fairbound.exceptions import ConvergenceError, DataError
 from fairbound.model import LinearModel, distance
-from fairbound.trainer import constants, fit_erm, gradient, loss
+from fairbound.trainer import constants, fit_erm, gradient, log_sum_exp_softmax, loss, softmax
 
 from conftest import make_dataset, random_dataset
 
 
-def objective_gradient(weights, d, lam):
+def definition_softmax(scores, axis):
+    """exp(s_j) / sum_k exp(s_k) along ``axis``, with every score first
+    shifted by the largest so that exp cannot overflow."""
+    shifted = np.exp(scores - scores.max(axis=axis, keepdims=True))
+    return shifted / shifted.sum(axis=axis, keepdims=True)
+
+
+def objective_gradient(weights, d, lam, softmax=definition_softmax):
     """Gradient of the mean cross-entropy plus (lam/2)*||W||^2, from its
     definition: the mean of (softmax(W x_i) - onehot(y_i)) x_i^T, plus lam*W."""
     residual = softmax(d.features @ weights.T, axis=1)
@@ -34,21 +40,23 @@ def gradient_descent(d, lam, tol):
     raise AssertionError("gradient descent did not converge")
 
 
-def separate_evaluations_newton(d, lam, tol=trainer.DEFAULT_TOL):
+def separate_evaluations_newton(d, lam, special, tol=trainer.DEFAULT_TOL):
     """Oracle for ``fit_erm``: its damped Newton iteration, with the value,
-    the gradient and the Hessian each computed from scores of their own."""
+    the gradient and the Hessian each computed from scores of their own,
+    through the ``logsumexp`` and ``softmax`` of ``special``
+    (``scipy.special``)."""
     rows = np.arange(d.n)
 
     def value(w):
         scores = d.features @ w.T
-        return float(np.mean(logsumexp(scores, axis=1) - scores[rows, d.labels])
+        return float(np.mean(special.logsumexp(scores, axis=1) - scores[rows, d.labels])
                      + 0.5 * lam * np.sum(w**2))
 
     def grad(w):
-        return objective_gradient(w, d, lam)
+        return objective_gradient(w, d, lam, softmax=special.softmax)
 
     def hessian(w):
-        probs = softmax(d.features @ w.T, axis=1)
+        probs = special.softmax(d.features @ w.T, axis=1)
         num_labels, p = w.shape
         hess = np.empty((num_labels * p, num_labels * p))
         for a in range(num_labels):
@@ -196,10 +204,30 @@ class TestFitErm:
     @pytest.mark.parametrize("num_labels", [2, 3, 4, 5])
     @pytest.mark.parametrize("lam", [1.0, 1e-3])
     def test_equals_separate_evaluations_oracle(self, rng, num_labels, lam):
-        # one score matrix per trial point, and one softmax per accepted
-        # point, give the same iterates bit for bit
+        # one score matrix and one exp pass per trial point give the same
+        # iterates bit for bit as SciPy's logsumexp and softmax, each on
+        # scores of its own
+        special = pytest.importorskip("scipy.special")
         d = random_dataset(rng, 200, p=4, num_labels=num_labels)
-        assert np.array_equal(fit_erm(d, lam).weights, separate_evaluations_newton(d, lam))
+        oracle = separate_evaluations_newton(d, lam, special)
+        assert np.array_equal(fit_erm(d, lam).weights, oracle)
+
+    def test_fewer_than_two_rows_per_label_is_data_error(self, rng, monkeypatch):
+        # a label column holding a feature gives about one label per row;
+        # fit_erm rejects it before computing any objective
+        d = random_dataset(rng, 5, num_labels=3, num_sensitive=1)
+        monkeypatch.setattr(trainer, "_objective", None)
+        with pytest.raises(DataError, match="3 labels on 5 rows"):
+            fit_erm(d, lam=1.0)
+
+    def test_hessian_over_the_cap_is_data_error(self, rng, monkeypatch):
+        d = random_dataset(rng, 40, num_labels=3)
+        hessian_bytes = (3 * d.p) ** 2 * 8
+        monkeypatch.setattr(trainer, "MAX_HESSIAN_BYTES", hessian_bytes)
+        fit_erm(d, lam=1.0)
+        monkeypatch.setattr(trainer, "MAX_HESSIAN_BYTES", hessian_bytes - 1)
+        with pytest.raises(DataError, match="Newton Hessian"):
+            fit_erm(d, lam=1.0)
 
     def test_unaccepted_step_raises_at_once(self, rng, monkeypatch):
         # an objective that rejects every step away from zero leaves no step
@@ -281,6 +309,76 @@ class TestFitErm:
         m = fit_erm(desk_data, lam=1.0)
         acc = np.mean(predict_many(m, desk_data.features) == desk_data.labels)
         assert acc > 0.9
+
+
+def kernel_rows(rng, num_labels):
+    """Score rows of ``num_labels`` labels: random at four scales, with tied
+    maxima, all equal, and at +-1e4."""
+    rows = [rng.normal(size=(200, num_labels)) * scale for scale in (1e-3, 1.0, 30.0, 1e4)]
+    tied = rng.normal(size=(50, num_labels))
+    tied[:, 1] = tied[:, 0] = tied.max(axis=1) + 1.0
+    rows += [tied, np.zeros((1, num_labels)), np.full((1, num_labels), -7.25),
+             rng.choice([-1e4, 1e4], size=(20, num_labels)),
+             rng.choice([-1e4, 0.0, 1e4 - 1.0], size=(20, num_labels))]
+    return np.concatenate(rows)
+
+
+def definition_lse_softmax(row):
+    """Log-sum-exp and softmax of one row from their definitions, with
+    math.exp and an exactly rounded math.fsum, shifted by the row max."""
+    top = max(row)
+    terms = [math.exp(x - top) for x in row]
+    total = math.fsum(terms)
+    return top + math.log(total), [t / total for t in terms]
+
+
+class TestSoftmaxKernels:
+    @pytest.mark.parametrize("num_labels", [2, 3, 5])
+    def test_match_the_definition_within_a_few_ulps(self, rng, num_labels):
+        # scores of +-1e4 must neither overflow (an error under the
+        # suite's warning filter) nor give NaN
+        scores = kernel_rows(rng, num_labels)
+        lse, probs = log_sum_exp_softmax(scores)
+        assert np.all(np.isfinite(lse)) and np.all(np.isfinite(probs))
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        for row, got_lse, got_probs in zip(scores.tolist(), lse, probs):
+            want_lse, want_probs = definition_lse_softmax(row)
+            assert abs(got_lse - want_lse) <= 4 * eps * (abs(max(row)) + math.log(num_labels))
+            for got, want in zip(got_probs, want_probs):
+                assert abs(got - want) <= 4 * eps * want + tiny
+
+    @pytest.mark.parametrize("num_labels", [1, 2, 3, 5])
+    def test_all_equal_rows_give_exactly_log_num_labels(self, num_labels):
+        lse, probs = log_sum_exp_softmax(np.zeros((3, num_labels)))
+        assert np.all(lse == math.log(num_labels))
+        assert np.all(probs == 1.0 / num_labels)
+        lse, _ = log_sum_exp_softmax(np.full((3, num_labels), -7.25))
+        assert np.all(lse == math.log(num_labels) + -7.25)
+
+    def test_extreme_scores(self):
+        lse, probs = log_sum_exp_softmax(np.array([[1e4, -1e4], [-1e4, -1e4], [-1e4, 1e4]]))
+        assert lse.tolist() == [1e4, -1e4 + math.log(2.0), 1e4]
+        assert probs.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("num_labels", [2, 3, 5])
+    def test_softmax_of_one_row_equals_the_row_of_the_kernel(self, rng, num_labels):
+        # the per-example gradient takes the softmax of one score vector
+        scores = kernel_rows(rng, num_labels)
+        _, probs = log_sum_exp_softmax(scores)
+        assert np.array_equal(softmax(scores), probs)
+        for row, want in zip(scores, probs):
+            assert np.array_equal(softmax(row), want)
+
+    @pytest.mark.parametrize("num_labels", [2, 3, 5])
+    def test_bit_equal_to_scipy(self, rng, num_labels):
+        special = pytest.importorskip("scipy.special")
+        scores = np.concatenate([rng.normal(size=(20_000, num_labels)),
+                                 kernel_rows(rng, num_labels)])
+        lse, probs = log_sum_exp_softmax(scores)
+        assert np.array_equal(lse, special.logsumexp(scores, axis=1))
+        assert np.array_equal(probs, special.softmax(scores, axis=1))
+        for row in scores[:500]:
+            assert np.array_equal(softmax(row), special.softmax(row))
 
 
 class TestConstants:
