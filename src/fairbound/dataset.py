@@ -11,9 +11,17 @@ round-trips reproduce it exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
+import json
 import math
+import os
+import stat
+import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -131,6 +139,12 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+_CACHE_DIR = "__fairbound_cache__"
+# part of every cache key: change it whenever the parse rules or the entry
+# layout change, so that no entry written under the old ones is ever a hit
+_CACHE_FORMAT = "fairbound-load-csv-1"
+
+
 def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
     """Load a UTF-8 comma-separated file with a mandatory header row.
 
@@ -144,12 +158,104 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
     ASCII characters and no digit-group underscores inside the padding;
     padding is any character ``str.isspace`` accepts.  A ragged row, any
     other feature cell, and a file that is not UTF-8 are data errors.
+
+    Parse cache.  The file's bytes are read once.  When ``path`` is a
+    regular file, the parsed dataset is kept in
+    ``<directory of path>/__fairbound_cache__/<file name>.npz``, keyed by
+    SHA-256 over a cache-format tag, both role names and those bytes (the
+    hash-checked ``.pyc`` design of PEP 552).  A later load of the same
+    bytes with the same roles reads that entry instead of parsing; any
+    change to the content or the roles is a miss, whatever the file's size
+    or modification time.  An entry that cannot be read or does not match
+    is a miss and is rewritten; a file that fails to parse is never cached;
+    writing is skipped when the directory cannot be written.  The cache
+    never changes a result, so deleting the directory is always safe.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+            mode = os.fstat(fh.fileno()).st_mode
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    with fh:
+    if not stat.S_ISREG(mode):
+        return _parse_csv(path, raw, sensitive_col, label_col)
+    hasher = hashlib.sha256(json.dumps([_CACHE_FORMAT, sensitive_col, label_col]).encode("ascii"))
+    hasher.update(raw)  # not one ``tag + raw`` call, which copies the bytes
+    key = hasher.digest()
+    entry = os.path.join(os.path.dirname(path), _CACHE_DIR, os.path.basename(path) + ".npz")
+    d = _read_entry(entry, key, sensitive_col, label_col)
+    if d is None:
+        d = _parse_csv(path, raw, sensitive_col, label_col)
+        _write_entry(entry, key, d, stat.S_IMODE(mode))
+    return d
+
+
+def _read_entry(entry: str, key: bytes, sensitive_col: str, label_col: str) -> Dataset | None:
+    """The dataset cached in ``entry`` under ``key``, or None on a miss.
+
+    The file is opened here, not by ``np.load``, which leaves its own
+    handle open when the zip directory is unreadable.  An entry holding a
+    bare ``.npy`` array loads as an ndarray, which ``with`` rejects with a
+    TypeError."""
+    try:
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            if z["key"].tobytes() != key:
+                return None
+            names = json.loads(z["names"].tobytes().decode("utf-8"))
+            return Dataset(
+                features=z["features"],
+                sensitive=z["sensitive"],
+                labels=z["labels"],
+                num_labels=len(names["label_values"]),
+                num_sensitive=len(names["sensitive_values"]),
+                label_values=tuple(names["label_values"]),
+                sensitive_values=tuple(names["sensitive_values"]),
+                feature_names=tuple(names["feature_names"]),
+                sensitive_col=sensitive_col,
+                label_col=label_col,
+            )
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError):
+        return None
+
+
+def _write_entry(entry: str, key: bytes, d: Dataset, mode: int) -> None:
+    """Best effort: store ``d`` in ``entry`` under ``key`` through a unique
+    temporary file and an atomic rename, so that a concurrent reader sees
+    the old entry or the new one, never a partial one.  The entry gets the
+    read and write bits of the CSV's permission ``mode``, as a ``.pyc``
+    gets its source's, so whoever may read the CSV may read its entry."""
+    # JSON, not a NumPy string array: ``U`` arrays drop trailing NULs
+    names = json.dumps({
+        "label_values": d.label_values,
+        "sensitive_values": d.sensitive_values,
+        "feature_names": d.feature_names,
+    }).encode("ascii")
+    directory, name = os.path.split(entry)
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                key=np.frombuffer(key, np.uint8),
+                names=np.frombuffer(names, np.uint8),
+                features=d.features,
+                sensitive=d.sensitive,
+                labels=d.labels,
+            )
+        os.chmod(tmp, mode & 0o666)
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+
+
+def _parse_csv(path: str, raw: bytes, sensitive_col: str, label_col: str) -> Dataset:
+    """The dataset in ``raw``, the bytes of the file at ``path``, which
+    only names the file in error messages."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         try:
             header = next(csv.reader(fh), None)
             if header is None:
@@ -174,7 +280,7 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})")
         except ValueError as exc:
-            raise _parse_error(path, len(header), feat_idx, fallback=str(exc))
+            raise _parse_error(path, raw, len(header), feat_idx, fallback=str(exc))
 
     if table.shape[0] == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
@@ -183,7 +289,7 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
         features[:, k] = table[f"c{j}"]
     features[:, -1] = 1.0
     if not np.all(np.isfinite(features)):
-        raise _parse_error(path, len(header), feat_idx, fallback="non-finite feature cell")
+        raise _parse_error(path, raw, len(header), feat_idx, fallback="non-finite feature cell")
 
     sens_ids, sens_values = _dense_ids(table[f"c{s_idx}"])
     lab_ids, lab_values = _dense_ids(table[f"c{y_idx}"])
@@ -209,14 +315,15 @@ def _dense_ids(values: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     return ids, tuple(seen)
 
 
-def _parse_error(path: str, width: int, feat_idx: list[int], fallback: str) -> ParseError:
+def _parse_error(path: str, raw: bytes, width: int, feat_idx: list[int], fallback: str) -> ParseError:
     """The error for the first row, in file order, that :func:`load_csv`
-    rejects: a ragged row, or a feature cell that is not a finite ASCII
-    float.  Row numbers are 1-based csv records, header included; blank
-    lines count but are skipped.  Undecodable bytes read as U+FFFD here, so
-    the first bad row is found wherever they are.  ``fallback`` describes
-    the failure when no single row is to blame."""
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+    rejects in ``raw``, the bytes it parsed: a ragged row, or a feature
+    cell that is not a finite ASCII float.  Row numbers are 1-based csv
+    records, header included; blank lines count but are skipped.
+    Undecodable bytes read as U+FFFD here, so the first bad row is found
+    wherever they are.  ``fallback`` describes the failure when no single
+    row is to blame."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row_num, row in enumerate(reader, start=2):

@@ -1,12 +1,18 @@
 import csv
+import io
 import math
+import multiprocessing
+import os
 import re
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairbound.dataset as dataset_module
 from fairbound.dataset import (
     CellSpec,
     Dataset,
@@ -102,6 +108,8 @@ def _dense_id(value: str, seen: list[str]) -> int:
 
 def assert_same_dataset(got: Dataset, want: Dataset):
     assert got.features.shape == want.features.shape
+    for field in ("features", "sensitive", "labels"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype
     assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
     assert np.array_equal(got.sensitive, want.sensitive)
     assert np.array_equal(got.labels, want.labels)
@@ -109,6 +117,7 @@ def assert_same_dataset(got: Dataset, want: Dataset):
     assert got.label_values == want.label_values
     assert got.feature_names == want.feature_names
     assert (got.num_sensitive, got.num_labels) == (want.num_sensitive, want.num_labels)
+    assert (got.sensitive_col, got.label_col) == (want.sensitive_col, want.label_col)
 
 
 def _row_of(exc: Exception) -> str | None:
@@ -246,15 +255,18 @@ class TestLoadCsvMatchesReference:
     @settings(max_examples=300, deadline=None, database=None)
     @given(text=csv_files())
     def test_generated_files(self, tmp_path_factory, text):
+        """Each file is loaded twice, through a cold parse cache and then
+        a warm one."""
         f = tmp_path_factory.mktemp("gen") / "d.csv"
         f.write_text(text, encoding="utf-8", newline="")
         want = _outcome(reference_load_csv, str(f))
-        got = _outcome(load_csv, str(f))
-        if isinstance(want, Dataset):
-            assert isinstance(got, Dataset), got
-            assert_same_dataset(got, want)
-        else:
-            assert got == want
+        for _ in ("cold", "warm"):
+            got = _outcome(load_csv, str(f))
+            if isinstance(want, Dataset):
+                assert isinstance(got, Dataset), got
+                assert_same_dataset(got, want)
+            else:
+                assert got == want
 
     def test_cli_shaped_file(self, tmp_path, rng):
         d = random_dataset(rng, 300, p=5, num_labels=4, num_sensitive=3)
@@ -328,6 +340,190 @@ class TestLoadCsvMatchesReference:
         f.write_text("f1,s,y\r\n\r\n\n", encoding="utf-8", newline="")
         with pytest.raises(EmptyDatasetError):
             load_csv(str(f), "s", "y")
+
+
+def _entry(path) -> str:
+    """Where ``load_csv`` caches the dataset parsed from ``path``."""
+    return os.path.join(os.path.dirname(path), "__fairbound_cache__", os.path.basename(path) + ".npz")
+
+
+def forbid_parsing(monkeypatch) -> None:
+    """Make every later load that parses, instead of reading its cache
+    entry, fail."""
+
+    def refuse(*args):
+        raise AssertionError("parsed instead of reading the cache entry")
+
+    monkeypatch.setattr(dataset_module, "_parse_csv", refuse)
+
+
+def _load_repeatedly(path: str, worker: int, start) -> None:
+    """Stress-test worker: ten loads of ``path`` once all workers are ready.
+    The role order alternates, so most loads miss and rewrite the entry
+    that the other workers are reading."""
+    orders = [("s", "y"), ("y", "s")]
+    want = {roles: reference_load_csv(path, *roles) for roles in orders}
+    start.wait(timeout=60)
+    for k in range(10):
+        roles = orders[(worker + k) % 2]
+        assert_same_dataset(load_csv(path, *roles), want[roles])
+
+
+class TestParseCache:
+    """The content-addressed parse cache of ``load_csv``: a warm load gives
+    exactly what a cold one gives, and any change to the bytes or the roles
+    is a miss."""
+
+    def test_warm_load_reads_the_entry(self, tmp_path, rng, monkeypatch):
+        f = str(tmp_path / "d.csv")
+        write_csv(random_dataset(rng, 50, p=4, num_labels=3), f)
+        want = reference_load_csv(f, "s", "y")
+        assert_same_dataset(load_csv(f, "s", "y"), want)
+        assert os.listdir(tmp_path / "__fairbound_cache__") == ["d.csv.npz"]
+        forbid_parsing(monkeypatch)
+        assert_same_dataset(load_csv(f, "s", "y"), want)
+
+    def test_categories_and_header_names_round_trip(self, tmp_path, monkeypatch):
+        """NumPy ``U`` arrays drop trailing NULs; the entry must not."""
+        f = tmp_path / "d.csv"
+        f.write_text(
+            "größe,特征 ,s,y\n1.0,2,a\x00,é\n2.0,3,,a\x00\n3.0,4,c ,x\n4.0,5,é,\n",
+            encoding="utf-8",
+        )
+        cold = load_csv(str(f), "s", "y")
+        assert cold.sensitive_values == ("a\x00", "", "c ", "é")
+        assert cold.label_values == ("é", "a\x00", "x", "")
+        assert cold.feature_names == ("größe", "特征 ")
+        forbid_parsing(monkeypatch)
+        assert_same_dataset(load_csv(str(f), "s", "y"), cold)
+
+    def test_non_ascii_role_names(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,gruppe€,étiquette", "1.0,a,0", "2.0,b,1"])
+        for _ in ("cold", "warm"):
+            d = load_csv(str(f), "gruppe€", "étiquette")
+            assert (d.sensitive_col, d.label_col) == ("gruppe€", "étiquette")
+            assert d.sensitive_values == ("a", "b")
+
+    def test_roles_are_part_of_the_key(self, tmp_path):
+        f = str(tmp_path / "d.csv")
+        write_lines(tmp_path / "d.csv", ["f1,s,y", "1.0,a,0", "2.0,b,1", "3.0,b,2"])
+        for roles in [("s", "y"), ("y", "s"), ("s", "y")]:
+            assert_same_dataset(load_csv(f, *roles), reference_load_csv(f, *roles))
+
+    def test_same_size_rewrite_with_old_mtime_is_a_miss(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "1.0,a,0", "2.0,b,1"])
+        assert load_csv(str(f), "s", "y").features[:, 0].tolist() == [1.0, 2.0]
+        before = os.stat(f)
+        write_lines(f, ["f1,s,y", "3.0,a,0", "4.0,b,1"])
+        os.utime(f, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(f)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_csv(str(f), "s", "y").features[:, 0].tolist() == [3.0, 4.0]
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy_array"])
+    def test_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, rng, damage, monkeypatch):
+        f = str(tmp_path / "d.csv")
+        write_csv(random_dataset(rng, 40), f)
+        want = reference_load_csv(f, "s", "y")
+        load_csv(f, "s", "y")
+        entry = _entry(f)
+        good = Path(entry).read_bytes()
+        if damage == "truncated":
+            bad = good[: len(good) // 2]
+        elif damage == "garbage":
+            bad = b"not a cache entry\n" * 10
+        elif damage == "empty":
+            bad = b""
+        else:
+            buf = io.BytesIO()
+            np.save(buf, np.arange(3), allow_pickle=False)
+            bad = buf.getvalue()
+        Path(entry).write_bytes(bad)
+        assert_same_dataset(load_csv(f, "s", "y"), want)
+        assert Path(entry).read_bytes() != bad
+        forbid_parsing(monkeypatch)
+        assert_same_dataset(load_csv(f, "s", "y"), want)
+
+    def test_entry_takes_the_csv_permission_bits(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "1.0,a,0"])
+        os.chmod(f, 0o640)
+        load_csv(str(f), "s", "y")
+        assert os.stat(_entry(str(f))).st_mode & 0o777 == 0o640
+
+    def test_regular_file_at_the_cache_directory_name(self, tmp_path, rng):
+        f = str(tmp_path / "d.csv")
+        write_csv(random_dataset(rng, 20), f)
+        blocker = tmp_path / "__fairbound_cache__"
+        blocker.write_bytes(b"not a directory")
+        want = reference_load_csv(f, "s", "y")
+        for _ in ("cold", "warm"):
+            assert_same_dataset(load_csv(f, "s", "y"), want)
+        assert blocker.read_bytes() == b"not a directory"
+
+    def test_malformed_file_is_never_cached(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "1.0,a,0", "oops,b,1"])
+        messages = []
+        for _ in ("first", "second"):
+            with pytest.raises(ParseError, match=r"row 3\b") as info:
+                load_csv(str(f), "s", "y")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert not (tmp_path / "__fairbound_cache__").exists()
+
+    def test_bad_row_is_found_in_the_parsed_bytes(self, tmp_path, monkeypatch):
+        """The error names the first bad row of the bytes that were parsed,
+        without opening the file a second time."""
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "1.0,a,0", "2.0,b", "oops,b,1"])
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        with pytest.raises(ParseError, match=r"row 3 has 2 cells"):
+            load_csv(str(f), "s", "y")
+        assert opened.count(str(f)) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_not_cached(self, tmp_path):
+        f = tmp_path / "d.csv"
+        os.mkfifo(f)
+        writer = threading.Thread(target=f.write_text, args=("f1,s,y\n1.0,a,0\n",), daemon=True)
+        writer.start()
+        d = load_csv(str(f), "s", "y")
+        writer.join(timeout=10)
+        assert d.n == 1 and not writer.is_alive()
+        assert not (tmp_path / "__fairbound_cache__").exists()
+
+    def test_concurrent_processes_share_one_entry(self, tmp_path, rng):
+        """Four processes, more than a 2-core machine has cores, race on one
+        entry from a cold cache; every load is exact and no temporary file
+        is left behind."""
+        f = str(tmp_path / "d.csv")
+        write_csv(random_dataset(rng, 3000, p=5, num_labels=3, num_sensitive=2), f)
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(4)
+        workers = [ctx.Process(target=_load_repeatedly, args=(f, i, start)) for i in range(4)]
+        for w in workers:
+            w.start()
+        try:
+            for w in workers:
+                w.join(timeout=120)
+                assert not w.is_alive()
+                assert w.exitcode == 0
+        finally:
+            for w in workers:
+                if w.is_alive():
+                    w.kill()
+                    w.join()
+        assert os.listdir(tmp_path / "__fairbound_cache__") == ["d.csv.npz"]
 
 
 class TestSynthesize:
