@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import experiment as experiment_mod
 from .config import label_ids, read_config, read_synthetic_spec
-from .dataset import Dataset, load_csv, synthesize, write_csv
+from .dataset import Dataset, load_csv, synthesize, write_csv, write_rows
 from .exceptions import ConfigError, ConvergenceError, DataError
 from .fairness import NOTIONS, FairnessSpec, coefficients, group_fairness_all
 from .finite_sample import finite_sample_slacks
@@ -27,6 +27,7 @@ from .model import LinearModel, check_fits, load_model, save_model
 from .privacy import (
     MECHANISMS,
     PrivacyParams,
+    default_delta,
     dpsgd_distance_bound,
     warn_if_gradient_noise_dominates,
 )
@@ -54,7 +55,7 @@ def _notion_key(flag_value: str) -> str:
 
 def _resolve_delta(value: str, n: int) -> float:
     if value == "auto":
-        return 1.0 / n**2
+        return default_delta(n)
     try:
         return float(value)
     except ValueError:
@@ -251,6 +252,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     spec = read_synthetic_spec(args.spec)
     d = synthesize(spec, seed=int(args.seed))
+    roles = (args.sensitive_col, args.label_col)
+    if roles[0] == roles[1] or set(roles) & set(d.feature_names):
+        raise ConfigError(f"--sensitive-col {roles[0]!r} and --label-col {roles[1]!r} must "
+                          f"differ from each other and from the feature columns {d.feature_names}")
     if args.sensitive_col != "s" or args.label_col != "y":
         d = replace(d, sensitive_col=args.sensitive_col, label_col=args.label_col)
     write_csv(d, args.out)
@@ -342,7 +347,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         metadata={
             "notion": notion,
             "mechanism": mechanism,
-            "zeta": repr(pp.zeta),
+            "zeta": pp.zeta,
             "statement": "true-vs-empirical" if slack is not None else "empirical",
         },
         # the measured distance of --other holds surely; the lemma's only
@@ -371,7 +376,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         model, train, eval_data, _lambda(args), pp=pp,
         desirable=label_ids(args.desirable), dataset_name=args.name,
     )
-    experiment_mod.write_table_csv([row], args.out)
+    write_rows(args.out, list(row), [list(row.values())])
     print(f"table row for {args.name!r} -> {args.out}")
     return EXIT_OK
 

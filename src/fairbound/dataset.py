@@ -23,7 +23,8 @@ import tempfile
 import warnings
 import zipfile
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,15 +135,10 @@ class GroupPartition:
         object.__setattr__(self, "proportions", proportions)
 
 
-def _format_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(x))
-
-
 _CACHE_DIR = "__fairbound_cache__"
 # part of every cache key: change it whenever the parse rules or the entry
 # layout change, so that no entry written under the old ones is ever a hit
-_CACHE_FORMAT = "fairbound-load-csv-1"
+_CACHE_FORMAT = "fairbound-load-csv-2"
 
 
 def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
@@ -150,7 +146,8 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
 
     One column is the sensitive attribute, one is the label; every other
     column must be numeric and becomes a feature.  An intercept coordinate
-    (constant 1) is appended after the named feature columns.
+    (constant 1) is appended after the named feature columns.  A header
+    that names a role's column more than once is a schema error.
 
     The header is read with :mod:`csv`; the data rows are parsed in one
     C-level ``np.loadtxt`` pass.  A feature cell is a finite float in
@@ -266,6 +263,10 @@ def _parse_csv(path: str, raw: bytes, sensitive_col: str, label_col: str) -> Dat
                 raise SchemaError(f"{path}: no column named {label_col!r} for the label role")
             if sensitive_col == label_col:
                 raise SchemaError("sensitive and label roles must name distinct columns")
+            for role, name in (("sensitive", sensitive_col), ("label", label_col)):
+                if header.count(name) > 1:
+                    raise SchemaError(f"{path}: {header.count(name)} columns are named "
+                                      f"{name!r}, the {role} role's column")
             s_idx = header.index(sensitive_col)
             y_idx = header.index(label_col)
             feat_idx = [j for j in range(len(header)) if j not in (s_idx, y_idx)]
@@ -352,15 +353,44 @@ def _parse_error(path: str, raw: bytes, width: int, feat_idx: list[int], fallbac
     return ParseError(f"{path}: {fallback}")
 
 
+def format_value(value) -> str:
+    """A cell of every output file: a float in the shortest decimal form
+    that round-trips to the same float64, anything else by ``str``."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_rows(
+    path: str, columns: Sequence[str], rows: Iterable[Sequence], preamble: Iterable[str] = ()
+) -> None:
+    """Write the UTF-8 CSV file ``path``: a ``# line`` per ``preamble``
+    line, the ``columns`` header, then one record per row with every cell
+    in :func:`format_value` form.  Records end in LF; a field that holds a
+    comma, a double quote, a CR or an LF is quoted (RFC 4180), and every
+    other field is written as it is.  Every output CSV is written here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in preamble)
+        # the writer quotes a field that holds a character of its terminator,
+        # so a CRLF one quotes a bare CR too; it writes one record per call,
+        # whose CRLF becomes LF here
+        lf = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
+        writer = csv.writer(lf, lineterminator="\r\n")
+        writer.writerow(columns)
+        writer.writerows([format_value(v) for v in row] for row in rows)
+
+
 def write_csv(d: Dataset, path: str) -> None:
     """Inverse of :func:`load_csv`: drops the intercept, restores original
     categorical values, prints features at full round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(d.feature_names) + [d.sensitive_col, d.label_col])
-        for i in range(d.n):
-            feats = [_format_float(v) for v in d.features[i, :-1]]
-            writer.writerow(feats + [d.sensitive_values[d.sensitive[i]], d.label_values[d.labels[i]]])
+    write_rows(
+        path,
+        list(d.feature_names) + [d.sensitive_col, d.label_col],
+        (
+            feats + [d.sensitive_values[s], d.label_values[y]]
+            for feats, s, y in zip(d.features[:, :-1].tolist(), d.sensitive, d.labels)
+        ),
+    )
 
 
 @dataclass(frozen=True)

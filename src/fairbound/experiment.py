@@ -41,8 +41,10 @@ rounding-level ties noted at ``group_fairness_many``.  F(h*) is read from
 the same reference.  Only the farthest draw becomes a
 ``LinearModel``, for its refined profile.
 
-All CSV output is byte-reproducible: a metadata preamble carries the config
-hash and seed, and floats are printed in shortest round-trip form.  Every
+All CSV output is byte-reproducible and goes through one writer,
+``dataset.write_rows``: a ``#`` metadata preamble carries the config hash
+and seed, floats are printed in shortest round-trip form, and a field that
+holds a comma, quote or line break is quoted.  Every
 random value comes from a NumPy stream of the seed,
 ``default_rng(SeedSequence(seed, spawn_key=key))``, keyed by role:
 
@@ -69,7 +71,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .config import label_ids, read_config, read_synthetic_spec
-from .dataset import Dataset, load_csv, split, synthesize
+from .dataset import Dataset, format_value, load_csv, split, synthesize, write_rows
 from .exceptions import ConfigError, FairboundError
 from .fairness import (
     NOTIONS,
@@ -83,18 +85,13 @@ from .privacy import (
     MECHANISMS,
     DpSgdConfig,
     PrivacyParams,
+    default_delta,
     dpsgd,
     dpsgd_distance_bound,
     output_perturb_many,
     stream,
 )
 from .trainer import DEFAULT_TOL, constants, fit_erm
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal form for floats; str otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def _names(value: str) -> tuple[str, ...]:
@@ -105,7 +102,7 @@ def _names(value: str) -> tuple[str, ...]:
 _CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
     "str": (str, str),
     "int": (int, str),
-    "float": (float, _fmt),
+    "float": (float, format_value),
     "tuple[str, ...]": (_names, ",".join),
     "frozenset[int]": (label_ids, lambda v: ",".join(str(t) for t in sorted(v))),
 }
@@ -227,12 +224,6 @@ def _load_base_data(cfg: ExperimentConfig) -> Dataset:
     return load_csv(cfg.data, cfg.sensitive_col, cfg.label_col)
 
 
-def _delta_for(cfg: ExperimentConfig, n: int) -> float:
-    if cfg.delta_policy == "inverse_n_squared":
-        return 1.0 / n**2
-    return cfg.delta
-
-
 def release_many(
     hstar: LinearModel,
     train: Dataset,
@@ -271,7 +262,7 @@ class ExperimentResult:
     sweep_path: str
     failures_path: str
     rows: int = 0
-    failures: list[str] = field(default_factory=list)
+    failures: list[tuple[int, float, str]] = field(default_factory=list)
 
 
 SWEEP_COLUMNS = (
@@ -340,17 +331,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     specs = {notion: coefficients(eval_data, notion, cfg.desirable) for notion in cfg.notions}
     os.makedirs(out_dir, exist_ok=True)
 
-    grid = _grid_values(cfg)
-    header = [
-        "# fairbound experiment",
-        f"# config_hash={cfg.config_hash()}",
-        f"# seed={cfg.seed}",
-        "# streams=data:root,eval_split:(0,),grid_point:(1,grid_index)",
-        f"# eval_split={cfg.eval_split}",
-    ]
-    lines = header + [",".join(SWEEP_COLUMNS)]
-    failures: list[str] = []
-    rows = 0
+    rows: list[list] = []
+    failures: list[tuple[int, float, str]] = []
 
     # every epsilon-axis point trains on train_all, so its h* is solved once;
     # an error solving it is raised again at every point
@@ -360,29 +342,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
             shared_optimum = _Optimum(cfg, train_all, eval_data, specs)
         except (FairboundError, ValueError) as exc:
             shared_optimum = exc
-    for g, grid_value in enumerate(grid):
+    for g, grid_value in enumerate(map(float, _grid_values(cfg))):
         try:
-            new_rows = _run_grid_point(
-                cfg, g, float(grid_value), train_all, eval_data, specs, shared_optimum
+            rows.extend(
+                _run_grid_point(cfg, g, grid_value, train_all, eval_data, specs, shared_optimum)
             )
-            lines.extend(new_rows)
-            rows += len(new_rows)
         except FairboundError as exc:
-            failures.append(f"{g},{_fmt(float(grid_value))},{type(exc).__name__}: {exc}")
+            failures.append((g, grid_value, f"{type(exc).__name__}: {exc}"))
         except ValueError as exc:
-            failures.append(f"{g},{_fmt(float(grid_value))},ValueError: {exc}")
+            failures.append((g, grid_value, f"ValueError: {exc}"))
 
     sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+    write_rows(sweep_path, SWEEP_COLUMNS, rows, preamble=[
+        "fairbound experiment",
+        f"config_hash={cfg.config_hash()}",
+        f"seed={cfg.seed}",
+        "streams=data:root,eval_split:(0,),grid_point:(1,grid_index)",
+        f"eval_split={cfg.eval_split}",
+    ])
     failures_path = os.path.join(out_dir, "failures.csv")
-    with open(failures_path, "w", encoding="utf-8") as fh:
-        fh.write("grid_index,grid_value,error\n")
-        for row in failures:
-            fh.write(row + "\n")
-
-    return ExperimentResult(sweep_path=sweep_path, failures_path=failures_path, rows=rows, failures=failures)
+    write_rows(failures_path, ("grid_index", "grid_value", "error"), failures)
+    return ExperimentResult(sweep_path, failures_path, len(rows), failures)
 
 
 def _run_grid_point(
@@ -393,7 +373,7 @@ def _run_grid_point(
     eval_data: Dataset,
     specs: dict[str, FairnessSpec],
     shared_optimum: _Optimum | Exception | None,
-) -> list[str]:
+) -> list[list]:
     rng = stream(cfg.seed, (1, g))
     if cfg.sweep_axis == "n":
         n_g = int(round(grid_value))
@@ -414,7 +394,7 @@ def _run_grid_point(
     hstar, c = optimum.hstar, optimum.c
     pp = PrivacyParams(
         epsilon=epsilon,
-        delta=_delta_for(cfg, n_g),
+        delta=default_delta(n_g) if cfg.delta_policy == "inverse_n_squared" else cfg.delta,
         zeta=cfg.zeta,
         mechanism=cfg.mechanism,
         seed=cfg.seed,
@@ -439,38 +419,27 @@ def _run_grid_point(
         refined_profile, spec_list, [dist_measured], ["measured"]
     )
 
-    rows: list[str] = []
+    rows: list[list] = []
     for (notion, spec), f_star, f_draws, (lemma, measured), (refined,) in zip(
         specs.items(), optimum.f_star, f_draws_all, reports, refined_reports
     ):
         for k in range(spec.num_groups):
             entry = lemma.entry(k)
-            flags = ";".join(entry.flags + spec.flags)
-            rows.append(
-                ",".join(
-                    [
-                        cfg.sweep_axis,
-                        _fmt(grid_value),
-                        str(n_g),
-                        _fmt(float(epsilon)),
-                        _fmt(pp.delta),
-                        notion,
-                        str(k),
-                        spec.partition.descriptions[k].replace(",", "/"),
-                        _fmt(float(f_star[k])),
-                        _fmt(float(np.min(f_draws[:, k]))),
-                        _fmt(float(np.max(f_draws[:, k]))),
-                        _fmt(entry.best),
-                        _fmt(measured.entry(k).best),
-                        _fmt(refined.entry(k).best),
-                        _fmt(lemma.dist),
-                        _fmt(dist_measured),
-                        lemma.dist_provenance,
-                        flags,
-                    ]
-                )
-            )
+            rows.append([
+                cfg.sweep_axis, grid_value, n_g, float(epsilon), pp.delta,
+                notion, k, _group_cell(spec, k),
+                f_star[k], np.min(f_draws[:, k]), np.max(f_draws[:, k]),
+                entry.best, measured.entry(k).best, refined.entry(k).best,
+                lemma.dist, dist_measured, lemma.dist_provenance,
+                ";".join(entry.flags + spec.flags),
+            ])
     return rows
+
+
+def _group_cell(spec: FairnessSpec, k: int) -> str:
+    """Group k's description as a report cell, each comma shown as ``/``
+    (``y=1/s=0``)."""
+    return spec.partition.descriptions[k].replace(",", "/")
 
 
 TABLE_NOTIONS = (
@@ -490,7 +459,7 @@ def table_report(
     pp: PrivacyParams | None = None,
     desirable: frozenset[int] = frozenset({1}),
     dataset_name: str = "dataset",
-) -> dict[str, str]:
+) -> dict[str, Any]:
     """One summary row: the group-averaged best-variant certificate for each
     notion plus plain accuracy, at the given privacy parameters (by default
     output perturbation at epsilon 1, zeta 0.01 and delta 1/n^2 over the
@@ -501,56 +470,45 @@ def table_report(
     computed."""
     specs = [coefficients(eval_data, notion, desirable) for notion in TABLE_NOTIONS]
     if pp is None:
-        pp = PrivacyParams(epsilon=1.0, delta=1.0 / train.n**2, zeta=0.01,
+        pp = PrivacyParams(epsilon=1.0, delta=default_delta(train.n), zeta=0.01,
                            mechanism="output_perturbation", seed=0)
     c = constants(train, lam, hstar.radius)
     dist, provenance = bounds_mod.resolve_distance(hstar.num_params, c, train.n, pp)
     profile = bounds_mod.margin_profile(hstar, eval_data)
     reports = bounds_mod.bound_reports(profile, specs, [dist], [provenance])
-    row: dict[str, str] = {"dataset": dataset_name}
+    row: dict[str, Any] = {"dataset": dataset_name}
     for spec, (report,) in zip(specs, reports):
-        row[spec.notion] = _fmt(report.aggregate)
+        row[spec.notion] = report.aggregate
     return row
-
-
-def write_table_csv(rows: list[dict[str, str]], path: str) -> None:
-    columns = ["dataset", *TABLE_NOTIONS]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row[c] for c in columns) + "\n")
 
 
 def _write_report(
     path: str,
-    metadata: dict[str, str] | None,
+    metadata: dict[str, Any] | None,
     columns: list[str],
-    rows: list[list[str]],
+    rows: list[list],
     levels: list[float],
     slack: np.ndarray | None,
     combined_confidence: float | None,
 ) -> None:
-    """Write ``# key=value`` metadata lines, the header and one line per
+    """Write ``# key=value`` metadata lines, the header and one row per
     group.  With ``slack``, group k gains the slack, levels[k] + slack and
     the combined confidence level."""
     if slack is not None:
         columns = columns + ["slack", "combined_bound", "combined_confidence"]
-        confidence = _fmt(combined_confidence if combined_confidence is not None else 0.0)
+        confidence = combined_confidence if combined_confidence is not None else 0.0
         rows = [
-            row + [_fmt(float(s)), _fmt(level + float(s)), confidence]
+            row + [float(s), level + float(s), confidence]
             for row, level, s in zip(rows, levels, slack)
         ]
-    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
-    lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    preamble = [f"{key}={format_value(value)}" for key, value in (metadata or {}).items()]
+    write_rows(path, columns, rows, preamble)
 
 
 def write_bound_report_csv(
     report: bounds_mod.BoundReport,
     path: str,
-    metadata: dict[str, str] | None = None,
+    metadata: dict[str, Any] | None = None,
     slack: np.ndarray | None = None,
     combined_confidence: float | None = None,
 ) -> None:
@@ -564,14 +522,14 @@ def write_bound_report_csv(
     rows = [
         [
             report.notion,
-            str(entry.group),
-            _fmt(entry.chi),
-            _fmt(report.dist),
+            entry.group,
+            entry.chi,
+            report.dist,
             report.dist_provenance,
-            _fmt(entry.markov),
-            _fmt(entry.truncated),
-            _fmt(entry.chernoff),
-            _fmt(entry.best),
+            entry.markov,
+            entry.truncated,
+            entry.chernoff,
+            entry.best,
             ";".join(entry.flags + report.flags),
         ]
         for entry in report.entries
@@ -585,7 +543,7 @@ def write_audit_csv(
     fairness_values: np.ndarray,
     empty_groups: np.ndarray,
     path: str,
-    metadata: dict[str, str] | None = None,
+    metadata: dict[str, Any] | None = None,
     slack: np.ndarray | None = None,
     combined_confidence: float | None = None,
 ) -> None:
@@ -594,9 +552,9 @@ def write_audit_csv(
     columns = ["k", "group", "fairness", "flags"]
     rows = [
         [
-            str(k),
-            spec.partition.descriptions[k].replace(",", "/"),
-            _fmt(float(fairness_values[k])),
+            k,
+            _group_cell(spec, k),
+            float(fairness_values[k]),
             ";".join(spec.flags + (("empty_group",) if empty_groups[k] else ())),
         ]
         for k in range(spec.num_groups)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, format_value
 from .exceptions import DataError
 
 
@@ -161,9 +161,9 @@ def save_model(m: LinearModel, path: str) -> None:
     """Plain-text format: first line ``<num_labels> <p> <radius>``, then one
     space-separated row of weights per label, at full decimal precision."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m.num_labels} {m.p} {repr(float(m.radius))}\n")
+        fh.write(f"{m.num_labels} {m.p} {format_value(float(m.radius))}\n")
         for row in m.weights:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(" ".join(map(format_value, row)) + "\n")
 
 
 def load_model(path: str) -> LinearModel:

@@ -73,6 +73,11 @@ class PrivacyParams:
             )
 
 
+def default_delta(n: int) -> float:
+    """delta = 1/n^2, the default privacy failure probability for n examples."""
+    return 1.0 / n**2
+
+
 def _finite_positive(what: str, formula: Callable[[], float]) -> float:
     """The value of ``formula``, a closed-form noise scale or distance,
     which must be a finite positive float.

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import os
 import pathlib
 import re
@@ -206,6 +207,43 @@ class TestPipeline:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("dataset,equality_of_opportunity,equalized_odds")
         assert lines[1].startswith("blobs,")
+
+    @pytest.mark.parametrize("name", ["my,data", 'say "hi"', "two\nlines"],
+                             ids=["comma", "quote", "line-break"])
+    def test_table_name_is_one_cell(self, workdir, name):
+        # the row was hand-joined: --name "my,data" wrote 7 cells under 6 columns
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "table.csv"
+        assert run(["table", "--model", model, "--data", data, "--train-data", data,
+                    "--lambda", "1.0", "--name", name, "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and None not in rows[0]
+        assert rows[0]["dataset"] == name
+        assert all(float(rows[0][notion]) >= 0 for notion in experiment.TABLE_NOTIONS)
+
+    def test_audit_rows_of_group_values_with_commas_and_line_breaks(self, workdir):
+        # a value with a line break split its audit row across two lines
+        values = ["a\nb", "c,d", "e\rf", 'g"h']
+        data = workdir / "odd.csv"
+        rng = np.random.default_rng(0)
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(["f0", "s", "y"])
+            for i in range(40):
+                writer.writerow([repr(rng.normal()), values[i % 4], str(i // 2 % 2)])
+        model = str(workdir / "model.txt")
+        assert run(["train", "--data", str(data), "--lambda", "1.0", "--out", model]) == 0
+        out = workdir / "audit.csv"
+        assert run(_report_argv("audit", str(data), model, "accuracy-parity", out)) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [row["k"] for row in rows] == ["0", "1", "2", "3"]
+        assert [row["group"] for row in rows] == ["s=a\nb", "s=c/d", "s=e\rf", 's=g"h']
+        assert all(None not in row and abs(float(row["fairness"])) <= 1 for row in rows)
 
 
 class TestImports:
@@ -431,17 +469,43 @@ class TestExitCodes:
         out_dir = workdir / "results"
         assert run(["experiment", "--config", str(exp), "--seed", "5",
                     "--out-dir", str(out_dir)]) == 0
-        failures = (out_dir / "failures.csv").read_text(encoding="utf-8").splitlines()[1:]
-        assert [row.split(",")[0] for row in failures] == ["0", "2"]
-        assert all(",ConfigError: " in row and "finite positive" in row for row in failures)
-        rows = [line for line in (out_dir / "sweep.csv").read_text(encoding="utf-8").splitlines()
-                if line.startswith("epsilon,")]
-        assert len(rows) == 2 and all(row.split(",")[1] == "1.0" for row in rows)
+        with open(out_dir / "failures.csv", encoding="utf-8", newline="") as fh:
+            header, *failures = csv.reader(fh)
+        assert header == ["grid_index", "grid_value", "error"]
+        assert [row[0] for row in failures] == ["0", "2"]
+        assert all(row[2].startswith("ConfigError: ") and "finite positive" in row[2]
+                   for row in failures)
+        # the message holds commas; hand-joined, each row read as 5 cells
+        what = {"output_perturbation": "output-perturbation noise variance",
+                "dp_sgd": "DP-SGD noise scale"}[mechanism]
+        assert failures == [
+            [g, value, f"ConfigError: the {what} at epsilon={value}, lambda=1.0 is out of "
+             "floating-point range, not a finite positive float; the privacy budget or the "
+             "ridge weight lies outside the range it can represent"]
+            for g, value in [("0", "1.0000000000000237e-300"), ("2", "9.999999999999763e+299")]
+        ]
+        with open(out_dir / "sweep.csv", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.DictReader(line for line in fh if not line.startswith("#"))
+                    if row["axis"] == "epsilon"]
+        assert len(rows) == 2 and all(row["grid_value"] == "1.0" for row in rows)
 
     def test_privatize_negative_seed_is_config_error_2(self, workdir, capsys):
         # NumPy's seeding used to reject it with a ValueError traceback (exit 1)
         _assert_config_error(
             workdir, ["privatize", "--lambda", "1.0", "--epsilon", "1", "--seed", "-1"], capsys)
+
+    @pytest.mark.parametrize("roles", [["--sensitive-col", "f0"], ["--label-col", "f1"],
+                                       ["--sensitive-col", "y"], ["--label-col", "s"],
+                                       ["--sensitive-col", "z", "--label-col", "z"]],
+                             ids=["sensitive-f0", "label-f1", "sensitive-y", "label-s", "both-z"])
+    def test_gen_data_role_name_collision_is_config_error_2(self, workdir, roles, capsys):
+        # --sensitive-col f0 wrote the header f0,f1,f0,y, whose second f0
+        # no command could read as the sensitive attribute
+        out = workdir / "data.csv"
+        assert run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3",
+                    *roles, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_data_negative_seed_is_config_error_2(self, workdir, capsys):
         out = workdir / "data.csv"

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import json
 import math
 import multiprocessing
 import os
@@ -22,6 +24,7 @@ from fairbound.dataset import (
     split,
     synthesize,
     write_csv,
+    write_rows,
 )
 from fairbound.exceptions import DataError, EmptyDatasetError, ParseError, SchemaError
 from fairbound.fairness import conditional_accuracies
@@ -220,6 +223,18 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(str(f), sensitive_col="nope", label_col="y")
 
+    @pytest.mark.parametrize("header, role", [("f0,f1,f0,y", "sensitive"), ("y,s,f1,y", "label")])
+    def test_repeated_role_column_is_schema_error(self, tmp_path, header, role):
+        # the first column of the name took the role, and the second became
+        # a feature: a sensitive role of float strings, one group per row
+        f = tmp_path / "d.csv"
+        write_lines(f, [header, "0.5,1.5,2.5,0", "1.5,0.5,3.5,1"])
+        for _ in range(2):  # the second load must not read a cache entry
+            with pytest.raises(SchemaError, match=f"2 columns are named .* the {role} role"):
+                load_csv(str(f), sensitive_col="f0" if role == "sensitive" else "s",
+                         label_col="y")
+        assert not (tmp_path / dataset_module._CACHE_DIR).exists()
+
     def test_non_numeric_feature_reports_row(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["f1,s,y", "1.0,a,0", "oops,b,1"])
@@ -245,6 +260,23 @@ class TestLoadCsv:
         assert np.array_equal(d.labels, d2.labels)
         assert d.label_values == d2.label_values
         assert d.sensitive_values == d2.sensitive_values
+
+
+class TestWriteRows:
+    def test_plain_fields_are_written_as_they_are(self, tmp_path):
+        f = tmp_path / "r.csv"
+        write_rows(str(f), ["a", "b", "c"], [[0.1, 2, np.float64(1e-300)], ["x y", "", math.inf]],
+                   preamble=["note=1", "seed=7"])
+        assert f.read_bytes() == b"# note=1\n# seed=7\na,b,c\n0.1,2,1e-300\nx y,,inf\n"
+
+    def test_special_fields_read_back_intact(self, tmp_path):
+        cells = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nend", "plain"]
+        f = tmp_path / "r.csv"
+        write_rows(str(f), cells, [cells, list(reversed(cells))])
+        with open(f, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [cells, cells, list(reversed(cells))]
+        assert f.read_bytes().endswith(
+            b'plain,"crlf\r\nend","cr\rhere","two\nlines","say ""hi""","a,b"\n')
 
 
 class TestLoadCsvMatchesReference:
@@ -404,6 +436,19 @@ class TestParseCache:
             d = load_csv(str(f), "gruppe€", "étiquette")
             assert (d.sensitive_col, d.label_col) == ("gruppe€", "étiquette")
             assert d.sensitive_values == ("a", "b")
+
+    def test_entry_of_the_first_format_is_not_read(self, tmp_path, rng):
+        # format 1 parsed a header that repeats a role's column name, so its
+        # entry for this file holds a dataset that the current rules reject
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f0,f1,f0,y", "0.5,1.5,2.5,0", "1.5,0.5,3.5,1"])
+        tag = json.dumps(["fairbound-load-csv-1", "f0", "y"]).encode("ascii")
+        entry = tmp_path / "__fairbound_cache__" / "d.csv.npz"
+        dataset_module._write_entry(str(entry), hashlib.sha256(tag + f.read_bytes()).digest(),
+                                    random_dataset(rng, 5), 0o644)
+        assert entry.exists()
+        with pytest.raises(SchemaError, match="2 columns are named 'f0'"):
+            load_csv(str(f), "f0", "y")
 
     def test_roles_are_part_of_the_key(self, tmp_path):
         f = str(tmp_path / "d.csv")

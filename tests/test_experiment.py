@@ -1,3 +1,4 @@
+import csv
 import math
 import pathlib
 import warnings
@@ -68,9 +69,8 @@ def base_config(spec_file, **overrides):
 
 
 def read_rows(path):
-    lines = [l for l in open(path, encoding="utf-8").read().splitlines() if not l.startswith("#")]
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
 class TestRunExperiment:
@@ -89,8 +89,8 @@ class TestRunExperiment:
             warnings.simplefilter("ignore")
             r1 = run_experiment(cfg, str(tmp_path / "a"))
             r2 = run_experiment(cfg, str(tmp_path / "b"))
-        assert open(r1.sweep_path, "rb").read() == open(r2.sweep_path, "rb").read()
-        assert open(r1.failures_path, "rb").read() == open(r2.failures_path, "rb").read()
+        for a, b in [(r1.sweep_path, r2.sweep_path), (r1.failures_path, r2.failures_path)]:
+            assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
     def test_every_stream_key_is_distinct_and_not_root(self, spec_file, tmp_path, monkeypatch):
         # the eval split once drew its permutation from the root stream that
@@ -138,9 +138,13 @@ class TestRunExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_experiment(cfg, str(tmp_path / "out"))
-        assert len(result.failures) == 1
         assert result.rows > 0
-        assert "grid_index" in open(result.failures_path, encoding="utf-8").readline()
+        # the message holds a comma: hand-joined, its row read as 4 cells
+        error = "ConfigError: grid n=10000 outside [2, 900]"
+        assert result.failures == [(1, 10000.00000000001, error)]
+        with open(result.failures_path, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [["grid_index", "grid_value", "error"],
+                                            ["1", "10000.00000000001", error]]
 
     def test_dpsgd_small_n_point_certifies(self, tmp_path):
         # a DP-SGD lemma distance far beyond every |margin|/L once aborted the
@@ -222,7 +226,7 @@ class TestRunExperiment:
             assert scored[0] < 0.7 * scored[1]
         for a, b in [(pruned.sweep_path, every_row.sweep_path),
                      (pruned.failures_path, every_row.failures_path)]:
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
     @pytest.mark.parametrize("axis,grid,fits", [("epsilon", (0.1, 1.0), 1), ("n", (100, 800), 3)])
     def test_optimum_solved_once_per_training_set(self, spec_file, tmp_path, monkeypatch,
@@ -259,7 +263,7 @@ class TestRunExperiment:
         result = run_experiment(cfg, str(tmp_path / "out"))
         assert len(calls) == 1
         assert result.rows == 0
-        lines = open(result.failures_path, encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(result.failures_path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "grid_index,grid_value,error"
         assert len(lines) == 1 + cfg.grid_count
         message = lines[1].split(",", 2)[2]
@@ -372,7 +376,7 @@ class TestTableReport:
         for notion in experiment.TABLE_NOTIONS:
             spec = coefficients(test, notion, frozenset({1}))
             report = theorem3_report(hstar, test, spec, c, train.n, pp)
-            assert row[notion] == experiment._fmt(report.aggregate), notion
+            assert row[notion] == report.aggregate, notion
 
 
 class TestReportWriters:
