@@ -50,6 +50,8 @@ def read_config(path: str) -> dict[str, str]:
             return parse_config_text(fh.read(), source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})")
 
 
 def label_ids(value: str) -> frozenset[int]:

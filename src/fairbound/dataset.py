@@ -47,7 +47,7 @@ class Dataset:
     sensitive : (n,) integer ids in [0, num_sensitive)
     labels : (n,) integer ids in [0, num_labels)
     label_values, sensitive_values : original categorical values, indexed
-        by dense id (first-appearance order)
+        by dense id (first-appearance order), one per declared id
     feature_names : CSV column names, excluding the intercept
     """
 
@@ -77,6 +77,9 @@ class Dataset:
             raise ValueError("label id out of declared range")
         if sensitive.min() < 0 or sensitive.max() >= self.num_sensitive:
             raise ValueError("sensitive id out of declared range")
+        if (self.num_labels, self.num_sensitive) != (len(self.label_values),
+                                                     len(self.sensitive_values)):
+            raise ValueError("num_labels and num_sensitive must count the declared values")
         for arr in (features, sensitive, labels):
             arr.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -97,6 +100,11 @@ class Dataset:
         """Largest Euclidean row norm, max_i ||x_i||_2."""
         return float(np.max(np.linalg.norm(self.features, axis=1)))
 
+    @property
+    def cells(self) -> np.ndarray:
+        """(n,) (label, sensitive) cell ids, label * num_sensitive + sensitive."""
+        return self.labels * self.num_sensitive + self.sensitive
+
     def example(self, i: int) -> Example:
         return Example(self.features[i], int(self.sensitive[i]), int(self.labels[i]))
 
@@ -113,7 +121,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Disjoint cover of a dataset's examples by K groups."""
+    """Disjoint cover of a dataset's examples by K groups.
+
+    The bound layer accepts any partition; scoring (``fairness``) needs
+    each group to be a union of (label, sensitive) cells."""
 
     num_groups: int
     assignment: np.ndarray
@@ -365,12 +376,15 @@ def write_rows(
     path: str, columns: Sequence[str], rows: Iterable[Sequence], preamble: Iterable[str] = ()
 ) -> None:
     """Write the UTF-8 CSV file ``path``: a ``# line`` per ``preamble``
-    line, the ``columns`` header, then one record per row with every cell
-    in :func:`format_value` form.  Records end in LF; a field that holds a
-    comma, a double quote, a CR or an LF is quoted (RFC 4180), and every
-    other field is written as it is.  Every output CSV is written here."""
+    line, with each CR and LF in it written as the two characters ``\\r``
+    and ``\\n``, the ``columns`` header, then one record per row with every
+    cell in :func:`format_value` form.  Records end in LF; a field that
+    holds a comma, a double quote, a CR or an LF is quoted (RFC 4180), and
+    every other field is written as it is.  Every output CSV is written
+    here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(f"# {line}\n" for line in preamble)
+        for line in preamble:
+            fh.write("# " + line.replace("\r", "\\r").replace("\n", "\\n") + "\n")
         # the writer quotes a field that holds a character of its terminator,
         # so a CRLF one quotes a bare CR too; it writes one record per call,
         # whose CRLF becomes LF here
@@ -488,7 +502,7 @@ def partition(d: Dataset, grouping: str) -> GroupPartition:
         descriptions = tuple(f"{d.sensitive_col}={v}" for v in d.sensitive_values)
     elif grouping == "by_label_and_sensitive":
         num_groups = d.num_labels * d.num_sensitive
-        assignment = d.labels * d.num_sensitive + d.sensitive
+        assignment = d.cells
         descriptions = tuple(
             f"{d.label_col}={ly},{d.sensitive_col}={sv}"
             for ly in d.label_values

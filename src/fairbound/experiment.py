@@ -30,16 +30,17 @@ error, each with the failure row it would have had alone.
 
 The M draws of a point are one (M, Y, p) weight array from release to
 score: ``release_many`` draws and projects them together, their distances
-to h* are one vector pass, and ``group_fairness_many`` scores them.  It
-takes the draws in blocks, nearest to h* first, and scores a block only on
-the evaluation rows that its largest distance lets a draw flip: the rows
-whose |m|/L at h* is at most that distance, with a rounding allowance.
-The optimum's scoring reference sorts the rows by label and |m|/L once
-per h*, and supplies h*'s correct counts for the other rows, so every
-count, and every sweep value, is what scoring every row gives, up to the
+to h* are one vector pass, and ``group_fairness_many`` scores them once,
+per (label, sensitive) cell, for every notion.  It takes the draws in
+blocks, nearest to h* first, and scores a block only on the evaluation
+rows that its largest distance lets a draw flip: the rows whose |m|/L at
+h* is at most that distance, with a rounding allowance.  The optimum's
+scoring reference sorts the rows by label and |m|/L once per h*, and
+supplies h*'s correct counts for the other rows, so every count, and
+every sweep value, is what scoring every row gives, up to the
 rounding-level ties noted at ``group_fairness_many``.  F(h*) is read from
-the same reference.  Only the farthest draw becomes a
-``LinearModel``, for its refined profile.
+the same reference.  Only the farthest draw becomes a ``LinearModel``,
+for its refined profile.
 
 All CSV output is byte-reproducible and goes through one writer,
 ``dataset.write_rows``: a ``#`` metadata preamble carries the config hash
@@ -300,10 +301,7 @@ class _Optimum:
         self.hstar = fit_erm(train, cfg.lam, tol=cfg.tol)
         self.c = constants(train, cfg.lam, self.hstar.radius)
         self.profile = bounds_mod.margin_profile(self.hstar, eval_data)
-        self.reference = ScoringReference(
-            self.hstar.weights, self.profile.ratio, eval_data,
-            [spec.partition for spec in specs.values()],
-        )
+        self.reference = ScoringReference(self.hstar.weights, self.profile.ratio, eval_data)
         # h* is the distance-0 model of its own reference, so F(h*) takes
         # its counts from the reference
         levels = group_fairness_many(

@@ -12,11 +12,16 @@ as the independent oracle that the affine form must reproduce exactly.
 notions at once; every affine-form evaluation, one model included, goes
 through it: ``group_fairness_all`` is its one-model case, and
 ``group_fairness(m, d, spec, k)`` is ``group_fairness_all(m, d, spec)[k]``.
-Given a ``ScoringReference`` h*, it scores each model only on the examples
-whose margin at h* the model's distance from h* lets it flip, and takes its
-other correct counts from h*.  The counts are integers and
-equal those of scoring every example, up to the rounding-level near ties
-described at ``group_fairness_many``.
+
+Every group of every notion is a union of (label, sensitive) cells, so the
+layer counts in cells: ``coefficients`` reads every table off one table of
+cell counts, the scorer counts each model's correct predictions per cell,
+and each spec sums those counts into its groups.  Given a
+``ScoringReference`` h*, which serves every spec on its data, the scorer
+scores each model only on the examples whose margin at h* the model's
+distance from h* lets it flip, and takes its other counts from h*.  The
+counts are integers and equal those of scoring every example, up to the
+rounding-level near ties described at ``group_fairness_many``.
 
 Supported notions and their group indexing:
 
@@ -101,53 +106,37 @@ class FairnessSpec:
         return self.partition.num_groups
 
 
-def _cell_index(label: int, sensitive: int, num_sensitive: int) -> int:
-    return label * num_sensitive + sensitive
+def _minus_mean(p: np.ndarray) -> np.ndarray:
+    """I - 1 p^T: row k maps a vector v to v_k - p.v."""
+    m = np.tile(-p, (len(p), 1))
+    m[np.arange(len(p)), np.arange(len(p))] += 1.0
+    return m
 
 
 def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = None) -> FairnessSpec:
-    """Build the coefficient tables of a notion from empirical frequencies.
+    """Build the coefficient tables of a notion from empirical frequencies,
+    all read off one table of (label, sensitive) cell counts.
 
     Demographic parity on data whose labels are not binary is a
     ``DataError``; an empty ``desirable`` set, or one naming a label id
     the data lacks, is a ``ConfigError`` for equality of opportunity."""
     if notion not in NOTIONS:
         raise ValueError(f"unknown fairness notion {notion!r}")
-    flags: list[str] = []
 
     if notion == "accuracy":
-        return FairnessSpec(
-            notion=notion,
-            partition=single_group_partition(d),
-            offsets=np.zeros(1),
-            coeffs=np.ones((1, 1)),
-            flags=(),
-        )
-
-    if notion == "accuracy_parity":
-        part = partition(d, "by_sensitive")
-        ns = d.num_sensitive
-        p_s = np.bincount(d.sensitive, minlength=ns) / d.n
-        coeffs = np.tile(-p_s, (ns, 1))
-        coeffs[np.arange(ns), np.arange(ns)] += 1.0
-        return FairnessSpec(
-            notion=notion,
-            partition=part,
-            offsets=np.zeros(ns),
-            coeffs=coeffs,
-            flags=(),
-        )
-
-    part = partition(d, "by_label_and_sensitive")
+        return FairnessSpec(notion, single_group_partition(d), np.zeros(1), np.ones((1, 1)), ())
     ny, ns = d.num_labels, d.num_sensitive
-    k_total = ny * ns
-    cell_counts = np.zeros((ny, ns))
-    np.add.at(cell_counts, (d.labels, d.sensitive), 1.0)
-    label_counts = cell_counts.sum(axis=1)
-    sens_counts = cell_counts.sum(axis=0)
+    table = np.bincount(d.cells, minlength=ny * ns).reshape(ny, ns)
+    label_counts, sens_counts = table.sum(axis=1), table.sum(axis=0)
+    if notion == "accuracy_parity":
+        coeffs = _minus_mean(sens_counts / d.n)
+        return FairnessSpec(notion, partition(d, "by_sensitive"), np.zeros(ns), coeffs, ())
 
-    offsets = np.zeros(k_total)
-    coeffs = np.zeros((k_total, k_total))
+    offsets = np.zeros(ny * ns)
+    coeffs = np.zeros((ny * ns, ny * ns))
+    # blocks[y, r, y2, r2] is the coefficient of cell (y2, r2) in group (y, r)
+    blocks = coeffs.reshape(ny, ns, ny, ns)
+    flags: list[str] = []
 
     if notion in ("equalized_odds", "equality_of_opportunity"):
         if notion == "equality_of_opportunity":
@@ -164,60 +153,43 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
             if label_counts[y] == 0:
                 flags.append(f"zero_mass_label:{d.label_values[y]}")
                 continue  # P(S=.|Y=y) undefined: affected coefficients stay 0
-            p_s_given_y = cell_counts[y] / label_counts[y]
-            for r in range(ns):
-                k = _cell_index(y, r, ns)
-                coeffs[k, _cell_index(y, r, ns)] = 1.0 - p_s_given_y[r]
-                for r2 in range(ns):
-                    if r2 != r:
-                        coeffs[k, _cell_index(y, r2, ns)] = -p_s_given_y[r2]
+            blocks[y, :, y] = _minus_mean(table[y] / label_counts[y])
     else:  # demographic_parity_binary
         if ny != 2:
             raise DataError(f"demographic parity needs binary labels; the data has {ny}")
-        p_y = label_counts / d.n
-        p_joint = cell_counts / d.n
-        for y in range(2):
-            yb = 1 - y
-            for r in range(ns):
-                k = _cell_index(y, r, ns)
-                if sens_counts[r] == 0:
-                    flags.append(f"zero_mass_sensitive:{d.sensitive_values[r]}")
-                    # offset and the two own-column coefficients need
-                    # P(.|S=r); they stay 0
-                else:
-                    p_y_given_r = cell_counts[:, r] / sens_counts[r]
-                    offsets[k] = p_y[y] - p_y_given_r[y]
-                    coeffs[k, _cell_index(y, r, ns)] = p_y_given_r[y] - p_joint[y, r]
-                    coeffs[k, _cell_index(yb, r, ns)] = p_joint[yb, r] - p_y_given_r[yb]
-                for r2 in range(ns):
-                    if r2 != r:
-                        coeffs[k, _cell_index(y, r2, ns)] = -p_joint[y, r2]
-                        coeffs[k, _cell_index(yb, r2, ns)] = p_joint[yb, r2]
+        nonempty = sens_counts > 0
+        flags = [f"zero_mass_sensitive:{d.sensitive_values[r]}" for r in np.flatnonzero(~nonempty)]
+        p_joint = table / d.n
+        # P(Y=.|S=r), 0 where S=r is empty, so that both own-cell
+        # coefficients of an empty r are 0.0 - 0.0 = +0
+        p_given_s = np.divide(table, sens_counts, out=np.zeros((2, ns)), where=nonempty)
+        # group (y, r): -P(y, r2) on label y's cells, +P(1-y, r2) on the other's
+        sign = 1.0 - 2.0 * np.eye(2)
+        blocks[...] = sign[:, None, :, None] * p_joint
+        y, r = np.arange(2)[:, None], np.arange(ns)
+        blocks[y, r, y, r] = p_given_s - p_joint
+        blocks[y, r, 1 - y, r] = p_joint[::-1] - p_given_s[::-1]
+        # the offset needs P(.|S=r); it stays 0 where S=r is empty
+        offsets = np.where(nonempty, (label_counts / d.n)[:, None] - p_given_s, 0.0).ravel()
 
-    return FairnessSpec(
-        notion=notion,
-        partition=part,
-        offsets=offsets,
-        coeffs=coeffs,
-        flags=tuple(dict.fromkeys(flags)),
-    )
+    part = partition(d, "by_label_and_sensitive")
+    return FairnessSpec(notion, part, offsets, coeffs, tuple(dict.fromkeys(flags)))
 
 
 class _Layout:
-    """The examples of a dataset in scoring order, with the one-hot group
-    matrices of several partitions side by side in the same order (float32,
-    which holds each count of a chunk exactly; see ``SCORE_BLOCK``).
+    """The examples of a dataset in scoring order, with the one-hot matrix
+    of their sensitive values in the same order (float32, which holds each
+    count of a chunk exactly; see ``SCORE_BLOCK``).
 
     The examples are sorted by label (stably), so each label's examples form
-    one segment; with ``key``, each segment is sorted by it in turn.  The
-    features are stored transposed, one example per column, because a
-    matrix product reads a column range of that faster than a row range
-    of the (n, p) matrix.
+    one segment, and a segment's one-hot columns are its label's cells;
+    with ``key``, each segment is sorted by it in turn.  The features are
+    stored transposed, one example per column, because a matrix product
+    reads a column range of that faster than a row range of the (n, p)
+    matrix.
     """
 
-    def __init__(
-        self, d: Dataset, partitions: Sequence[GroupPartition], key: np.ndarray | None = None
-    ):
+    def __init__(self, d: Dataset, key: np.ndarray | None = None):
         if key is None:
             self.order = np.argsort(d.labels, kind="stable")
         else:
@@ -225,10 +197,8 @@ class _Layout:
         self.features_t = np.ascontiguousarray(d.features[self.order].T)
         sizes = np.bincount(d.labels, minlength=d.num_labels)
         self.bounds = np.concatenate(([0], np.cumsum(sizes)))
-        self.ends = np.cumsum([part.num_groups for part in partitions])
-        self.onehot = np.zeros((d.n, self.ends[-1]), dtype=np.float32)
-        for part, end in zip(partitions, self.ends):
-            self.onehot[np.arange(d.n), end - part.num_groups + part.assignment[self.order]] = 1.0
+        self.onehot = np.zeros((d.n, d.num_sensitive), dtype=np.float32)
+        self.onehot[np.arange(d.n), d.sensitive[self.order]] = 1.0
 
     def segments(self):
         """(label, first row, end row) of each label's segment."""
@@ -262,56 +232,50 @@ class ScoringReference:
 
     ``ratio`` holds, per example of ``d``, the ratio |m|/L of h*'s margin
     to its Lipschitz constant, as ``MarginProfile.ratio`` of h*'s margin
-    profile on ``d`` gives it.  The reference serves only ``d`` and
-    ``partitions``, the very objects it was built with.
+    profile on ``d`` gives it.  The reference knows no groups: it keeps
+    h*'s correct counts per (label, sensitive) cell, so it serves every
+    spec on ``d``, the very dataset object it was built with, and no other.
     """
 
-    def __init__(
-        self,
-        weights: np.ndarray,
-        ratio: np.ndarray,
-        d: Dataset,
-        partitions: Sequence[GroupPartition],
-    ):
+    def __init__(self, weights: np.ndarray, ratio: np.ndarray, d: Dataset):
         weights = np.asarray(weights, dtype=np.float64)
         check_fits(weights, d)
         if np.shape(ratio) != (d.n,):
             raise ValueError(f"ratio must have one entry per example of the data, {d.n}")
         self.data = d
-        self.partitions = tuple(partitions)
         self.weights = weights
         self.norm = float(np.linalg.norm(weights))
         # 8g of the derivation in _correct_counts
         k = (weights.shape[0] + 1) * weights.shape[1] + 4
         self.widening = 8.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53)
-        self.layout = _Layout(d, partitions, key=ratio)
+        self.layout = _Layout(d, key=ratio)
         self.ratio = np.asarray(ratio, dtype=np.float64)[self.layout.order]
         correct = np.concatenate(
             [_correct(weights[None], self.layout.features_t[:, lo:hi], y)[0]
              for y, lo, hi in self.layout.segments()]
         )
-        # per-group counts of the rows before each position that h* gets
-        # right; int32 holds any count of a dataset that fits in memory
-        self.correct_before = np.zeros((d.n + 1, self.layout.ends[-1]), dtype=np.int32)
+        # per sensitive value, the count of the rows before each position
+        # that h* gets right; within a label's segment these are the counts
+        # of its cells.  int32 holds any count of a dataset that fits in memory
+        self.correct_before = np.zeros((d.n + 1, d.num_sensitive), dtype=np.int32)
         np.cumsum(self.layout.onehot * correct[:, None], axis=0, dtype=np.int32,
                   out=self.correct_before[1:])
 
 
 def _correct_counts(
-    weights: np.ndarray,
-    d: Dataset,
-    partitions: Sequence[GroupPartition],
-    reference: ScoringReference | None = None,
-) -> list[np.ndarray]:
-    """Per partition, the (M, K) integer count of each group's examples that
-    each of the M stacked (M, Y, p) models classifies correctly.
+    weights: np.ndarray, d: Dataset, reference: ScoringReference | None = None
+) -> np.ndarray:
+    """The (M, |Y|*|S|) integer count of each (label, sensitive) cell's
+    examples that each of the M stacked (M, Y, p) models classifies
+    correctly; cell (y, r) is column y*|S| + r, as ``Dataset.cells``.
 
     Models are scored a block at a time (see ``DRAW_BLOCK``), each label's
     segment of examples in chunks of at most ``SCORE_BLOCK`` scores, with
     one matrix product and the comparisons of :func:`_correct` per chunk.
-    The 0/1 flags of a chunk are multiplied by the one-hot group matrices
-    of all partitions side by side; each product sums at most
-    ``SCORE_BLOCK`` ones, so every count is exact.
+    The 0/1 flags of a chunk of label y's segment are multiplied by the
+    one-hot matrix of the sensitive values, which gives the counts of
+    label y's cells; each product sums at most ``SCORE_BLOCK`` ones, so
+    every count is exact.
 
     Without a reference every example is scored.  With a reference h*, the
     models are taken in order of their distance d' from h*, computed here.
@@ -351,22 +315,22 @@ def _correct_counts(
     """
     num_models, num_labels = weights.shape[:2]
     if reference is None:
-        layout = _Layout(d, partitions)
+        layout = _Layout(d)
         order = np.arange(num_models)
     else:
-        if d is not reference.data or [*map(id, partitions)] != [*map(id, reference.partitions)]:
-            raise ValueError("the scoring reference was built for other data or partitions")
+        if d is not reference.data:
+            raise ValueError("the scoring reference was built for other data")
         layout = reference.layout
         dists = frobenius_norms(weights - reference.weights)
         order = np.argsort(dists, kind="stable")
-    counts = np.empty((num_models, layout.ends[-1]), dtype=np.int64)
+    counts = np.empty((num_models, num_labels, d.num_sensitive), dtype=np.int64)
     for b0 in range(0, num_models, DRAW_BLOCK):
         block = order[b0 : b0 + DRAW_BLOCK]
         block_weights = weights[block]
         rows_per_chunk = max(1, SCORE_BLOCK // (len(block) * num_labels))
+        block_counts = np.zeros((len(block), num_labels, d.num_sensitive))
         if reference is None:
             stops = layout.bounds[1:]
-            block_counts = np.zeros(layout.ends[-1])
         else:
             dist = dists[block[-1]]
             limit = dist + reference.widening * (dist + reference.norm)
@@ -374,15 +338,28 @@ def _correct_counts(
                 [lo + np.searchsorted(reference.ratio[lo:hi], limit, side="right")
                  for _, lo, hi in layout.segments()]
             )
-            skipped = reference.correct_before[layout.bounds[1:]] - reference.correct_before[stops]
-            block_counts = skipped.sum(axis=0).astype(np.float64)
+            before = reference.correct_before
+            block_counts += before[layout.bounds[1:]] - before[stops]
         for (y, lo, _), stop in zip(layout.segments(), stops):
             for start in range(lo, stop, rows_per_chunk):
                 end = min(start + rows_per_chunk, stop)
                 correct = _correct(block_weights, layout.features_t[:, start:end], y)
-                block_counts = block_counts + correct.astype(np.float32) @ layout.onehot[start:end]
+                block_counts[:, y] += correct.astype(np.float32) @ layout.onehot[start:end]
         counts[block] = block_counts
-    return np.split(counts, layout.ends[:-1], axis=1)
+    return counts.reshape(num_models, -1)
+
+
+def _cell_map(part: GroupPartition, d: Dataset) -> np.ndarray:
+    """The (|Y|*|S|, K) integer 0/1 map of each (label, sensitive) cell of
+    ``d`` to the group of ``part`` that holds it; a partition that splits
+    a cell, or has not one entry per example of ``d``, is a ValueError."""
+    if part.assignment.shape != (d.n,):
+        raise ValueError(f"the partition must have one entry per example of the data, {d.n}")
+    cell_map = np.zeros((d.num_labels * d.num_sensitive, part.num_groups), dtype=np.int64)
+    cell_map[d.cells, part.assignment] = 1
+    if cell_map.sum(axis=1).max() > 1:
+        raise ValueError("the partition splits a (label, sensitive) cell, so it cannot be scored")
+    return cell_map
 
 
 def _accuracies(counts: np.ndarray, part: GroupPartition) -> tuple[np.ndarray, np.ndarray]:
@@ -399,8 +376,8 @@ def conditional_accuracies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group accuracies and the mask of empty (flagged) groups."""
     check_fits(m.weights, d)
-    (counts,) = _correct_counts(m.weights[None], d, [part])
-    return _accuracies(counts[0], part)
+    cell_map = _cell_map(part, d)  # checked before any scoring
+    return _accuracies(_correct_counts(m.weights[None], d)[0] @ cell_map, part)
 
 
 def group_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec, k: int) -> float:
@@ -425,18 +402,22 @@ def group_fairness_many(
     an example where model j's two best label scores tie to within the
     rounding of the BLAS matrix product, which varies with the product's
     shape: such an example may count as correct in one stack and not in
-    another.  Every model must have the data's (num_labels, p) shape.  A
-    ``reference`` built for ``d`` and the specs' partitions, in order,
-    saves scoring each model on the examples it cannot flip.
+    another.  Every model must have the data's (num_labels, p) shape.
+
+    The models are scored once, per (label, sensitive) cell, and each spec
+    sums the cell counts into its groups, so each spec's partition must be
+    a union of cells (a ValueError otherwise).  A ``reference`` built for
+    ``d`` saves scoring each model on the examples it cannot flip.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 3 or len(weights) == 0:
         raise ValueError("an (M, num_labels, p) stack of at least one model is required")
     check_fits(weights, d)
-    counts = _correct_counts(weights, d, [spec.partition for spec in specs], reference)
+    cell_maps = [_cell_map(spec.partition, d) for spec in specs]
+    counts = _correct_counts(weights, d, reference)
     levels = []
-    for spec, spec_counts in zip(specs, counts):
-        values, _ = _accuracies(spec_counts, spec.partition)
+    for spec, cell_map in zip(specs, cell_maps):
+        values, _ = _accuracies(counts @ cell_map, spec.partition)
         # a batched matrix-vector product runs one gemv per model, so each
         # row rounds as spec.coeffs @ v alone, however many models there
         # are; values @ coeffs.T, einsum and vecdot round differently

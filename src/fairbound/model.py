@@ -172,10 +172,10 @@ def load_model(path: str) -> LinearModel:
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}")
     with fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise DataError(f"{path}: malformed model header")
         try:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise DataError(f"{path}: malformed model header")
             num_labels, p = int(header[0]), int(header[1])
             radius = float(header[2])
             if num_labels < 1 or p < 1:
@@ -186,6 +186,8 @@ def load_model(path: str) -> LinearModel:
                 if len(row) != p:
                     raise ValueError("weight row has wrong length")
                 rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})")
         except ValueError as exc:
             raise DataError(f"{path}: malformed model file: {exc}")
     try:

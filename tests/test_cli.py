@@ -246,6 +246,25 @@ class TestPipeline:
         assert all(None not in row and abs(float(row["fairness"])) <= 1 for row in rows)
 
 
+    @pytest.mark.parametrize("flag, name", [("--data", "a\nb.csv"), ("--model", "m\rn.txt")],
+                             ids=["lf_in_data_path", "cr_in_model_path"])
+    def test_audit_preamble_with_a_line_break_in_a_path(self, workdir, flag, name):
+        # the path's line break split its preamble line, and a reader that
+        # skips '#' lines took the rest of the path as the header
+        data = str(workdir / (name if flag == "--data" else "data.csv"))
+        model = str(workdir / (name if flag == "--model" else "model.txt"))
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        out = workdir / "audit.csv"
+        assert run(_report_argv("audit", data, model, "accuracy-parity", out)) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+        assert lines[0] == "k,group,fairness,flags\n"
+        rows = list(csv.DictReader(lines))
+        assert [row["group"] for row in rows] == ["s=0", "s=1"]
+        assert name.replace("\n", "\\n").replace("\r", "\\r") in out.read_text(encoding="utf-8")
+
+
 class TestImports:
     def test_cli_loads_no_scipy(self):
         # the package needs only NumPy; SciPy serves the benchmark and the
@@ -632,6 +651,39 @@ class TestExitCodes:
         out = workdir / "m.txt"
         assert run(["train", "--data", str(data), "--lambda", "1.0", "--out", str(out)]) == 4
         assert "UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "experiment", "gen-data"])
+    def test_non_utf8_config_or_spec_is_config_error_2(self, workdir, command, capsys):
+        # the decode error escaped read_config with a traceback
+        bad = workdir / "bad.cfg"
+        bad.write_bytes(b"lambda = 1.0\n# caf\xff\n")
+        data = str(workdir / "data.csv")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        out = workdir / "out"
+        argv = {
+            "train": ["train", "--config", str(bad), "--data", data, "--out", str(out)],
+            "experiment": ["experiment", "--config", str(bad), "--seed", "1",
+                           "--out-dir", str(out)],
+            "gen-data": ["gen-data", "--spec", str(bad), "--seed", "3", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(bad) in err and "UTF-8" in err
+        assert not out.exists()
+
+    def test_non_utf8_model_is_data_error_4(self, workdir, capsys):
+        # the header's decode error escaped load_model with a traceback
+        data = str(workdir / "data.csv")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        model = workdir / "model.txt"
+        model.write_bytes(b"2 3 5\xff\n1 0 0\n0 1 0\n")
+        out = workdir / "audit.csv"
+        capsys.readouterr()
+        assert run(_report_argv("audit", data, str(model), "accuracy-parity", out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(model) in err and "UTF-8" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["2 4 5\n1 0 0 0\n0 1 0 0\n", "3 3 5\n1 0 0\n0 1 0\n0 0 1\n"],

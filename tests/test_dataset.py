@@ -279,6 +279,13 @@ class TestWriteRows:
             b'plain,"crlf\r\nend","cr\rhere","two\nlines","say ""hi""","a,b"\n')
 
 
+    def test_line_breaks_in_a_preamble_line_are_escaped(self, tmp_path):
+        # a CR or LF inside a preamble line started a bare, uncommented line
+        f = tmp_path / "r.csv"
+        write_rows(str(f), ["a", "b"], [[1, 2]], preamble=["data=x\nb.csv", "model=m\rn", "seed=7"])
+        assert f.read_bytes() == b"# data=x\\nb.csv\n# model=m\\rn\n# seed=7\na,b\n1,2\n"
+
+
 class TestLoadCsvMatchesReference:
     """``load_csv`` against the csv.reader + float() oracle: the same
     dataset bit for bit on every file the oracle accepts, and the same
@@ -628,6 +635,30 @@ class TestSplit:
         for frac in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 split(d, frac, seed=0)
+
+
+class TestDatasetCounts:
+    @pytest.mark.parametrize(
+        "counts", [(3, 2, ("a", "b"), ("u", "v")), (2, 3, ("a", "b"), ("u", "v")),
+                   (1, 2, ("a", "b"), ("u", "v"))],
+        ids=["extra_label", "extra_sensitive", "missing_label"],
+    )
+    def test_counts_must_match_the_declared_values(self, counts):
+        # num_labels=3 with two label values built, and equalized odds then
+        # raised IndexError naming the empty third label
+        num_labels, num_sensitive, label_values, sensitive_values = counts
+        with pytest.raises(ValueError, match="declared values"):
+            Dataset(
+                features=np.ones((2, 1)), sensitive=[0, 1], labels=[0, 0],
+                num_labels=num_labels, num_sensitive=num_sensitive,
+                label_values=label_values, sensitive_values=sensitive_values,
+                feature_names=(),
+            )
+
+    def test_cells_index_label_then_sensitive(self, rng):
+        d = random_dataset(rng, 40, num_labels=3, num_sensitive=2)
+        assert np.array_equal(d.cells, d.labels * 2 + d.sensitive)
+        assert np.array_equal(partition(d, "by_label_and_sensitive").assignment, d.cells)
 
 
 class TestPartition:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from fairbound import fairness
 from fairbound.bounds import margin_profile
-from fairbound.dataset import partition
+from fairbound.dataset import GroupPartition, partition
 from fairbound.exceptions import ConfigError, DataError
 from fairbound.fairness import (
     NOTIONS,
+    FairnessSpec,
     coefficients,
     conditional_accuracies,
     direct_fairness,
@@ -262,9 +263,11 @@ class TestGroupFairnessMany:
         partitions = [spec.partition for spec in specs]
         with mock.patch.object(fairness, "SCORE_BLOCK", block):
             got = group_fairness_many(np.stack([m.weights for m in models]), d, specs)
-            counts = fairness._correct_counts(weights, d, partitions)
-        for c, e in zip(counts, argmax_bincount_counts(weights, d, partitions)):
-            assert c.dtype == np.int64 and np.all(c == e)
+            counts = fairness._correct_counts(weights, d)
+        (cells,) = argmax_bincount_counts(weights, d, [partition(d, "by_label_and_sensitive")])
+        assert counts.dtype == np.int64 and np.all(counts == cells)
+        for part, e in zip(partitions, argmax_bincount_counts(weights, d, partitions)):
+            assert np.all(counts @ fairness._cell_map(part, d) == e)
         assert len(got) == len(specs)
         for g, e, spec in zip(got, expected, specs):
             assert g.shape == (num_models, spec.num_groups)
@@ -337,7 +340,7 @@ class TestPrunedScoring:
         integer=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, database=None)
     def test_equals_every_row_counts(
         self, num_labels, num_sensitive, n, p, num_draws, block, score_block, integer, seed
     ):
@@ -358,11 +361,9 @@ class TestPrunedScoring:
             hstar[1] = hstar[0] + 1e-9 * rng.normal(size=p)
         # one more sensitive value than is drawn, so some groups are empty
         d = make_dataset(features, sensitive, labels, num_labels, num_sensitive + 1)
-        parts = [partition(d, "by_label_and_sensitive"), partition(d, "by_sensitive"),
-                 coefficients(d, "accuracy").partition]
         radius = np.linalg.norm(hstar)
         ratio = margin_profile(LinearModel(hstar, radius + 1.0), d).ratio
-        reference = fairness.ScoringReference(hstar, ratio, d, parts)
+        reference = fairness.ScoringReference(hstar, ratio, d)
         if not integer:
             draws = []
             for kind in rng.integers(0, 5, num_draws):
@@ -381,11 +382,15 @@ class TestPrunedScoring:
                 else:
                     draws.append(hstar + rng.exponential(0.3) * _unit(rng, (num_labels, p)))
             draws = np.stack(draws)
+        notions = [t for t in NOTIONS if num_labels == 2 or t != "demographic_parity_binary"]
+        specs = [spec_for(d, notion)[0] for notion in notions]
         with mock.patch.multiple(fairness, DRAW_BLOCK=block, SCORE_BLOCK=score_block):
-            pruned = fairness._correct_counts(draws, d, parts, reference)
-        every_row = fairness._correct_counts(draws, d, parts)
-        for a, b in zip(pruned, every_row):
-            assert a.dtype == np.int64 and np.array_equal(a, b)
+            pruned = fairness._correct_counts(draws, d, reference)
+            pruned_levels = group_fairness_many(draws, d, specs, reference)
+        every_row = fairness._correct_counts(draws, d)
+        assert pruned.dtype == np.int64 and np.array_equal(pruned, every_row)
+        for a, b in zip(pruned_levels, group_fairness_many(draws, d, specs)):
+            assert np.array_equal(a, b)
 
     def test_skips_rows_and_keeps_levels(self, rng):
         d = random_dataset(rng, 400, p=4, num_labels=3, num_sensitive=2)
@@ -393,7 +398,7 @@ class TestPrunedScoring:
         draws = hstar + 0.05 * rng.normal(size=(60, 3, 4))
         specs = [spec_for(d, notion)[0] for notion in ("equalized_odds", "accuracy_parity")]
         ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
-        reference = fairness.ScoringReference(hstar, ratio, d, [s.partition for s in specs])
+        reference = fairness.ScoringReference(hstar, ratio, d)
         scored = []
         real = fairness._correct
 
@@ -407,18 +412,35 @@ class TestPrunedScoring:
         for a, b in zip(pruned, group_fairness_many(draws, d, specs)):
             assert np.array_equal(a, b)
 
-    def test_reference_serves_only_its_data_and_partitions(self, rng):
-        d = random_dataset(rng, 50)
-        other = random_dataset(rng, 50)
-        spec = coefficients(d, "accuracy_parity")
+    def test_reference_serves_every_notion_on_its_data_only(self, rng):
+        d = random_dataset(rng, 50, num_sensitive=3)
+        other = random_dataset(rng, 50, num_sensitive=3)
         hstar = rng.normal(size=(2, 3))
         ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
-        reference = fairness.ScoringReference(hstar, ratio, d, [spec.partition])
-        weights = hstar[None] + 0.1
-        group_fairness_many(weights, d, [spec], reference)
+        reference = fairness.ScoringReference(hstar, ratio, d)
+        weights = hstar[None] + 0.1 * rng.normal(size=(20, 2, 3))
+        # every spec, each built after the reference
+        specs = [spec_for(d, notion)[0] for notion in NOTIONS]
+        for a, b in zip(group_fairness_many(weights, d, specs, reference),
+                        group_fairness_many(weights, d, specs)):
+            assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="scoring reference"):
             group_fairness_many(weights, other, [coefficients(other, "accuracy_parity")], reference)
-        with pytest.raises(ValueError, match="scoring reference"):
-            group_fairness_many(weights, d, [coefficients(d, "accuracy_parity")], reference)
         with pytest.raises(ValueError, match="one entry per example"):
-            fairness.ScoringReference(hstar, ratio[:-1], d, [spec.partition])
+            fairness.ScoringReference(hstar, ratio[:-1], d)
+
+    def test_partition_that_splits_a_cell_is_value_error(self, rng):
+        d = random_dataset(rng, 50)
+        m = LinearModel(rng.normal(size=(2, 3)), 10.0)
+        # move one example of the largest cell out of its cell's group
+        assignment = np.zeros(d.n, dtype=np.int64)
+        assignment[np.flatnonzero(d.cells == np.argmax(np.bincount(d.cells)))[0]] = 1
+        split_cell = GroupPartition(2, assignment, np.bincount(assignment) / d.n, ("a", "b"))
+        spec = FairnessSpec("accuracy_parity", split_cell, np.zeros(2), np.eye(2), ())
+        with pytest.raises(ValueError, match="splits a"):
+            group_fairness_many(m.weights[None], d, [spec])
+        with pytest.raises(ValueError, match="splits a"):
+            conditional_accuracies(m, d, split_cell)
+        short = partition(d.subset(np.arange(49)), "by_sensitive")
+        with pytest.raises(ValueError, match="one entry per example"):
+            conditional_accuracies(m, d, short)
