@@ -14,8 +14,9 @@ distance, and per group partition of the specs it builds the per-group
 term vectors below, the distance-free ones once and the others once per
 distance.  Each spec then combines them with its coefficient magnitudes
 exactly as the fairness layer combines conditional accuracies.
-``bound_report`` is its one-spec, one-distance case.  When both models are
-known, ``MarginProfile(margin_profile(h, d).abs_margins,
+``bound_report`` is its one-spec, one-distance case, and ``theorem3_report``
+runs it at the lemma distance of ``privacy.resolve_distance``.  When both
+models are known, ``MarginProfile(margin_profile(h, d).abs_margins,
 refined_lipschitz(h, h2, d))`` is h's refined, direction-aware profile
 against h2: the same margins with Lipschitz constants that read only each
 example's component along the weight difference.  The variants:
@@ -51,7 +52,7 @@ from .dataset import Dataset, GroupPartition
 from .fairness import FairnessSpec
 from .model import LinearModel, distance as model_distance
 from .model import margins_many, pointwise_lipschitz_many
-from .privacy import PrivacyParams, dpsgd_distance_bound, output_perturb_distance_bound
+from .privacy import PrivacyParams, resolve_distance
 from .trainer import LossConstants
 
 VARIANTS = ("markov", "truncated", "chernoff", "best")
@@ -165,16 +166,6 @@ class BoundReport:
 
     def entry(self, k: int) -> BoundEntry:
         return self.entries[k]
-
-
-def resolve_distance(
-    num_params: int, c: LossConstants, n: int, pp: PrivacyParams
-) -> tuple[float, str]:
-    """The mechanism's high-probability lemma bound on the distance between
-    release and optimum, and its provenance."""
-    if pp.mechanism == "output_perturbation":
-        return output_perturb_distance_bound(num_params, c, n, pp), "lemma2"
-    return dpsgd_distance_bound(num_params, c, n, pp).distance, "lemma3"
 
 
 def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .privacy import (
     PrivacyParams,
     default_delta,
     dpsgd_distance_bound,
+    release,
     warn_if_gradient_noise_dominates,
 )
 from .trainer import DEFAULT_MAX_ITERS, DEFAULT_TOL, constants, fit_erm
@@ -289,7 +290,7 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
         schedule = dpsgd_distance_bound(hstar.num_params, c, d.n, pp)
         if schedule.steps:
             warn_if_gradient_noise_dominates(hstar, d, lam, schedule.noise_variance)
-    save_model(experiment_mod.release(hstar, d, c, pp), args.out)
+    save_model(release(hstar, d, c, pp), args.out)
     print(f"released {mechanism} model (epsilon={pp.epsilon}, delta={pp.delta}) -> {args.out}")
     return EXIT_OK
 

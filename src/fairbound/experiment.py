@@ -29,9 +29,10 @@ the epsilon axis's shared optimum fails, every grid point fails with that
 error, each with the failure row it would have had alone.
 
 The M draws of a point are one (M, Y, p) weight array from release to
-score: ``release_many`` draws and projects them together, their distances
-to h* are one vector pass, and ``group_fairness_many`` scores them once,
-per (label, sensitive) cell, for every notion.  It takes the draws in
+score: ``privacy.release_many`` draws them with the noise of the lemma
+distance that ``privacy.resolve_distance`` gives, their distances to h*
+are one vector pass, and ``group_fairness_many`` scores them once, per
+(label, sensitive) cell, for every notion.  It takes the draws in
 blocks, nearest to h* first, and scores a block only on the evaluation
 rows that its largest distance lets a draw flip: the rows whose |m|/L at
 h* is at most that distance, with a rounding allowance.  The optimum's
@@ -84,12 +85,10 @@ from .fairness import (
 from .model import LinearModel, frobenius_norms
 from .privacy import (
     MECHANISMS,
-    DpSgdConfig,
     PrivacyParams,
     default_delta,
-    dpsgd,
-    dpsgd_distance_bound,
-    output_perturb_many,
+    release_many,
+    resolve_distance,
     stream,
 )
 from .trainer import DEFAULT_TOL, constants, fit_erm
@@ -223,39 +222,6 @@ def _load_base_data(cfg: ExperimentConfig) -> Dataset:
     if cfg.data_format == "synthetic":
         return synthesize(read_synthetic_spec(cfg.data), seed=cfg.seed)
     return load_csv(cfg.data, cfg.sensitive_col, cfg.label_col)
-
-
-def release_many(
-    hstar: LinearModel,
-    train: Dataset,
-    c,
-    pp: PrivacyParams,
-    rng: np.random.Generator,
-    draws: int,
-) -> np.ndarray:
-    """(draws, Y, p) stack of the private models that the lemma distance of
-    ``pp.mechanism`` describes: output perturbation of h*, or DP-SGD on
-    ``train`` for the lemma-3 schedule's T steps with T^2 noise.  Every
-    draw comes from ``rng``, one draw after another, so draw j is the same
-    for every ``draws`` > j."""
-    if pp.mechanism == "output_perturbation":
-        return output_perturb_many(hstar, c, train.n, pp, rng, draws)
-    steps = dpsgd_distance_bound(hstar.num_params, c, train.n, pp).steps
-    cfg = DpSgdConfig.calibrated(c, train.n, pp, steps)
-    return np.stack([dpsgd(train, c, pp, cfg, substream=rng).weights for _ in range(draws)])
-
-
-def release(
-    hstar: LinearModel,
-    train: Dataset,
-    c,
-    pp: PrivacyParams,
-    substream: int | tuple[int, ...] = 0,
-) -> LinearModel:
-    """One private model, deterministic per (pp.seed, substream): the first
-    draw of :func:`release_many` on ``stream(pp.seed, substream)``."""
-    weights = release_many(hstar, train, c, pp, stream(pp.seed, substream), 1)[0]
-    return LinearModel(weights, c.radius)
 
 
 @dataclass
@@ -403,7 +369,7 @@ def _run_grid_point(
     far_idx = int(np.argmax(dists))
     dist_measured = float(dists[far_idx])
 
-    dist_lemma, provenance = bounds_mod.resolve_distance(hstar.num_params, c, n_g, pp)
+    dist_lemma, provenance = resolve_distance(hstar.num_params, c, n_g, pp)
     spec_list = list(specs.values())
     f_draws_all = group_fairness_many(weights, eval_data, spec_list, optimum.reference)
     farthest = LinearModel(weights[far_idx], c.radius)
@@ -471,7 +437,7 @@ def table_report(
         pp = PrivacyParams(epsilon=1.0, delta=default_delta(train.n), zeta=0.01,
                            mechanism="output_perturbation", seed=0)
     c = constants(train, lam, hstar.radius)
-    dist, provenance = bounds_mod.resolve_distance(hstar.num_params, c, train.n, pp)
+    dist, provenance = resolve_distance(hstar.num_params, c, train.n, pp)
     profile = bounds_mod.margin_profile(hstar, eval_data)
     reports = bounds_mod.bound_reports(profile, specs, [dist], [provenance])
     row: dict[str, Any] = {"dataset": dataset_name}

@@ -371,15 +371,6 @@ def _accuracies(counts: np.ndarray, part: GroupPartition) -> tuple[np.ndarray, n
     return values, empty
 
 
-def conditional_accuracies(
-    m: LinearModel, d: Dataset, part: GroupPartition
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group accuracies and the mask of empty (flagged) groups."""
-    check_fits(m.weights, d)
-    cell_map = _cell_map(part, d)  # checked before any scoring
-    return _accuracies(_correct_counts(m.weights[None], d)[0] @ cell_map, part)
-
-
 def group_fairness(m: LinearModel, d: Dataset, spec: FairnessSpec, k: int) -> float:
     """Fairness level of group k under the affine form; positive means the
     group is advantaged relative to its reference population."""

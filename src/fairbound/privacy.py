@@ -17,6 +17,10 @@ comparison value of ``dpsgd_noise``.  Both mechanisms come with closed-form
 high-probability bounds on the distance between the released model and the
 optimum, which the fairness-gap bounds consume.
 
+``release_many`` and ``release`` draw the releases whose distance to the
+optimum ``resolve_distance`` bounds by lemma 2 or 3; these three are the
+only code that branches on the mechanism, bar the CLI's DP-SGD warning.
+
 Every random value comes from a NumPy generator.  :func:`stream` builds
 the generator of one key, ``default_rng(SeedSequence(seed, spawn_key=key))``;
 the one-release functions take a key (``dpsgd`` also takes a generator),
@@ -321,6 +325,49 @@ def dpsgd_distance_bound(
     )
     sigma2 = dpsgd_noise(lam_lip, steps, n, pp.epsilon, pp.delta)
     return DpSgdBound(distance=math.sqrt(dist_sq), steps=steps, noise_variance=sigma2)
+
+
+def resolve_distance(
+    num_params: int, c: LossConstants, n: int, pp: PrivacyParams
+) -> tuple[float, str]:
+    """The mechanism's high-probability lemma bound on the distance between
+    release and optimum, and its provenance."""
+    if pp.mechanism == "output_perturbation":
+        return output_perturb_distance_bound(num_params, c, n, pp), "lemma2"
+    return dpsgd_distance_bound(num_params, c, n, pp).distance, "lemma3"
+
+
+def release_many(
+    hstar: LinearModel,
+    train: Dataset,
+    c: LossConstants,
+    pp: PrivacyParams,
+    rng: np.random.Generator,
+    draws: int,
+) -> np.ndarray:
+    """(draws, Y, p) stack of the private models that the lemma distance of
+    ``pp.mechanism`` describes: output perturbation of h*, or DP-SGD on
+    ``train`` for the lemma-3 schedule's T steps with T^2 noise.  Every
+    draw comes from ``rng``, one draw after another, so draw j is the same
+    for every ``draws`` > j."""
+    if pp.mechanism == "output_perturbation":
+        return output_perturb_many(hstar, c, train.n, pp, rng, draws)
+    steps = dpsgd_distance_bound(hstar.num_params, c, train.n, pp).steps
+    cfg = DpSgdConfig.calibrated(c, train.n, pp, steps)
+    return np.stack([dpsgd(train, c, pp, cfg, substream=rng).weights for _ in range(draws)])
+
+
+def release(
+    hstar: LinearModel,
+    train: Dataset,
+    c: LossConstants,
+    pp: PrivacyParams,
+    substream: int | tuple[int, ...] = 0,
+) -> LinearModel:
+    """One private model, deterministic per (pp.seed, substream): the first
+    draw of :func:`release_many` on ``stream(pp.seed, substream)``."""
+    weights = release_many(hstar, train, c, pp, stream(pp.seed, substream), 1)[0]
+    return LinearModel(weights, c.radius)
 
 
 def warn_if_gradient_noise_dominates(

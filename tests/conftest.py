@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairbound import fairness
 from fairbound.dataset import CellSpec, Dataset, SyntheticSpec, synthesize
 
 
@@ -34,6 +35,14 @@ def random_dataset(rng, n, p=3, num_labels=2, num_sensitive=2, cover_cells=True)
         sensitive = rng.integers(0, num_sensitive, n)
     features = np.hstack([rng.normal(size=(n, p - 1)), np.ones((n, 1))])
     return make_dataset(features, sensitive, labels, num_labels, num_sensitive)
+
+
+def group_accuracies(m, d, part):
+    """Per-group accuracies of one model and the mask of empty groups, from
+    the scorer's per-cell correct counts summed into ``part``'s groups."""
+    cell_map = fairness._cell_map(part, d)
+    counts = fairness._correct_counts(m.weights[None], d)[0]
+    return fairness._accuracies(counts @ cell_map, part)
 
 
 def two_blob_spec(per_cell=250, p=2, gap=2.0, skew=0.6):

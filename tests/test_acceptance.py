@@ -5,6 +5,7 @@ on success).  Tolerances are fixed here, not calibrated elsewhere.
 
 import math
 import os
+import pathlib
 import time
 import warnings
 
@@ -411,7 +412,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
             assert cli_main(["experiment", "--config", str(exp_path), "--seed", "5",
                              "--out-dir", str(root / "results")]) == 0
         outputs[tag] = {
-            name: open(path, "rb").read()
+            name: pathlib.Path(path).read_bytes()
             for name, path in [
                 ("data", data),
                 ("model", model),

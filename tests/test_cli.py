@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from fairbound import experiment, trainer
 from fairbound.cli import build_parser, main
 from fairbound.dataset import load_csv
-from fairbound.experiment import release
 from fairbound.model import load_model, save_model
-from fairbound.privacy import PrivacyParams
+from fairbound.privacy import PrivacyParams, release
 from fairbound.trainer import constants
 
 SPEC_TEXT = """\

@@ -27,10 +27,9 @@ from fairbound.dataset import (
     write_rows,
 )
 from fairbound.exceptions import DataError, EmptyDatasetError, ParseError, SchemaError
-from fairbound.fairness import conditional_accuracies
 from fairbound.model import LinearModel, predict_many
 
-from conftest import make_dataset, random_dataset, two_blob_spec
+from conftest import group_accuracies, make_dataset, random_dataset, two_blob_spec
 
 
 def write_lines(path, lines):
@@ -686,5 +685,5 @@ class TestPartition:
         overall = float(np.mean(predict_many(m, d.features) == d.labels))
         for grouping in ("by_sensitive", "by_label_and_sensitive"):
             part = partition(d, grouping)
-            values, _ = conditional_accuracies(m, d, part)
+            values, _ = group_accuracies(m, d, part)
             assert float(part.proportions @ values) == pytest.approx(overall, abs=1e-12)

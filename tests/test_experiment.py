@@ -319,29 +319,6 @@ class TestRunExperiment:
             "inverse_n_squared", 1.0, "test", frozenset({1}))
 
 
-class TestReleaseMany:
-    def test_dpsgd_draws_are_one_stream_in_order(self, rng):
-        from fairbound.privacy import PrivacyParams, dpsgd_distance_bound, stream
-        from conftest import random_dataset
-
-        d = random_dataset(rng, 40)
-        hstar = fit_erm(d, lam=1.0)
-        c = constants(d, 1.0, hstar.radius)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pp = PrivacyParams(5.0, 1e-3, 0.1, "dp_sgd", seed=17)
-        assert dpsgd_distance_bound(hstar.num_params, c, d.n, pp).steps > 0
-        stack = experiment.release_many(hstar, d, c, pp, stream(17, (1, 0)), 6)
-        assert stack.shape == (6, d.num_labels, d.p)
-        assert len({row.tobytes() for row in stack}) == 6
-        # draw j does not depend on how many draws follow it
-        for k in (1, 4):
-            prefix = experiment.release_many(hstar, d, c, pp, stream(17, (1, 0)), k)
-            assert np.array_equal(stack[:k], prefix)
-        single = experiment.release(hstar, d, c, pp, substream=(1, 0))
-        assert np.array_equal(stack[0], single.weights)
-
-
 class TestTableReport:
     def test_all_columns_present_and_finite(self):
         data = synthesize(two_blob_spec(per_cell=200), seed=5)
@@ -396,7 +373,6 @@ class TestReportWriters:
         assert ",inf," in text
 
     def test_audit_csv_slack_columns(self, tmp_path, rng):
-        from fairbound.fairness import conditional_accuracies
         from fairbound.model import LinearModel
         from conftest import random_dataset
 
@@ -404,7 +380,7 @@ class TestReportWriters:
         m = LinearModel(rng.normal(size=(2, 3)), 100.0)
         spec = coefficients(d, "accuracy_parity")
         values = group_fairness_all(m, d, spec)
-        _, empty = conditional_accuracies(m, d, spec.partition)
+        empty = spec.partition.proportions == 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             slack = finite_sample_slacks(spec, d.n, 0.05, 2, d.p, "independent")

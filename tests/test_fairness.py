@@ -13,7 +13,6 @@ from fairbound.fairness import (
     NOTIONS,
     FairnessSpec,
     coefficients,
-    conditional_accuracies,
     direct_fairness,
     group_fairness,
     group_fairness_all,
@@ -21,7 +20,7 @@ from fairbound.fairness import (
 )
 from fairbound.model import LinearModel
 
-from conftest import make_dataset, random_dataset
+from conftest import group_accuracies, make_dataset, random_dataset
 
 DESIRABLE = frozenset({1})
 
@@ -114,7 +113,7 @@ class TestConditionalAccuracy:
 
         m = fit_erm(desk_data, lam=0.01, tol=1e-8)
         part = partition(desk_data, "by_sensitive")
-        values, empty = conditional_accuracies(m, desk_data, part)
+        values, empty = group_accuracies(m, desk_data, part)
         assert not empty.any()
         assert np.all(values > 0.9)
 
@@ -124,7 +123,7 @@ class TestConditionalAccuracy:
         part = partition(d, "by_sensitive")
         for r in range(2):
             expected = float(np.mean(d.labels[part.assignment == r] == 0))
-            values, _ = conditional_accuracies(m, d, part)
+            values, _ = group_accuracies(m, d, part)
             assert values[r] == pytest.approx(expected)
 
     def test_empty_group_zero_with_flag(self, rng):
@@ -132,7 +131,7 @@ class TestConditionalAccuracy:
         d = make_dataset(features, [0] * 6, [0, 1] * 3)
         part = partition(d, "by_sensitive")
         m = LinearModel(rng.normal(size=(2, 3)), 100.0)
-        values, empty = conditional_accuracies(m, d, part)
+        values, empty = group_accuracies(m, d, part)
         assert values[1] == 0.0 and empty[1]
 
 
@@ -440,7 +439,7 @@ class TestPrunedScoring:
         with pytest.raises(ValueError, match="splits a"):
             group_fairness_many(m.weights[None], d, [spec])
         with pytest.raises(ValueError, match="splits a"):
-            conditional_accuracies(m, d, split_cell)
+            group_accuracies(m, d, split_cell)
         short = partition(d.subset(np.arange(49)), "by_sensitive")
         with pytest.raises(ValueError, match="one entry per example"):
-            conditional_accuracies(m, d, short)
+            group_accuracies(m, d, short)

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from fairbound.bounds import DIST_PROVENANCES
 from fairbound.exceptions import ConfigError
 from fairbound.model import LinearModel, distance
 from fairbound.privacy import (
+    MECHANISMS,
     DpSgdBound,
     DpSgdConfig,
     PrivacyParams,
@@ -17,6 +19,9 @@ from fairbound.privacy import (
     output_perturb,
     output_perturb_distance_bound,
     output_perturb_many,
+    release,
+    release_many,
+    resolve_distance,
     stream,
     warn_if_gradient_noise_dominates,
 )
@@ -296,6 +301,69 @@ class TestDpSgdDistanceBound:
         b = dpsgd_distance_bound(4, c, 10, pp)
         assert b.steps == 0
         assert b.distance == 0.1
+
+
+class TestReleaseMany:
+    def test_dpsgd_draws_are_one_stream_in_order(self, rng):
+        d = random_dataset(rng, 40)
+        hstar = fit_erm(d, lam=1.0)
+        c = constants(d, 1.0, hstar.radius)
+        pp = quiet_params(5.0, 1e-3, 0.1, "dp_sgd", seed=17)
+        assert dpsgd_distance_bound(hstar.num_params, c, d.n, pp).steps > 0
+        stack = release_many(hstar, d, c, pp, stream(17, (1, 0)), 6)
+        assert stack.shape == (6, d.num_labels, d.p)
+        assert len({row.tobytes() for row in stack}) == 6
+        # draw j does not depend on how many draws follow it
+        for k in (1, 4):
+            prefix = release_many(hstar, d, c, pp, stream(17, (1, 0)), k)
+            assert np.array_equal(stack[:k], prefix)
+        single = release(hstar, d, c, pp, substream=(1, 0))
+        assert np.array_equal(stack[0], single.weights)
+
+
+class TestRelease:
+    """Every release is the mechanism primitive that the lemma of
+    :func:`resolve_distance` describes, bit for bit."""
+
+    @pytest.mark.parametrize("substream", [0, 3, (1, 2)])
+    def test_output_perturbation_is_output_perturb(self, rng, substream):
+        d = random_dataset(rng, 40)
+        hstar = fit_erm(d, lam=1.0)
+        c = constants(d, 1.0, hstar.radius)
+        pp = quiet_params(2.0, 1e-3, 0.1, "output_perturbation", seed=5)
+        released = release(hstar, d, c, pp, substream=substream)
+        expected = output_perturb(hstar, c, d.n, pp, substream)
+        assert released.weights.tobytes() == expected.weights.tobytes()
+        assert released.radius == expected.radius
+
+    @pytest.mark.parametrize("substream", [0, 3, (1, 2)])
+    def test_dpsgd_is_dpsgd_on_the_lemma_schedule(self, rng, substream):
+        d = random_dataset(rng, 40)
+        hstar = fit_erm(d, lam=1.0)
+        c = constants(d, 1.0, hstar.radius)
+        pp = quiet_params(5.0, 1e-3, 0.1, "dp_sgd", seed=5)
+        steps = dpsgd_distance_bound(hstar.num_params, c, d.n, pp).steps
+        assert steps > 0
+        released = release(hstar, d, c, pp, substream=substream)
+        expected = dpsgd(d, c, pp, DpSgdConfig.calibrated(c, d.n, pp, steps), substream=substream)
+        assert released.weights.tobytes() == expected.weights.tobytes()
+        assert released.radius == expected.radius
+
+
+class TestResolveDistance:
+    def test_each_mechanism_resolves_to_its_lemma(self):
+        c = flat_constants(loss_lipschitz=2.0, strong_convexity=1.0, smoothness=5.0)
+        op = quiet_params(1.0, 1e-6, 0.1, "output_perturbation", seed=0)
+        sgd = quiet_params(1.0, 1e-6, 0.1, "dp_sgd", seed=0)
+        assert resolve_distance(4, c, 1000, op) == (
+            output_perturb_distance_bound(4, c, 1000, op), "lemma2"
+        )
+        assert resolve_distance(4, c, 1000, sgd) == (
+            dpsgd_distance_bound(4, c, 1000, sgd).distance, "lemma3"
+        )
+        for mechanism in MECHANISMS:
+            pp = quiet_params(1.0, 1e-6, 0.1, mechanism, seed=0)
+            assert resolve_distance(4, c, 1000, pp)[1] in DIST_PROVENANCES
 
 
 class TestOutOfRangeCalibration:
