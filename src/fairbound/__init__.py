@@ -54,7 +54,6 @@ from .model import (
     distance,
     load_model,
     margin,
-    predict,
     save_model,
 )
 from .privacy import (

@@ -37,7 +37,9 @@ Conventions: an example with a zero Lipschitz constant can never flip (it
 contributes 0 to chi and is never at risk); a zero margin under a positive
 Lipschitz constant makes chi, markov and truncated infinite while the
 chernoff term stays finite, which is the reason the variants are combined.
-Every variant is 0 at d = 0, and empty groups contribute 0.
+Every variant is 0 at d = 0, and empty groups contribute 0.  Group sizes,
+which divide every group mean and flag the empty groups, are the
+partition's own ``GroupPartition.sizes``; nothing here recounts them.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 class _GroupTerms:
     """The per-group term vectors of one partition, for every distance of a
-    :func:`bound_reports` call: group sizes, the zero-margin flags, and the
+    :func:`bound_reports` call: the zero-margin flags and the
     stacked terms, whose row 0 is the chi mean of L/|m| and whose rows
     1 + 4j ... 4 + 4j are the markov, truncated, chernoff and best terms at
     distance j."""
@@ -194,8 +196,7 @@ class _GroupTerms:
     ):
         groups, num_groups = partition.assignment, partition.num_groups
         self.partition = partition
-        self.sizes = np.bincount(groups, minlength=num_groups)
-        denom = np.maximum(self.sizes, 1)  # empty groups carry zero weight
+        denom = np.maximum(partition.sizes, 1)  # empty groups carry zero weight
         self.has_zero_margin = np.bincount(groups[zero_margin], minlength=num_groups) > 0
         mean_inverse = np.bincount(groups, weights=inverse_ratio, minlength=num_groups) / denom
         rows = [mean_inverse]
@@ -231,8 +232,8 @@ def bound_reports(
 
     The profile must cover the examples of every spec's partition.  The
     at-risk masks are computed once per distance.  Per partition (specs
-    whose partitions assign the examples alike share one), the group
-    sizes, chi means and zero-margin flags are computed once, and the
+    whose partitions assign the examples alike share one), the chi means
+    and zero-margin flags are computed once, and the
     truncated means and at-risk fractions once per distance.  Each spec
     then combines the term vectors of every distance with its coefficient
     magnitudes, as the fairness layer combines conditional accuracies.
@@ -267,7 +268,7 @@ def bound_reports(
         for k in range(spec.num_groups):
             flags_k: list[str] = []
             for kp in np.flatnonzero(spec.coeffs[k]):
-                if terms.sizes[kp] == 0:
+                if spec.partition.sizes[kp] == 0:
                     flags_k.append(f"empty_group:{kp}")
                 elif terms.has_zero_margin[kp]:
                     flags_k.append(f"zero_margin_in_group:{kp}")

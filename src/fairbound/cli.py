@@ -253,12 +253,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     spec = read_synthetic_spec(args.spec)
     d = synthesize(spec, seed=int(args.seed))
-    roles = (args.sensitive_col, args.label_col)
-    if roles[0] == roles[1] or set(roles) & set(d.feature_names):
-        raise ConfigError(f"--sensitive-col {roles[0]!r} and --label-col {roles[1]!r} must "
-                          f"differ from each other and from the feature columns {d.feature_names}")
-    if args.sensitive_col != "s" or args.label_col != "y":
+    try:
         d = replace(d, sensitive_col=args.sensitive_col, label_col=args.label_col)
+    except ValueError as exc:  # a role name that collides with another column
+        raise ConfigError(f"--sensitive-col and --label-col: {exc}")
     write_csv(d, args.out)
     print(f"wrote {d.n} rows ({d.p - 1} features + intercept) to {args.out}")
     return EXIT_OK
@@ -318,10 +316,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     notion = _notion_key(args.notion)
     spec = coefficients(d, notion, label_ids(args.desirable))
     values = group_fairness_all(model, d, spec)
-    empty = spec.partition.proportions == 0
     slack, confidence = _finite_sample(args, spec, d)
     experiment_mod.write_audit_csv(
-        spec, values, empty, args.report,
+        spec, values, args.report,
         metadata={"notion": notion, "data": args.data, "model": args.model},
         slack=slack, combined_confidence=confidence,
     )

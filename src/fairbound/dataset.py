@@ -22,7 +22,7 @@ import stat
 import tempfile
 import warnings
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,15 +47,20 @@ class Dataset:
     sensitive : (n,) integer ids in [0, num_sensitive)
     labels : (n,) integer ids in [0, num_labels)
     label_values, sensitive_values : original categorical values, indexed
-        by dense id (first-appearance order), one per declared id
-    feature_names : CSV column names, excluding the intercept
+        by dense id (first-appearance order); ``num_labels`` and
+        ``num_sensitive`` count them
+    feature_names : CSV column names, one per feature column, excluding
+        the intercept
+    sensitive_col, label_col : the two role columns' names, distinct from
+        each other and from every feature name
+
+    A vocabulary that breaks these rules is a ValueError: :func:`write_csv`
+    would write a header that miscounts its rows' cells or names a role twice.
     """
 
     features: np.ndarray
     sensitive: np.ndarray
     labels: np.ndarray
-    num_labels: int
-    num_sensitive: int
     label_values: tuple[str, ...]
     sensitive_values: tuple[str, ...]
     feature_names: tuple[str, ...]
@@ -77,14 +82,27 @@ class Dataset:
             raise ValueError("label id out of declared range")
         if sensitive.min() < 0 or sensitive.max() >= self.num_sensitive:
             raise ValueError("sensitive id out of declared range")
-        if (self.num_labels, self.num_sensitive) != (len(self.label_values),
-                                                     len(self.sensitive_values)):
-            raise ValueError("num_labels and num_sensitive must count the declared values")
+        if len(self.feature_names) != features.shape[1] - 1:
+            raise ValueError(f"{len(self.feature_names)} feature names for "
+                             f"{features.shape[1] - 1} feature columns")
+        roles = (self.sensitive_col, self.label_col)
+        if roles[0] == roles[1] or set(roles) & set(self.feature_names):
+            raise ValueError(f"the sensitive column {roles[0]!r} and the label column "
+                             f"{roles[1]!r} must differ from each other and from the "
+                             f"feature columns {self.feature_names}")
         for arr in (features, sensitive, labels):
             arr.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "sensitive", sensitive)
         object.__setattr__(self, "labels", labels)
+
+    @property
+    def num_labels(self) -> int:
+        return len(self.label_values)
+
+    @property
+    def num_sensitive(self) -> int:
+        return len(self.sensitive_values)
 
     @property
     def n(self) -> int:
@@ -121,29 +139,35 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Disjoint cover of a dataset's examples by K groups.
+    """Disjoint cover of a dataset's examples by K = ``len(descriptions)``
+    groups: ``assignment[i]`` is the group of example i.
 
-    The bound layer accepts any partition; scoring (``fairness``) needs
-    each group to be a union of (label, sensitive) cells."""
+    The group ``sizes`` (example counts) and ``proportions`` (sizes / n)
+    are computed once, when the partition is built; every layer reads its
+    group sizes here.  Both are 0 for an empty group, and for every group
+    of an empty assignment.  The bound layer accepts any partition; scoring
+    (``fairness``) needs each group to be a union of (label, sensitive)
+    cells."""
 
-    num_groups: int
     assignment: np.ndarray
-    proportions: np.ndarray
     descriptions: tuple[str, ...]
+    sizes: np.ndarray = field(init=False, repr=False)
+    proportions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         assignment = np.asarray(self.assignment, dtype=np.int64)
-        proportions = np.asarray(self.proportions, dtype=np.float64)
-        if proportions.shape != (self.num_groups,):
-            raise ValueError("proportions must have one entry per group")
-        if abs(proportions.sum() - 1.0) > 1e-12:
-            raise ValueError("group proportions must sum to 1")
         if assignment.size and (assignment.min() < 0 or assignment.max() >= self.num_groups):
             raise ValueError("group assignment out of range")
-        assignment.setflags(write=False)
-        proportions.setflags(write=False)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "proportions", proportions)
+        sizes = np.bincount(assignment, minlength=self.num_groups)
+        proportions = sizes / max(assignment.size, 1)
+        for name, arr in (("assignment", assignment), ("sizes", sizes),
+                          ("proportions", proportions)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.descriptions)
 
 
 _CACHE_DIR = "__fairbound_cache__"
@@ -214,8 +238,6 @@ def _read_entry(entry: str, key: bytes, sensitive_col: str, label_col: str) -> D
                 features=z["features"],
                 sensitive=z["sensitive"],
                 labels=z["labels"],
-                num_labels=len(names["label_values"]),
-                num_sensitive=len(names["sensitive_values"]),
                 label_values=tuple(names["label_values"]),
                 sensitive_values=tuple(names["sensitive_values"]),
                 feature_names=tuple(names["feature_names"]),
@@ -309,8 +331,6 @@ def _parse_csv(path: str, raw: bytes, sensitive_col: str, label_col: str) -> Dat
         features=features,
         sensitive=sens_ids,
         labels=lab_ids,
-        num_labels=len(lab_values),
-        num_sensitive=len(sens_values),
         label_values=lab_values,
         sensitive_values=sens_values,
         feature_names=tuple(header[j] for j in feat_idx),
@@ -465,8 +485,6 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
         features=features,
         sensitive=np.concatenate(sens),
         labels=np.concatenate(labs),
-        num_labels=num_labels,
-        num_sensitive=num_sensitive,
         label_values=tuple(str(v) for v in range(num_labels)),
         sensitive_values=tuple(str(v) for v in range(num_sensitive)),
         feature_names=tuple(f"f{j}" for j in range(spec.num_features)),
@@ -497,34 +515,19 @@ def partition(d: Dataset, grouping: str) -> GroupPartition:
     """Group the examples ``by_sensitive`` (K = |S|) or
     ``by_label_and_sensitive`` (K = |Y|*|S|, index = label*|S| + sensitive)."""
     if grouping == "by_sensitive":
-        num_groups = d.num_sensitive
-        assignment = d.sensitive.copy()
-        descriptions = tuple(f"{d.sensitive_col}={v}" for v in d.sensitive_values)
-    elif grouping == "by_label_and_sensitive":
-        num_groups = d.num_labels * d.num_sensitive
-        assignment = d.cells
-        descriptions = tuple(
+        return GroupPartition(
+            d.sensitive, tuple(f"{d.sensitive_col}={v}" for v in d.sensitive_values)
+        )
+    if grouping == "by_label_and_sensitive":
+        return GroupPartition(d.cells, tuple(
             f"{d.label_col}={ly},{d.sensitive_col}={sv}"
             for ly in d.label_values
             for sv in d.sensitive_values
-        )
-    else:
-        raise ValueError(f"unknown grouping {grouping!r}")
-    counts = np.bincount(assignment, minlength=num_groups)
-    return GroupPartition(
-        num_groups=num_groups,
-        assignment=assignment,
-        proportions=counts / d.n,
-        descriptions=descriptions,
-    )
+        ))
+    raise ValueError(f"unknown grouping {grouping!r}")
 
 
 def single_group_partition(d: Dataset) -> GroupPartition:
     """Trivial partition with every example in one group (used for plain
     accuracy bounds)."""
-    return GroupPartition(
-        num_groups=1,
-        assignment=np.zeros(d.n, dtype=np.int64),
-        proportions=np.array([1.0]),
-        descriptions=("all",),
-    )
+    return GroupPartition(np.zeros(d.n, dtype=np.int64), ("all",))

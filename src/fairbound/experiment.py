@@ -505,21 +505,21 @@ def write_bound_report_csv(
 def write_audit_csv(
     spec: FairnessSpec,
     fairness_values: np.ndarray,
-    empty_groups: np.ndarray,
     path: str,
     metadata: dict[str, Any] | None = None,
     slack: np.ndarray | None = None,
     combined_confidence: float | None = None,
 ) -> None:
-    """Audit rows: (k, group description, fairness level, flags).  With
-    ``slack``, the combined bound is |fairness level| plus slack."""
+    """Audit rows: (k, group description, fairness level, flags); a group
+    that the spec's partition leaves empty is flagged ``empty_group``.
+    With ``slack``, the combined bound is |fairness level| plus slack."""
     columns = ["k", "group", "fairness", "flags"]
     rows = [
         [
             k,
             _group_cell(spec, k),
             float(fairness_values[k]),
-            ";".join(spec.flags + (("empty_group",) if empty_groups[k] else ())),
+            ";".join(spec.flags + (("empty_group",) if spec.partition.sizes[k] == 0 else ())),
         ]
         for k in range(spec.num_groups)
     ]

@@ -16,7 +16,8 @@ through it: ``group_fairness_all`` is its one-model case, and
 Every group of every notion is a union of (label, sensitive) cells, so the
 layer counts in cells: ``coefficients`` reads every table off one table of
 cell counts, the scorer counts each model's correct predictions per cell,
-and each spec sums those counts into its groups.  Given a
+and each spec sums those counts into its groups, whose sizes it reads
+from its partition's ``GroupPartition.sizes``.  Given a
 ``ScoringReference`` h*, which serves every spec on its data, the scorer
 scores each model only on the examples whose margin at h* the model's
 distance from h* lets it flip, and takes its other counts from h*.  The
@@ -363,11 +364,10 @@ def _cell_map(part: GroupPartition, d: Dataset) -> np.ndarray:
 
 
 def _accuracies(counts: np.ndarray, part: GroupPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Correct counts divided by group sizes, and the mask of empty groups
-    (whose accuracies are 0)."""
-    sizes = np.bincount(part.assignment, minlength=part.num_groups)
-    empty = sizes == 0
-    values = np.divide(counts, sizes, out=np.zeros(counts.shape), where=~empty)
+    """Correct counts divided by the partition's group sizes, and the mask
+    of empty groups (whose accuracies are 0)."""
+    empty = part.sizes == 0
+    values = np.divide(counts, part.sizes, out=np.zeros(counts.shape), where=~empty)
     return values, empty
 
 

@@ -18,10 +18,10 @@ accuracy.  Two regimes for alpha_{k'} are provided:
       alpha_{k'} = sqrt(64*(d*(log(n*p_{k'}/2) + 2*log|Y|)
                            + log(8*(2K+1)/delta)) / (n*p_{k'}))
 
-Groups and proportions p_{k'} come from the fairness spec's partition and
-the coefficients from the spec itself, so like the bound layer the slack
-builds one per-group alpha vector and combines it through |coeff|.  Empty
-groups contribute no accuracy term.
+Groups and proportions p_{k'} come from the fairness spec's partition, which
+counts them from its assignment, and the coefficients from the spec, so the
+slack, like the bound layer, builds one per-group alpha vector and
+combines it through |coeff|.  Empty groups contribute no accuracy term.
 
 B3 and B4 are the concentration constants of the coefficient estimates,
 fixed at 2*(K+1) and 2 (per-coefficient Hoeffding plus a union bound), and

@@ -87,13 +87,9 @@ def check_fits(weights: np.ndarray, d: Dataset) -> None:
         )
 
 
-def predict(m: LinearModel, x: np.ndarray) -> int:
-    """Label with the highest score; ties go to the lowest label id."""
-    return int(np.argmax(m.scores(x)))
-
-
 def predict_many(m: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Vectorized predict over an (n, p) feature matrix."""
+    """Label with the highest score for each row of an (n, p) feature
+    matrix; ties go to the lowest label id."""
     return np.argmax(features @ m.weights.T, axis=1)
 
 

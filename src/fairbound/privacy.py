@@ -6,6 +6,9 @@ the exact optimum, calibrated to the optimum's replace-one sensitivity
 
     sigma^2 = 8 * Lambda^2 * log(1.25/delta) / (mu^2 n^2 eps^2).
 
+A budget at which that sigma is not (eps, delta)-private, because the
+mechanism's exact delta(eps) (``gaussian_delta``) exceeds delta, is refused.
+
 DP-SGD runs projected stochastic gradient steps from zero with per-step
 Gaussian noise
 
@@ -70,9 +73,10 @@ class PrivacyParams:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.epsilon >= 1:
             warnings.warn(
-                f"epsilon={self.epsilon} >= 1: the closed-form noise and distance "
-                "formulas are calibrated for budgets below 1 and remain valid but "
-                "conservative elsewhere",
+                f"epsilon={self.epsilon} >= 1: the closed-form noise formulas were "
+                "derived for budgets below 1; output perturbation checks its noise "
+                "against the exact Gaussian delta and refuses a budget it does not "
+                "serve, and no such check is made for DP-SGD",
                 stacklevel=2,
             )
 
@@ -113,19 +117,67 @@ def stream(seed: int, key: int | tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
+def _mills_ratio(b: float) -> float:
+    """Phi(-b) / phi(b) for b >= 0, from ``erfc`` below 20 and from its
+    continued fraction 1/(b + 1/(b + 2/(b + ...))) above, where phi(b)
+    nears the bottom of the float range."""
+    if b < 20.0:
+        phi_b = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
+        return 0.5 * math.erfc(b / math.sqrt(2.0)) / phi_b
+    tail = 0.0
+    for k in range(40, 0, -1):
+        tail = k / (b + tail)
+    return 1.0 / (b + tail)
+
+
+def gaussian_delta(epsilon: float, sensitivity: float, sigma: float) -> float:
+    """The exact delta(epsilon) of the Gaussian mechanism with L2
+    sensitivity Delta and noise N(0, sigma^2 I) (Balle & Wang 2018, Thm 8):
+
+        Phi(Delta/(2 sigma) - eps sigma/Delta)
+            - e^eps Phi(-Delta/(2 sigma) - eps sigma/Delta).
+
+    With a = Delta/(2 sigma) - eps sigma/Delta and b = a + 2 eps sigma/Delta,
+    e^eps phi(b) = phi(a), so the second term is phi(a) times the Mills
+    ratio Phi(-b)/phi(b): no e^eps is formed, so nothing overflows, and a
+    tail that underflows is not multiplied by an infinite one.  Both
+    Phi values are ``erfc`` tails, so neither is 1 minus a rounded
+    probability."""
+    ratio = epsilon * sigma / sensitivity
+    half = sensitivity / (2.0 * sigma)
+    a, b = half - ratio, half + ratio
+    phi_a = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    return max(0.0, 0.5 * math.erfc(-a / math.sqrt(2.0)) - phi_a * _mills_ratio(b))
+
+
 def output_noise_variance(
     loss_lipschitz: float, strong_convexity: float, n: int, epsilon: float, delta: float
 ) -> float:
     """Gaussian variance for output perturbation:
     8*Lambda^2*log(1.25/delta) / (mu^2 n^2 eps^2).  A variance that is not
-    a finite positive float is a ``ConfigError``."""
-    return _finite_positive(
+    a finite positive float is a ``ConfigError``.
+
+    That is the classical calibration sigma/Delta = sqrt(2 log(1.25/delta))
+    / eps at the sensitivity Delta = 2*Lambda/(mu n), so its exact
+    :func:`gaussian_delta` depends only on (eps, delta).  Above a crossover
+    eps* (8.4 at delta = 1e-5, 6.1 at delta = 0.05) it exceeds delta and
+    the release is not (eps, delta)-private; such a budget is a
+    ``ConfigError`` too."""
+    variance = _finite_positive(
         f"the output-perturbation noise variance at epsilon={epsilon!r}, lambda={strong_convexity!r}",
         lambda: 8.0
         * loss_lipschitz**2
         * math.log(1.25 / delta)
         / (strong_convexity**2 * n**2 * epsilon**2),
     )
+    exact = gaussian_delta(epsilon, 1.0, math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon)
+    if exact > delta:
+        raise ConfigError(
+            f"output perturbation at epsilon={epsilon!r}, delta={delta!r} is not "
+            f"(epsilon, delta)-private: its classical Gaussian calibration has an exact "
+            f"delta of {exact!r} at that epsilon"
+        )
+    return variance
 
 
 def output_perturb_many(

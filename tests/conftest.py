@@ -12,8 +12,6 @@ def make_dataset(features, sensitive, labels, num_labels=2, num_sensitive=2):
         features=features,
         sensitive=np.asarray(sensitive),
         labels=np.asarray(labels),
-        num_labels=num_labels,
-        num_sensitive=num_sensitive,
         label_values=tuple(str(v) for v in range(num_labels)),
         sensitive_values=tuple(str(v) for v in range(num_sensitive)),
         feature_names=tuple(f"f{j}" for j in range(features.shape[1] - 1)),

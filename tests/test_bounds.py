@@ -36,12 +36,8 @@ def coefficient_spec(groups, coeffs):
 
 
 def group_partition(groups, num_groups):
-    return GroupPartition(
-        num_groups=num_groups,
-        assignment=np.asarray(groups, dtype=np.int64),
-        proportions=np.full(num_groups, 1.0 / num_groups),
-        descriptions=tuple(f"g{k}" for k in range(num_groups)),
-    )
+    return GroupPartition(np.asarray(groups, dtype=np.int64),
+                          tuple(f"g{k}" for k in range(num_groups)))
 
 
 def spec_on(part, coeffs):

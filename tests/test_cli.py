@@ -507,6 +507,36 @@ class TestExitCodes:
                     if row["axis"] == "epsilon"]
         assert len(rows) == 2 and all(row["grid_value"] == "1.0" for row in rows)
 
+    def test_output_perturbation_above_its_crossover_is_failure_row(self, workdir):
+        # at epsilon 16 the classical Gaussian calibration is not
+        # (epsilon, 1/n^2)-private, and the point was swept as if it were
+        exp = workdir / "exp.cfg"
+        exp.write_text(
+            EXPERIMENT_TEXT.format(spec=str(workdir / "synth.cfg"))
+            .replace("sweep-axis = n", "sweep-axis = epsilon")
+            .replace("grid-start = 100", "grid-start = 1")
+            .replace("grid-stop = 400", "grid-stop = 16"),
+            encoding="utf-8")
+        out_dir = workdir / "results"
+        assert run(["experiment", "--config", str(exp), "--seed", "5",
+                    "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "failures.csv", encoding="utf-8", newline="") as fh:
+            header, *failures = csv.reader(fh)
+        assert [row[0] for row in failures] == ["1"]
+        assert float(failures[0][1]) == pytest.approx(16.0)
+        assert failures[0][2].startswith(
+            f"ConfigError: output perturbation at epsilon={failures[0][1]}, delta=")
+        assert "is not (epsilon, delta)-private" in failures[0][2]
+        with open(out_dir / "sweep.csv", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.DictReader(line for line in fh if not line.startswith("#"))
+                    if row["axis"] == "epsilon"]
+        assert rows and all(row["grid_value"] == "1.0" for row in rows)
+
+    def test_privatize_above_gaussian_crossover_is_config_error_2(self, workdir, capsys):
+        # the release's exact delta is 33.6 times 1e-5, and it was written
+        _assert_config_error(workdir, ["privatize", "--lambda", "1.0", "--epsilon", "16",
+                                       "--delta", "1e-5", "--seed", "1"], capsys)
+
     def test_privatize_negative_seed_is_config_error_2(self, workdir, capsys):
         # NumPy's seeding used to reject it with a ValueError traceback (exit 1)
         _assert_config_error(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ import fairbound.dataset as dataset_module
 from fairbound.dataset import (
     CellSpec,
     Dataset,
+    GroupPartition,
     SyntheticSpec,
     load_csv,
     partition,
@@ -90,8 +92,6 @@ def reference_load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset
         features=features,
         sensitive=np.asarray(sens_ids),
         labels=np.asarray(lab_ids),
-        num_labels=len(lab_values),
-        num_sensitive=len(sens_values),
         label_values=tuple(lab_values),
         sensitive_values=tuple(sens_values),
         feature_names=feature_names,
@@ -637,22 +637,39 @@ class TestSplit:
 
 
 class TestDatasetCounts:
+    def test_counts_are_read_off_the_declared_values(self):
+        d = Dataset(
+            features=np.ones((2, 1)), sensitive=[0, 1], labels=[0, 0],
+            label_values=("a", "b", "c"), sensitive_values=("u", "v"), feature_names=(),
+        )
+        assert (d.num_labels, d.num_sensitive) == (3, 2)
+        names = {f.name for f in dataclasses.fields(Dataset)}
+        assert not names & {"num_labels", "num_sensitive"}
+
+    @pytest.mark.parametrize("ids", [{"labels": [0, 2]}, {"sensitive": [0, 2]}],
+                             ids=["label", "sensitive"])
+    def test_id_beyond_the_declared_values_is_value_error(self, ids):
+        fields = dict(features=np.ones((2, 1)), sensitive=[0, 1], labels=[0, 1],
+                      label_values=("a", "b"), sensitive_values=("u", "v"), feature_names=())
+        with pytest.raises(ValueError, match="out of declared range"):
+            Dataset(**{**fields, **ids})
+
     @pytest.mark.parametrize(
-        "counts", [(3, 2, ("a", "b"), ("u", "v")), (2, 3, ("a", "b"), ("u", "v")),
-                   (1, 2, ("a", "b"), ("u", "v"))],
-        ids=["extra_label", "extra_sensitive", "missing_label"],
+        "change",
+        [{"feature_names": ("x",)}, {"feature_names": ("x", "y", "z")},
+         {"sensitive_col": "y", "label_col": "y"}, {"sensitive_col": "f1"},
+         {"label_col": "f0"}],
+        ids=["too_few_names", "too_many_names", "same_role_column", "sensitive_is_feature",
+             "label_is_feature"],
     )
-    def test_counts_must_match_the_declared_values(self, counts):
-        # num_labels=3 with two label values built, and equalized odds then
-        # raised IndexError naming the empty third label
-        num_labels, num_sensitive, label_values, sensitive_values = counts
-        with pytest.raises(ValueError, match="declared values"):
-            Dataset(
-                features=np.ones((2, 1)), sensitive=[0, 1], labels=[0, 0],
-                num_labels=num_labels, num_sensitive=num_sensitive,
-                label_values=label_values, sensitive_values=sensitive_values,
-                feature_names=(),
-            )
+    def test_inconsistent_vocabulary_is_value_error(self, rng, change):
+        # two feature columns named ("x",) wrote a file that load_csv
+        # rejected, and roles both named "y" beside a feature "y" wrote the
+        # header y,y,y
+        d = random_dataset(rng, 10)
+        assert d.feature_names == ("f0", "f1")
+        with pytest.raises(ValueError, match="feature"):
+            dataclasses.replace(d, **change)
 
     def test_cells_index_label_then_sensitive(self, rng):
         d = random_dataset(rng, 40, num_labels=3, num_sensitive=2)
@@ -661,6 +678,31 @@ class TestDatasetCounts:
 
 
 class TestPartition:
+    def test_counts_are_derived_from_the_assignment(self):
+        part = GroupPartition(np.array([0, 0, 2, 0]), ("a", "b", "c"))
+        assert part.num_groups == 3
+        assert part.sizes.dtype == np.int64 and part.sizes.tolist() == [3, 0, 1]
+        assert part.proportions.tolist() == [0.75, 0.0, 0.25]
+        for arr in (part.assignment, part.sizes, part.proportions):
+            assert not arr.flags.writeable
+        init = [f.name for f in dataclasses.fields(GroupPartition) if f.init]
+        assert init == ["assignment", "descriptions"]
+
+    def test_empty_assignment_has_zero_counts(self):
+        part = GroupPartition(np.zeros(0, dtype=np.int64), ("a", "b"))
+        assert part.sizes.tolist() == [0, 0]
+        assert part.proportions.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("assignment, descriptions",
+                             [([0, 1, 3], ("a", "b", "c")), ([0, -1], ("a", "b")),
+                              ([0, 1, 2], ("a",))],
+                             ids=["beyond", "negative", "one_description"])
+    def test_assignment_outside_the_descriptions_is_value_error(self, assignment, descriptions):
+        # three groups with one description built, and bound_report then
+        # raised IndexError
+        with pytest.raises(ValueError, match="out of range"):
+            GroupPartition(np.array(assignment), descriptions)
+
     def test_group_counts(self, rng):
         d = random_dataset(rng, 40)
         assert partition(d, "by_label_and_sensitive").num_groups == 4

@@ -318,6 +318,22 @@ class TestRunExperiment:
         assert (cfg.delta_policy, cfg.epsilon, cfg.eval_split, cfg.desirable) == (
             "inverse_n_squared", 1.0, "test", frozenset({1}))
 
+    def test_readme_library_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        import fairbound as fb
+
+        text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        code = text.split("## Library quick start\n", 1)[1].split("```python\n", 1)[1]
+        code = code.split("```\n", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        fb.write_csv(fb.synthesize(two_blob_spec(per_cell=100), seed=3), "data.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the epsilon >= 1 notice
+            exec(compile(code, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["y=0,s=0", "y=0,s=1", "y=1,s=0", "y=1,s=1"]
+        assert all(0.0 <= float(line.split()[1]) < math.inf for line in lines)
+
 
 class TestTableReport:
     def test_all_columns_present_and_finite(self):
@@ -380,12 +396,11 @@ class TestReportWriters:
         m = LinearModel(rng.normal(size=(2, 3)), 100.0)
         spec = coefficients(d, "accuracy_parity")
         values = group_fairness_all(m, d, spec)
-        empty = spec.partition.proportions == 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             slack = finite_sample_slacks(spec, d.n, 0.05, 2, d.p, "independent")
         path = tmp_path / "audit.csv"
-        write_audit_csv(spec, values, empty, str(path), slack=slack, combined_confidence=0.95)
+        write_audit_csv(spec, values, str(path), slack=slack, combined_confidence=0.95)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].split(",") == ["k", "group", "fairness", "flags",
                                        "slack", "combined_bound", "combined_confidence"]

@@ -434,7 +434,7 @@ class TestPrunedScoring:
         # move one example of the largest cell out of its cell's group
         assignment = np.zeros(d.n, dtype=np.int64)
         assignment[np.flatnonzero(d.cells == np.argmax(np.bincount(d.cells)))[0]] = 1
-        split_cell = GroupPartition(2, assignment, np.bincount(assignment) / d.n, ("a", "b"))
+        split_cell = GroupPartition(assignment, ("a", "b"))
         spec = FairnessSpec("accuracy_parity", split_cell, np.zeros(2), np.eye(2), ())
         with pytest.raises(ValueError, match="splits a"):
             group_fairness_many(m.weights[None], d, [spec])

@@ -14,16 +14,12 @@ from fairbound.finite_sample import finite_sample_slacks, sample_size_sufficient
 from conftest import random_dataset
 
 
-def slack_spec(proportions, coeffs):
-    """Spec with the given group proportions and coefficient matrix; the
-    slack reads nothing else from it."""
-    k = len(proportions)
-    part = GroupPartition(
-        num_groups=k,
-        assignment=np.zeros(0, dtype=np.int64),
-        proportions=np.asarray(proportions, dtype=float),
-        descriptions=tuple(f"g{j}" for j in range(k)),
-    )
+def slack_spec(counts, coeffs):
+    """Spec whose k-th group holds ``counts[k]`` examples, so its group
+    proportions are counts / sum(counts), with the given coefficient
+    matrix; the slack reads nothing else from it."""
+    k = len(counts)
+    part = GroupPartition(np.repeat(np.arange(k), counts), tuple(f"g{j}" for j in range(k)))
     return FairnessSpec(
         notion="accuracy",
         partition=part,
@@ -34,8 +30,7 @@ def slack_spec(proportions, coeffs):
 
 
 def uniform_spec(num_groups=4, coeff=0.5):
-    return slack_spec(np.full(num_groups, 1.0 / num_groups),
-                      np.full((num_groups, num_groups), coeff))
+    return slack_spec(np.ones(num_groups, dtype=np.int64), np.full((num_groups, num_groups), coeff))
 
 
 def group0(mode, num_groups=4, delta=0.05, n=10_000, coeff=0.5, num_labels=2, num_features=1,
@@ -82,7 +77,7 @@ class TestIndependentSlack:
         assert group0("independent", coeff=0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_proportion_group_contributes_nothing(self):
-        spec = slack_spec(np.array([1 / 3, 1 / 3, 1 / 3, 0.0]), np.full((4, 4), 0.5))
+        spec = slack_spec([1, 1, 1, 0], np.full((4, 4), 0.5))
         manual = math.sqrt(math.log(10.0 * 9 / 0.05) / (2.0 * 10_000))
         per_group = 0.5 * math.sqrt(math.log(2 * 9 / 0.05) / (10_000 / 3))
         assert group0("independent", spec=spec) == pytest.approx(manual + 3 * per_group, rel=1e-12)
@@ -99,7 +94,7 @@ class TestDependentSlack:
             k = int(rng.integers(2, 6))
             n = int(rng.integers(200, 100_000))
             delta = float(rng.uniform(0.001, 0.2))
-            spec = slack_spec(np.full(k, 1.0 / k), rng.uniform(0, 1, (k, k)))
+            spec = slack_spec(np.ones(k, dtype=np.int64), rng.uniform(0, 1, (k, k)))
             num_features = int(rng.integers(1, 20))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -126,7 +121,7 @@ class TestMonotonicity:
         assert group0("independent", num_groups=8) > group0("independent")
 
     def test_decreasing_in_proportions(self):
-        skewed = slack_spec(np.array([0.7, 0.1, 0.1, 0.1]), np.full((4, 4), 0.5))
+        skewed = slack_spec([7, 1, 1, 1], np.full((4, 4), 0.5))
         # shrinking the smallest groups inflates the slack
         assert group0("independent", spec=skewed) > group0("independent")
 
@@ -164,7 +159,7 @@ def slack_cases(draw):
     total = sum(counts)
     coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
     coeffs = np.array(draw(st.lists(coeff, min_size=k * k, max_size=k * k))).reshape(k, k)
-    spec = slack_spec(np.array(counts) / total, coeffs)
+    spec = slack_spec(counts, coeffs)
     n = draw(st.integers(total, 10**7))  # every nonempty group holds >= 1 example
     delta = draw(st.floats(1e-6, 0.5))
     num_labels = draw(st.integers(2, 6))

@@ -14,7 +14,7 @@ from fairbound.model import (
     margin,
     margins_many,
     pointwise_lipschitz_many,
-    predict,
+    predict_many,
     save_model,
 )
 
@@ -22,17 +22,17 @@ from fairbound.model import (
 class TestPredict:
     def test_hand_cases(self):
         m = LinearModel(np.array([[1.0, 0.0], [0.0, 1.0]]), radius=10.0)
-        assert predict(m, np.array([2.0, 0.0])) == 0
-        assert predict(m, np.array([0.0, 3.0])) == 1
+        assert predict_many(m, np.array([2.0, 0.0])[None])[0] == 0
+        assert predict_many(m, np.array([0.0, 3.0])[None])[0] == 1
 
     def test_tie_breaks_to_lowest_id(self):
         m = LinearModel(np.zeros((3, 2)), radius=1.0)
-        assert predict(m, np.array([1.0, -1.0])) == 0
+        assert predict_many(m, np.array([1.0, -1.0])[None])[0] == 0
 
     def test_dimension_mismatch(self):
         m = LinearModel(np.zeros((2, 2)), radius=1.0)
         with pytest.raises(ValueError):
-            predict(m, np.array([1.0, 2.0, 3.0]))
+            predict_many(m, np.array([1.0, 2.0, 3.0])[None])
 
 
 class TestMargin:
@@ -58,9 +58,9 @@ class TestMargin:
             y = int(rng.integers(3))
             rho = margin(m, x, y)
             if rho > 0:
-                assert predict(m, x) == y
+                assert predict_many(m, x[None])[0] == y
             elif rho < 0:
-                assert predict(m, x) != y
+                assert predict_many(m, x[None])[0] != y
 
     def test_vectorized_matches_scalar(self, rng):
         m = LinearModel(rng.normal(size=(4, 3)), radius=100.0)

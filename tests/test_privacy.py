@@ -15,6 +15,7 @@ from fairbound.privacy import (
     dpsgd,
     dpsgd_distance_bound,
     dpsgd_noise,
+    gaussian_delta,
     output_noise_variance,
     output_perturb,
     output_perturb_distance_bound,
@@ -67,6 +68,77 @@ class TestPrivacyParams:
     def test_large_epsilon_warns_not_raises(self):
         with pytest.warns(UserWarning, match="epsilon"):
             PrivacyParams(2.0, 0.1, 0.1, "output_perturbation", 0)
+
+
+def hockey_stick(epsilon, sensitivity, sigma, points=200_001):
+    """Oracle: the hockey-stick divergence of N(0, sigma^2) from
+    N(sensitivity, sigma^2), the integral of p - e^eps q over the half-line
+    where it is positive, by the trapezoid rule over 40 sigma."""
+    crossing = sensitivity / 2 - epsilon * sigma**2 / sensitivity
+    x = np.linspace(crossing - 40 * sigma, crossing, points)
+    p = np.exp(-0.5 * (x / sigma) ** 2)
+    q = np.exp(epsilon - 0.5 * ((x - sensitivity) / sigma) ** 2)
+    return float(np.trapezoid(p - q, x)) / (sigma * math.sqrt(2 * math.pi))
+
+
+def classical_sigma(epsilon, delta):
+    """sigma / Delta of the classical calibration."""
+    return math.sqrt(2 * math.log(1.25 / delta)) / epsilon
+
+
+class TestGaussianDelta:
+    # (20, 1, 1) and (1, 1, 25) reach the continued fraction of the Mills
+    # ratio; the last two are the classical sigma at (16, 1e-5) and at
+    # (0.25, 1/4000^2)
+    @pytest.mark.parametrize("epsilon, sensitivity, sigma", [
+        (1.0, 1.0, 1.0), (0.5, 2.0, 3.0), (3.0, 1.0, 0.5), (0.1, 1.0, 1.0), (1e-3, 1.0, 1.0),
+        (5.0, 1.0, 0.3), (20.0, 1.0, 1.0), (1.0, 1.0, 25.0),
+        (16.0, 1.0, classical_sigma(16.0, 1e-5)), (0.25, 1.0, classical_sigma(0.25, 4000.0**-2)),
+    ])
+    def test_equals_the_integrated_hockey_stick_divergence(self, epsilon, sensitivity, sigma):
+        assert gaussian_delta(epsilon, sensitivity, sigma) == pytest.approx(
+            hockey_stick(epsilon, sensitivity, sigma), rel=1e-5)
+
+    def test_depends_on_sigma_over_sensitivity_only(self):
+        assert gaussian_delta(2.0, 3.0, 1.5) == pytest.approx(gaussian_delta(2.0, 1.0, 0.5),
+                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon, sensitivity, sigma", [(1e6, 1.0, 1e-6), (700.0, 1.0, 0.1),
+                                                             (1e3, 1.0, 1.0)])
+    def test_extreme_budgets_stay_in_the_unit_interval(self, epsilon, sensitivity, sigma):
+        # e^eps overflows at each epsilon; the product e^eps Phi(.) must not
+        assert 0.0 <= gaussian_delta(epsilon, sensitivity, sigma) <= 1.0
+
+    @pytest.mark.parametrize("delta, crossover", [(1e-6, 8.78), (4000.0**-2, 9.16), (1e-5, 8.42),
+                                                  (0.05, 6.11)])
+    def test_classical_calibration_fails_above_the_crossover(self, delta, crossover):
+        below, above = crossover - 0.01, crossover + 0.01
+        assert gaussian_delta(below, 1.0, classical_sigma(below, delta)) <= delta
+        assert gaussian_delta(above, 1.0, classical_sigma(above, delta)) > delta
+        output_noise_variance(1.0, 1.0, 100, below, delta)
+        with pytest.raises(ConfigError, match="not \\(epsilon, delta\\)-private"):
+            output_noise_variance(1.0, 1.0, 100, above, delta)
+
+    def test_every_accepted_budget_is_private(self):
+        # the sensitivity 2*Lambda/(mu n) of output perturbation, at the
+        # variance it returns
+        sensitivity, refused = 2 * 0.7 / (0.3 * 50), 0
+        for epsilon in np.geomspace(1e-3, 64.0, 41).tolist():
+            for delta in (1e-12, 1e-6, 1e-5, 1e-3, 0.05, 0.5):
+                if gaussian_delta(epsilon, 1.0, classical_sigma(epsilon, delta)) > delta:
+                    refused += 1
+                    with pytest.raises(ConfigError):
+                        output_noise_variance(0.7, 0.3, 50, epsilon, delta)
+                    continue
+                sigma = math.sqrt(output_noise_variance(0.7, 0.3, 50, epsilon, delta))
+                assert gaussian_delta(epsilon, sensitivity, sigma) <= delta * (1 + 1e-9)
+        assert 0 < refused < 41 * 6
+
+    def test_sixteen_at_1e_5_is_34_times_its_target(self):
+        exact = gaussian_delta(16.0, 1.0, classical_sigma(16.0, 1e-5))
+        assert exact / 1e-5 == pytest.approx(33.6, abs=0.05)
+        with pytest.raises(ConfigError, match="exact delta of 0.000336"):
+            output_noise_variance(1.0, 1.0, 1000, 16.0, 1e-5)
 
 
 def numpy_stream(seed, key):
