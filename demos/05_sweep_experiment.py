@@ -7,6 +7,7 @@ direction-aware diagnostic for the farthest draw.  Everything lands in a
 byte-reproducible CSV keyed by a config hash.
 """
 
+import csv
 import os
 import tempfile
 import textwrap
@@ -18,50 +19,47 @@ from fairbound.experiment import ExperimentConfig, run_experiment
 
 warnings.filterwarnings("ignore")
 
-workdir = tempfile.mkdtemp(prefix="fairbound_demo_")
-spec_path = os.path.join(workdir, "synth.cfg")
-with open(spec_path, "w", encoding="utf-8") as fh:
-    fh.write(textwrap.dedent("""\
-        features = 2
-        cell.0.0.count = 3000
-        cell.0.0.mean = 2.0, 0.6
-        cell.0.0.cov = 1.0, 1.0
-        cell.0.1.count = 2000
-        cell.0.1.mean = 2.0, -0.6
-        cell.0.1.cov = 1.0, 1.0
-        cell.1.0.count = 2500
-        cell.1.0.mean = -2.0, -0.6
-        cell.1.0.cov = 1.0, 1.0
-        cell.1.1.count = 2500
-        cell.1.1.mean = -2.0, 0.6
-        cell.1.1.cov = 1.0, 1.0
-        """))
+# the work directory and the sweep it holds are removed once the rows are read
+with tempfile.TemporaryDirectory(prefix="fairbound_demo_") as workdir:
+    spec_path = os.path.join(workdir, "synth.cfg")
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        fh.write(textwrap.dedent("""\
+            features = 2
+            cell.0.0.count = 3000
+            cell.0.0.mean = 2.0, 0.6
+            cell.0.0.cov = 1.0, 1.0
+            cell.0.1.count = 2000
+            cell.0.1.mean = 2.0, -0.6
+            cell.0.1.cov = 1.0, 1.0
+            cell.1.0.count = 2500
+            cell.1.0.mean = -2.0, -0.6
+            cell.1.0.cov = 1.0, 1.0
+            cell.1.1.count = 2500
+            cell.1.1.mean = -2.0, 0.6
+            cell.1.1.cov = 1.0, 1.0
+            """))
 
-cfg = ExperimentConfig(
-    data=spec_path,
-    data_format="synthetic",
-    lam=1.0,
-    notions=("equality_of_opportunity",),
-    mechanism="output_perturbation",
-    sweep_axis="n",
-    grid_start=100,
-    grid_stop=8000,
-    grid_count=4,
-    draws=50,
-    zeta=0.01,
-    delta_policy="inverse_n_squared",
-    seed=17,
-)
-result = run_experiment(cfg, os.path.join(workdir, "results"))
-print(f"wrote {result.rows} rows to {result.sweep_path}")
-print(f"failures: {len(result.failures)}\n")
+    cfg = ExperimentConfig(
+        data=spec_path,
+        data_format="synthetic",
+        lam=1.0,
+        notions=("equality_of_opportunity",),
+        mechanism="output_perturbation",
+        sweep_axis="n",
+        grid_start=100,
+        grid_stop=8000,
+        grid_count=4,
+        draws=50,
+        zeta=0.01,
+        delta_policy="inverse_n_squared",
+        seed=17,
+    )
+    result = run_experiment(cfg, os.path.join(workdir, "results"))
+    print(f"wrote {result.rows} rows to {result.sweep_path}")
+    print(f"failures: {len(result.failures)}\n")
 
-rows = []
-with open(result.sweep_path, encoding="utf-8") as fh:
-    lines = [l for l in fh.read().splitlines() if not l.startswith("#")]
-header = lines[0].split(",")
-for line in lines[1:]:
-    rows.append(dict(zip(header, line.split(","))))
+    with open(result.sweep_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 print("envelope for the desirable-label / group-0 cell:")
 print(f"{'n':>6} {'f(h*)':>9} {'attained range':>22} {'certificate':>12} "

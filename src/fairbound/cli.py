@@ -3,8 +3,11 @@
 Subcommands: gen-data, train, privatize, audit, bound, experiment, table.
 Every long flag can equivalently be written as a key in a ``--config`` file
 (same name, without the leading dashes); flags given on the command line
-override config values.  Exit codes: 0 success, 2 configuration error,
-3 optimizer convergence error, 4 data error.
+override config values.  The parser resolves every flag, and a config value
+passes through the same converter as the flag, so a bad ``--mechanism``,
+``--notion`` or ``--desirable`` fails before any file is read.  Exit
+codes: 0 success, 2 configuration error, 3 optimizer convergence error,
+4 data error.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ from .exceptions import ConfigError, ConvergenceError, DataError
 from .fairness import NOTIONS, FairnessSpec, coefficients, group_fairness_all
 from .finite_sample import finite_sample_slacks
 from .model import LinearModel, check_fits, load_model, save_model
-from .privacy import (
-    MECHANISMS,
-    PrivacyParams,
-    default_delta,
-    dpsgd_distance_bound,
-    release,
-    warn_if_gradient_noise_dominates,
-)
+from .privacy import MECHANISMS, PrivacyParams, default_delta, release
 from .trainer import DEFAULT_MAX_ITERS, DEFAULT_TOL, constants, fit_erm
 
 EXIT_OK = 0
@@ -54,21 +50,21 @@ def _notion_key(flag_value: str) -> str:
     return value
 
 
-def _resolve_delta(value: str, n: int) -> float:
-    if value == "auto":
-        return default_delta(n)
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"--delta must be a number or 'auto', got {value!r}")
-
-
 def _privacy_params(
-    epsilon: float, delta: float, zeta: float, mechanism: str, seed: int = 0
+    args: argparse.Namespace, n: int, mechanism: str, seed: int = 0
 ) -> PrivacyParams:
-    """Privacy target from flag values; an out-of-range value is a config error."""
+    """Privacy target from --epsilon, --delta ('auto' is 1/n^2 for n
+    training rows) and --zeta; an out-of-range value is a config error."""
+    if args.delta == "auto":
+        delta = default_delta(n)
+    else:
+        try:
+            delta = float(args.delta)
+        except ValueError:
+            raise ConfigError(f"--delta must be a number or 'auto', got {args.delta!r}")
     try:
-        return PrivacyParams(epsilon=epsilon, delta=delta, zeta=zeta, mechanism=mechanism, seed=seed)
+        return PrivacyParams(epsilon=args.epsilon, delta=delta, zeta=args.zeta,
+                             mechanism=mechanism, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -93,39 +89,27 @@ def _load_model_for(path: str, *datasets: Dataset) -> LinearModel:
     return model
 
 
-class _Probe(argparse.ArgumentParser):
-    """Parser that raises ``ValueError`` where argparse would exit."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def _config_path(parser: argparse.ArgumentParser, argv: list[str]) -> str | None:
-    """The --config path in ``argv`` under every spelling ``parser`` accepts:
-    ``--config FILE``, ``--config=FILE`` and unique prefixes such as
-    ``--conf FILE``.  The probe knows ``parser``'s flags, so a prefix is
-    resolved as ``parser`` resolves it; argv it cannot read gives None and
-    is left for ``parser`` to reject."""
-    if not any(arg.startswith("--c") for arg in argv):
-        return None  # every spelling starts so; most calls skip the probe
-    probe = _Probe(add_help=False)
-    for action in parser._actions:
-        if action.option_strings and action.nargs is None:
-            probe.add_argument(*action.option_strings, dest=action.dest)
-    try:
-        return probe.parse_known_args(argv)[0].config
-    except ValueError:
-        return None
-
-
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Merge the --config file's values into ``parser`` as defaults; flags
     on the command line still win.
 
     Config keys are the long flag names without the leading dashes (e.g.
-    ``label-col``, ``lambda``); underscores are accepted as well.
+    ``label-col``, ``lambda``); underscores are accepted as well.  The path
+    comes from one pass of ``parser`` itself, with no flag required, so
+    ``--config=FILE`` and every prefix such as ``--conf FILE`` resolve as
+    the final parse resolves them.  Each value is a string default, which
+    the final parse runs through the flag's ``type`` as it does a flag.
     """
-    path = _config_path(parser, argv)
+    if not any(arg.startswith("--c") for arg in argv):
+        return  # every spelling of --config starts so; most calls skip the pass
+    required = [action for action in parser._actions if action.required]
+    for action in required:
+        action.required = False
+    try:
+        path = parser.parse_known_args(argv)[0].config
+    finally:
+        for action in required:
+            action.required = True
     if path is None:
         return
     values = read_config(path)
@@ -185,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="trained model path")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
-    p.add_argument("--mechanism", default="output-perturbation")
+    p.add_argument("--mechanism", default="output-perturbation", type=_mechanism_key)
     p.add_argument("--epsilon", required=True, type=float)
     p.add_argument("--delta", default="auto", help="number, or 'auto' for 1/n^2")
     p.add_argument("--zeta", type=float, default=0.01, help="bound failure probability")
@@ -196,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     _add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--notion", required=True)
-    p.add_argument("--desirable", default="1", help="desirable label ids (equality of opportunity)")
+    p.add_argument("--notion", required=True, type=_notion_key)
+    p.add_argument("--desirable", default="1", type=label_ids,
+                   help="desirable label ids (equality of opportunity)")
     p.add_argument("--report", required=True, help="output CSV path")
     _add_finite_sample_flags(p)
 
@@ -208,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", default=None, help="second model: use the measured distance")
     p.add_argument("--train-data", required=True, help="training CSV (for n and feature bound)")
     p.add_argument("--lambda", dest="lam", required=True, type=float)
-    p.add_argument("--notion", required=True)
-    p.add_argument("--desirable", default="1")
-    p.add_argument("--mechanism", default="output-perturbation")
+    p.add_argument("--notion", required=True, type=_notion_key)
+    p.add_argument("--desirable", default="1", type=label_ids)
+    p.add_argument("--mechanism", default="output-perturbation", type=_mechanism_key)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", default="auto")
     p.add_argument("--zeta", type=float, default=0.01)
@@ -231,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", default="auto")
     p.add_argument("--zeta", type=float, default=0.01)
-    p.add_argument("--desirable", default="1")
+    p.add_argument("--desirable", default="1", type=label_ids)
     p.add_argument("--name", default="dataset", help="dataset label for the row")
     p.add_argument("--out", required=True)
 
@@ -280,16 +265,9 @@ def _cmd_privatize(args: argparse.Namespace) -> int:
     lam = _lambda(args)
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     hstar = _load_model_for(args.model, d)
-    mechanism = _mechanism_key(args.mechanism)
-    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, d.n), float(args.zeta),
-                         mechanism, seed=int(args.seed))
-    c = constants(d, lam, hstar.radius)
-    if mechanism == "dp_sgd":
-        schedule = dpsgd_distance_bound(hstar.num_params, c, d.n, pp)
-        if schedule.steps:
-            warn_if_gradient_noise_dominates(hstar, d, lam, schedule.noise_variance)
-    save_model(release(hstar, d, c, pp), args.out)
-    print(f"released {mechanism} model (epsilon={pp.epsilon}, delta={pp.delta}) -> {args.out}")
+    pp = _privacy_params(args, d.n, args.mechanism, seed=args.seed)
+    save_model(release(hstar, d, constants(d, lam, hstar.radius), pp), args.out)
+    print(f"released {pp.mechanism} model (epsilon={pp.epsilon}, delta={pp.delta}) -> {args.out}")
     return EXIT_OK
 
 
@@ -313,16 +291,15 @@ def _finite_sample(
 def _cmd_audit(args: argparse.Namespace) -> int:
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     model = _load_model_for(args.model, d)
-    notion = _notion_key(args.notion)
-    spec = coefficients(d, notion, label_ids(args.desirable))
+    spec = coefficients(d, args.notion, args.desirable)
     values = group_fairness_all(model, d, spec)
     slack, confidence = _finite_sample(args, spec, d)
     experiment_mod.write_audit_csv(
         spec, values, args.report,
-        metadata={"notion": notion, "data": args.data, "model": args.model},
+        metadata={"notion": args.notion, "data": args.data, "model": args.model},
         slack=slack, combined_confidence=confidence,
     )
-    print(f"audited {notion} over {spec.num_groups} groups -> {args.report}")
+    print(f"audited {args.notion} over {spec.num_groups} groups -> {args.report}")
     return EXIT_OK
 
 
@@ -330,21 +307,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
     reference = _load_model_for(args.model, eval_data)
     other = _load_model_for(args.other, eval_data) if args.other else None
-    notion = _notion_key(args.notion)
-    mechanism = _mechanism_key(args.mechanism)
 
     train = load_csv(args.train_data, args.sensitive_col, args.label_col)
     c = constants(train, _lambda(args), reference.radius)
-    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
-                         mechanism)
-    spec = coefficients(eval_data, notion, label_ids(args.desirable))
+    pp = _privacy_params(args, train.n, args.mechanism)
+    spec = coefficients(eval_data, args.notion, args.desirable)
     report = bounds_mod.theorem3_report(reference, eval_data, spec, c, train.n, pp, other=other)
     slack, confidence = _finite_sample(args, spec, eval_data)
     experiment_mod.write_bound_report_csv(
         report, args.out,
         metadata={
-            "notion": notion,
-            "mechanism": mechanism,
+            "notion": args.notion,
+            "mechanism": args.mechanism,
             "zeta": pp.zeta,
             "statement": "true-vs-empirical" if slack is not None else "empirical",
         },
@@ -368,11 +342,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
     train = load_csv(args.train_data, args.sensitive_col, args.label_col)
     model = _load_model_for(args.model, eval_data, train)
-    pp = _privacy_params(float(args.epsilon), _resolve_delta(args.delta, train.n), float(args.zeta),
-                         "output_perturbation")
+    pp = _privacy_params(args, train.n, "output_perturbation")
     row = experiment_mod.table_report(
         model, train, eval_data, _lambda(args), pp=pp,
-        desirable=label_ids(args.desirable), dataset_name=args.name,
+        desirable=args.desirable, dataset_name=args.name,
     )
     write_rows(args.out, list(row), [list(row.values())])
     print(f"table row for {args.name!r} -> {args.out}")

@@ -21,8 +21,10 @@ high-probability bounds on the distance between the released model and the
 optimum, which the fairness-gap bounds consume.
 
 ``release_many`` and ``release`` draw the releases whose distance to the
-optimum ``resolve_distance`` bounds by lemma 2 or 3; these three are the
-only code that branches on the mechanism, bar the CLI's DP-SGD warning.
+optimum ``resolve_distance`` bounds by lemma 2 or 3.  These three and the
+warning of ``PrivacyParams`` at epsilon >= 1, which DP-SGD alone gives as
+no exact-delta check covers it, are the only code that branches on the
+mechanism.
 
 Every random value comes from a NumPy generator.  :func:`stream` builds
 the generator of one key, ``default_rng(SeedSequence(seed, spawn_key=key))``;
@@ -71,12 +73,10 @@ class PrivacyParams:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.epsilon >= 1:
+        if self.epsilon >= 1 and self.mechanism == "dp_sgd":
             warnings.warn(
-                f"epsilon={self.epsilon} >= 1: the closed-form noise formulas were "
-                "derived for budgets below 1; output perturbation checks its noise "
-                "against the exact Gaussian delta and refuses a budget it does not "
-                "serve, and no such check is made for DP-SGD",
+                f"epsilon={self.epsilon} >= 1: the closed-form DP-SGD noise formula was "
+                "derived for budgets below 1, and its privacy at this budget is not checked",
                 stacklevel=2,
             )
 
@@ -170,6 +170,14 @@ def output_noise_variance(
         * math.log(1.25 / delta)
         / (strong_convexity**2 * n**2 * epsilon**2),
     )
+    _check_exact_delta(epsilon, delta)
+    return variance
+
+
+def _check_exact_delta(epsilon: float, delta: float) -> None:
+    """``ConfigError`` when the classical calibration sigma/Delta =
+    sqrt(2 log(1.25/delta)) / eps has an exact :func:`gaussian_delta`
+    above delta, so output perturbation is not (eps, delta)-private."""
     exact = gaussian_delta(epsilon, 1.0, math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon)
     if exact > delta:
         raise ConfigError(
@@ -177,7 +185,6 @@ def output_noise_variance(
             f"(epsilon, delta)-private: its classical Gaussian calibration has an exact "
             f"delta of {exact!r} at that epsilon"
         )
-    return variance
 
 
 def output_perturb_many(
@@ -222,8 +229,9 @@ def output_perturb_distance_bound(
     """Distance (not squared) between release and optimum that holds with
     probability at least 1 - zeta:
     sqrt(32 p Lambda^2 log(1.25/delta) log(2/zeta) / (mu^2 n^2 eps^2)).
-    A square that is not a finite positive float is a ``ConfigError``."""
-    return math.sqrt(_finite_positive(
+    A square that is not a finite positive float is a ``ConfigError``, and
+    so is a budget :func:`output_noise_variance` refuses."""
+    dist_sq = _finite_positive(
         f"the squared lemma-2 distance at epsilon={pp.epsilon!r}, lambda={c.strong_convexity!r}",
         lambda: 32.0
         * num_params
@@ -231,7 +239,9 @@ def output_perturb_distance_bound(
         * math.log(1.25 / pp.delta)
         * math.log(2.0 / pp.zeta)
         / (c.strong_convexity**2 * n**2 * pp.epsilon**2),
-    ))
+    )
+    _check_exact_delta(pp.epsilon, pp.delta)
+    return math.sqrt(dist_sq)
 
 
 def dpsgd_noise(
@@ -417,7 +427,14 @@ def release(
     substream: int | tuple[int, ...] = 0,
 ) -> LinearModel:
     """One private model, deterministic per (pp.seed, substream): the first
-    draw of :func:`release_many` on ``stream(pp.seed, substream)``."""
+    draw of :func:`release_many` on ``stream(pp.seed, substream)``.  Unlike
+    ``release_many``, it first runs :func:`warn_if_gradient_noise_dominates`
+    on a DP-SGD schedule that takes steps."""
+    if pp.mechanism == "dp_sgd":
+        schedule = dpsgd_distance_bound(hstar.num_params, c, train.n, pp)
+        if schedule.steps:
+            warn_if_gradient_noise_dominates(hstar, train, c.strong_convexity,
+                                             schedule.noise_variance)
     weights = release_many(hstar, train, c, pp, stream(pp.seed, substream), 1)[0]
     return LinearModel(weights, c.radius)
 

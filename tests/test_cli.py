@@ -319,6 +319,51 @@ class TestConfigFileSupport:
         cfg.write_text("frobnicate = yes\n", encoding="utf-8")
         assert run(["train", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, values", [
+        ("audit", {"notion": "accuracy-parity", "desirable": "0"}),
+        ("audit", {"notion": "equality-of-opportunity", "desirable": "0"}),
+        ("privatize", {"mechanism": "dp-sgd"}),
+    ], ids=["audit_accuracy_parity", "audit_equality_of_opportunity", "privatize_dpsgd"])
+    def test_converted_values_from_config_match_flags(self, workdir, command, values):
+        # a config value passes through the converter its flag has
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        base = {"audit": ["audit", "--data", data, "--model", model],
+                "privatize": ["privatize", "--data", data, "--model", model, "--lambda", "1.0",
+                              "--epsilon", "0.5", "--seed", "1"]}[command]
+        out = {"audit": "--report", "privatize": "--out"}[command]
+        flags = [f for key, value in values.items() for f in (f"--{key}", value)]
+        assert run(base + flags + [out, str(workdir / "flags.txt")]) == 0
+        cfg = workdir / "c.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        assert run(base + ["--config", str(cfg), out, str(workdir / "config.txt")]) == 0
+        assert (workdir / "config.txt").read_bytes() == (workdir / "flags.txt").read_bytes()
+
+    @pytest.mark.parametrize("command, values, message", [
+        ("audit", {"notion": "bogus"}, "unknown notion 'bogus'"),
+        ("privatize", {"mechanism": "laplace"}, "unknown mechanism 'laplace'"),
+        ("audit", {"notion": "accuracy", "desirable": "x"},
+         "desirable labels must be comma-separated integer ids, got 'x'"),
+    ], ids=["notion", "mechanism", "desirable"])
+    def test_bad_converted_value_in_config_is_config_error_2(self, workdir, command, values,
+                                                             message, capsys):
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        cfg = workdir / "c.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        out = workdir / "out.txt"
+        argv = {"audit": ["audit", "--report", str(out)],
+                "privatize": ["privatize", "--lambda", "1.0", "--epsilon", "0.5", "--seed", "1",
+                              "--out", str(out)]}[command]
+        capsys.readouterr()
+        assert run(argv + ["--data", data, "--model", model, "--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 EXTREME_BUDGETS = {
     "epsilon_tiny": ("--epsilon", "1e-300"),
@@ -536,6 +581,36 @@ class TestExitCodes:
         # the release's exact delta is 33.6 times 1e-5, and it was written
         _assert_config_error(workdir, ["privatize", "--lambda", "1.0", "--epsilon", "16",
                                        "--delta", "1e-5", "--seed", "1"], capsys)
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "--train-data", "DATA", "--notion", "accuracy"],
+        ["table", "--train-data", "DATA"],
+    ], ids=["bound", "table"])
+    def test_report_above_gaussian_crossover_is_config_error_2(self, workdir, command, capsys):
+        # the lemma-2 distance of a budget privatize refuses was certified
+        _assert_config_error(workdir, command + ["--lambda", "1.0", "--epsilon", "16",
+                                                 "--delta", "1e-5"], capsys)
+
+    def test_bound_other_above_gaussian_crossover_exits_0(self, workdir):
+        # the measured distance of --other does not depend on epsilon
+        data = str(workdir / "data.csv")
+        model = str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        assert run(["bound", "--data", data, "--model", model, "--other", model,
+                    "--train-data", data, "--lambda", "1.0", "--notion", "accuracy",
+                    "--epsilon", "16", "--delta", "1e-5",
+                    "--out", str(workdir / "out.csv")]) == 0
+
+    def test_bad_notion_fails_before_data_is_read(self, workdir, capsys):
+        # the flag is converted while the flags are parsed; the missing data
+        # file was read first, a data error (exit 4)
+        missing = str(workdir / "missing.csv")
+        assert run(["bound", "--notion", "bogus", "--data", missing, "--model",
+                    str(workdir / "missing.txt"), "--train-data", missing, "--lambda", "1.0",
+                    "--out", str(workdir / "out.csv")]) == 2
+        assert "config error: unknown notion 'bogus'" in capsys.readouterr().err
+        assert not (workdir / "out.csv").exists()
 
     def test_privatize_negative_seed_is_config_error_2(self, workdir, capsys):
         # NumPy's seeding used to reject it with a ValueError traceback (exit 1)

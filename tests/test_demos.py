@@ -35,3 +35,5 @@ def test_demo_exits_zero(demo, tmp_path):
     # a leak found at garbage collection is reported, not raised, so it
     # leaves the exit status 0
     assert "ResourceWarning" not in proc.stderr, proc.stderr[-2000:]
+    # tmp_path is the demo's TMPDIR: a work directory left there outlives the run
+    assert not list(tmp_path.glob("fairbound_demo_*"))

@@ -67,6 +67,10 @@ class TestPrivacyParams:
 
     def test_large_epsilon_warns_not_raises(self):
         with pytest.warns(UserWarning, match="epsilon"):
+            PrivacyParams(2.0, 0.1, 0.1, "dp_sgd", 0)
+        # output perturbation checks its exact delta, so it has nothing to warn of
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             PrivacyParams(2.0, 0.1, 0.1, "output_perturbation", 0)
 
 
@@ -263,6 +267,16 @@ class TestOutputDistanceBound:
             output_perturb_distance_bound(6, c, 100, pp) / 2, rel=1e-15
         )
 
+    def test_budget_the_release_refuses_has_no_distance(self):
+        # the lemma-2 distance of a budget with no release was certified
+        pp = quiet_params(16.0, 1e-5, 0.1, "output_perturbation", seed=0)
+        with pytest.raises(ConfigError, match="exact delta"):
+            output_noise_variance(1.0, 1.0, 100, pp.epsilon, pp.delta)
+        with pytest.raises(ConfigError, match="exact delta"):
+            output_perturb_distance_bound(3, flat_constants(), 100, pp)
+        with pytest.raises(ConfigError, match="exact delta"):
+            resolve_distance(3, flat_constants(), 100, pp)
+
 
 class TestDpSgdNoise:
     def test_t_one_collapses_exponents(self):
@@ -420,6 +434,20 @@ class TestRelease:
         expected = dpsgd(d, c, pp, DpSgdConfig.calibrated(c, d.n, pp, steps), substream=substream)
         assert released.weights.tobytes() == expected.weights.tobytes()
         assert released.radius == expected.radius
+
+    def test_dpsgd_release_warns_when_its_noise_is_dominated(self, rng):
+        d = random_dataset(rng, 1000)
+        hstar = fit_erm(d, lam=1.0)
+        c = constants(d, 1.0, hstar.radius)
+        pp = quiet_params(500.0, 0.1, 0.1, "dp_sgd", seed=5)
+        noise = dpsgd_distance_bound(hstar.num_params, c, d.n, pp).noise_variance
+        assert noise < empirical_gradient_second_moment(hstar, d, 1.0)
+        with pytest.warns(UserWarning, match="second moment"):
+            release(hstar, d, c, pp)
+        # a sweep draws through release_many, which stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            release_many(hstar, d, c, pp, stream(5), 2)
 
 
 class TestResolveDistance:
