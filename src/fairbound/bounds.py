@@ -9,17 +9,16 @@ examples a private draw cannot flip; the profile computes it and its
 inverse L/|m| once, when it is built.  A profile belongs to one model on
 one dataset and knows no groups, so one profile serves every fairness
 notion.  ``bound_reports`` mirrors ``group_fairness_many``: for several
-specs and distances at once, it takes the at-risk examples once per
-distance, and per group partition of the specs it builds the per-group
-term vectors below, the distance-free ones once and the others once per
-distance.  Each spec then combines them with its coefficient magnitudes
-exactly as the fairness layer combines conditional accuracies.
-``bound_report`` is its one-spec, one-distance case, and ``theorem3_report``
-runs it at the lemma distance of ``privacy.resolve_distance``.  When both
-models are known, ``MarginProfile(margin_profile(h, d).abs_margins,
-refined_lipschitz(h, h2, d))`` is h's refined, direction-aware profile
-against h2: the same margins with Lipschitz constants that read only each
-example's component along the weight difference.  The variants:
+specs at one distance, it takes the at-risk examples once, and per group
+partition of the specs it builds the per-group term vectors below once.
+Each spec then combines them with its coefficient magnitudes exactly as
+the fairness layer combines conditional accuracies.  ``bound_report`` is
+its one-spec case, and ``theorem3_report`` runs it at the lemma distance
+of ``privacy.resolve_distance``.  When both models are known,
+``MarginProfile(margin_profile(h, d).abs_margins, refined_lipschitz(h, h2,
+d))`` is h's refined, direction-aware profile against h2: the same margins
+with Lipschitz constants that read only each example's component along the
+weight difference.  The variants:
 
 - "markov": the group mean of L/|m| (the pointwise Lipschitz factor chi)
   times d;
@@ -51,6 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, GroupPartition
+from .exceptions import DataError
 from .fairness import FairnessSpec
 from .model import LinearModel, distance as model_distance
 from .model import margins_many, pointwise_lipschitz_many
@@ -86,8 +86,8 @@ class MarginProfile:
         lipschitz = np.asarray(self.lipschitz, dtype=np.float64)
         if abs_margins.shape != lipschitz.shape:
             raise ValueError("profile arrays must have matching shapes")
-        if np.any(abs_margins < 0) or np.any(lipschitz < 0):
-            raise ValueError("margins and Lipschitz constants are stored as nonnegative values")
+        if not (np.all(abs_margins >= 0) and np.all(lipschitz >= 0)):
+            raise ValueError("margins and Lipschitz constants must be nonnegative and not NaN")
         positive = lipschitz > 0
         with np.errstate(over="ignore"):
             ratio = np.divide(
@@ -107,12 +107,19 @@ class MarginProfile:
         return self.abs_margins.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as a DataError
 def margin_profile(m: LinearModel, d: Dataset) -> MarginProfile:
-    """Absolute margins and 2*||x||_2 Lipschitz constants for every example."""
-    return MarginProfile(
-        abs_margins=np.abs(margins_many(m, d.features, d.labels)),
-        lipschitz=pointwise_lipschitz_many(d.features),
-    )
+    """Absolute margins and 2*||x||_2 Lipschitz constants for every example.
+    A ``DataError`` counts the rows whose margin or constant is not finite
+    (two scores that both overflow give an undefined margin) and names the
+    first."""
+    abs_margins = np.abs(margins_many(m, d.features, d.labels))
+    lipschitz = pointwise_lipschitz_many(d.features)
+    bad = np.flatnonzero(~(np.isfinite(abs_margins) & np.isfinite(lipschitz)))
+    if bad.size:
+        raise DataError(f"{bad.size} rows have a margin or Lipschitz constant that is not "
+                        f"finite; the first is row {bad[0]} (0-based)")
+    return MarginProfile(abs_margins, lipschitz)
 
 
 def refined_lipschitz(h: LinearModel, hprime: LinearModel, d: Dataset) -> np.ndarray:
@@ -167,6 +174,8 @@ class BoundReport:
         return float(np.mean([e.best for e in self.entries]))
 
     def entry(self, k: int) -> BoundEntry:
+        if not 0 <= k < len(self.entries):
+            raise ValueError(f"group {k} out of range")
         return self.entries[k]
 
 
@@ -178,126 +187,71 @@ def _combine(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.sum(weights * np.where(weights > 0, terms[..., None, :], 0.0), axis=-1)
 
 
-class _GroupTerms:
-    """The per-group term vectors of one partition, for every distance of a
-    :func:`bound_reports` call: the zero-margin flags and the
-    stacked terms, whose row 0 is the chi mean of L/|m| and whose rows
-    1 + 4j ... 4 + 4j are the markov, truncated, chernoff and best terms at
-    distance j."""
-
-    def __init__(
-        self,
-        partition: GroupPartition,
-        inverse_ratio: np.ndarray,
-        zero_margin: np.ndarray,
-        dists: Sequence[float],
-        at_risk: list[np.ndarray],
-        at_risk_inverse: list[np.ndarray],
-    ):
-        groups, num_groups = partition.assignment, partition.num_groups
-        self.partition = partition
-        denom = np.maximum(partition.sizes, 1)  # empty groups carry zero weight
-        self.has_zero_margin = np.bincount(groups[zero_margin], minlength=num_groups) > 0
-        mean_inverse = np.bincount(groups, weights=inverse_ratio, minlength=num_groups) / denom
-        rows = [mean_inverse]
-        for dist, risk, risk_inverse in zip(dists, at_risk, at_risk_inverse):
-            if dist == 0.0:
-                terms = np.zeros((3, num_groups))
-            else:
-                truncated_mean = (
-                    np.bincount(groups, weights=risk_inverse, minlength=num_groups) / denom
-                )
-                at_risk_fraction = np.bincount(groups[risk], minlength=num_groups) / denom
-                terms = np.array([mean_inverse * dist, truncated_mean * dist, at_risk_fraction])
-            rows.extend([*terms, terms.min(axis=0)])
-        self.terms = np.array(rows)
-
-    def serves(self, partition: GroupPartition) -> bool:
-        return self.partition is partition or (
-            self.partition.num_groups == partition.num_groups
-            and np.array_equal(self.partition.assignment, partition.assignment)
-        )
-
-
 @np.errstate(over="ignore")  # an overflowing upper bound saturates at +inf
 def bound_reports(
     profile: MarginProfile,
     specs: Sequence[FairnessSpec],
-    dists: Sequence[float],
-    provenances: Sequence[str],
-) -> list[list[BoundReport]]:
-    """Reports of every spec at every distance in one pass:
-    ``reports[i][j]`` evaluates every variant for every group of
-    ``specs[i]`` at ``dists[j]``, of provenance ``provenances[j]``.
+    dist: float,
+    dist_provenance: str,
+) -> list[BoundReport]:
+    """One report per spec: every variant for every group of ``specs[i]``
+    at ``dist``, of provenance ``dist_provenance``.
 
     The profile must cover the examples of every spec's partition.  The
-    at-risk masks are computed once per distance.  Per partition (specs
-    whose partitions assign the examples alike share one), the chi means
-    and zero-margin flags are computed once, and the
-    truncated means and at-risk fractions once per distance.  Each spec
-    then combines the term vectors of every distance with its coefficient
+    at-risk mask is computed once.  Specs whose partitions assign the
+    examples alike share one set of term vectors: the chi means, the
+    zero-margin flags, and at ``dist`` the truncated means and at-risk
+    fractions.  Each spec then combines them with its coefficient
     magnitudes, as the fairness layer combines conditional accuracies.
     """
-    if len(dists) != len(provenances):
-        raise ValueError("one provenance per distance is required")
-    for dist, provenance in zip(dists, provenances):
-        if provenance not in DIST_PROVENANCES:
-            raise ValueError(f"unknown distance provenance {provenance!r}")
-        if not 0.0 <= dist < math.inf:
-            raise ValueError("dist must be finite and nonnegative")
+    if dist_provenance not in DIST_PROVENANCES:
+        raise ValueError(f"unknown distance provenance {dist_provenance!r}")
+    if not 0.0 <= dist < math.inf:
+        raise ValueError("dist must be finite and nonnegative")
     for spec in specs:
         examples = spec.partition.assignment.shape[0]
         if profile.n != examples:
             raise ValueError(f"profile has {profile.n} examples, the fairness spec {examples}")
     inverse_ratio = profile.inverse_ratio
     zero_margin = np.isinf(inverse_ratio)
-    at_risk = [profile.ratio <= dist for dist in dists]
-    at_risk_inverse = [np.where(risk, inverse_ratio, 0.0) for risk in at_risk]
+    at_risk = profile.ratio <= dist
+    at_risk_inverse = np.where(at_risk, inverse_ratio, 0.0)
 
-    partitions: list[_GroupTerms] = []
+    # (partition, zero-margin flags, [chi, markov, truncated, chernoff, best])
+    built: list[tuple[GroupPartition, np.ndarray, np.ndarray]] = []
     reports = []
     for spec in specs:
-        terms = next((t for t in partitions if t.serves(spec.partition)), None)
-        if terms is None:
-            terms = _GroupTerms(
-                spec.partition, inverse_ratio, zero_margin, dists, at_risk, at_risk_inverse
-            )
-            partitions.append(terms)
-        combined = _combine(np.abs(spec.coeffs), terms.terms)
-        flags = []
-        for k in range(spec.num_groups):
-            flags_k: list[str] = []
-            for kp in np.flatnonzero(spec.coeffs[k]):
-                if spec.partition.sizes[kp] == 0:
-                    flags_k.append(f"empty_group:{kp}")
-                elif terms.has_zero_margin[kp]:
-                    flags_k.append(f"zero_margin_in_group:{kp}")
-            flags.append(tuple(flags_k))
-        chi = combined[0]
-        spec_reports = []
-        for j, (dist, provenance) in enumerate(zip(dists, provenances)):
-            markov, truncated, chernoff, best = combined[1 + 4 * j : 5 + 4 * j]
-            entries = tuple(
-                BoundEntry(
-                    group=k,
-                    description=spec.partition.descriptions[k],
-                    chi=float(chi[k]),
-                    markov=float(markov[k]),
-                    truncated=float(truncated[k]),
-                    chernoff=float(chernoff[k]),
-                    best=float(best[k]),
-                    flags=flags[k],
+        part, num_groups = spec.partition, spec.num_groups
+        shared = next((b for b in built if b[0] is part or (
+            b[0].num_groups == num_groups and np.array_equal(b[0].assignment, part.assignment)
+        )), None)
+        if shared is None:
+            groups = part.assignment
+            denom = np.maximum(part.sizes, 1)  # empty groups carry zero weight
+            has_zero_margin = np.bincount(groups[zero_margin], minlength=num_groups) > 0
+            chi = np.bincount(groups, weights=inverse_ratio, minlength=num_groups) / denom
+            if dist == 0.0:
+                variants = np.zeros((3, num_groups))
+            else:
+                truncated_mean = (
+                    np.bincount(groups, weights=at_risk_inverse, minlength=num_groups) / denom
                 )
-                for k in range(spec.num_groups)
-            )
-            spec_reports.append(BoundReport(
-                notion=spec.notion,
-                entries=entries,
-                dist=dist,
-                dist_provenance=provenance,
-                flags=spec.flags,
-            ))
-        reports.append(spec_reports)
+                at_risk_fraction = np.bincount(groups[at_risk], minlength=num_groups) / denom
+                variants = np.array([chi * dist, truncated_mean * dist, at_risk_fraction])
+            shared = (part, has_zero_margin, np.array([chi, *variants, variants.min(axis=0)]))
+            built.append(shared)
+        _, has_zero_margin, terms = shared
+        empty = part.sizes == 0
+        flags: list[list[str]] = [[] for _ in range(num_groups)]
+        for k, kp in zip(*np.nonzero((spec.coeffs != 0) & (empty | has_zero_margin))):
+            flags[k].append(f"empty_group:{kp}" if empty[kp] else f"zero_margin_in_group:{kp}")
+        # group k's chi, markov, truncated, chernoff and best, in BoundEntry's field order
+        values = _combine(np.abs(spec.coeffs), terms).T.tolist()
+        entries = tuple(
+            BoundEntry(k, part.descriptions[k], *values[k], tuple(flags[k]))
+            for k in range(num_groups)
+        )
+        reports.append(BoundReport(spec.notion, entries, dist, dist_provenance, spec.flags))
     return reports
 
 
@@ -308,9 +262,9 @@ def bound_report(
     dist_provenance: str = "measured",
 ) -> BoundReport:
     """Evaluate every variant for every group of ``spec`` at a fixed
-    distance: the one-spec, one-distance case of :func:`bound_reports`.
-    The profile must cover the examples of the spec's partition."""
-    return bound_reports(profile, [spec], [dist], [dist_provenance])[0][0]
+    distance: the one-spec case of :func:`bound_reports`.  The profile must
+    cover the examples of the spec's partition."""
+    return bound_reports(profile, [spec], dist, dist_provenance)[0]
 
 
 def gap_bound(

@@ -17,9 +17,9 @@ same set, so it solves the optimum once per run; the n axis draws a fresh
 subsample, and solves once, per point.  Profiles carry no groups, so one
 profile of h* and one refined profile per point serve every notion.  The
 refined profile takes h*'s margins from h*'s profile and computes only its
-direction-aware Lipschitz constants.  A point's certificates take two
-``bound_reports`` passes: h*'s profile at the lemma and measured
-distances, and the refined profile at the measured distance, each over
+direction-aware Lipschitz constants.  A point's certificates take three
+``bound_reports`` passes, h*'s profile at the lemma and at the measured
+distance and the refined profile at the measured distance, each over
 every notion at once.  The fairness specs depend
 only on the evaluation set; they are built once per run, before the output
 directory is made, so a notion the evaluation data cannot carry (demographic
@@ -376,16 +376,15 @@ def _run_grid_point(
     refined_profile = bounds_mod.MarginProfile(
         optimum.profile.abs_margins, bounds_mod.refined_lipschitz(hstar, farthest, eval_data)
     )
-    reports = bounds_mod.bound_reports(
-        optimum.profile, spec_list, [dist_lemma, dist_measured], [provenance, "measured"]
-    )
-    refined_reports = bounds_mod.bound_reports(
-        refined_profile, spec_list, [dist_measured], ["measured"]
+    reports = zip(
+        bounds_mod.bound_reports(optimum.profile, spec_list, dist_lemma, provenance),
+        bounds_mod.bound_reports(optimum.profile, spec_list, dist_measured, "measured"),
+        bounds_mod.bound_reports(refined_profile, spec_list, dist_measured, "measured"),
     )
 
     rows: list[list] = []
-    for (notion, spec), f_star, f_draws, (lemma, measured), (refined,) in zip(
-        specs.items(), optimum.f_star, f_draws_all, reports, refined_reports
+    for (notion, spec), f_star, f_draws, (lemma, measured, refined) in zip(
+        specs.items(), optimum.f_star, f_draws_all, reports
     ):
         for k in range(spec.num_groups):
             entry = lemma.entry(k)
@@ -439,9 +438,9 @@ def table_report(
     c = constants(train, lam, hstar.radius)
     dist, provenance = resolve_distance(hstar.num_params, c, train.n, pp)
     profile = bounds_mod.margin_profile(hstar, eval_data)
-    reports = bounds_mod.bound_reports(profile, specs, [dist], [provenance])
+    reports = bounds_mod.bound_reports(profile, specs, dist, provenance)
     row: dict[str, Any] = {"dataset": dataset_name}
-    for spec, (report,) in zip(specs, reports):
+    for spec, report in zip(specs, reports):
         row[spec.notion] = report.aggregate
     return row
 

@@ -436,6 +436,11 @@ def direct_fairness(
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown fairness notion {notion!r}")
+    num_groups = {"accuracy": 1, "accuracy_parity": d.num_sensitive}.get(
+        notion, d.num_labels * d.num_sensitive
+    )
+    if not 0 <= k < num_groups:
+        raise ValueError(f"group {k} out of range")
     predictions = predict_many(m, d.features)
     correct = predictions == d.labels
 
@@ -446,20 +451,13 @@ def direct_fairness(
         return float(np.sum(values & mask) / total)
 
     if notion == "accuracy":
-        if k != 0:
-            raise ValueError("accuracy has a single group")
         return float(np.mean(correct))
 
     if notion == "accuracy_parity":
-        if not 0 <= k < d.num_sensitive:
-            raise ValueError(f"group {k} out of range")
         in_group = d.sensitive == k
         return cond_mean(correct, in_group) - float(np.mean(correct))
 
     y, r = divmod(k, d.num_sensitive)
-    if y >= d.num_labels:
-        raise ValueError(f"group {k} out of range")
-
     if notion in ("equalized_odds", "equality_of_opportunity"):
         if notion == "equality_of_opportunity":
             if not desirable:

@@ -17,7 +17,8 @@ from fairbound.bounds import (
     theorem3_report,
 )
 from fairbound.dataset import GroupPartition
-from fairbound.fairness import FairnessSpec, coefficients, group_fairness
+from fairbound.exceptions import DataError
+from fairbound.fairness import FairnessSpec, coefficients, direct_fairness, group_fairness
 from fairbound.model import LinearModel, distance, predict_many
 from fairbound.trainer import constants
 
@@ -104,6 +105,21 @@ class TestMarginProfile:
         assert np.all(prof.abs_margins >= 0.0)
         assert np.mean(prof.abs_margins > 0) > 0.99
 
+
+    @pytest.mark.parametrize("margins,lipschitz", [([math.nan, 1.0], [1.0, 1.0]),
+                                                   ([1.0, 1.0], [1.0, math.nan])])
+    def test_nan_is_rejected(self, margins, lipschitz):
+        with pytest.raises(ValueError, match="NaN"):
+            profile_from_ratios(margins, lipschitz)
+
+    def test_overflowing_scores_are_a_data_error(self):
+        # both scores of rows 0 and 1 overflow to +inf, so their margins are
+        # inf - inf = NaN, and their norms overflow too
+        features = np.array([[1e160, 1.0], [1e160, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        d = make_dataset(features, [0, 1, 0, 1], [0, 1, 1, 0])
+        m = LinearModel(np.array([[1e154, 0.0], [5e153, 0.0]]), 2e154)
+        with pytest.raises(DataError, match="2 rows .* not finite; the first is row 0"):
+            margin_profile(m, d)
 
     def test_ratios_saturate_without_warning(self):
         # the suite fails on a RuntimeWarning; |m|/L and L/|m| overflowed
@@ -408,26 +424,36 @@ class TestBatchedReports:
     @example(_every_case())
     def test_equals_one_report_per_spec_and_distance(self, case):
         profile, specs, dists, provenances = case
-        reports = bound_reports(profile, specs, dists, provenances)
-        assert len(reports) == len(specs)
-        for spec, spec_reports in zip(specs, reports):
-            assert len(spec_reports) == len(dists)
-            for report, dist, provenance in zip(spec_reports, dists, provenances):
-                single = bound_report(profile, spec, dist, provenance)
+        for dist, provenance in zip(dists, provenances):
+            reports = bound_reports(profile, specs, dist, provenance)
+            assert len(reports) == len(specs)
+            for spec, report in zip(specs, reports):
                 assert isinstance(report.entries, tuple)
-                assert report == single  # every field, every entry, bit for bit
+                # every field, every entry, bit for bit
+                assert report == bound_report(profile, spec, dist, provenance)
 
     def test_every_case_covers_its_conventions(self):
         profile, specs, dists, provenances = _every_case()
-        report = bound_reports(profile, specs, dists, provenances)[0][1]
+        report = bound_reports(profile, specs, dists[1], provenances[1])[0]
         flags = {f for entry in report.entries for f in entry.flags}
         assert "empty_group:2" in flags and "zero_margin_in_group:0" in flags
         assert math.isinf(report.entry(0).chi)
 
-    def test_one_provenance_per_distance(self):
-        profile, specs, _, _ = _every_case()
-        with pytest.raises(ValueError, match="provenance"):
-            bound_reports(profile, specs, [0.1, 0.2], ["measured"])
+    def test_flags_name_each_weighted_group_in_order(self):
+        # groups: 0 plain, 1 empty, 2 and 3 each hold a zero margin
+        profile = MarginProfile(np.array([1.0, 2.0, 0.0, 1.0, 0.0]), np.ones(5))
+        coeffs = np.array([[1.0, -0.5, 0.25, 0.0],  # group 3's weight is 0
+                           [0.0, 0.0, 0.0, 1.0],
+                           [0.0, 1.0, 1.0, 1.0],
+                           [0.0, 0.0, 0.0, 0.0]])
+        spec = coefficient_spec([0, 0, 2, 2, 3], coeffs)
+        report = bound_report(profile, spec, 0.5)
+        assert [entry.flags for entry in report.entries] == [
+            ("empty_group:1", "zero_margin_in_group:2"),
+            ("zero_margin_in_group:3",),
+            ("empty_group:1", "zero_margin_in_group:2", "zero_margin_in_group:3"),
+            (),
+        ]
 
 
 class TestValidity:
@@ -456,6 +482,23 @@ def refined_profile(h, hprime, d):
     """h's margin profile with the direction-aware Lipschitz constants of
     h against hprime, composed as the sweep composes it."""
     return MarginProfile(margin_profile(h, d).abs_margins, refined_lipschitz(h, hprime, d))
+
+
+class TestGroupIndex:
+    @pytest.mark.parametrize("notion", ["equalized_odds", "accuracy_parity", "accuracy"])
+    @pytest.mark.parametrize("past_end", [False, True], ids=["k=-1", "k=K"])
+    def test_out_of_range_group_is_rejected(self, notion, past_end):
+        d = random_dataset(np.random.default_rng(1), 200)
+        m = LinearModel(np.random.default_rng(2).normal(size=(2, 3)), 10.0)
+        spec = coefficients(d, notion)
+        k = spec.num_groups if past_end else -1
+        profile = margin_profile(m, d)
+        for call in (lambda: gap_bound(profile, spec, k, 0.1),
+                     lambda: bound_report(profile, spec, 0.1).entry(k),
+                     lambda: direct_fairness(m, d, notion, k),
+                     lambda: group_fairness(m, d, spec, k)):
+            with pytest.raises(ValueError, match=f"group {k} out of range"):
+                call()
 
 
 class TestRefinedProfile:

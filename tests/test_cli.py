@@ -408,6 +408,21 @@ class TestExitCodes:
         assert run(["train", "--data", str(workdir / "missing.csv"), "--lambda", "1.0",
                     "--out", str(workdir / "m.txt")]) == 4
 
+    def test_undefined_margin_is_data_error_4(self, workdir, capsys):
+        # both scores of rows 0 and 1 overflow to +inf, so their margins are
+        # NaN; the report once certified both groups with chernoff = 0
+        data = workdir / "data.csv"
+        data.write_text("f0,s,y\n1e160,0,0\n1e160,1,1\n1,0,1\n2,1,0\n", encoding="utf-8")
+        model, other = workdir / "model.txt", workdir / "other.txt"
+        model.write_text("2 2 2e154\n1e154 0.0\n5e153 0.0\n", encoding="utf-8")
+        other.write_text("2 2 2e154\n1e154 1.0\n5e153 0.0\n", encoding="utf-8")
+        out = workdir / "out.csv"
+        assert run(["bound", "--model", str(model), "--other", str(other), "--data", str(data),
+                    "--train-data", str(data), "--lambda", "1.0",
+                    "--notion", "accuracy-parity", "--out", str(out)]) == 4
+        assert "2 rows have a margin" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_column_holding_a_feature_is_data_error_4(self, workdir, monkeypatch, capsys):
         # --label-col f0 makes each of the 500 feature values a label; train
         # exits before the solver computes any objective

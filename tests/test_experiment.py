@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fairbound import experiment, fairness
+from fairbound.bounds import MarginProfile, bound_report, margin_profile, refined_lipschitz
 from fairbound.config import parse_config_text, parse_synthetic_spec
 from fairbound.dataset import synthesize
 from fairbound.exceptions import ConfigError
@@ -19,6 +20,8 @@ from fairbound.experiment import (
 )
 from fairbound.fairness import coefficients, group_fairness_all
 from fairbound.finite_sample import finite_sample_slacks
+from fairbound.model import LinearModel, frobenius_norms
+from fairbound.privacy import PrivacyParams, release_many, resolve_distance, stream
 from fairbound.trainer import constants, fit_erm
 
 from conftest import two_blob_spec
@@ -227,6 +230,55 @@ class TestRunExperiment:
         for a, b in [(pruned.sweep_path, every_row.sweep_path),
                      (pruned.failures_path, every_row.failures_path)]:
             assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+
+    def test_each_bound_column_reads_its_profile_and_distance(self, spec_file, tmp_path):
+        # recompute every certificate of an epsilon sweep from its parts:
+        # h*'s profile at the lemma and at the measured distance, and the
+        # refined profile of the farthest draw at the measured distance
+        cfg = base_config(spec_file, sweep_axis="epsilon", grid_start=1.0, grid_stop=4.0,
+                          grid_count=2, draws=7, delta_policy="fixed", delta=1e-5,
+                          eval_split="train",
+                          notions=("equalized_odds", "accuracy_parity",
+                                   "demographic_parity_binary"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(cfg, str(tmp_path / "out"))
+            data = experiment._load_base_data(cfg)
+            hstar = fit_erm(data, cfg.lam, tol=cfg.tol)
+            c = constants(data, cfg.lam, hstar.radius)
+            profile = margin_profile(hstar, data)
+            expected = {}
+            for g, epsilon in enumerate(experiment._grid_values(cfg)):
+                pp = PrivacyParams(epsilon=float(epsilon), delta=cfg.delta, zeta=cfg.zeta,
+                                   mechanism=cfg.mechanism, seed=cfg.seed)
+                weights = release_many(hstar, data, c, pp, stream(cfg.seed, (1, g)), cfg.draws)
+                dists = frobenius_norms(hstar.weights - weights)
+                farthest = LinearModel(weights[int(np.argmax(dists))], c.radius)
+                refined = MarginProfile(profile.abs_margins,
+                                        refined_lipschitz(hstar, farthest, data))
+                dist_lemma, provenance = resolve_distance(hstar.num_params, c, data.n, pp)
+                dist_measured = float(np.max(dists))
+                for notion in cfg.notions:
+                    spec = coefficients(data, notion, cfg.desirable)
+                    expected[float(epsilon), notion] = (
+                        bound_report(profile, spec, dist_lemma, provenance),
+                        bound_report(profile, spec, dist_measured, "measured"),
+                        bound_report(refined, spec, dist_measured, "measured"),
+                    )
+        rows = read_rows(result.sweep_path)
+        assert not result.failures and len(rows) == 2 * (4 + 2 + 4)
+        for row in rows:
+            lemma, measured, refined = expected[float(row["grid_value"]), row["notion"]]
+            k = int(row["k"])
+            assert float(row["dist_lemma"]) == lemma.dist
+            assert row["dist_provenance"] == lemma.dist_provenance
+            assert float(row["dist_measured"]) == measured.dist == refined.dist
+            assert float(row["bound_lemma"]) == lemma.entry(k).best
+            assert float(row["bound_measured"]) == measured.entry(k).best
+            assert float(row["bound_refined"]) == refined.entry(k).best
+        # the three columns differ, so swapped columns cannot pass
+        assert all(len({row["bound_lemma"], row["bound_measured"], row["bound_refined"]}) == 3
+                   for row in rows)
 
     @pytest.mark.parametrize("axis,grid,fits", [("epsilon", (0.1, 1.0), 1), ("n", (100, 800), 3)])
     def test_optimum_solved_once_per_training_set(self, spec_file, tmp_path, monkeypatch,
