@@ -5,9 +5,10 @@ Every long flag can equivalently be written as a key in a ``--config`` file
 (same name, without the leading dashes); flags given on the command line
 override config values.  The parser resolves every flag, and a config value
 passes through the same converter as the flag, so a bad ``--mechanism``,
-``--notion`` or ``--desirable`` fails before any file is read.  Exit
-codes: 0 success, 2 configuration error, 3 optimizer convergence error,
-4 data error.
+``--notion``, ``--desirable`` or ``--lambda`` fails before any file is
+read.  The mechanism, notion and desirable-label converters are
+``config``'s, which experiment configs share.  Exit codes: 0 success,
+2 configuration error, 3 optimizer convergence error, 4 data error.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import experiment as experiment_mod
-from .config import label_ids, read_config, read_synthetic_spec
+from .config import label_ids, mechanism_name, notion_name, read_config, read_synthetic_spec
 from .dataset import Dataset, load_csv, synthesize, write_csv, write_rows
 from .exceptions import ConfigError, ConvergenceError, DataError
-from .fairness import NOTIONS, FairnessSpec, coefficients, group_fairness_all
+from .fairness import FairnessSpec, coefficients, group_fairness_all
 from .finite_sample import finite_sample_slacks
 from .model import LinearModel, check_fits, load_model, save_model
-from .privacy import MECHANISMS, PrivacyParams, default_delta, release
+from .privacy import PrivacyParams, default_delta, release
 from .trainer import DEFAULT_MAX_ITERS, DEFAULT_TOL, constants, fit_erm
 
 EXIT_OK = 0
@@ -36,18 +37,15 @@ EXIT_CONVERGENCE = 3
 EXIT_DATA = 4
 
 
-def _mechanism_key(flag_value: str) -> str:
-    value = flag_value.replace("-", "_")
-    if value not in MECHANISMS:
-        raise ConfigError(f"unknown mechanism {flag_value!r}")
-    return value
-
-
-def _notion_key(flag_value: str) -> str:
-    value = flag_value.replace("-", "_")
-    if value not in NOTIONS:
-        raise ConfigError(f"unknown notion {flag_value!r}")
-    return value
+def _ridge_weight(value: str) -> float:
+    """The --lambda converter: anything but a positive, finite number is a
+    config error."""
+    try:
+        if 0 < (lam := float(value)) < math.inf:
+            return lam
+    except ValueError:
+        pass
+    raise ConfigError(f"--lambda must be positive and finite, got {value!r}")
 
 
 def _privacy_params(
@@ -67,14 +65,6 @@ def _privacy_params(
                              mechanism=mechanism, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-
-def _lambda(args: argparse.Namespace) -> float:
-    """The --lambda ridge weight; a nonpositive or non-finite value is a
-    config error."""
-    if not 0 < args.lam < math.inf:
-        raise ConfigError(f"--lambda must be positive and finite, got {args.lam!r}")
-    return float(args.lam)
 
 
 def _load_model_for(path: str, *datasets: Dataset) -> LinearModel:
@@ -156,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the regularized optimum")
     _add_config_flag(p)
     _add_data_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True, type=float, help="ridge weight")
+    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight, help="ridge weight")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="gradient-norm stopping tolerance")
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
@@ -168,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="trained model path")
-    p.add_argument("--lambda", dest="lam", required=True, type=float)
-    p.add_argument("--mechanism", default="output-perturbation", type=_mechanism_key)
+    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight)
+    p.add_argument("--mechanism", default="output-perturbation", type=mechanism_name)
     p.add_argument("--epsilon", required=True, type=float)
     p.add_argument("--delta", default="auto", help="number, or 'auto' for 1/n^2")
     p.add_argument("--zeta", type=float, default=0.01, help="bound failure probability")
@@ -180,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     _add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--notion", required=True, type=_notion_key)
+    p.add_argument("--notion", required=True, type=notion_name)
     p.add_argument("--desirable", default="1", type=label_ids,
                    help="desirable label ids (equality of opportunity)")
     p.add_argument("--report", required=True, help="output CSV path")
@@ -192,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="reference model")
     p.add_argument("--other", default=None, help="second model: use the measured distance")
     p.add_argument("--train-data", required=True, help="training CSV (for n and feature bound)")
-    p.add_argument("--lambda", dest="lam", required=True, type=float)
-    p.add_argument("--notion", required=True, type=_notion_key)
+    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight)
+    p.add_argument("--notion", required=True, type=notion_name)
     p.add_argument("--desirable", default="1", type=label_ids)
-    p.add_argument("--mechanism", default="output-perturbation", type=_mechanism_key)
+    p.add_argument("--mechanism", default="output-perturbation", type=mechanism_name)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", default="auto")
     p.add_argument("--zeta", type=float, default=0.01)
@@ -212,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--train-data", required=True)
-    p.add_argument("--lambda", dest="lam", required=True, type=float)
+    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", default="auto")
     p.add_argument("--zeta", type=float, default=0.01)
@@ -248,10 +238,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    lam = _lambda(args)
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     try:
-        model = fit_erm(d, lam, tol=float(args.tol), max_iters=int(args.max_iters),
+        model = fit_erm(d, args.lam, tol=float(args.tol), max_iters=int(args.max_iters),
                         radius=None if args.radius is None else float(args.radius))
     except ValueError as exc:  # a --tol, --max-iters or --radius the solver rejects
         raise ConfigError(str(exc))
@@ -262,11 +251,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_privatize(args: argparse.Namespace) -> int:
-    lam = _lambda(args)
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     hstar = _load_model_for(args.model, d)
     pp = _privacy_params(args, d.n, args.mechanism, seed=args.seed)
-    save_model(release(hstar, d, constants(d, lam, hstar.radius), pp), args.out)
+    save_model(release(hstar, d, constants(d, args.lam, hstar.radius), pp), args.out)
     print(f"released {pp.mechanism} model (epsilon={pp.epsilon}, delta={pp.delta}) -> {args.out}")
     return EXIT_OK
 
@@ -309,7 +297,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     other = _load_model_for(args.other, eval_data) if args.other else None
 
     train = load_csv(args.train_data, args.sensitive_col, args.label_col)
-    c = constants(train, _lambda(args), reference.radius)
+    c = constants(train, args.lam, reference.radius)
     pp = _privacy_params(args, train.n, args.mechanism)
     spec = coefficients(eval_data, args.notion, args.desirable)
     report = bounds_mod.theorem3_report(reference, eval_data, spec, c, train.n, pp, other=other)
@@ -344,7 +332,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     model = _load_model_for(args.model, eval_data, train)
     pp = _privacy_params(args, train.n, "output_perturbation")
     row = experiment_mod.table_report(
-        model, train, eval_data, _lambda(args), pp=pp,
+        model, train, eval_data, args.lam, pp=pp,
         desirable=args.desirable, dataset_name=args.name,
     )
     write_rows(args.out, list(row), [list(row.values())])

@@ -17,7 +17,9 @@ Synthetic dataset specs use the keys
                                      or features*features row-major values
 
 Every (label, sensitive) cell present defines one Gaussian blob; labels and
-sensitive values are dense nonnegative integers.
+sensitive values are dense nonnegative integers; ``dataset.synthesize``
+checks the values.  CLI flags and experiment-config keys share the
+converters :func:`label_ids`, :func:`mechanism_name` and :func:`notion_name`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 
 from .dataset import CellSpec, SyntheticSpec
 from .exceptions import ConfigError
+from .fairness import NOTIONS
+from .privacy import MECHANISMS
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -63,6 +67,25 @@ def label_ids(value: str) -> frozenset[int]:
         raise ConfigError(f"desirable labels must be comma-separated integer ids, got {value!r}")
 
 
+def mechanism_name(value: str) -> str:
+    """A release mechanism, with dashes or underscores (``dp-sgd`` or
+    ``dp_sgd``), as its ``privacy.MECHANISMS`` name; any other name is a
+    config error."""
+    name = value.replace("-", "_")
+    if name not in MECHANISMS:
+        raise ConfigError(f"unknown mechanism {value!r}")
+    return name
+
+
+def notion_name(value: str) -> str:
+    """A fairness notion, with dashes or underscores, as its
+    ``fairness.NOTIONS`` name; any other name is a config error."""
+    name = value.replace("-", "_")
+    if name not in NOTIONS:
+        raise ConfigError(f"unknown notion {value!r}")
+    return name
+
+
 def _floats(value: str) -> list[float]:
     try:
         return [float(tok) for tok in value.split(",") if tok.strip()]
@@ -77,8 +100,6 @@ def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> Synt
         num_features = int(values["features"])
     except ValueError:
         raise ConfigError(f"{source}: 'features' must be an integer")
-    if num_features < 1:
-        raise ConfigError(f"{source}: 'features' must be positive")
 
     cell_fields: dict[tuple[int, int], dict[str, str]] = {}
     for key, value in values.items():
@@ -91,8 +112,6 @@ def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> Synt
             label, sensitive = int(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"{source}: cell ids must be integers in {key!r}")
-        if label < 0 or sensitive < 0:
-            raise ConfigError(f"{source}: cell ids must be nonnegative in {key!r}")
         if parts[3] not in ("count", "mean", "cov"):
             raise ConfigError(f"{source}: unknown cell field {parts[3]!r}")
         cell_fields.setdefault((label, sensitive), {})[parts[3]] = value
@@ -109,20 +128,10 @@ def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> Synt
             count = int(fields["count"])
         except ValueError:
             raise ConfigError(f"{source}: cell {key}: count must be an integer")
-        mean = np.asarray(_floats(fields["mean"]))
-        cov_vals = _floats(fields["cov"])
-        if len(cov_vals) == num_features:
-            cov = np.asarray(cov_vals)
-        elif len(cov_vals) == num_features * num_features:
-            cov = np.asarray(cov_vals).reshape(num_features, num_features)
-        else:
-            raise ConfigError(
-                f"{source}: cell {key}: cov needs {num_features} diagonal or "
-                f"{num_features * num_features} full-matrix values"
-            )
-        if mean.shape != (num_features,):
-            raise ConfigError(f"{source}: cell {key}: mean needs {num_features} values")
-        cells[key] = CellSpec(count=count, mean=mean, cov=cov)
+        cov = np.asarray(_floats(fields["cov"]))
+        if num_features > 1 and cov.size == num_features**2:
+            cov = cov.reshape(num_features, num_features)
+        cells[key] = CellSpec(count=count, mean=np.asarray(_floats(fields["mean"])), cov=cov)
     return SyntheticSpec(num_features=num_features, cells=cells)
 
 

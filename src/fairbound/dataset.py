@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptions import DataError, EmptyDatasetError, ParseError, SchemaError
+from .exceptions import ConfigError, DataError, EmptyDatasetError, ParseError, SchemaError
 
 
 class Example(NamedTuple):
@@ -115,8 +115,14 @@ class Dataset:
 
     @property
     def feature_norm_bound(self) -> float:
-        """Largest Euclidean row norm, max_i ||x_i||_2."""
-        return float(np.max(np.linalg.norm(self.features, axis=1)))
+        """Largest Euclidean row norm, max_i ||x_i||_2.  A row whose norm
+        overflows float64 is a DataError that names the first such row."""
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.features, axis=1)
+        row = int(np.argmax(norms))
+        if norms[row] == math.inf:
+            raise DataError(f"data row {row} (0-based) has a feature norm that overflows float64")
+        return float(norms[row])
 
     @property
     def cells(self) -> np.ndarray:
@@ -446,48 +452,51 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
     """Draw a dataset from per-cell Gaussians, deterministically per seed.
 
     Cell counts are honored exactly; rows appear in sorted (label, sensitive)
-    cell order.  Counts of zero are allowed (the cell simply contributes no
-    rows); a zero total raises EmptyDatasetError.
+    cell order.  Every rule on a spec's values is checked here, as a
+    ConfigError: at least one feature; nonnegative cell ids and counts; a
+    mean of ``num_features`` finite values; a covariance of
+    ``num_features`` finite, nonnegative diagonal variances, or a full
+    matrix that NumPy's ``multivariate_normal(check_valid="raise")``
+    accepts as symmetric positive semi-definite.  Counts of zero are
+    allowed (the cell simply contributes no rows); a zero total raises
+    EmptyDatasetError.
     """
-    total = sum(c.count for c in spec.cells.values())
-    if total == 0:
+    p = spec.num_features
+    if p < 1:
+        raise ConfigError(f"a synthetic spec needs at least one feature, got {p}")
+    cells = sorted(spec.cells.items())
+    for key, cell in cells:
+        if min(key) < 0 or cell.count < 0:
+            raise ConfigError(f"cell {key}: ids and count must be nonnegative, "
+                              f"got count {cell.count}")
+        if np.shape(cell.mean) != (p,) or not np.all(np.isfinite(cell.mean)):
+            raise ConfigError(f"cell {key}: mean needs {p} finite values")
+        if np.shape(cell.cov) not in ((p,), (p, p)):
+            raise ConfigError(f"cell {key}: cov needs {p} diagonal or {p * p} full-matrix values")
+        if np.ndim(cell.cov) == 1 and not all(0 <= v < math.inf for v in cell.cov):
+            raise ConfigError(f"cell {key}: diagonal variances must be finite and nonnegative")
+    counts = [cell.count for _, cell in cells]
+    if sum(counts) == 0:
         raise EmptyDatasetError("synthetic spec has zero total count")
-    for key, cell in spec.cells.items():
-        if cell.count < 0:
-            raise ValueError(f"cell {key}: negative count")
 
     rng = np.random.default_rng(seed)
-    blocks: list[np.ndarray] = []
-    sens: list[np.ndarray] = []
-    labs: list[np.ndarray] = []
-    for (label, sensitive), cell in sorted(spec.cells.items()):
-        if cell.count == 0:
+    blocks = []
+    for key, cell in cells:  # a zero count draws no numbers from the stream
+        if np.ndim(cell.cov) == 1:
+            blocks.append(cell.mean + np.sqrt(cell.cov) * rng.standard_normal((cell.count, p)))
             continue
-        mean = np.asarray(cell.mean, dtype=np.float64)
-        cov = np.asarray(cell.cov, dtype=np.float64)
-        if mean.shape != (spec.num_features,):
-            raise ValueError(f"cell ({label},{sensitive}): mean has wrong length")
-        if cov.ndim == 1:
-            if cov.shape != (spec.num_features,) or np.any(cov < 0):
-                raise ValueError(f"cell ({label},{sensitive}): bad diagonal covariance")
-            block = mean + np.sqrt(cov) * rng.standard_normal((cell.count, spec.num_features))
-        else:
-            block = rng.multivariate_normal(mean, cov, size=cell.count)
-        blocks.append(block)
-        sens.append(np.full(cell.count, sensitive))
-        labs.append(np.full(cell.count, label))
-
-    features = np.vstack(blocks)
-    features = np.hstack([features, np.ones((features.shape[0], 1))])
-    num_labels = max(k[0] for k in spec.cells) + 1
-    num_sensitive = max(k[1] for k in spec.cells) + 1
+        try:
+            blocks.append(rng.multivariate_normal(cell.mean, cell.cov, size=cell.count,
+                                                  check_valid="raise"))
+        except ValueError as exc:  # LinAlgError too
+            raise ConfigError(f"cell {key}: bad full covariance: {exc}")
     return Dataset(
-        features=features,
-        sensitive=np.concatenate(sens),
-        labels=np.concatenate(labs),
-        label_values=tuple(str(v) for v in range(num_labels)),
-        sensitive_values=tuple(str(v) for v in range(num_sensitive)),
-        feature_names=tuple(f"f{j}" for j in range(spec.num_features)),
+        features=np.hstack([np.vstack(blocks), np.ones((sum(counts), 1))]),
+        sensitive=np.repeat([key[1] for key, _ in cells], counts),
+        labels=np.repeat([key[0] for key, _ in cells], counts),
+        label_values=tuple(str(v) for v in range(max(key[0] for key, _ in cells) + 1)),
+        sensitive_values=tuple(str(v) for v in range(max(key[1] for key, _ in cells) + 1)),
+        feature_names=tuple(f"f{j}" for j in range(p)),
     )
 
 

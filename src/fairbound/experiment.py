@@ -72,11 +72,10 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import label_ids, read_config, read_synthetic_spec
+from .config import label_ids, mechanism_name, notion_name, read_config, read_synthetic_spec
 from .dataset import Dataset, format_value, load_csv, split, synthesize, write_rows
 from .exceptions import ConfigError, FairboundError
 from .fairness import (
-    NOTIONS,
     FairnessSpec,
     ScoringReference,
     coefficients,
@@ -84,7 +83,6 @@ from .fairness import (
 )
 from .model import LinearModel, frobenius_norms
 from .privacy import (
-    MECHANISMS,
     PrivacyParams,
     default_delta,
     release_many,
@@ -108,9 +106,17 @@ _CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
 }
 
 
-# open interval (low, high) for a numeric field, in field metadata
+# Field metadata, applied in this order: "convert" resolves the value or
+# raises; "choices" lists the allowed values, "min" is the least one, and
+# "range" an open interval (low, high) holding every allowed value.
 _POSITIVE = {"range": (0.0, math.inf)}
 _FRACTION = {"range": (0.0, 1.0)}
+
+
+def _notion_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    if not names:
+        raise ConfigError("notions must name at least one fairness notion")
+    return tuple(map(notion_name, names))
 
 
 def _config_key(f) -> str:
@@ -121,62 +127,47 @@ def _config_key(f) -> str:
 class ExperimentConfig:
     """Resolved sweep configuration; every field is a config-file key, named
     by the field with dashes for underscores unless its metadata says
-    otherwise.  A field without a default is a required key; a field with
-    a ``range`` must lie strictly inside it."""
+    otherwise.  A field without a default is a required key.  Each field's
+    metadata declares its domain; mechanism and notion names pass through
+    the CLI flags' converters, so the canonical text names resolved values."""
 
     data: str
     lam: float = field(metadata={"key": "lambda", **_POSITIVE})
-    notions: tuple[str, ...]
-    sweep_axis: str  # "n" | "epsilon"
+    notions: tuple[str, ...] = field(metadata={"convert": _notion_names})
+    sweep_axis: str = field(metadata={"choices": ("n", "epsilon")})
     grid_start: float = field(metadata=_POSITIVE)
     grid_stop: float = field(metadata=_POSITIVE)
-    grid_count: int
-    draws: int
-    seed: int
-    data_format: str = "csv"  # "csv" | "synthetic"
-    mechanism: str = "output_perturbation"
+    grid_count: int = field(metadata={"min": 1})
+    draws: int = field(metadata={"min": 1})
+    seed: int = field(metadata={"min": 0})
+    data_format: str = field(default="csv", metadata={"choices": ("csv", "synthetic")})
+    mechanism: str = field(default="output_perturbation", metadata={"convert": mechanism_name})
     zeta: float = field(default=0.01, metadata=_FRACTION)
-    delta_policy: str = "inverse_n_squared"  # "fixed" | "inverse_n_squared"
+    delta_policy: str = field(default="inverse_n_squared",
+                              metadata={"choices": ("fixed", "inverse_n_squared")})
     epsilon: float = field(default=1.0, metadata=_POSITIVE)
     delta: float = field(default=1e-6, metadata=_FRACTION)
     sensitive_col: str = "s"
     label_col: str = "y"
     desirable: frozenset[int] = frozenset({1})
-    eval_split: str = "test"
+    eval_split: str = field(default="test", metadata={"choices": ("train", "test")})
     test_fraction: float = field(default=0.1, metadata=_FRACTION)
     tol: float = field(default=DEFAULT_TOL, metadata=_POSITIVE)
 
     def __post_init__(self):
-        if self.data_format not in ("csv", "synthetic"):
-            raise ConfigError(f"unknown data format {self.data_format!r}")
-        if self.sweep_axis not in ("n", "epsilon"):
-            raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
-        if self.mechanism not in MECHANISMS:
-            raise ConfigError(f"unknown mechanism {self.mechanism!r}")
-        if self.delta_policy not in ("fixed", "inverse_n_squared"):
-            raise ConfigError(f"unknown delta policy {self.delta_policy!r}")
-        if self.eval_split not in ("train", "test"):
-            raise ConfigError(f"unknown eval split {self.eval_split!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.grid_count < 1:
-            raise ConfigError("grid-count must be at least 1")
-        if self.draws < 1:
-            raise ConfigError("draws must be at least 1")
         for f in fields(self):
-            if "range" in f.metadata:
-                low, high = f.metadata["range"]
-                value = getattr(self, f.name)
-                if not low < value < high:
-                    raise ConfigError(
-                        f"{_config_key(f)} must lie strictly between {low} and {high}, "
-                        f"got {value!r}"
-                    )
-        if not self.notions:
-            raise ConfigError("notions must name at least one fairness notion")
-        for notion in self.notions:
-            if notion not in NOTIONS:
-                raise ConfigError(f"unknown fairness notion {notion!r}")
+            key, value, meta = _config_key(f), getattr(self, f.name), f.metadata
+            if "convert" in meta:
+                value = meta["convert"](value)
+                object.__setattr__(self, f.name, value)
+            if "choices" in meta and value not in meta["choices"]:
+                raise ConfigError(f"{key} must be one of {', '.join(meta['choices'])}, "
+                                  f"got {value!r}")
+            if "min" in meta and value < meta["min"]:
+                raise ConfigError(f"{key} must be at least {meta['min']}, got {value!r}")
+            if "range" in meta and not meta["range"][0] < value < meta["range"][1]:
+                raise ConfigError(f"{key} must lie strictly between {meta['range'][0]} and "
+                                  f"{meta['range'][1]}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, values: dict[str, str], seed: int | None = None) -> "ExperimentConfig":

@@ -251,8 +251,9 @@ def fit_erm(
     once when the Hessian is singular or no step along a Newton direction
     is accepted.  Raises :class:`DataError` before solving when the data
     has fewer than two rows per label, the mark of a label column holding
-    a feature, or when the Newton Hessian would exceed
-    ``MAX_HESSIAN_BYTES``.  The objective never increases between
+    a feature, when a feature row's norm overflows (see
+    ``Dataset.feature_norm_bound``), or when the Newton Hessian would
+    exceed ``MAX_HESSIAN_BYTES``.  The objective never increases between
     iterations beyond rounding.  Each trial point of the line search costs
     one (n, Y) score matrix and one exp(s - max) pass over it, which gives
     both the exact log-sum-exp of the objective value and the row softmax
@@ -277,6 +278,7 @@ def fit_erm(
             f"{d.num_labels} labels on {d.n} rows, fewer than two rows per label; "
             "does the label column hold a feature?"
         )
+    d.feature_norm_bound  # a row whose norm overflows is a DataError
     hessian_bytes = (d.num_labels * d.p) ** 2 * np.dtype(float).itemsize
     if hessian_bytes > MAX_HESSIAN_BYTES:
         raise DataError(

@@ -3,6 +3,7 @@ import csv
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -410,17 +411,77 @@ class TestExitCodes:
 
     def test_undefined_margin_is_data_error_4(self, workdir, capsys):
         # both scores of rows 0 and 1 overflow to +inf, so their margins are
-        # NaN; the report once certified both groups with chernoff = 0
-        data = workdir / "data.csv"
+        # NaN; the report once certified both groups with chernoff = 0.  The
+        # training rows have finite norms: one whose norm overflows is
+        # refused first (test_overflowing_feature_norm_is_data_error_4)
+        data, train = workdir / "data.csv", workdir / "train.csv"
         data.write_text("f0,s,y\n1e160,0,0\n1e160,1,1\n1,0,1\n2,1,0\n", encoding="utf-8")
+        train.write_text("f0,s,y\n3,0,0\n4,1,1\n1,0,1\n2,1,0\n", encoding="utf-8")
         model, other = workdir / "model.txt", workdir / "other.txt"
         model.write_text("2 2 2e154\n1e154 0.0\n5e153 0.0\n", encoding="utf-8")
         other.write_text("2 2 2e154\n1e154 1.0\n5e153 0.0\n", encoding="utf-8")
         out = workdir / "out.csv"
         assert run(["bound", "--model", str(model), "--other", str(other), "--data", str(data),
-                    "--train-data", str(data), "--lambda", "1.0",
+                    "--train-data", str(train), "--lambda", "1.0",
                     "--notion", "accuracy-parity", "--out", str(out)]) == 4
         assert "2 rows have a margin" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "OUT"],
+        ["privatize", "--model", "MODEL", "--epsilon", "1", "--seed", "1", "--out", "OUT"],
+        ["bound", "--model", "MODEL", "--train-data", "DATA", "--notion", "accuracy",
+         "--out", "OUT"],
+        ["table", "--model", "MODEL", "--train-data", "DATA", "--out", "OUT"],
+    ], ids=lambda command: command[0])
+    def test_overflowing_feature_norm_is_data_error_4(self, workdir, command, capsys):
+        # every cell is finite, but the norms of rows 0 and 1 overflow;
+        # privatize, bound and table once exited 2 blaming the budget, and
+        # train 3, each after a RuntimeWarning, which now fails the test
+        data, model, out = workdir / "data.csv", workdir / "model.txt", workdir / "out.txt"
+        data.write_text("f0,s,y\n1e160,0,0\n1e160,1,1\n1,0,1\n2,1,0\n", encoding="utf-8")
+        model.write_text("2 2 1\n0.1 0.0\n0.2 0.0\n", encoding="utf-8")
+        paths = {"DATA": str(data), "MODEL": str(model), "OUT": str(out)}
+        argv = [paths.get(a, a) for a in command] + ["--data", str(data), "--lambda", "1.0"]
+        assert main(argv) == 4
+        assert ("data error: data row 0 (0-based) has a feature norm that overflows float64"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bound", "table"])
+    def test_bad_lambda_fails_before_the_data_is_read(self, workdir, command, capsys):
+        # --lambda was once checked after the data files were read, so a
+        # missing file was reported first (exit 4)
+        missing = str(workdir / "missing.csv")
+        argv = _report_argv(command, missing, str(workdir / "model.txt"), "accuracy",
+                            workdir / "out.csv")
+        argv[argv.index("--lambda") + 1] = "0"
+        assert run(argv) == 2
+        assert "config error: --lambda must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    @pytest.mark.parametrize("lines", [
+        ["cell.0.0.count = -1"],
+        ["cell.0.0.count = -1", "cell.0.1.count = 1", "cell.1.0.count = 0", "cell.1.1.count = 0"],
+        ["cell.0.0.mean = nan, 0"],
+        ["cell.0.0.cov = -1, 1"],
+        ["cell.0.0.cov = 1, 2, 2, 1"],
+    ], ids=["negative_count", "counts_summing_to_zero", "nan_mean", "negative_variance",
+            "not_psd"])
+    def test_bad_spec_value_is_config_error_2(self, workdir, command, lines, capsys):
+        # each once exited 1 with a traceback, exited 4 for a zero total,
+        # or (not_psd) drew its rows after a RuntimeWarning; later lines
+        # override the spec's own
+        spec = workdir / "bad.cfg"
+        spec.write_text(SPEC_TEXT + "\n".join(lines) + "\n", encoding="utf-8")
+        exp = workdir / "exp.cfg"
+        exp.write_text(EXPERIMENT_TEXT.format(spec=str(spec)), encoding="utf-8")
+        out = workdir / "out"
+        argv = {"gen-data": ["gen-data", "--spec", str(spec), "--seed", "3", "--out", str(out)],
+                "experiment": ["experiment", "--config", str(exp), "--seed", "3",
+                               "--out-dir", str(out)]}[command]
+        assert main(argv) == 2
+        assert "config error: cell (0, 0): " in capsys.readouterr().err
         assert not out.exists()
 
     def test_label_column_holding_a_feature_is_data_error_4(self, workdir, monkeypatch, capsys):
@@ -1011,7 +1072,7 @@ FUZZ_VALUES = {
     "grid-count": (["1", "2"], [None, "", "0", "-1", "1.5", "x"]),
     "draws": (["1", "2"], [None, "", "0", "-3", "x"]),
     "seed": ([None, "3"], ["", "-1", "x"]),
-    "mechanism": ([None, "output_perturbation", "dp_sgd"], ["", "laplace", "dp-sgd"]),
+    "mechanism": ([None, "output_perturbation", "dp_sgd", "dp-sgd"], ["", "laplace"]),
     "zeta": ([None, "0.01", "0.5"], ["", "0", "1", "nan", "x"]),
     "delta-policy": ([None, "inverse_n_squared", "fixed"], ["", "auto"]),
     "epsilon": ([None, "1.0", "0.1", "5"], ["", "0", "-1", "inf", "nan", "x"]),
@@ -1054,6 +1115,49 @@ class TestExperimentConfigFuzz:
         code = run(["experiment", "--config", str(cfg), "--seed", "5",
                     "--out-dir", str(root / "out")])
         assert code in (0, 2), text
+
+
+# Per synthetic-spec key of cells (0, 0) and (1, 1), as in FUZZ_VALUES; the
+# other keys of TINY_SPEC_TEXT keep their values.
+SPEC_FUZZ_VALUES = {
+    key: values
+    for cell in ("cell.0.0", "cell.1.1")
+    for key, values in {
+        f"{cell}.count": ([None, "30", "0"], ["-1", "1.5"]),
+        f"{cell}.mean": ([None, "2.0, -0.5", "0, 0"], ["nan, 0", "inf, 0", "1", "1, 2, 3"]),
+        f"{cell}.cov": ([None, "1.0, 1.0", "0, 2", "1, 0.3, 0.3, 1"],
+                        ["-1, 1", "1e400, 1", "1, 2, 2, 1", "1, 0.5, 0.4, 1"]),
+    }.items()
+}
+SPEC_FUZZ_EXPERIMENT = """\
+data = {spec}
+data-format = synthetic
+lambda = 1.0
+notions = accuracy_parity
+sweep-axis = epsilon
+grid-start = 0.5
+grid-stop = 2
+grid-count = 2
+draws = 2
+eval-split = train
+"""
+
+
+class TestSyntheticSpecFuzz:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(lines=config_lines(SPEC_FUZZ_VALUES))
+    def test_gen_data_and_experiment_exit_0_2_or_4(self, tmp_path_factory, lines):
+        # a bad value once exited 1 with a traceback or drew its rows after
+        # a RuntimeWarning, which fails the test; 4 is a zero total count
+        root = tmp_path_factory.mktemp("spec_fuzz")
+        spec, exp = root / "spec.cfg", root / "exp.cfg"
+        text = TINY_SPEC_TEXT + "".join(f"{line}\n" for line in lines)
+        spec.write_text(text, encoding="utf-8")
+        exp.write_text(SPEC_FUZZ_EXPERIMENT.format(spec=spec), encoding="utf-8")
+        assert main(["gen-data", "--spec", str(spec), "--seed", "5",
+                     "--out", str(root / "data.csv")]) in (0, 2, 4), lines
+        assert main(["experiment", "--config", str(exp), "--seed", "5",
+                     "--out-dir", str(root / "out")]) in (0, 2, 4), lines
 
 
 def subcommand_keys(command: str) -> set[str]:
@@ -1262,3 +1366,27 @@ class TestReadmeFlags:
         documented = readme_flags(text)
         assert {"--config", "--finite-sample", "--out-dir"} <= documented
         assert sorted(documented - parser_flags()) == []
+
+
+def readme_block(heading: str, fence: str = "```\n") -> str:
+    """The first fenced block under ``heading`` in README.md."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    return text.split(f"{heading}\n", 1)[1].split(fence, 1)[1].split("```\n", 1)[0]
+
+
+class TestReadmeCommands:
+    def test_every_command_line_exits_0(self, tmp_path, monkeypatch):
+        # the spec and config-keys blocks are the files the commands read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "synth.cfg").write_text(readme_block("### Synthetic spec grammar"),
+                                            encoding="utf-8")
+        (tmp_path / "experiment.cfg").write_text(readme_block("### Experiment config keys"),
+                                                 encoding="utf-8")
+        block = readme_block("## Command line", fence="```bash\n")
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("fairbound ")]
+        assert [argv[1] for argv in commands] == [
+            "gen-data", "gen-data", "train", "privatize", "audit", "bound", "experiment", "table"]
+        for argv in commands:
+            assert run(argv[1:]) == 0, argv

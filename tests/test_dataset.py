@@ -28,7 +28,7 @@ from fairbound.dataset import (
     write_csv,
     write_rows,
 )
-from fairbound.exceptions import DataError, EmptyDatasetError, ParseError, SchemaError
+from fairbound.exceptions import ConfigError, DataError, EmptyDatasetError, ParseError, SchemaError
 from fairbound.model import LinearModel, predict_many
 
 from conftest import group_accuracies, make_dataset, random_dataset, two_blob_spec
@@ -215,6 +215,16 @@ class TestLoadCsv:
         write_lines(f, ["f1,f2,s,y", "3.0,4.0,a,0", "0.0,0.0,b,1"])
         d = load_csv(str(f), sensitive_col="s", label_col="y")
         assert d.feature_norm_bound == pytest.approx(math.sqrt(26.0), rel=1e-15)
+
+    def test_overflowing_feature_norm_is_data_error(self, tmp_path):
+        # every cell is finite, but the squared norms of rows 1 and 2
+        # overflow; the bound once read inf, with a RuntimeWarning
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f0,s,y", "1,0,0", "1e160,1,1", "-2e160,0,1", "2,1,0"])
+        d = load_csv(str(f), sensitive_col="s", label_col="y")
+        with pytest.raises(DataError, match=r"^data row 1 \(0-based\) has a feature norm"):
+            d.feature_norm_bound
+        assert d.subset(np.array([0, 3])).feature_norm_bound == pytest.approx(math.sqrt(5.0))
 
     def test_missing_role_is_schema_error(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -601,6 +611,47 @@ class TestSynthesize:
     def test_intercept_appended(self):
         d = synthesize(two_blob_spec(per_cell=3), seed=0)
         assert np.all(d.features[:, -1] == 1.0)
+
+    def test_zero_count_cells_leave_the_draws_unchanged(self):
+        # a zero-count cell draws nothing from the stream, whatever its form
+        spec = two_blob_spec(per_cell=4)
+        cells = {**spec.cells,
+                 (0, 2): CellSpec(0, np.ones(2), np.eye(2)),
+                 (1, 2): CellSpec(0, np.ones(2), np.ones(2))}
+        d, d_zero = synthesize(spec, seed=9), synthesize(SyntheticSpec(2, cells), seed=9)
+        assert np.array_equal(d.features, d_zero.features)
+        assert np.array_equal(d.sensitive, d_zero.sensitive)
+        assert d_zero.sensitive_values == ("0", "1", "2")
+
+    @pytest.mark.parametrize("cell, message", [
+        (CellSpec(-1, np.zeros(2), np.ones(2)), "nonnegative"),
+        (CellSpec(3, np.array([math.nan, 0.0]), np.ones(2)), "finite"),
+        (CellSpec(3, np.array([math.inf, 0.0]), np.ones(2)), "finite"),
+        (CellSpec(3, np.zeros(3), np.ones(2)), "mean needs 2"),
+        (CellSpec(3, np.zeros(2), np.array([-1.0, 1.0])), "diagonal variances"),
+        (CellSpec(3, np.zeros(2), np.array([math.inf, 1.0])), "diagonal variances"),
+        (CellSpec(3, np.zeros(2), np.array([math.nan, 1.0])), "diagonal variances"),
+        (CellSpec(3, np.zeros(2), np.ones(3)), "cov needs 2"),
+        (CellSpec(3, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]])), "positive-semidefinite"),
+        (CellSpec(3, np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]])), "positive-semidefinite"),
+        (CellSpec(0, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]])), "positive-semidefinite"),
+        (CellSpec(3, np.zeros(2), np.array([[math.nan, 0.0], [0.0, 1.0]])), "full covariance"),
+    ], ids=["negative_count", "nan_mean", "inf_mean", "long_mean", "negative_variance",
+            "inf_variance", "nan_variance", "long_diagonal", "not_psd", "asymmetric",
+            "not_psd_zero_count", "nan_full"])
+    def test_bad_cell_is_config_error(self, cell, message):
+        # each once raised ValueError or LinAlgError, or drew with a
+        # RuntimeWarning, or (a negative count) was an empty-data error
+        cells = {(0, 0): cell, (1, 0): CellSpec(1, np.zeros(2), np.ones(2))}
+        with pytest.raises(ConfigError, match=message):
+            synthesize(SyntheticSpec(2, cells), seed=1)
+
+    @pytest.mark.parametrize("key, features", [((0, -1), 2), ((0, 0), 0)],
+                             ids=["negative_id", "no_features"])
+    def test_bad_ids_or_width_are_config_errors(self, key, features):
+        cells = {key: CellSpec(2, np.zeros(features), np.ones(features))}
+        with pytest.raises(ConfigError):
+            synthesize(SyntheticSpec(features, cells), seed=1)
 
     def test_full_covariance_accepted(self):
         cov = np.array([[1.0, 0.3], [0.3, 1.0]])

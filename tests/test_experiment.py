@@ -1,6 +1,7 @@
 import csv
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -341,6 +342,32 @@ class TestRunExperiment:
         values["seed"] = "-3"
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_mapping(values)
+
+    def test_dashed_names_load_the_underscored_config(self, spec_file):
+        # an experiment config once refused the dashed names a CLI
+        # --config file accepts
+        values = dict(line.split(" = ", 1)
+                      for line in base_config(spec_file).canonical_text().splitlines())
+        underscored = ExperimentConfig.from_mapping(
+            {**values, "mechanism": "dp_sgd", "notions": "accuracy_parity, equalized_odds"})
+        dashed = ExperimentConfig.from_mapping(
+            {**values, "mechanism": "dp-sgd", "notions": "accuracy-parity, equalized-odds"})
+        assert dashed == underscored
+        assert dashed.config_hash() == underscored.config_hash()
+        assert dashed.notions == ("accuracy_parity", "equalized_odds")
+        assert base_config(spec_file, mechanism="dp-sgd").mechanism == "dp_sgd"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"data_format": "xml"}, "data-format must be one of csv, synthetic, got 'xml'"),
+        ({"eval_split": "all"}, "eval-split must be one of train, test, got 'all'"),
+        ({"grid_count": 0}, "grid-count must be at least 1, got 0"),
+        ({"mechanism": "laplace"}, "unknown mechanism 'laplace'"),
+        ({"notions": ("accuracy", "fairness")}, "unknown notion 'fairness'"),
+        ({"notions": ()}, "notions must name at least one fairness notion"),
+    ], ids=["choices", "eval_split", "min", "mechanism", "notion", "no_notion"])
+    def test_each_field_is_checked_by_its_declared_domain(self, spec_file, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            base_config(spec_file, **overrides)
 
     def test_from_mapping_round_trip(self, spec_file):
         cfg = base_config(spec_file)

@@ -220,6 +220,15 @@ class TestFitErm:
         with pytest.raises(DataError, match="3 labels on 5 rows"):
             fit_erm(d, lam=1.0)
 
+    def test_overflowing_feature_norm_is_data_error(self, monkeypatch):
+        # the norm of row 1 overflows; fit_erm rejects it before computing
+        # any objective, where it once stopped with a ConvergenceError
+        d = make_dataset([[1.0, 1.0], [1e160, 1.0], [2.0, 1.0], [3.0, 1.0]],
+                         [0, 1, 0, 1], [0, 1, 1, 0])
+        monkeypatch.setattr(trainer, "_objective", None)
+        with pytest.raises(DataError, match="data row 1"):
+            fit_erm(d, lam=1.0)
+
     def test_hessian_over_the_cap_is_data_error(self, rng, monkeypatch):
         d = random_dataset(rng, 40, num_labels=3)
         hessian_bytes = (3 * d.p) ** 2 * 8
