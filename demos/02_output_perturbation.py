@@ -8,13 +8,10 @@ probability at least 1 - zeta; this script samples many releases and
 compares the attained distances against that certificate.
 """
 
-import warnings
-
 import numpy as np
 
 import fairbound as fb
 
-warnings.filterwarnings("ignore")  # epsilon = 1 triggers the budget advisory
 
 rng_spec = fb.SyntheticSpec(
     num_features=3,

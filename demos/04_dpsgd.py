@@ -14,7 +14,9 @@ import numpy as np
 
 import fairbound as fb
 
-warnings.filterwarnings("ignore")
+# the advisory of PrivacyParams at epsilon >= 1, which DP-SGD alone gives
+warnings.filterwarnings("ignore", message=r"epsilon=\S+ >= 1: the closed-form DP-SGD",
+                        category=UserWarning)
 
 data = fb.synthesize(
     fb.SyntheticSpec(

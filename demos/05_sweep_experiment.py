@@ -11,13 +11,11 @@ import csv
 import os
 import tempfile
 import textwrap
-import warnings
 
 import numpy as np
 
 from fairbound.experiment import ExperimentConfig, run_experiment
 
-warnings.filterwarnings("ignore")
 
 # the work directory and the sweep it holds are removed once the rows are read
 with tempfile.TemporaryDirectory(prefix="fairbound_demo_") as workdir:

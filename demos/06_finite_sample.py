@@ -8,13 +8,10 @@ dimension).  The combined statement then holds with probability at least
 1 - delta - zeta.
 """
 
-import warnings
-
 import numpy as np
 
 import fairbound as fb
 
-warnings.filterwarnings("ignore")
 
 data = fb.synthesize(
     fb.SyntheticSpec(

@@ -4,31 +4,35 @@ Subcommands: gen-data, train, privatize, audit, bound, experiment, table.
 Every long flag can equivalently be written as a key in a ``--config`` file
 (same name, without the leading dashes); flags given on the command line
 override config values.  The parser resolves every flag, and a config value
-passes through the same converter as the flag, so a bad ``--mechanism``,
-``--notion``, ``--desirable`` or ``--lambda`` fails before any file is
-read.  The mechanism, notion and desirable-label converters are
-``config``'s, which experiment configs share.  Exit codes: 0 success,
-2 configuration error, 3 optimizer convergence error, 4 data error.
+passes through the same converter as the flag.  Every flag with a domain
+takes as its argparse ``type`` the converter that experiment-config keys
+and ``PrivacyParams`` use for the same value (``config.positive``,
+``config.fraction``, ``config.seed_number`` and the others), bound to the
+flag's name, so a value out of its domain is a configuration error that
+names the flag, raised before any data, model or spec file is read.
+Exit codes: 0 success, 2 configuration error, 3 optimizer convergence
+error, 4 data error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import experiment as experiment_mod
-from .config import label_ids, mechanism_name, notion_name, read_config, read_synthetic_spec
+from .config import at_least, fraction, label_ids, positive, read_config, read_synthetic_spec
+from .config import seed_number
 from .dataset import Dataset, load_csv, synthesize, write_csv, write_rows
 from .exceptions import ConfigError, ConvergenceError, DataError
-from .fairness import FairnessSpec, coefficients, group_fairness_all
+from .fairness import FairnessSpec, coefficients, group_fairness_all, notion_name
 from .finite_sample import finite_sample_slacks
 from .model import LinearModel, check_fits, load_model, save_model
-from .privacy import PrivacyParams, default_delta, release
+from .privacy import PrivacyParams, default_delta, mechanism_name, release
 from .trainer import DEFAULT_MAX_ITERS, DEFAULT_TOL, constants, fit_erm
 
 EXIT_OK = 0
@@ -37,34 +41,29 @@ EXIT_CONVERGENCE = 3
 EXIT_DATA = 4
 
 
-def _ridge_weight(value: str) -> float:
-    """The --lambda converter: anything but a positive, finite number is a
-    config error."""
-    try:
-        if 0 < (lam := float(value)) < math.inf:
-            return lam
-    except ValueError:
-        pass
-    raise ConfigError(f"--lambda must be positive and finite, got {value!r}")
+def _delta(value: str) -> str | float:
+    """The --delta converter: 'auto', or a fraction."""
+    return value if value == "auto" else fraction("--delta", value)
 
 
 def _privacy_params(
     args: argparse.Namespace, n: int, mechanism: str, seed: int = 0
 ) -> PrivacyParams:
     """Privacy target from --epsilon, --delta ('auto' is 1/n^2 for n
-    training rows) and --zeta; an out-of-range value is a config error."""
-    if args.delta == "auto":
-        delta = default_delta(n)
-    else:
-        try:
-            delta = float(args.delta)
-        except ValueError:
-            raise ConfigError(f"--delta must be a number or 'auto', got {args.delta!r}")
+    training rows) and --zeta."""
+    delta = default_delta(n) if args.delta == "auto" else args.delta
+    return PrivacyParams(epsilon=args.epsilon, delta=delta, zeta=args.zeta,
+                         mechanism=mechanism, seed=seed)
+
+
+def _training_data(path: str, args: argparse.Namespace) -> Dataset:
+    """The training CSV ``path``; a row whose feature norm overflows is a data error naming it."""
+    d = load_csv(path, args.sensitive_col, args.label_col)
     try:
-        return PrivacyParams(epsilon=args.epsilon, delta=delta, zeta=args.zeta,
-                             mechanism=mechanism, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        d.feature_norm_bound  # the solver and every certificate read it; scoring does not
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}")
+    return d
 
 
 def _load_model_for(path: str, *datasets: Dataset) -> LinearModel:
@@ -134,11 +133,16 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairbound")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = partial(seed_number, "--seed")
+    lam = partial(positive, "--lambda")
+    epsilon, zeta = partial(positive, "--epsilon"), partial(fraction, "--zeta")
+    mechanism, notion = partial(mechanism_name, "--mechanism"), partial(notion_name, "--notion")
+    desirable = partial(label_ids, "--desirable")
 
     p = sub.add_parser("gen-data", help="synthesize a dataset from a spec file")
     _add_config_flag(p)
     p.add_argument("--spec", required=True, help="synthetic spec (key-value file)")
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=seed)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--sensitive-col", default="s")
     p.add_argument("--label-col", default="y")
@@ -146,32 +150,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the regularized optimum")
     _add_config_flag(p)
     _add_data_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight, help="ridge weight")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--lambda", dest="lam", required=True, type=lam, help="ridge weight")
+    p.add_argument("--tol", type=partial(positive, "--tol"), default=DEFAULT_TOL,
                    help="gradient-norm stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
-                   help="cap on Newton iterations")
-    p.add_argument("--radius", type=float, default=None, help="ball radius override")
+    p.add_argument("--max-iters", type=partial(at_least(1), "--max-iters"),
+                   default=DEFAULT_MAX_ITERS, help="cap on Newton iterations")
+    p.add_argument("--radius", type=partial(positive, "--radius"), help="ball radius override")
     p.add_argument("--out", required=True, help="output model path")
 
     p = sub.add_parser("privatize", help="release a private model")
     _add_config_flag(p)
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="trained model path")
-    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight)
-    p.add_argument("--mechanism", default="output-perturbation", type=mechanism_name)
-    p.add_argument("--epsilon", required=True, type=float)
-    p.add_argument("--delta", default="auto", help="number, or 'auto' for 1/n^2")
-    p.add_argument("--zeta", type=float, default=0.01, help="bound failure probability")
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--lambda", dest="lam", required=True, type=lam)
+    p.add_argument("--mechanism", default="output-perturbation", type=mechanism)
+    p.add_argument("--epsilon", required=True, type=epsilon)
+    p.add_argument("--delta", default="auto", type=_delta, help="a fraction, or 'auto' for 1/n^2")
+    p.add_argument("--zeta", type=zeta, default=0.01, help="bound failure probability")
+    p.add_argument("--seed", required=True, type=seed)
     p.add_argument("--out", required=True, help="output model path")
 
     p = sub.add_parser("audit", help="per-group fairness levels of a model")
     _add_config_flag(p)
     _add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--notion", required=True, type=notion_name)
-    p.add_argument("--desirable", default="1", type=label_ids,
+    p.add_argument("--notion", required=True, type=notion)
+    p.add_argument("--desirable", default="1", type=desirable,
                    help="desirable label ids (equality of opportunity)")
     p.add_argument("--report", required=True, help="output CSV path")
     _add_finite_sample_flags(p)
@@ -182,19 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="reference model")
     p.add_argument("--other", default=None, help="second model: use the measured distance")
     p.add_argument("--train-data", required=True, help="training CSV (for n and feature bound)")
-    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight)
-    p.add_argument("--notion", required=True, type=notion_name)
-    p.add_argument("--desirable", default="1", type=label_ids)
-    p.add_argument("--mechanism", default="output-perturbation", type=mechanism_name)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--delta", default="auto")
-    p.add_argument("--zeta", type=float, default=0.01)
+    p.add_argument("--lambda", dest="lam", required=True, type=lam)
+    p.add_argument("--notion", required=True, type=notion)
+    p.add_argument("--desirable", default="1", type=desirable)
+    p.add_argument("--mechanism", default="output-perturbation", type=mechanism)
+    p.add_argument("--epsilon", type=epsilon, default=1.0)
+    p.add_argument("--delta", default="auto", type=_delta)
+    p.add_argument("--zeta", type=zeta, default=0.01)
     p.add_argument("--out", required=True)
     _add_finite_sample_flags(p)
 
     p = sub.add_parser("experiment", help="run a sweep experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=seed)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("table", help="summary row of group-averaged bounds per notion")
@@ -202,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--train-data", required=True)
-    p.add_argument("--lambda", dest="lam", required=True, type=_ridge_weight)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--delta", default="auto")
-    p.add_argument("--zeta", type=float, default=0.01)
-    p.add_argument("--desirable", default="1", type=label_ids)
+    p.add_argument("--lambda", dest="lam", required=True, type=lam)
+    p.add_argument("--epsilon", type=epsilon, default=1.0)
+    p.add_argument("--delta", default="auto", type=_delta)
+    p.add_argument("--zeta", type=zeta, default=0.01)
+    p.add_argument("--desirable", default="1", type=desirable)
     p.add_argument("--name", default="dataset", help="dataset label for the row")
     p.add_argument("--out", required=True)
 
@@ -220,14 +224,13 @@ def _add_finite_sample_flags(parser: argparse.ArgumentParser) -> None:
         choices=("off", "independent", "dependent"),
         help="add true-vs-empirical slack columns",
     )
-    parser.add_argument("--fs-delta", type=float, default=0.05, help="slack failure probability")
+    parser.add_argument("--fs-delta", type=partial(fraction, "--fs-delta"), default=0.05,
+                        help="slack failure probability")
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     spec = read_synthetic_spec(args.spec)
-    d = synthesize(spec, seed=int(args.seed))
+    d = synthesize(spec, seed=args.seed)
     try:
         d = replace(d, sensitive_col=args.sensitive_col, label_col=args.label_col)
     except ValueError as exc:  # a role name that collides with another column
@@ -238,11 +241,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    d = load_csv(args.data, args.sensitive_col, args.label_col)
+    d = _training_data(args.data, args)
     try:
-        model = fit_erm(d, args.lam, tol=float(args.tol), max_iters=int(args.max_iters),
-                        radius=None if args.radius is None else float(args.radius))
-    except ValueError as exc:  # a --tol, --max-iters or --radius the solver rejects
+        model = fit_erm(d, args.lam, tol=args.tol, max_iters=args.max_iters, radius=args.radius)
+    except ValueError as exc:  # a --radius below the optimum's norm
         raise ConfigError(str(exc))
     save_model(model, args.out)
     print(f"trained on n={d.n}; weight norm {np.linalg.norm(model.weights):.6g}, "
@@ -251,7 +253,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_privatize(args: argparse.Namespace) -> int:
-    d = load_csv(args.data, args.sensitive_col, args.label_col)
+    d = _training_data(args.data, args)
     hstar = _load_model_for(args.model, d)
     pp = _privacy_params(args, d.n, args.mechanism, seed=args.seed)
     save_model(release(hstar, d, constants(d, args.lam, hstar.radius), pp), args.out)
@@ -263,16 +265,12 @@ def _finite_sample(
     args: argparse.Namespace, spec: FairnessSpec, d: Dataset
 ) -> tuple[np.ndarray | None, float]:
     """Per-group true-vs-empirical slack on ``d`` and its confidence level
-    1 - fs_delta, or (None, 1.0) under ``--finite-sample off``.  A flag
-    value the slack formulas reject is a config error."""
+    1 - fs_delta, or (None, 1.0) under ``--finite-sample off``."""
     if args.finite_sample == "off":
         return None, 1.0
     if d.num_labels < 2:
         raise DataError(f"finite-sample slack needs two or more labels; the data has {d.num_labels}")
-    try:
-        slack = finite_sample_slacks(spec, d.n, args.fs_delta, d.num_labels, d.p, args.finite_sample)
-    except ValueError as exc:
-        raise ConfigError(f"finite-sample flags: {exc}")
+    slack = finite_sample_slacks(spec, d.n, args.fs_delta, d.num_labels, d.p, args.finite_sample)
     return slack, 1.0 - args.fs_delta
 
 
@@ -296,7 +294,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     reference = _load_model_for(args.model, eval_data)
     other = _load_model_for(args.other, eval_data) if args.other else None
 
-    train = load_csv(args.train_data, args.sensitive_col, args.label_col)
+    train = _training_data(args.train_data, args)
     c = constants(train, args.lam, reference.radius)
     pp = _privacy_params(args, train.n, args.mechanism)
     spec = coefficients(eval_data, args.notion, args.desirable)
@@ -319,7 +317,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    cfg = experiment_mod.load_experiment_config(args.config, seed=int(args.seed))
+    cfg = experiment_mod.load_experiment_config(args.config, seed=args.seed)
     result = experiment_mod.run_experiment(cfg, args.out_dir)
     print(f"sweep wrote {result.rows} rows -> {result.sweep_path} "
           f"({len(result.failures)} failed grid points)")
@@ -328,7 +326,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
-    train = load_csv(args.train_data, args.sensitive_col, args.label_col)
+    train = _training_data(args.train_data, args)
     model = _load_model_for(args.model, eval_data, train)
     pp = _privacy_params(args, train.n, "output_perturbation")
     row = experiment_mod.table_report(

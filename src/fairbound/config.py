@@ -18,18 +18,21 @@ Synthetic dataset specs use the keys
 
 Every (label, sensitive) cell present defines one Gaussian blob; labels and
 sensitive values are dense nonnegative integers; ``dataset.synthesize``
-checks the values.  CLI flags and experiment-config keys share the
-converters :func:`label_ids`, :func:`mechanism_name` and :func:`notion_name`.
+checks the values.  Every other value is checked by one converter per kind
+of value, which CLI flags (as argparse ``type``), experiment-config keys and
+``PrivacyParams`` share: ``convert(key, value)`` takes text or the typed value
+code passes, returns the typed value, and raises a ConfigError naming ``key``.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
 from .dataset import CellSpec, SyntheticSpec
 from .exceptions import ConfigError
-from .fairness import NOTIONS
-from .privacy import MECHANISMS
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -58,48 +61,66 @@ def read_config(path: str) -> dict[str, str]:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})")
 
 
-def label_ids(value: str) -> frozenset[int]:
-    """A desirable label set written as comma-separated ids, such as
-    ``"0, 2"``; a token that is not an integer is a config error."""
+def _checked(key: str, value, domain: str, parse, ok=lambda result: True):
+    """``parse(value)`` if it parses and passes ``ok``, else a ConfigError."""
     try:
-        return frozenset(int(t) for t in value.split(",") if t.strip())
-    except ValueError:
-        raise ConfigError(f"desirable labels must be comma-separated integer ids, got {value!r}")
+        if ok(result := parse(value)):
+            return result
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must {domain}, got {value!r}")
 
 
-def mechanism_name(value: str) -> str:
-    """A release mechanism, with dashes or underscores (``dp-sgd`` or
-    ``dp_sgd``), as its ``privacy.MECHANISMS`` name; any other name is a
-    config error."""
-    name = value.replace("-", "_")
-    if name not in MECHANISMS:
-        raise ConfigError(f"unknown mechanism {value!r}")
-    return name
+def positive(key: str, value) -> float:
+    return _checked(key, value, "be positive and finite", float, lambda x: 0 < x < math.inf)
 
 
-def notion_name(value: str) -> str:
-    """A fairness notion, with dashes or underscores, as its
-    ``fairness.NOTIONS`` name; any other name is a config error."""
-    name = value.replace("-", "_")
-    if name not in NOTIONS:
-        raise ConfigError(f"unknown notion {value!r}")
-    return name
+def fraction(key: str, value) -> float:
+    return _checked(key, value, "lie strictly between 0 and 1", float, lambda x: 0 < x < 1)
 
 
-def _floats(value: str) -> list[float]:
-    try:
-        return [float(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {value!r}: {exc}")
+def _integer(value) -> int:
+    """An int from text or from an integer type; a float is refused."""
+    return int(value) if isinstance(value, str) else operator.index(value)
+
+
+def at_least(floor: int):
+    """The converter of an integer of at least ``floor``."""
+    return lambda key, value: _checked(key, value, f"be an integer of at least {floor}",
+                                       _integer, lambda x: x >= floor)
+
+
+seed_number = at_least(0)
+
+
+def one_of(*choices: str):
+    """The converter of one of ``choices``, also spelled with dashes."""
+    return lambda key, value: _checked(key, value, f"be one of {', '.join(choices)}",
+                                       lambda v: str(v).replace("-", "_"), choices.__contains__)
+
+
+def list_items(value) -> list:
+    """The items of a list value: comma-separated in text, else the value's own."""
+    if isinstance(value, str):
+        return [t.strip() for t in value.split(",") if t.strip()]
+    return list(value)
+
+
+def label_ids(key: str, value) -> frozenset[int]:
+    """Desirable label ids, comma-separated in text (``"0, 2"``)."""
+    return _checked(key, value, "be comma-separated integer label ids",
+                    lambda v: frozenset(map(_integer, list_items(v))))
+
+
+def _floats(key: str, value: str) -> list[float]:
+    return _checked(key, value, "be comma-separated numbers",
+                    lambda v: list(map(float, list_items(v))))
 
 
 def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> SyntheticSpec:
     if "features" not in values:
         raise ConfigError(f"{source}: synthetic spec needs a 'features' key")
-    try:
-        num_features = int(values["features"])
-    except ValueError:
-        raise ConfigError(f"{source}: 'features' must be an integer")
+    num_features = _checked(f"{source}: features", values["features"], "be an integer", int)
 
     cell_fields: dict[tuple[int, int], dict[str, str]] = {}
     for key, value in values.items():
@@ -108,10 +129,8 @@ def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> Synt
         parts = key.split(".")
         if len(parts) != 4:
             raise ConfigError(f"{source}: bad cell key {key!r}")
-        try:
-            label, sensitive = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(f"{source}: cell ids must be integers in {key!r}")
+        label, sensitive = (_checked(f"{source}: a cell id of {key!r}", t, "be an integer", int)
+                            for t in parts[1:3])
         if parts[3] not in ("count", "mean", "cov"):
             raise ConfigError(f"{source}: unknown cell field {parts[3]!r}")
         cell_fields.setdefault((label, sensitive), {})[parts[3]] = value
@@ -124,14 +143,12 @@ def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> Synt
         missing = {"count", "mean", "cov"} - fields.keys()
         if missing:
             raise ConfigError(f"{source}: cell {key} is missing {sorted(missing)}")
-        try:
-            count = int(fields["count"])
-        except ValueError:
-            raise ConfigError(f"{source}: cell {key}: count must be an integer")
-        cov = np.asarray(_floats(fields["cov"]))
+        count = _checked(f"{source}: cell {key} count", fields["count"], "be an integer", int)
+        mean = np.asarray(_floats(f"{source}: cell {key} mean", fields["mean"]))
+        cov = np.asarray(_floats(f"{source}: cell {key} cov", fields["cov"]))
         if num_features > 1 and cov.size == num_features**2:
             cov = cov.reshape(num_features, num_features)
-        cells[key] = CellSpec(count=count, mean=np.asarray(_floats(fields["mean"])), cov=cov)
+        cells[key] = CellSpec(count=count, mean=mean, cov=cov)
     return SyntheticSpec(num_features=num_features, cells=cells)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -113,10 +114,10 @@ class Dataset:
         """Feature dimension, intercept included."""
         return self.features.shape[1]
 
-    @property
+    @functools.cached_property
     def feature_norm_bound(self) -> float:
-        """Largest Euclidean row norm, max_i ||x_i||_2.  A row whose norm
-        overflows float64 is a DataError that names the first such row."""
+        """Largest Euclidean row norm, max_i ||x_i||_2, computed once.  A row
+        whose norm overflows float64 is a DataError naming the first one."""
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(self.features, axis=1)
         row = int(np.argmax(norms))

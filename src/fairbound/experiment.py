@@ -67,12 +67,13 @@ import hashlib
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import label_ids, mechanism_name, notion_name, read_config, read_synthetic_spec
+from .config import at_least, fraction, label_ids, one_of, positive, read_config
+from .config import list_items, read_synthetic_spec, seed_number
 from .dataset import Dataset, format_value, load_csv, split, synthesize, write_rows
 from .exceptions import ConfigError, FairboundError
 from .fairness import (
@@ -80,11 +81,13 @@ from .fairness import (
     ScoringReference,
     coefficients,
     group_fairness_many,
+    notion_name,
 )
 from .model import LinearModel, frobenius_norms
 from .privacy import (
     PrivacyParams,
     default_delta,
+    mechanism_name,
     release_many,
     resolve_distance,
     stream,
@@ -92,104 +95,84 @@ from .privacy import (
 from .trainer import DEFAULT_TOL, constants, fit_erm
 
 
-def _names(value: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in value.split(",") if t.strip())
+def _notion_names(key: str, value: str | tuple[str, ...]) -> tuple[str, ...]:
+    """One or more fairness notions, comma-separated in a file."""
+    if not (names := list_items(value)):
+        raise ConfigError(f"{key} must name at least one fairness notion")
+    return tuple(notion_name(key, name) for name in names)
 
 
-# config-file (parse, canonical format) per field annotation
-_CODECS: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
-    "str": (str, str),
-    "int": (int, str),
-    "float": (float, format_value),
-    "tuple[str, ...]": (_names, ",".join),
-    "frozenset[int]": (label_ids, lambda v: ",".join(str(t) for t in sorted(v))),
-}
-
-
-# Field metadata, applied in this order: "convert" resolves the value or
-# raises; "choices" lists the allowed values, "min" is the least one, and
-# "range" an open interval (low, high) holding every allowed value.
-_POSITIVE = {"range": (0.0, math.inf)}
-_FRACTION = {"range": (0.0, 1.0)}
-
-
-def _notion_names(names: tuple[str, ...]) -> tuple[str, ...]:
-    if not names:
-        raise ConfigError("notions must name at least one fairness notion")
-    return tuple(map(notion_name, names))
+def _converted(convert, key: str | None = None, **kwargs) -> Any:
+    """A field that ``convert`` checks, read from the config key ``key``."""
+    return field(metadata={"convert": convert, "key": key}, **kwargs)
 
 
 def _config_key(f) -> str:
-    return f.metadata.get("key", f.name.replace("_", "-"))
+    return f.metadata.get("key") or f.name.replace("_", "-")
+
+
+def _canonical(value: Any) -> str:
+    """A field value as the config text that loads it."""
+    if isinstance(value, (tuple, frozenset)):
+        return ",".join(map(str, sorted(value) if isinstance(value, frozenset) else value))
+    return format_value(value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved sweep configuration; every field is a config-file key, named
     by the field with dashes for underscores unless its metadata says
-    otherwise.  A field without a default is a required key.  Each field's
-    metadata declares its domain; mechanism and notion names pass through
-    the CLI flags' converters, so the canonical text names resolved values."""
+    otherwise.  A field without a default is a required key.  Each field
+    but the free-text ones declares its converter, which the CLI flags
+    share; it takes the file's text or the value code passes, so the
+    canonical text, and with it the config hash, names converted values."""
 
     data: str
-    lam: float = field(metadata={"key": "lambda", **_POSITIVE})
-    notions: tuple[str, ...] = field(metadata={"convert": _notion_names})
-    sweep_axis: str = field(metadata={"choices": ("n", "epsilon")})
-    grid_start: float = field(metadata=_POSITIVE)
-    grid_stop: float = field(metadata=_POSITIVE)
-    grid_count: int = field(metadata={"min": 1})
-    draws: int = field(metadata={"min": 1})
-    seed: int = field(metadata={"min": 0})
-    data_format: str = field(default="csv", metadata={"choices": ("csv", "synthetic")})
-    mechanism: str = field(default="output_perturbation", metadata={"convert": mechanism_name})
-    zeta: float = field(default=0.01, metadata=_FRACTION)
-    delta_policy: str = field(default="inverse_n_squared",
-                              metadata={"choices": ("fixed", "inverse_n_squared")})
-    epsilon: float = field(default=1.0, metadata=_POSITIVE)
-    delta: float = field(default=1e-6, metadata=_FRACTION)
+    lam: float = _converted(positive, key="lambda")
+    notions: tuple[str, ...] = _converted(_notion_names)
+    sweep_axis: str = _converted(one_of("n", "epsilon"))
+    grid_start: float = _converted(positive)
+    grid_stop: float = _converted(positive)
+    grid_count: int = _converted(at_least(1))
+    draws: int = _converted(at_least(1))
+    seed: int = _converted(seed_number)
+    data_format: str = _converted(one_of("csv", "synthetic"), default="csv")
+    mechanism: str = _converted(mechanism_name, default="output_perturbation")
+    zeta: float = _converted(fraction, default=0.01)
+    delta_policy: str = _converted(one_of("fixed", "inverse_n_squared"),
+                                   default="inverse_n_squared")
+    epsilon: float = _converted(positive, default=1.0)
+    delta: float = _converted(fraction, default=1e-6)
     sensitive_col: str = "s"
     label_col: str = "y"
-    desirable: frozenset[int] = frozenset({1})
-    eval_split: str = field(default="test", metadata={"choices": ("train", "test")})
-    test_fraction: float = field(default=0.1, metadata=_FRACTION)
-    tol: float = field(default=DEFAULT_TOL, metadata=_POSITIVE)
+    desirable: frozenset[int] = _converted(label_ids, default=frozenset({1}))
+    eval_split: str = _converted(one_of("train", "test"), default="test")
+    test_fraction: float = _converted(fraction, default=0.1)
+    tol: float = _converted(positive, default=DEFAULT_TOL)
 
     def __post_init__(self):
         for f in fields(self):
-            key, value, meta = _config_key(f), getattr(self, f.name), f.metadata
-            if "convert" in meta:
-                value = meta["convert"](value)
-                object.__setattr__(self, f.name, value)
-            if "choices" in meta and value not in meta["choices"]:
-                raise ConfigError(f"{key} must be one of {', '.join(meta['choices'])}, "
-                                  f"got {value!r}")
-            if "min" in meta and value < meta["min"]:
-                raise ConfigError(f"{key} must be at least {meta['min']}, got {value!r}")
-            if "range" in meta and not meta["range"][0] < value < meta["range"][1]:
-                raise ConfigError(f"{key} must lie strictly between {meta['range'][0]} and "
-                                  f"{meta['range'][1]}, got {value!r}")
+            if convert := f.metadata.get("convert"):
+                object.__setattr__(self, f.name, convert(_config_key(f), getattr(self, f.name)))
 
     @classmethod
     def from_mapping(cls, values: dict[str, str], seed: int | None = None) -> "ExperimentConfig":
-        """Config from file keys; ``seed``, when given, overrides the file's
-        once the file's own value has been checked."""
+        """Config from file keys and their text; ``seed``, when given,
+        overrides the file's once the file's own value has been checked."""
         unknown = sorted(set(values) - set(_CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown experiment config key(s): {', '.join(unknown)}")
         kwargs: dict[str, Any] = {} if seed is None else {"seed": seed}
         for key, f in _CONFIG_KEYS.items():
             if key in values:
-                try:
-                    kwargs[f.name] = _CODECS[f.type][0](values[key])
-                except ValueError as exc:
-                    raise ConfigError(f"bad experiment config value: {exc}")
+                kwargs[f.name] = values[key]
             elif f.default is MISSING and f.name not in kwargs:
                 raise ConfigError(f"experiment config is missing {key!r}")
         cfg = cls(**kwargs)
         return cfg if seed is None else replace(cfg, seed=seed)
 
     def canonical_text(self) -> str:
-        pairs = {key: _CODECS[f.type][1](getattr(self, f.name)) for key, f in _CONFIG_KEYS.items()}
+        pairs = {key: _canonical(getattr(self, f.name)) for key, f in _CONFIG_KEYS.items()}
         return "\n".join(f"{k} = {v}" for k, v in sorted(pairs.items()))
 
     def config_hash(self) -> str:

@@ -53,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import one_of
 from .dataset import Dataset, GroupPartition, partition, single_group_partition
 from .exceptions import ConfigError, DataError
 from .model import LinearModel, check_fits, frobenius_norms, predict_many
@@ -77,6 +78,7 @@ NOTIONS = (
     "demographic_parity_binary",
     "accuracy",
 )
+notion_name = one_of(*NOTIONS)  # accepts accuracy-parity for accuracy_parity
 
 
 @dataclass(frozen=True)

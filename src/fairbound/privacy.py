@@ -42,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import fraction, one_of, positive, seed_number
 from .dataset import Dataset
 from .exceptions import ConfigError
 from .model import LinearModel, clip_to_ball, clip_to_ball_many
@@ -49,12 +50,15 @@ from .trainer import LossConstants, empirical_gradient_second_moment, gradient
 
 MECHANISMS = ("output_perturbation", "dp_sgd")
 NOISE_EXPONENTS = ("T_squared", "T_linear")
+mechanism_name = one_of(*MECHANISMS)  # accepts dp-sgd for dp_sgd
 
 
 @dataclass(frozen=True)
 class PrivacyParams:
     """(epsilon, delta)-privacy target plus the bound failure probability
-    zeta and the mechanism driving noise calibration."""
+    zeta and the mechanism driving noise calibration.  Each value passes its
+    CLI flag's converter, which raises a ``ConfigError`` naming the field or
+    gives the stored value (``"dp_sgd"`` for ``"dp-sgd"``)."""
 
     epsilon: float
     delta: float
@@ -63,21 +67,14 @@ class PrivacyParams:
     seed: int
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0 < self.zeta < 1:
-            raise ValueError("zeta must lie in (0, 1)")
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, convert in (("epsilon", positive), ("delta", fraction), ("zeta", fraction),
+                              ("mechanism", mechanism_name), ("seed", seed_number)):
+            object.__setattr__(self, name, convert(name, getattr(self, name)))
         if self.epsilon >= 1 and self.mechanism == "dp_sgd":
             warnings.warn(
                 f"epsilon={self.epsilon} >= 1: the closed-form DP-SGD noise formula was "
                 "derived for budgets below 1, and its privacy at this budget is not checked",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass's __init__
             )
 
 

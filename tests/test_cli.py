@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 from fairbound import experiment, trainer
 from fairbound.cli import build_parser, main
 from fairbound.dataset import load_csv
+from fairbound.fairness import NOTIONS
 from fairbound.model import load_model, save_model
 from fairbound.privacy import PrivacyParams, release
 from fairbound.trainer import constants
+
+NOTION_NAMES = ", ".join(NOTIONS)
 
 SPEC_TEXT = """\
 features = 2
@@ -343,10 +346,11 @@ class TestConfigFileSupport:
         assert (workdir / "config.txt").read_bytes() == (workdir / "flags.txt").read_bytes()
 
     @pytest.mark.parametrize("command, values, message", [
-        ("audit", {"notion": "bogus"}, "unknown notion 'bogus'"),
-        ("privatize", {"mechanism": "laplace"}, "unknown mechanism 'laplace'"),
+        ("audit", {"notion": "bogus"}, f"--notion must be one of {NOTION_NAMES}, got 'bogus'"),
+        ("privatize", {"mechanism": "laplace"},
+         "--mechanism must be one of output_perturbation, dp_sgd, got 'laplace'"),
         ("audit", {"notion": "accuracy", "desirable": "x"},
-         "desirable labels must be comma-separated integer ids, got 'x'"),
+         "--desirable must be comma-separated integer label ids, got 'x'"),
     ], ids=["notion", "mechanism", "desirable"])
     def test_bad_converted_value_in_config_is_config_error_2(self, workdir, command, values,
                                                              message, capsys):
@@ -428,24 +432,30 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        ["train", "--out", "OUT"],
-        ["privatize", "--model", "MODEL", "--epsilon", "1", "--seed", "1", "--out", "OUT"],
-        ["bound", "--model", "MODEL", "--train-data", "DATA", "--notion", "accuracy",
+        ["train", "--data", "BIG", "--out", "OUT"],
+        ["privatize", "--data", "BIG", "--model", "MODEL", "--epsilon", "1", "--seed", "1",
          "--out", "OUT"],
-        ["table", "--model", "MODEL", "--train-data", "DATA", "--out", "OUT"],
-    ], ids=lambda command: command[0])
+        ["bound", "--data", "BIG", "--model", "MODEL", "--train-data", "BIG",
+         "--notion", "accuracy", "--out", "OUT"],
+        ["bound", "--data", "OK", "--model", "MODEL", "--train-data", "BIG",
+         "--notion", "accuracy", "--out", "OUT"],
+        ["table", "--data", "BIG", "--model", "MODEL", "--train-data", "BIG", "--out", "OUT"],
+    ], ids=["train", "privatize", "bound", "bound_ok_eval_data", "table"])
     def test_overflowing_feature_norm_is_data_error_4(self, workdir, command, capsys):
         # every cell is finite, but the norms of rows 0 and 1 overflow;
         # privatize, bound and table once exited 2 blaming the budget, and
-        # train 3, each after a RuntimeWarning, which now fails the test
-        data, model, out = workdir / "data.csv", workdir / "model.txt", workdir / "out.txt"
-        data.write_text("f0,s,y\n1e160,0,0\n1e160,1,1\n1,0,1\n2,1,0\n", encoding="utf-8")
+        # train 3, each after a RuntimeWarning, which now fails the test.
+        # The message names the training file, which bound and table read
+        # next to the evaluation file
+        big, ok = workdir / "big.csv", workdir / "ok.csv"
+        model, out = workdir / "model.txt", workdir / "out.txt"
+        big.write_text("f0,s,y\n1e160,0,0\n1e160,1,1\n1,0,1\n2,1,0\n", encoding="utf-8")
+        ok.write_text("f0,s,y\n3,0,0\n4,1,1\n1,0,1\n2,1,0\n", encoding="utf-8")
         model.write_text("2 2 1\n0.1 0.0\n0.2 0.0\n", encoding="utf-8")
-        paths = {"DATA": str(data), "MODEL": str(model), "OUT": str(out)}
-        argv = [paths.get(a, a) for a in command] + ["--data", str(data), "--lambda", "1.0"]
-        assert main(argv) == 4
-        assert ("data error: data row 0 (0-based) has a feature norm that overflows float64"
-                in capsys.readouterr().err)
+        paths = {"BIG": str(big), "OK": str(ok), "MODEL": str(model), "OUT": str(out)}
+        assert main([paths.get(a, a) for a in command] + ["--lambda", "1.0"]) == 4
+        assert (f"data error: {big}: data row 0 (0-based) has a feature norm that overflows "
+                "float64" in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bound", "table"])
@@ -458,6 +468,47 @@ class TestExitCodes:
         argv[argv.index("--lambda") + 1] = "0"
         assert run(argv) == 2
         assert "config error: --lambda must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("gen-data", "--seed", "-1"),
+        ("experiment", "--seed", "-1"),
+        ("train", "--tol", "0"),
+        ("train", "--max-iters", "0"),
+        ("train", "--radius", "-1"),
+        ("privatize", "--epsilon", "inf"),
+        ("privatize", "--delta", "1"),
+        ("privatize", "--zeta", "nan"),
+        ("privatize", "--seed", "-1"),
+        ("bound", "--epsilon", "0"),
+        ("bound", "--delta", "abc"),
+        ("bound", "--zeta", "1.5"),
+        ("bound", "--fs-delta", "2"),
+        ("audit", "--fs-delta", "0"),
+        ("table", "--epsilon", "-1"),
+        ("table", "--delta", "0"),
+        ("table", "--zeta", "1"),
+    ])
+    def test_bad_flag_value_fails_before_any_file_is_read(self, workdir, command, flag, value,
+                                                          capsys):
+        # each flag but gen-data's --seed was once checked after the input
+        # files were read, so a missing file was reported first; --fs-delta
+        # was reported as "finite-sample flags", which no flag is called
+        missing, model = str(workdir / "missing.csv"), str(workdir / "missing.txt")
+        out = workdir / "out.csv"
+        argv = {
+            "gen-data": ["gen-data", "--spec", missing, "--seed", "1", "--out", str(out)],
+            "experiment": ["experiment", "--config", missing, "--seed", "1",
+                           "--out-dir", str(workdir / "results")],
+            "train": ["train", "--data", missing, "--lambda", "1.0", "--out", str(out)],
+            "privatize": ["privatize", "--data", missing, "--model", model, "--lambda", "1.0",
+                          "--epsilon", "1", "--seed", "1", "--out", str(out)],
+            "audit": _report_argv("audit", missing, model, "accuracy", out),
+            "bound": _report_argv("bound", missing, model, "accuracy", out),
+            "table": _report_argv("table", missing, model, "accuracy", out),
+        }[command]
+        assert run(argv + [flag, value]) == 2
+        assert f"config error: {flag} must " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "experiment"])
     @pytest.mark.parametrize("lines", [
@@ -685,7 +736,8 @@ class TestExitCodes:
         assert run(["bound", "--notion", "bogus", "--data", missing, "--model",
                     str(workdir / "missing.txt"), "--train-data", missing, "--lambda", "1.0",
                     "--out", str(workdir / "out.csv")]) == 2
-        assert "config error: unknown notion 'bogus'" in capsys.readouterr().err
+        assert (f"config error: --notion must be one of {NOTION_NAMES}, got 'bogus'"
+                in capsys.readouterr().err)
         assert not (workdir / "out.csv").exists()
 
     def test_privatize_negative_seed_is_config_error_2(self, workdir, capsys):

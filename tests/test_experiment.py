@@ -26,6 +26,7 @@ from fairbound.privacy import PrivacyParams, release_many, resolve_distance, str
 from fairbound.trainer import constants, fit_erm
 
 from conftest import two_blob_spec
+from test_acceptance import EXPERIMENT_TEXT as ACCEPTANCE_EXPERIMENT_TEXT
 from test_acceptance import SPEC_TEXT as ACCEPTANCE_SPEC_TEXT
 
 SPEC_TEXT = """\
@@ -43,6 +44,13 @@ cell.1.1.count = 250
 cell.1.1.mean = -2.0, 0.6
 cell.1.1.cov = 1.0, 1.0
 """
+
+
+def _readme_block(heading):
+    """The first fenced block under README's ``### heading``."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    return text.split(f"### {heading}\n", 1)[1].split("```\n", 2)[1]
 
 
 @pytest.fixture
@@ -349,9 +357,11 @@ class TestRunExperiment:
         values = dict(line.split(" = ", 1)
                       for line in base_config(spec_file).canonical_text().splitlines())
         underscored = ExperimentConfig.from_mapping(
-            {**values, "mechanism": "dp_sgd", "notions": "accuracy_parity, equalized_odds"})
+            {**values, "mechanism": "dp_sgd", "notions": "accuracy_parity, equalized_odds",
+             "delta-policy": "inverse_n_squared"})
         dashed = ExperimentConfig.from_mapping(
-            {**values, "mechanism": "dp-sgd", "notions": "accuracy-parity, equalized-odds"})
+            {**values, "mechanism": "dp-sgd", "notions": "accuracy-parity, equalized-odds",
+             "delta-policy": "inverse-n-squared"})
         assert dashed == underscored
         assert dashed.config_hash() == underscored.config_hash()
         assert dashed.notions == ("accuracy_parity", "equalized_odds")
@@ -360,9 +370,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("overrides, message", [
         ({"data_format": "xml"}, "data-format must be one of csv, synthetic, got 'xml'"),
         ({"eval_split": "all"}, "eval-split must be one of train, test, got 'all'"),
-        ({"grid_count": 0}, "grid-count must be at least 1, got 0"),
-        ({"mechanism": "laplace"}, "unknown mechanism 'laplace'"),
-        ({"notions": ("accuracy", "fairness")}, "unknown notion 'fairness'"),
+        ({"grid_count": 0}, "grid-count must be an integer of at least 1, got 0"),
+        ({"mechanism": "laplace"},
+         "mechanism must be one of output_perturbation, dp_sgd, got 'laplace'"),
+        ({"notions": ("accuracy", "fairness")},
+         f"notions must be one of {', '.join(fairness.NOTIONS)}, got 'fairness'"),
         ({"notions": ()}, "notions must name at least one fairness notion"),
     ], ids=["choices", "eval_split", "min", "mechanism", "notion", "no_notion"])
     def test_each_field_is_checked_by_its_declared_domain(self, spec_file, overrides, message):
@@ -379,23 +391,43 @@ class TestRunExperiment:
         assert cfg2 == cfg
 
     def test_readme_config_blocks_load(self):
-        def block(heading):
-            text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
-                encoding="utf-8")
-            return text.split(f"### {heading}\n", 1)[1].split("```\n", 2)[1]
-
-        spec = parse_synthetic_spec(parse_config_text(block("Synthetic spec grammar")))
+        spec = parse_synthetic_spec(parse_config_text(_readme_block("Synthetic spec grammar")))
         assert spec.num_features == 2
         assert sorted(spec.cells) == [(0, 0), (1, 0)]
         assert spec.cells[(0, 0)].count == 500
-        cfg = ExperimentConfig.from_mapping(parse_config_text(block("Experiment config keys")),
-                                            seed=5)
+        cfg = ExperimentConfig.from_mapping(
+            parse_config_text(_readme_block("Experiment config keys")), seed=5)
         assert (cfg.data, cfg.data_format, cfg.mechanism) == (
             "synth.cfg", "synthetic", "output_perturbation")
         assert (cfg.sweep_axis, cfg.grid_start, cfg.grid_stop, cfg.grid_count, cfg.draws) == (
             "n", 100.0, 10000.0, 20, 100)
         assert (cfg.delta_policy, cfg.epsilon, cfg.eval_split, cfg.desirable) == (
             "inverse_n_squared", 1.0, "test", frozenset({1}))
+
+    # the hash is in every sweep.csv preamble, so the canonical text of a
+    # config must not change with the code that checks and formats it
+    @pytest.mark.parametrize("text, canonical, digest", [
+        (ACCEPTANCE_EXPERIMENT_TEXT.format(spec="synth.cfg"),
+         "data = synth.cfg\ndata-format = synthetic\ndelta = 1e-06\n"
+         "delta-policy = inverse_n_squared\ndesirable = 1\ndraws = 5\nepsilon = 1.0\n"
+         "eval-split = test\ngrid-count = 2\ngrid-start = 100.0\ngrid-stop = 400.0\n"
+         "label-col = y\nlambda = 1.0\nmechanism = output_perturbation\n"
+         "notions = accuracy_parity,equality_of_opportunity\nseed = 5\nsensitive-col = s\n"
+         "sweep-axis = n\ntest-fraction = 0.1\ntol = 1e-10\nzeta = 0.01",
+         "b48b063244565c2a25d6cb9f136eb6104471ee828d211108586186a367b21a42"),
+        (_readme_block("Experiment config keys"),
+         "data = synth.cfg\ndata-format = synthetic\ndelta = 1e-06\n"
+         "delta-policy = inverse_n_squared\ndesirable = 1\ndraws = 100\nepsilon = 1.0\n"
+         "eval-split = test\ngrid-count = 20\ngrid-start = 100.0\ngrid-stop = 10000.0\n"
+         "label-col = y\nlambda = 1.0\nmechanism = output_perturbation\n"
+         "notions = equality_of_opportunity,accuracy_parity\nseed = 5\nsensitive-col = s\n"
+         "sweep-axis = n\ntest-fraction = 0.1\ntol = 1e-10\nzeta = 0.01",
+         "634cee4ea1d8e7a5ff8e1721b9286654ce44ffd82e3b3475a1eaac50c6335738"),
+    ], ids=["criterion_9", "readme"])
+    def test_canonical_text_and_hash_are_pinned(self, text, canonical, digest):
+        cfg = ExperimentConfig.from_mapping(parse_config_text(text), seed=5)
+        assert cfg.canonical_text() == canonical
+        assert cfg.config_hash() == digest
 
     def test_readme_library_quick_start_runs(self, tmp_path, monkeypatch, capsys):
         import fairbound as fb

@@ -54,16 +54,25 @@ def flat_constants(loss_lipschitz=1.0, strong_convexity=1.0, smoothness=1.0, rad
 
 class TestPrivacyParams:
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        # each value goes through the converter of its CLI flag and config
+        # key, so a bad one is a ConfigError naming it (once a ValueError)
+        with pytest.raises(ConfigError, match="^epsilon must be positive and finite"):
             PrivacyParams(-1.0, 0.1, 0.1, "output_perturbation", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^delta must lie strictly between 0 and 1"):
             PrivacyParams(0.5, 1.5, 0.1, "output_perturbation", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^zeta must lie strictly between 0 and 1"):
             PrivacyParams(0.5, 0.1, 0.0, "output_perturbation", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^mechanism must be one of"):
             PrivacyParams(0.5, 0.1, 0.1, "magic", 0)
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ConfigError, match="^seed must be an integer of at least 0"):
             PrivacyParams(0.5, 0.1, 0.1, "output_perturbation", -1)
+
+    def test_stores_the_converted_values(self):
+        # the mechanism is stored converted, so a dashed name that passes the
+        # check cannot then miss every mechanism == "dp_sgd" branch
+        pp = PrivacyParams(0.5, 0.1, 0.1, "dp-sgd", 3)
+        assert pp == PrivacyParams(0.5, 0.1, 0.1, "dp_sgd", 3)
+        assert pp.mechanism == "dp_sgd"
 
     def test_large_epsilon_warns_not_raises(self):
         with pytest.warns(UserWarning, match="epsilon"):
