@@ -49,6 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import nonnegative, one_of
 from .dataset import Dataset, GroupPartition
 from .exceptions import DataError
 from .fairness import FairnessSpec
@@ -203,11 +204,11 @@ def bound_reports(
     zero-margin flags, and at ``dist`` the truncated means and at-risk
     fractions.  Each spec then combines them with its coefficient
     magnitudes, as the fairness layer combines conditional accuracies.
+    A ``dist`` that is not finite and nonnegative, or a provenance not in
+    ``DIST_PROVENANCES``, is a ``ConfigError``.
     """
-    if dist_provenance not in DIST_PROVENANCES:
-        raise ValueError(f"unknown distance provenance {dist_provenance!r}")
-    if not 0.0 <= dist < math.inf:
-        raise ValueError("dist must be finite and nonnegative")
+    dist_provenance = one_of(*DIST_PROVENANCES)("dist_provenance", dist_provenance)
+    dist = nonnegative("dist", dist)
     for spec in specs:
         examples = spec.partition.assignment.shape[0]
         if profile.n != examples:
@@ -272,8 +273,7 @@ def gap_bound(
 ) -> float:
     """Bound on |F_k(h) - F_k(h')| for any h' within ``dist`` of the
     profiled model, under the requested variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown bound variant {variant!r}")
+    variant = one_of(*VARIANTS)("variant", variant)
     return getattr(bound_report(profile, spec, dist).entry(k), variant)
 
 

@@ -47,11 +47,16 @@ def _delta(value: str) -> str | float:
 
 
 def _privacy_params(
-    args: argparse.Namespace, n: int, mechanism: str, seed: int = 0
+    args: argparse.Namespace, train: Dataset, path: str, mechanism: str, seed: int = 0
 ) -> PrivacyParams:
-    """Privacy target from --epsilon, --delta ('auto' is 1/n^2 for n
-    training rows) and --zeta."""
-    delta = default_delta(n) if args.delta == "auto" else args.delta
+    """Privacy target from --epsilon, --delta ('auto' is 1/n^2 for the n
+    rows of the training file ``path``) and --zeta."""
+    delta = args.delta
+    if delta == "auto":
+        if train.n < 2:
+            raise ConfigError(f"--delta auto is 1/n^2, which needs at least 2 training rows; "
+                              f"{path} has {train.n}")
+        delta = default_delta(train.n)
     return PrivacyParams(epsilon=args.epsilon, delta=delta, zeta=args.zeta,
                          mechanism=mechanism, seed=seed)
 
@@ -255,7 +260,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_privatize(args: argparse.Namespace) -> int:
     d = _training_data(args.data, args)
     hstar = _load_model_for(args.model, d)
-    pp = _privacy_params(args, d.n, args.mechanism, seed=args.seed)
+    pp = _privacy_params(args, d, args.data, args.mechanism, seed=args.seed)
     save_model(release(hstar, d, constants(d, args.lam, hstar.radius), pp), args.out)
     print(f"released {pp.mechanism} model (epsilon={pp.epsilon}, delta={pp.delta}) -> {args.out}")
     return EXIT_OK
@@ -291,12 +296,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
-    reference = _load_model_for(args.model, eval_data)
-    other = _load_model_for(args.other, eval_data) if args.other else None
-
     train = _training_data(args.train_data, args)
+    reference = _load_model_for(args.model, eval_data, train)
+    other = _load_model_for(args.other, eval_data) if args.other else None
     c = constants(train, args.lam, reference.radius)
-    pp = _privacy_params(args, train.n, args.mechanism)
+    pp = _privacy_params(args, train, args.train_data, args.mechanism)
     spec = coefficients(eval_data, args.notion, args.desirable)
     report = bounds_mod.theorem3_report(reference, eval_data, spec, c, train.n, pp, other=other)
     slack, confidence = _finite_sample(args, spec, eval_data)
@@ -328,7 +332,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
     train = _training_data(args.train_data, args)
     model = _load_model_for(args.model, eval_data, train)
-    pp = _privacy_params(args, train.n, "output_perturbation")
+    pp = _privacy_params(args, train, args.train_data, "output_perturbation")
     row = experiment_mod.table_report(
         model, train, eval_data, args.lam, pp=pp,
         desirable=args.desirable, dataset_name=args.name,

@@ -19,9 +19,10 @@ Synthetic dataset specs use the keys
 Every (label, sensitive) cell present defines one Gaussian blob; labels and
 sensitive values are dense nonnegative integers; ``dataset.synthesize``
 checks the values.  Every other value is checked by one converter per kind
-of value, which CLI flags (as argparse ``type``), experiment-config keys and
-``PrivacyParams`` share: ``convert(key, value)`` takes text or the typed value
-code passes, returns the typed value, and raises a ConfigError naming ``key``.
+of value, which CLI flags (as argparse ``type``), experiment-config keys,
+``PrivacyParams`` and the library functions that take such a value share:
+``convert(key, value)`` takes text or the typed value code passes, returns
+the typed value, and raises a ConfigError naming ``key``.
 """
 
 from __future__ import annotations
@@ -61,22 +62,23 @@ def read_config(path: str) -> dict[str, str]:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})")
 
 
-def _checked(key: str, value, domain: str, parse, ok=lambda result: True):
-    """``parse(value)`` if it parses and passes ``ok``, else a ConfigError."""
-    try:
-        if ok(result := parse(value)):
-            return result
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{key} must {domain}, got {value!r}")
+def _converter(domain: str, parse, ok=lambda result: True):
+    """The converter of the values ``parse`` turns into a result that passes
+    ``ok``: ``convert(key, value)`` returns that result, or raises a
+    ConfigError saying that ``key`` must ``domain``."""
+    def convert(key: str, value):
+        try:
+            if ok(result := parse(value)):
+                return result
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"{key} must {domain}, got {value!r}")
+    return convert
 
 
-def positive(key: str, value) -> float:
-    return _checked(key, value, "be positive and finite", float, lambda x: 0 < x < math.inf)
-
-
-def fraction(key: str, value) -> float:
-    return _checked(key, value, "lie strictly between 0 and 1", float, lambda x: 0 < x < 1)
+positive = _converter("be positive and finite", float, lambda x: 0 < x < math.inf)
+nonnegative = _converter("be nonnegative and finite", float, lambda x: 0 <= x < math.inf)
+fraction = _converter("lie strictly between 0 and 1", float, lambda x: 0 < x < 1)
 
 
 def _integer(value) -> int:
@@ -86,8 +88,7 @@ def _integer(value) -> int:
 
 def at_least(floor: int):
     """The converter of an integer of at least ``floor``."""
-    return lambda key, value: _checked(key, value, f"be an integer of at least {floor}",
-                                       _integer, lambda x: x >= floor)
+    return _converter(f"be an integer of at least {floor}", _integer, lambda x: x >= floor)
 
 
 seed_number = at_least(0)
@@ -95,8 +96,8 @@ seed_number = at_least(0)
 
 def one_of(*choices: str):
     """The converter of one of ``choices``, also spelled with dashes."""
-    return lambda key, value: _checked(key, value, f"be one of {', '.join(choices)}",
-                                       lambda v: str(v).replace("-", "_"), choices.__contains__)
+    return _converter(f"be one of {', '.join(choices)}",
+                      lambda v: str(v).replace("-", "_"), choices.__contains__)
 
 
 def list_items(value) -> list:
@@ -106,21 +107,17 @@ def list_items(value) -> list:
     return list(value)
 
 
-def label_ids(key: str, value) -> frozenset[int]:
-    """Desirable label ids, comma-separated in text (``"0, 2"``)."""
-    return _checked(key, value, "be comma-separated integer label ids",
-                    lambda v: frozenset(map(_integer, list_items(v))))
-
-
-def _floats(key: str, value: str) -> list[float]:
-    return _checked(key, value, "be comma-separated numbers",
-                    lambda v: list(map(float, list_items(v))))
+# desirable label ids, comma-separated in text ("0, 2")
+label_ids = _converter("be comma-separated integer label ids",
+                       lambda v: frozenset(map(_integer, list_items(v))))
+_integer_text = _converter("be an integer", int)
+_floats = _converter("be comma-separated numbers", lambda v: list(map(float, list_items(v))))
 
 
 def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> SyntheticSpec:
     if "features" not in values:
         raise ConfigError(f"{source}: synthetic spec needs a 'features' key")
-    num_features = _checked(f"{source}: features", values["features"], "be an integer", int)
+    num_features = _integer_text(f"{source}: features", values["features"])
 
     cell_fields: dict[tuple[int, int], dict[str, str]] = {}
     for key, value in values.items():
@@ -129,7 +126,7 @@ def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> Synt
         parts = key.split(".")
         if len(parts) != 4:
             raise ConfigError(f"{source}: bad cell key {key!r}")
-        label, sensitive = (_checked(f"{source}: a cell id of {key!r}", t, "be an integer", int)
+        label, sensitive = (_integer_text(f"{source}: a cell id of {key!r}", t)
                             for t in parts[1:3])
         if parts[3] not in ("count", "mean", "cov"):
             raise ConfigError(f"{source}: unknown cell field {parts[3]!r}")
@@ -143,7 +140,7 @@ def parse_synthetic_spec(values: dict[str, str], source: str = "<spec>") -> Synt
         missing = {"count", "mean", "cov"} - fields.keys()
         if missing:
             raise ConfigError(f"{source}: cell {key} is missing {sorted(missing)}")
-        count = _checked(f"{source}: cell {key} count", fields["count"], "be an integer", int)
+        count = _integer_text(f"{source}: cell {key} count", fields["count"])
         mean = np.asarray(_floats(f"{source}: cell {key} mean", fields["mean"]))
         cov = np.asarray(_floats(f"{source}: cell {key} cov", fields["cov"]))
         if num_features > 1 and cov.size == num_features**2:

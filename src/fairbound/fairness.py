@@ -122,9 +122,9 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
 
     Demographic parity on data whose labels are not binary is a
     ``DataError``; an empty ``desirable`` set, or one naming a label id
-    the data lacks, is a ``ConfigError`` for equality of opportunity."""
-    if notion not in NOTIONS:
-        raise ValueError(f"unknown fairness notion {notion!r}")
+    the data lacks, is a ``ConfigError`` for equality of opportunity.
+    ``notion`` passes :data:`notion_name`."""
+    notion = notion_name("notion", notion)
 
     if notion == "accuracy":
         return FairnessSpec(notion, single_group_partition(d), np.zeros(1), np.ones((1, 1)), ())
@@ -435,9 +435,9 @@ def direct_fairness(
 
     Independent of the coefficient tables; conditional probabilities over
     zero-mass events evaluate to 0, mirroring the table convention.
+    ``notion`` passes :data:`notion_name`.
     """
-    if notion not in NOTIONS:
-        raise ValueError(f"unknown fairness notion {notion!r}")
+    notion = notion_name("notion", notion)
     num_groups = {"accuracy": 1, "accuracy_parity": d.num_sensitive}.get(
         notion, d.num_labels * d.num_sensitive
     )

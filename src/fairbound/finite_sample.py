@@ -35,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .config import at_least, fraction, one_of
 from .fairness import FairnessSpec
 
 def sample_size_sufficient(spec: FairnessSpec, n: int, delta: float) -> bool:
@@ -58,16 +58,11 @@ def finite_sample_slacks(
     """Per-group slack values, shape (K,), under the requested regime:
     ``"independent"`` for models chosen independently of the sample,
     ``"dependent"`` for models fit on it (paying the Natarajan-dimension
-    price)."""
-    if mode not in ("independent", "dependent"):
-        raise ConfigError(f"unknown finite-sample mode {mode!r}")
+    price).  A value out of its domain is a ``ConfigError`` naming it."""
+    mode = one_of("independent", "dependent")("mode", mode)
+    delta = fraction("delta", delta)
+    n, num_labels = at_least(1)("n", n), at_least(2)("num_labels", num_labels)
     num_groups = spec.num_groups
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if num_labels < 2:
-        raise ValueError("num_labels must be at least 2")
     if not sample_size_sufficient(spec, n, delta):
         warnings.warn(
             f"n={n} is below the slack formulas' sample-size precondition; "

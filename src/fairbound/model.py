@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import positive
 from .dataset import Dataset, format_value
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 
 
 def frobenius_norms(weights: np.ndarray) -> np.ndarray:
@@ -47,13 +48,13 @@ class LinearModel:
             raise ValueError("weights must be a (num_labels, p) matrix")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
-        if not 0 < self.radius < math.inf:
-            raise ValueError("radius must be positive and finite")
-        if outside_ball(np.linalg.norm(weights), self.radius):
+        radius = positive("radius", self.radius)
+        if outside_ball(np.linalg.norm(weights), radius):
             raise ValueError("weight norm exceeds the declared ball radius")
         weights = weights.copy()
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "radius", radius)
 
     @property
     def num_labels(self) -> int:
@@ -133,8 +134,7 @@ def clip_to_ball_many(weights: np.ndarray, radius: float) -> np.ndarray:
     """Each matrix of an (M, Y, p) stack radially projected onto the ball,
     checked as :class:`LinearModel` checks one model; matrices inside the
     ball are returned unchanged."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    radius = positive("radius", radius)
     weights = np.asarray(weights, dtype=np.float64)
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
@@ -188,5 +188,5 @@ def load_model(path: str) -> LinearModel:
             raise DataError(f"{path}: malformed model file: {exc}")
     try:
         return LinearModel(np.asarray(rows), radius)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise DataError(f"{path}: {exc}")

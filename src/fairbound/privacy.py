@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import fraction, one_of, positive, seed_number
+from .config import at_least, fraction, nonnegative, one_of, positive, seed_number
 from .dataset import Dataset
 from .exceptions import ConfigError
 from .model import LinearModel, clip_to_ball, clip_to_ball_many
@@ -252,11 +252,10 @@ def dpsgd_noise(
     """Per-step DP-SGD noise variance; ``exponent`` selects the T^2
     calibration every release uses (default, noisier) or the T variance,
     which is kept only as a comparison value.  A variance that is not a
-    finite positive float is a ``ConfigError``."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if exponent not in NOISE_EXPONENTS:
-        raise ValueError(f"unknown noise exponent {exponent!r}")
+    finite positive float, a ``steps`` below 1 and an ``exponent`` not in
+    ``NOISE_EXPONENTS`` are each a ``ConfigError``."""
+    steps = at_least(1)("steps", steps)
+    exponent = one_of(*NOISE_EXPONENTS)("exponent", exponent)
     return _finite_positive(
         f"the DP-SGD noise variance at epsilon={epsilon!r} over {steps} steps",
         lambda: 64.0
@@ -272,9 +271,11 @@ def dpsgd_noise(
 class DpSgdConfig:
     """Resolved DP-SGD run parameters.
 
-    Direct construction accepts any nonnegative noise variance (the
+    Direct construction accepts any finite nonnegative noise variance (the
     noise-free case is useful for optimizer sanity checks); use
-    :meth:`calibrated` to tie the variance to the privacy budget.
+    :meth:`calibrated` to tie the variance to the privacy budget.  Each
+    value passes its converter, which raises a ``ConfigError`` naming the
+    field.
     """
 
     steps: int
@@ -283,12 +284,9 @@ class DpSgdConfig:
     radius: float
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.step_size <= 0 or self.radius <= 0:
-            raise ValueError("step_size and radius must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        for name, convert in (("steps", at_least(0)), ("step_size", positive),
+                              ("noise_variance", nonnegative), ("radius", positive)):
+            object.__setattr__(self, name, convert(name, getattr(self, name)))
 
     @classmethod
     def calibrated(cls, c: LossConstants, n: int, pp: PrivacyParams, steps: int) -> "DpSgdConfig":

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import at_least, positive
 from .dataset import Dataset, Example
 from .exceptions import ConvergenceError, DataError
 from .model import LinearModel, outside_ball
@@ -73,8 +74,8 @@ class LossConstants:
     radius: float
 
     def __post_init__(self):
-        if self.strong_convexity <= 0 or self.radius <= 0:
-            raise ValueError("strong_convexity and radius must be positive")
+        for name in ("strong_convexity", "radius"):
+            object.__setattr__(self, name, positive(name, getattr(self, name)))
 
 
 def constants(d: Dataset, lam: float, radius: float) -> LossConstants:
@@ -125,15 +126,12 @@ def _objective(weights: np.ndarray, d: Dataset, lam: float) -> tuple[float, np.n
 
 def loss(m: LinearModel, d: Dataset, lam: float) -> float:
     """Objective value: mean cross-entropy plus (lam/2)*||W||_F^2."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return _objective(m.weights, d, lam)[0]
+    return _objective(m.weights, d, positive("lam", lam))[0]
 
 
 def gradient(m: LinearModel, example: Example, lam: float) -> np.ndarray:
     """Per-example loss gradient: (softmax(Wx) - onehot(y)) x^T + lam*W."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    lam = positive("lam", lam)
     residual = softmax(m.scores(example.features))
     residual[example.label] -= 1.0
     return np.outer(residual, example.features) + lam * m.weights
@@ -162,8 +160,7 @@ def empirical_gradient_second_moment(m: LinearModel, d: Dataset, lam: float) -> 
     :func:`residuals`), so its squared norm is
     |r_i|^2 |x_i|^2 + 2*lam * r_i.(W x_i) + lam^2 |W|^2.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    lam = positive("lam", lam)
     scores = d.features @ m.weights.T
     residual = residuals(softmax(scores), d.labels)
     squared_norms = (
@@ -263,16 +260,13 @@ def fit_erm(
     the ball constraint is inactive at the optimum; pass ``radius`` to
     override.
     ``callback(iteration, loss, grad_norm)`` is invoked once per iteration
-    when given.
+    when given.  A ``lam``, ``tol`` or ``radius`` that is not positive and
+    finite, or a ``max_iters`` below 1, is a ``ConfigError``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if radius is not None and not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
+    lam, tol = positive("lam", lam), positive("tol", tol)
+    max_iters = at_least(1)("max_iters", max_iters)
+    if radius is not None:
+        radius = positive("radius", radius)
     if 2 * d.num_labels > d.n:
         raise DataError(
             f"{d.num_labels} labels on {d.n} rows, fewer than two rows per label; "

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ def group_accuracies(m, d, part):
     cell_map = fairness._cell_map(part, d)
     counts = fairness._correct_counts(m.weights[None], d)[0]
     return fairness._accuracies(counts @ cell_map, part)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading: str, fence: str = "```\n") -> str:
+    """The first fenced block under ``heading`` in README.md."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"{heading}\n", 1)[1].split(fence, 1)[1].split("```\n", 1)[0]
 
 
 def two_blob_spec(per_cell=250, p=2, gap=2.0, skew=0.6):

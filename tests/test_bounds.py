@@ -17,7 +17,7 @@ from fairbound.bounds import (
     theorem3_report,
 )
 from fairbound.dataset import GroupPartition
-from fairbound.exceptions import DataError
+from fairbound.exceptions import ConfigError, DataError
 from fairbound.fairness import FairnessSpec, coefficients, direct_fairness, group_fairness
 from fairbound.model import LinearModel, distance, predict_many
 from fairbound.trainer import constants
@@ -296,7 +296,7 @@ class TestVariantBehavior:
     @pytest.mark.parametrize("dist", [-1.0, math.inf, math.nan])
     def test_distance_must_be_finite_and_nonnegative(self, dist):
         prof = profile_from_ratios([1.0], [1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="dist"):
             bound_report(prof, single_group_spec(1), dist)
 
     @pytest.mark.parametrize("spec_examples", [1, 3])

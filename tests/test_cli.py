@@ -17,9 +17,11 @@ from fairbound import experiment, trainer
 from fairbound.cli import build_parser, main
 from fairbound.dataset import load_csv
 from fairbound.fairness import NOTIONS
-from fairbound.model import load_model, save_model
+from fairbound.model import LinearModel, load_model, save_model
 from fairbound.privacy import PrivacyParams, release
 from fairbound.trainer import constants
+
+from conftest import README, readme_block
 
 NOTION_NAMES = ", ".join(NOTIONS)
 
@@ -942,6 +944,37 @@ class TestExitCodes:
         assert "labels x" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bound", "table"])
+    def test_train_data_shape_mismatch_is_data_error_4(self, workdir, command, capsys):
+        # the model fits --data (two features) but not --train-data (one)
+        data, model = str(workdir / "data.csv"), str(workdir / "model.txt")
+        run(["gen-data", "--spec", str(workdir / "synth.cfg"), "--seed", "3", "--out", data])
+        run(["train", "--data", data, "--lambda", "1.0", "--out", model])
+        train = workdir / "one_feature.csv"
+        train.write_text("x,s,y\n30,0,0\n40,1,0\n30,0,1\n40,1,1\n", encoding="utf-8")
+        out = workdir / "out.csv"
+        argv = _report_argv(command, data, model, "accuracy", out)
+        argv[argv.index("--train-data") + 1] = str(train)
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and model in err and "labels x" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["privatize", "bound", "table"])
+    def test_delta_auto_on_one_training_row_is_config_error_2(self, workdir, command, capsys):
+        one_row = str(workdir / "one_row.csv")
+        (workdir / "one_row.csv").write_text("x1,x2,s,y\n1.0,0.5,0,0\n", encoding="utf-8")
+        model = str(workdir / "model.txt")
+        save_model(LinearModel(np.zeros((1, 3)), 1.0), model)
+        out = workdir / "out.txt"
+        argv = (["privatize", "--data", one_row, "--model", model, "--lambda", "1.0",
+                 "--epsilon", "0.5", "--seed", "1", "--out", str(out)] if command == "privatize"
+                else _report_argv(command, one_row, model, "accuracy", out))
+        assert run(argv + ["--delta", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --delta auto") and one_row in err
+        assert not out.exists()
+
     def test_table_on_three_labels_is_data_error_4(self, workdir, capsys):
         spec = workdir / "three.cfg"
         spec.write_text(THREE_LABEL_SPEC_TEXT, encoding="utf-8")
@@ -1413,18 +1446,9 @@ class TestReadmeFlags:
         assert readme_flags(text) == {"--zeta", "--fs-delta", "--data", "--lambda"}
 
     def test_every_readme_flag_is_defined(self):
-        text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
-            encoding="utf-8")
-        documented = readme_flags(text)
+        documented = readme_flags(README.read_text(encoding="utf-8"))
         assert {"--config", "--finite-sample", "--out-dir"} <= documented
         assert sorted(documented - parser_flags()) == []
-
-
-def readme_block(heading: str, fence: str = "```\n") -> str:
-    """The first fenced block under ``heading`` in README.md."""
-    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
-    return text.split(f"{heading}\n", 1)[1].split(fence, 1)[1].split("```\n", 1)[0]
 
 
 class TestReadmeCommands:

@@ -25,7 +25,7 @@ from fairbound.model import LinearModel, frobenius_norms
 from fairbound.privacy import PrivacyParams, release_many, resolve_distance, stream
 from fairbound.trainer import constants, fit_erm
 
-from conftest import two_blob_spec
+from conftest import readme_block, two_blob_spec
 from test_acceptance import EXPERIMENT_TEXT as ACCEPTANCE_EXPERIMENT_TEXT
 from test_acceptance import SPEC_TEXT as ACCEPTANCE_SPEC_TEXT
 
@@ -44,13 +44,6 @@ cell.1.1.count = 250
 cell.1.1.mean = -2.0, 0.6
 cell.1.1.cov = 1.0, 1.0
 """
-
-
-def _readme_block(heading):
-    """The first fenced block under README's ``### heading``."""
-    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
-    return text.split(f"### {heading}\n", 1)[1].split("```\n", 2)[1]
 
 
 @pytest.fixture
@@ -391,12 +384,12 @@ class TestRunExperiment:
         assert cfg2 == cfg
 
     def test_readme_config_blocks_load(self):
-        spec = parse_synthetic_spec(parse_config_text(_readme_block("Synthetic spec grammar")))
+        spec = parse_synthetic_spec(parse_config_text(readme_block("### Synthetic spec grammar")))
         assert spec.num_features == 2
         assert sorted(spec.cells) == [(0, 0), (1, 0)]
         assert spec.cells[(0, 0)].count == 500
         cfg = ExperimentConfig.from_mapping(
-            parse_config_text(_readme_block("Experiment config keys")), seed=5)
+            parse_config_text(readme_block("### Experiment config keys")), seed=5)
         assert (cfg.data, cfg.data_format, cfg.mechanism) == (
             "synth.cfg", "synthetic", "output_perturbation")
         assert (cfg.sweep_axis, cfg.grid_start, cfg.grid_stop, cfg.grid_count, cfg.draws) == (
@@ -415,7 +408,7 @@ class TestRunExperiment:
          "notions = accuracy_parity,equality_of_opportunity\nseed = 5\nsensitive-col = s\n"
          "sweep-axis = n\ntest-fraction = 0.1\ntol = 1e-10\nzeta = 0.01",
          "b48b063244565c2a25d6cb9f136eb6104471ee828d211108586186a367b21a42"),
-        (_readme_block("Experiment config keys"),
+        (readme_block("### Experiment config keys"),
          "data = synth.cfg\ndata-format = synthetic\ndelta = 1e-06\n"
          "delta-policy = inverse_n_squared\ndesirable = 1\ndraws = 100\nepsilon = 1.0\n"
          "eval-split = test\ngrid-count = 20\ngrid-start = 100.0\ngrid-stop = 10000.0\n"
@@ -432,10 +425,7 @@ class TestRunExperiment:
     def test_readme_library_quick_start_runs(self, tmp_path, monkeypatch, capsys):
         import fairbound as fb
 
-        text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
-            encoding="utf-8")
-        code = text.split("## Library quick start\n", 1)[1].split("```python\n", 1)[1]
-        code = code.split("```\n", 1)[0]
+        code = readme_block("## Library quick start", fence="```python\n")
         monkeypatch.chdir(tmp_path)
         fb.write_csv(fb.synthesize(two_blob_spec(per_cell=100), seed=3), "data.csv")
         with warnings.catch_warnings():

@@ -96,6 +96,19 @@ class TestCoefficients:
             nullity = spec.offsets + spec.coeffs.sum(axis=1)
             assert np.allclose(nullity, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_dashed_notion_names_match_the_underscored(self, rng, notion):
+        d = random_dataset(rng, 30)
+        m = LinearModel(rng.normal(size=(2, 3)), 10.0)
+        dashed = notion.replace("_", "-")
+        spec, want = coefficients(d, dashed, {1}), coefficients(d, notion, {1})
+        assert spec.notion == notion
+        assert np.array_equal(spec.coeffs, want.coeffs)
+        assert np.array_equal(spec.offsets, want.offsets)
+        for k in range(spec.num_groups):
+            assert (direct_fairness(m, d, dashed, k, {1})
+                    == direct_fairness(m, d, notion, k, {1}))
+
     def test_zero_mass_label_flags_and_zero_row(self, rng):
         # no examples with label 1 at all
         features = np.hstack([rng.normal(size=(8, 2)), np.ones((8, 1))])

@@ -144,9 +144,9 @@ class TestConstruction:
         assert not sample_size_sufficient(uniform_spec(), 10, 0.05)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="delta"):
             group0("independent", delta=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="num_labels"):
             group0("independent", num_labels=1)
         with pytest.raises(ConfigError):
             group0("both")

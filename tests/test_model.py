@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fairbound.exceptions import ConfigError
 from fairbound.model import (
     LinearModel,
     clip_to_ball,
@@ -125,7 +126,7 @@ class TestProject:
 
     def test_bad_radius(self):
         m = LinearModel(np.zeros((1, 1)), radius=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="radius"):
             clip_to_ball(m.weights, 0.0)
 
     def test_idempotent_and_nonexpansive(self, rng):
@@ -173,7 +174,7 @@ class TestStackedProjection:
             clip_to_ball_many(weights, 1.0)
 
     def test_bad_radius(self):
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ConfigError, match="radius"):
             clip_to_ball_many(np.zeros((2, 1, 1)), 0.0)
 
     @pytest.mark.parametrize("radius", [1e8, 1e10, 1e15])
@@ -209,5 +210,5 @@ class TestSerialization:
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_radius_must_be_positive(self, radius):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="radius"):
             LinearModel(np.zeros((2, 2)), radius=radius)

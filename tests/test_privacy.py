@@ -540,5 +540,5 @@ class TestGradientSecondMoment:
 
     def test_rejects_nonpositive_lambda(self, rng):
         d = random_dataset(rng, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="lam"):
             empirical_gradient_second_moment(LinearModel(np.zeros((2, 3)), 1.0), d, 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from fairbound import trainer
 from fairbound.dataset import CellSpec, SyntheticSpec, synthesize
-from fairbound.exceptions import ConvergenceError, DataError
+from fairbound.exceptions import ConfigError, ConvergenceError, DataError
 from fairbound.model import LinearModel, distance
 from fairbound.trainer import constants, fit_erm, gradient, log_sum_exp_softmax, loss, softmax
 
@@ -197,8 +197,8 @@ class TestFitErm:
         assert err.value.gradient_norm > 0
 
     @pytest.mark.parametrize("max_iters", [0, -1])
-    def test_max_iters_below_one_is_value_error(self, desk_data, max_iters):
-        with pytest.raises(ValueError, match="max_iters"):
+    def test_max_iters_below_one_is_config_error(self, desk_data, max_iters):
+        with pytest.raises(ConfigError, match="max_iters"):
             fit_erm(desk_data, lam=1.0, max_iters=max_iters)
 
     @pytest.mark.parametrize("num_labels", [2, 3, 4, 5])
