@@ -19,10 +19,12 @@ cell counts, the scorer counts each model's correct predictions per cell,
 and each spec sums those counts into its groups, whose sizes it reads
 from its partition's ``GroupPartition.sizes``.  Given a
 ``ScoringReference`` h*, which serves every spec on its data, the scorer
-scores each model only on the examples whose margin at h* the model's
-distance from h* lets it flip, and takes its other counts from h*.  The
-counts are integers and equal those of scoring every example, up to the
-rounding-level near ties described at ``group_fairness_many``.
+scores each model only on the examples whose margin at h* it could move
+past zero, and takes its other counts from h*.  A margin of label y moves
+by (W - h*)_y.x - (W - h*)_y'.x, so its reach is set by the largest
+difference of two label rows of W - h*, not by the Frobenius distance.
+The counts are integers and equal those of scoring every example, up to
+the rounding-level near ties described at ``group_fairness_many``.
 
 Supported notions and their group indexing:
 
@@ -61,7 +63,9 @@ from .model import LinearModel, check_fits, frobenius_norms, predict_many
 # Models are scored DRAW_BLOCK at a time.  With a reference, a block is
 # scored on the longest prefix any of its models needs, so small blocks
 # prune more and large ones pay less per call: on the 400-draw, 4,000-row
-# sweep-eps-op points 25 draws scored fastest, and 50 or 100 were slower.
+# sweep-eps-op points, blocks of 25, 50 and 100 draws, with SCORE_BLOCK at
+# 2**15 or 2**16, scored within the noise of one another (medians of 28 to
+# 31 ms over 20 points on a 2-core box).
 # A block's scores are computed at most SCORE_BLOCK (model, label, example)
 # scores at a time, so working memory grows with neither the model nor the
 # example count.  2**15 keeps peak memory at its level before pruning;
@@ -116,6 +120,20 @@ def _minus_mean(p: np.ndarray) -> np.ndarray:
     return m
 
 
+def _desirable_labels(desirable: frozenset[int] | None, num_labels: int) -> frozenset[int]:
+    """The desirable label ids of equality of opportunity; an empty set, or
+    one naming a label id outside the data's ``num_labels``, is a
+    ``ConfigError``."""
+    if not desirable:
+        raise ConfigError("equality_of_opportunity requires a nonempty desirable label set")
+    desirable = frozenset(int(y) for y in desirable)
+    if any(y < 0 or y >= num_labels for y in desirable):
+        raise ConfigError(
+            f"desirable labels out of range: {sorted(desirable)}; the data has {num_labels} labels"
+        )
+    return desirable
+
+
 def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = None) -> FairnessSpec:
     """Build the coefficient tables of a notion from empirical frequencies,
     all read off one table of (label, sensitive) cell counts.
@@ -143,13 +161,7 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
 
     if notion in ("equalized_odds", "equality_of_opportunity"):
         if notion == "equality_of_opportunity":
-            if not desirable:
-                raise ConfigError("equality_of_opportunity requires a nonempty desirable label set")
-            desirable = frozenset(int(y) for y in desirable)
-            if any(y < 0 or y >= ny for y in desirable):
-                raise ConfigError(
-                    f"desirable labels out of range: {sorted(desirable)}; the data has {ny} labels"
-                )
+            desirable = _desirable_labels(desirable, ny)
         for y in range(ny):
             if notion == "equality_of_opportunity" and y not in desirable:
                 continue  # row stays identically zero
@@ -230,14 +242,18 @@ def _correct(weights: np.ndarray, features_t: np.ndarray, y: int) -> np.ndarray:
 
 class ScoringReference:
     """A model h* prepared so that :func:`group_fairness_many` scores each
-    model of a stack only on the rows that its distance from h* lets it
-    flip, and takes the rest of its counts from h*.
+    model W of a stack only on the rows whose margin at h* W could move
+    past zero, and takes the rest of its counts from h*.  A row's margin
+    moves by at most D||x||, D the largest norm of a difference of two
+    label rows of W - h*; so W scores a row only if its ratio is at most
+    W's reach, about D/2 (see :func:`_correct_counts`).
 
     ``ratio`` holds, per example of ``d``, the ratio |m|/L of h*'s margin
-    to its Lipschitz constant, as ``MarginProfile.ratio`` of h*'s margin
-    profile on ``d`` gives it.  The reference knows no groups: it keeps
-    h*'s correct counts per (label, sensitive) cell, so it serves every
-    spec on ``d``, the very dataset object it was built with, and no other.
+    to its Lipschitz constant L = 2||x||, as ``MarginProfile.ratio`` of
+    h*'s margin profile on ``d`` gives it.  The reference knows no groups:
+    it keeps h*'s correct counts per (label, sensitive) cell, so it serves
+    every spec on ``d``, the very dataset object it was built with, and no
+    other.
     """
 
     def __init__(self, weights: np.ndarray, ratio: np.ndarray, d: Dataset):
@@ -280,13 +296,15 @@ def _correct_counts(
     label y's cells; each product sums at most ``SCORE_BLOCK`` ones, so
     every count is exact.
 
-    Without a reference every example is scored.  With a reference h*, the
-    models are taken in order of their distance d' from h*, computed here.
-    A block scores each label's segment only on its prefix of examples
-    whose ratio r = |m|/L at h* is at most t(d') = d' + 8g(d' + ||h*||), d'
-    the block's largest distance; each model's counts on the other examples
-    are h*'s.  The result is exactly the every-example count, because a
-    model classifies each skipped example as h* does, in floating point:
+    Without a reference every example is scored.  With a reference h*, each
+    model W gets a reach t = D'/2 + 8g(d' + ||h*||), computed here: d' is
+    its Frobenius distance from h* and D' the largest norm of a difference
+    Delta_y - Delta_y' of two label rows of Delta = W - h*.  The models are
+    taken in order of t, and a block scores each label's segment only on
+    its prefix of examples whose ratio r = |m|/L at h* is at most the
+    block's largest t; each model's counts on the other examples are h*'s.
+    The result is exactly the every-example count, because a model
+    classifies each skipped example as h* does, in floating point:
 
     - Let u = 2**-53, gamma_k = k*u / (1 - k*u) and g = gamma_k at
       k = (Y + 1)p + 4, which bounds each relative rounding below.
@@ -298,58 +316,77 @@ def _correct_counts(
       g||h*|| ||x||.
     - Take an example x of label y and L = 2||x||.  Its margin m at h* is
       the smallest exact gap s_y - s_y' over the labels y' != y.  Going
-      from h* to W moves each gap by (W - h*)_y.x - (W - h*)_y'.x, at most
-      sqrt(2) d ||x|| <= L d in size.
-    - So if |m| > L d + 2g(||h*|| + d)||x||, the computed scores of W and
-      of h* order the labels alike where it matters: for m > 0 label y
+      from h* to W moves the gap to y' by exactly (Delta_y - Delta_y').x,
+      at most D ||x|| in size, D the exact largest label-row difference.
+    - So if |m| > D ||x|| + 2g(||h*|| + d)||x||, the computed scores of W
+      and of h* order the labels alike where it matters: for m > 0 label y
       beats every other label strictly under both, and for m < 0 the label
       whose gap is m beats y strictly under both.  In ratio units the
-      condition is |m|/L > d + g(||h*|| + d).
+      condition is |m|/L > D/2 + g(||h*|| + d).
     - The ratio is computed too.  The profile's margin is within
       2g||h*|| ||x|| of m, and r = fl(|m'|/fl(L)) of that margin m' gives
-      |m'| >= r L (1 - g); so |m|/L >= r(1 - g) - g||h*||.  The computed
-      distance gives d <= d'/(1 - g).
-    - For g <= 0.01 the condition then holds once
-      r > d' + 4g(d' + ||h*||).  t doubles that widening to cover the
-      rounding of t and of ||h*||.
+      |m'| >= r L (1 - g); so |m|/L >= r(1 - g) - g||h*||.
+    - The distances are computed from Delta' = fl(W - h*), each entry
+      within u of Delta's in relative terms, so d <= d'/(1 - g).  An entry
+      of fl(Delta'_y - Delta'_y') is within 2(1 + u)u(|Delta_yj| +
+      |Delta_y'j|) of Delta_yj - Delta_y'j: the error scales with the two
+      rows, not with their difference, which cancels when every label row
+      shifts alike.  As ||Delta_y|| + ||Delta_y'|| <= sqrt(2) d, the
+      difference vector is within 3ud of its exact value, and its norm
+      rounds by at most a factor 1 - g; so D <= D'/(1 - g) + 3ud.
+      Since D <= sqrt(2) d, also D' <= 1.5d'.
+    - For g <= 0.01, with u <= g, the condition then holds once
+      r > D'/2 + 5g(d' + ||h*||).  The 8 of t leaves room for the
+      rounding of t and of ||h*||, so no extra term of k is needed.
 
     An example with L = 0 is the zero vector: every model scores it 0 on
     every label, and its ratio is infinite.
     """
     num_models, num_labels = weights.shape[:2]
+    starts = np.arange(0, num_models, DRAW_BLOCK)
+    # in scoring order: the counts of the model scored j-th in row j
+    counts = np.zeros((num_models, num_labels, d.num_sensitive))
     if reference is None:
         layout = _Layout(d)
         order = np.arange(num_models)
+        stops = np.broadcast_to(layout.bounds[1:], (len(starts), num_labels))
     else:
         if d is not reference.data:
             raise ValueError("the scoring reference was built for other data")
         layout = reference.layout
-        dists = frobenius_norms(weights - reference.weights)
-        order = np.argsort(dists, kind="stable")
-    counts = np.empty((num_models, num_labels, d.num_sensitive), dtype=np.int64)
-    for b0 in range(0, num_models, DRAW_BLOCK):
-        block = order[b0 : b0 + DRAW_BLOCK]
-        block_weights = weights[block]
-        rows_per_chunk = max(1, SCORE_BLOCK // (len(block) * num_labels))
-        block_counts = np.zeros((len(block), num_labels, d.num_sensitive))
-        if reference is None:
-            stops = layout.bounds[1:]
-        else:
-            dist = dists[block[-1]]
-            limit = dist + reference.widening * (dist + reference.norm)
-            stops = np.array(
-                [lo + np.searchsorted(reference.ratio[lo:hi], limit, side="right")
-                 for _, lo, hi in layout.segments()]
-            )
-            before = reference.correct_before
-            block_counts += before[layout.bounds[1:]] - before[stops]
-        for (y, lo, _), stop in zip(layout.segments(), stops):
+        delta = weights - reference.weights
+        # D', one label against the higher ones at a time, so working
+        # memory stays that of the stack however many labels there are
+        spread = np.zeros(num_models)
+        for y in range(num_labels - 1):
+            pairs = delta[:, y + 1 :] - delta[:, y, None]
+            np.maximum(spread, np.sqrt(np.vecdot(pairs, pairs)).max(axis=1), out=spread)
+        reach = 0.5 * spread + reference.widening * (frobenius_norms(delta) + reference.norm)
+        order = np.argsort(reach, kind="stable")
+        # each block's limit is the reach of its last, farthest-reaching model
+        limits = reach[order[np.minimum(starts + DRAW_BLOCK, num_models) - 1]]
+        stops = np.stack(
+            [lo + np.searchsorted(reference.ratio[lo:hi], limits, side="right")
+             for _, lo, hi in layout.segments()],
+            axis=1,
+        )
+        before = reference.correct_before
+        skipped = before[layout.bounds[1:]] - before[stops]
+        counts += np.repeat(skipped, DRAW_BLOCK, axis=0)[:num_models]
+    # the blocks that score some example
+    busy = np.flatnonzero((stops > layout.bounds[:-1]).any(axis=1))
+    for b0, block_stops in zip(starts[busy], stops[busy]):
+        block_weights = weights[order[b0 : b0 + DRAW_BLOCK]]
+        block_counts = counts[b0 : b0 + DRAW_BLOCK]
+        rows_per_chunk = max(1, SCORE_BLOCK // (len(block_weights) * num_labels))
+        for (y, lo, _), stop in zip(layout.segments(), block_stops):
             for start in range(lo, stop, rows_per_chunk):
                 end = min(start + rows_per_chunk, stop)
                 correct = _correct(block_weights, layout.features_t[:, start:end], y)
                 block_counts[:, y] += correct.astype(np.float32) @ layout.onehot[start:end]
-        counts[block] = block_counts
-    return counts.reshape(num_models, -1)
+    result = np.empty((num_models, num_labels, d.num_sensitive), dtype=np.int64)
+    result[order] = counts
+    return result.reshape(num_models, -1)
 
 
 def _cell_map(part: GroupPartition, d: Dataset) -> np.ndarray:
@@ -400,7 +437,8 @@ def group_fairness_many(
     The models are scored once, per (label, sensitive) cell, and each spec
     sums the cell counts into its groups, so each spec's partition must be
     a union of cells (a ValueError otherwise).  A ``reference`` built for
-    ``d`` saves scoring each model on the examples it cannot flip.
+    ``d`` saves scoring each model on the examples whose margin at the
+    reference it cannot move past zero.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 3 or len(weights) == 0:
@@ -435,9 +473,12 @@ def direct_fairness(
 
     Independent of the coefficient tables; conditional probabilities over
     zero-mass events evaluate to 0, mirroring the table convention.
-    ``notion`` passes :data:`notion_name`.
+    ``notion`` passes :data:`notion_name`, and ``desirable`` is checked as
+    :func:`coefficients` checks it.
     """
     notion = notion_name("notion", notion)
+    if notion == "equality_of_opportunity":
+        desirable = _desirable_labels(desirable, d.num_labels)
     num_groups = {"accuracy": 1, "accuracy_parity": d.num_sensitive}.get(
         notion, d.num_labels * d.num_sensitive
     )
@@ -461,11 +502,8 @@ def direct_fairness(
 
     y, r = divmod(k, d.num_sensitive)
     if notion in ("equalized_odds", "equality_of_opportunity"):
-        if notion == "equality_of_opportunity":
-            if not desirable:
-                raise ValueError("equality_of_opportunity requires a nonempty desirable label set")
-            if y not in desirable:
-                return 0.0
+        if notion == "equality_of_opportunity" and y not in desirable:
+            return 0.0
         in_cell = (d.labels == y) & (d.sensitive == r)
         in_label = d.labels == y
         return cond_mean(correct, in_cell) - cond_mean(correct, in_label)

@@ -40,7 +40,9 @@ from .fairness import FairnessSpec
 
 def sample_size_sufficient(spec: FairnessSpec, n: int, delta: float) -> bool:
     """Whether n meets the slack formulas' precondition
-    n >= 8*log((2K+1)/delta) / min positive group proportion."""
+    n >= 8*log((2K+1)/delta) / min positive group proportion.  ``n`` and
+    ``delta`` are checked as :func:`finite_sample_slacks` checks them."""
+    n, delta = at_least(1)("n", n), fraction("delta", delta)
     proportions = spec.partition.proportions
     positive = proportions[proportions > 0]
     threshold = 8.0 * math.log((2 * spec.num_groups + 1) / delta) / float(np.min(positive))

@@ -11,7 +11,7 @@ from conftest import random_dataset
 from fairbound.bounds import bound_reports, gap_bound, margin_profile
 from fairbound.exceptions import ConfigError
 from fairbound.fairness import coefficients, direct_fairness
-from fairbound.finite_sample import finite_sample_slacks
+from fairbound.finite_sample import finite_sample_slacks, sample_size_sufficient
 from fairbound.model import LinearModel, clip_to_ball_many
 from fairbound.privacy import DpSgdConfig, dpsgd_noise
 from fairbound.trainer import (
@@ -63,6 +63,8 @@ CASES = {
         SPEC, v, 0.05, 2, 3, "independent")),
     "finite_sample_slacks.num_labels": ("num_labels", 1, lambda v: finite_sample_slacks(
         SPEC, 40, 0.05, v, 3, "independent")),
+    "sample_size_sufficient.n": ("n", 0, lambda v: sample_size_sufficient(SPEC, v, 0.05)),
+    "sample_size_sufficient.delta": ("delta", 0.0, lambda v: sample_size_sufficient(SPEC, 40, v)),
     "coefficients.notion": ("notion", "fairness", lambda v: coefficients(D, v)),
     "direct_fairness.notion": ("notion", "fairness", lambda v: direct_fairness(M, D, v, 0)),
     "LinearModel.radius": ("radius", 0.0, lambda v: LinearModel(np.zeros((2, 3)), v)),

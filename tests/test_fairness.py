@@ -78,10 +78,20 @@ class TestCoefficients:
             assert np.all(spec.coeffs[k] == 0.0)
             assert spec.offsets[k] == 0.0
 
-    def test_eopp_requires_desirable(self, rng):
+    @pytest.mark.parametrize("desirable, message", [
+        (None, "requires a nonempty desirable label set"),
+        (frozenset(), "requires a nonempty desirable label set"),
+        (frozenset({5}), r"desirable labels out of range: \[5\]; the data has 2 labels"),
+    ], ids=["none", "empty", "outside_labels"])
+    @pytest.mark.parametrize("call", [
+        lambda d, m, desirable: coefficients(d, "equality_of_opportunity", desirable),
+        lambda d, m, desirable: direct_fairness(m, d, "equality_of_opportunity", 0, desirable),
+    ], ids=["coefficients", "direct_fairness"])
+    def test_eopp_desirable_set_is_checked_alike(self, rng, call, desirable, message):
         d = random_dataset(rng, 12)
-        with pytest.raises(ConfigError):
-            coefficients(d, "equality_of_opportunity")
+        m = LinearModel(rng.normal(size=(2, d.p)), 10.0)
+        with pytest.raises(ConfigError, match=message):
+            call(d, m, desirable)
 
     def test_demographic_parity_needs_binary(self, rng):
         d = random_dataset(rng, 20, num_labels=3)
@@ -337,6 +347,35 @@ def _unit(rng, shape):
     return direction / np.linalg.norm(direction)
 
 
+def _closing_draw(hstar, x, y):
+    """h* + c(e_rival - e_y)x^T, rival the best other label at the example
+    x of label y: the step moves the gap s_y - s_rival by -2c||x||^2, and c
+    closes it.  The draw's largest label-row difference is D = 2|c| ||x||,
+    so its reach D/2 is exactly x's ratio |m|/(2||x||)."""
+    scores = hstar @ x
+    rival = np.argmax(np.where(np.arange(len(hstar)) == y, -np.inf, scores))
+    step = np.zeros(hstar.shape)
+    step[rival], step[y] = x, -x
+    return hstar + (scores[y] - scores[rival]) / (2.0 * x @ x) * step
+
+
+def _reference(hstar, d):
+    return fairness.ScoringReference(hstar, margin_profile(LinearModel(hstar, 10.0), d).ratio, d)
+
+
+def _count_scored(call):
+    """``call()`` and the (model, example) pairs it scored."""
+    scored = []
+    real = fairness._correct
+
+    def counting(weights, features_t, y):
+        scored.append(len(weights) * features_t.shape[1])
+        return real(weights, features_t, y)
+
+    with mock.patch.object(fairness, "_correct", counting):
+        return call(), sum(scored)
+
+
 class TestPrunedScoring:
     """A scoring reference skips the examples a model cannot flip; the
     counts must equal scoring every example."""
@@ -366,6 +405,13 @@ class TestPrunedScoring:
             hstar = rng.integers(-1, 2, (num_labels, p)).astype(float)
             steps = rng.integers(-1, 2, (num_draws, num_labels, p))
             draws = hstar + steps * rng.integers(0, 3, (num_draws, 1, 1))
+            # on a row whose squared norm is a power of two the closing
+            # draw is exact too, so the gap closes to an exact tie
+            exact = [i for i, q in enumerate(np.sum(features**2, axis=1).astype(int))
+                     if q & (q - 1) == 0]
+            for j in np.flatnonzero(rng.integers(0, 3, num_draws) == 0) if exact else []:
+                i = rng.choice(exact)
+                draws[j] = _closing_draw(hstar, features[i], labels[i])
         else:
             features = np.hstack([rng.normal(size=(n, p - 1)), np.ones((n, 1))])
             hstar = rng.normal(size=(num_labels, p))
@@ -409,20 +455,52 @@ class TestPrunedScoring:
         hstar = rng.normal(size=(3, 4))
         draws = hstar + 0.05 * rng.normal(size=(60, 3, 4))
         specs = [spec_for(d, notion)[0] for notion in ("equalized_odds", "accuracy_parity")]
-        ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
-        reference = fairness.ScoringReference(hstar, ratio, d)
-        scored = []
-        real = fairness._correct
-
-        def counting(weights, features_t, y):
-            scored.append(len(weights) * features_t.shape[1])
-            return real(weights, features_t, y)
-
-        with mock.patch.object(fairness, "_correct", counting):
-            pruned = group_fairness_many(draws, d, specs, reference)
-        assert sum(scored) < 0.5 * len(draws) * d.n
+        reference = _reference(hstar, d)
+        pruned, scored = _count_scored(lambda: group_fairness_many(draws, d, specs, reference))
+        assert scored < 0.5 * len(draws) * d.n
         for a, b in zip(pruned, group_fairness_many(draws, d, specs)):
             assert np.array_equal(a, b)
+
+    def test_closing_draw_scores_its_row(self, rng):
+        # the draw's reach D/2 is exactly the row's ratio, and D' and the
+        # ratio round either way; the widening of the reach covers that,
+        # so the row is scored: the scored prefix holds every row of
+        # ratio at most its ratio
+        for num_labels, p in [(2, 1), (2, 3), (3, 2), (5, 4)]:
+            d = random_dataset(rng, 40, p=p, num_labels=num_labels)
+            hstar = rng.normal(size=(num_labels, p))
+            reference = _reference(hstar, d)
+            ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
+            for x, y, r in zip(d.features, d.labels, ratio):
+                draw = _closing_draw(hstar, x, y)[None]
+                _, scored = _count_scored(lambda: fairness._correct_counts(draw, d, reference))
+                assert scored >= np.sum(ratio <= r)
+
+    def test_label_rows_shifted_alike_score_no_row(self, rng):
+        # W = h* + 1v^T moves every label's score by v.x, so no margin moves
+        d = random_dataset(rng, 300, p=4, num_labels=3, num_sensitive=2)
+        hstar = rng.normal(size=(3, 4))
+        shifts = rng.normal(size=(40, 1, 4))
+        draws = hstar + 0.5 * shifts / np.linalg.norm(shifts, axis=2, keepdims=True)
+        reference = _reference(hstar, d)
+        pruned, scored = _count_scored(lambda: fairness._correct_counts(draws, d, reference))
+        assert scored == 0
+        assert np.array_equal(pruned, fairness._correct_counts(draws, d))
+
+    def test_two_label_gaussian_stack_scores_under_the_distance_limit(self, rng):
+        # for two labels D = ||Delta_0 - Delta_1|| is about the Frobenius
+        # distance d, so the reach D/2 is about half of d
+        d = random_dataset(rng, 2000, p=4, num_labels=2, num_sensitive=2)
+        hstar = rng.normal(size=(2, 4))
+        draws = hstar + 0.05 * rng.normal(size=(200, 2, 4))
+        reference = _reference(hstar, d)
+        with mock.patch.object(fairness, "DRAW_BLOCK", 1):
+            pruned, scored = _count_scored(lambda: fairness._correct_counts(draws, d, reference))
+        dists = np.linalg.norm(draws - hstar, axis=(1, 2))
+        distance_limit = dists + reference.widening * (dists + reference.norm)
+        distance_scored = np.sum(reference.ratio <= distance_limit[:, None])
+        assert scored < 0.6 * distance_scored
+        assert np.array_equal(pruned, fairness._correct_counts(draws, d))
 
     def test_reference_serves_every_notion_on_its_data_only(self, rng):
         d = random_dataset(rng, 50, num_sensitive=3)

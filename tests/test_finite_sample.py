@@ -143,6 +143,13 @@ class TestConstruction:
         assert sample_size_sufficient(uniform_spec(), 10_000, 0.05)
         assert not sample_size_sufficient(uniform_spec(), 10, 0.05)
 
+    @pytest.mark.parametrize("delta", [0.0, math.nan, 2.0])
+    def test_precondition_refuses_delta_outside_0_1(self, delta):
+        # a ZeroDivisionError, False and True before delta was checked;
+        # tests/test_domains.py covers n
+        with pytest.raises(ConfigError, match="^delta must "):
+            sample_size_sufficient(uniform_spec(), 100, delta)
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="delta"):
             group0("independent", delta=1.5)
