@@ -10,6 +10,9 @@ and ``PrivacyParams`` use for the same value (``config.positive``,
 ``config.fraction``, ``config.seed_number`` and the others), bound to the
 flag's name, so a value out of its domain is a configuration error that
 names the flag, raised before any data, model or spec file is read.
+Each subcommand is one entry of ``_COMMANDS``: its help line, the function
+that adds its flags, and its handler; ``main`` adds the flags of the
+invoked subcommand only.
 Exit codes: 0 success, 2 configuration error, 3 optimizer convergence
 error, 4 data error.
 """
@@ -20,6 +23,7 @@ import argparse
 import sys
 from dataclasses import replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -135,93 +139,6 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key-value config file; flags override its entries")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fairbound")
-    sub = parser.add_subparsers(dest="command", required=True)
-    seed = partial(seed_number, "--seed")
-    lam = partial(positive, "--lambda")
-    epsilon, zeta = partial(positive, "--epsilon"), partial(fraction, "--zeta")
-    mechanism, notion = partial(mechanism_name, "--mechanism"), partial(notion_name, "--notion")
-    desirable = partial(label_ids, "--desirable")
-
-    p = sub.add_parser("gen-data", help="synthesize a dataset from a spec file")
-    _add_config_flag(p)
-    p.add_argument("--spec", required=True, help="synthetic spec (key-value file)")
-    p.add_argument("--seed", required=True, type=seed)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--sensitive-col", default="s")
-    p.add_argument("--label-col", default="y")
-
-    p = sub.add_parser("train", help="fit the regularized optimum")
-    _add_config_flag(p)
-    _add_data_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True, type=lam, help="ridge weight")
-    p.add_argument("--tol", type=partial(positive, "--tol"), default=DEFAULT_TOL,
-                   help="gradient-norm stopping tolerance")
-    p.add_argument("--max-iters", type=partial(at_least(1), "--max-iters"),
-                   default=DEFAULT_MAX_ITERS, help="cap on Newton iterations")
-    p.add_argument("--radius", type=partial(positive, "--radius"), help="ball radius override")
-    p.add_argument("--out", required=True, help="output model path")
-
-    p = sub.add_parser("privatize", help="release a private model")
-    _add_config_flag(p)
-    _add_data_flags(p)
-    p.add_argument("--model", required=True, help="trained model path")
-    p.add_argument("--lambda", dest="lam", required=True, type=lam)
-    p.add_argument("--mechanism", default="output-perturbation", type=mechanism)
-    p.add_argument("--epsilon", required=True, type=epsilon)
-    p.add_argument("--delta", default="auto", type=_delta, help="a fraction, or 'auto' for 1/n^2")
-    p.add_argument("--zeta", type=zeta, default=0.01, help="bound failure probability")
-    p.add_argument("--seed", required=True, type=seed)
-    p.add_argument("--out", required=True, help="output model path")
-
-    p = sub.add_parser("audit", help="per-group fairness levels of a model")
-    _add_config_flag(p)
-    _add_data_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--notion", required=True, type=notion)
-    p.add_argument("--desirable", default="1", type=desirable,
-                   help="desirable label ids (equality of opportunity)")
-    p.add_argument("--report", required=True, help="output CSV path")
-    _add_finite_sample_flags(p)
-
-    p = sub.add_parser("bound", help="certified fairness-gap bounds")
-    _add_config_flag(p)
-    _add_data_flags(p)
-    p.add_argument("--model", required=True, help="reference model")
-    p.add_argument("--other", default=None, help="second model: use the measured distance")
-    p.add_argument("--train-data", required=True, help="training CSV (for n and feature bound)")
-    p.add_argument("--lambda", dest="lam", required=True, type=lam)
-    p.add_argument("--notion", required=True, type=notion)
-    p.add_argument("--desirable", default="1", type=desirable)
-    p.add_argument("--mechanism", default="output-perturbation", type=mechanism)
-    p.add_argument("--epsilon", type=epsilon, default=1.0)
-    p.add_argument("--delta", default="auto", type=_delta)
-    p.add_argument("--zeta", type=zeta, default=0.01)
-    p.add_argument("--out", required=True)
-    _add_finite_sample_flags(p)
-
-    p = sub.add_parser("experiment", help="run a sweep experiment from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", required=True, type=seed)
-    p.add_argument("--out-dir", required=True)
-
-    p = sub.add_parser("table", help="summary row of group-averaged bounds per notion")
-    _add_config_flag(p)
-    _add_data_flags(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--train-data", required=True)
-    p.add_argument("--lambda", dest="lam", required=True, type=lam)
-    p.add_argument("--epsilon", type=epsilon, default=1.0)
-    p.add_argument("--delta", default="auto", type=_delta)
-    p.add_argument("--zeta", type=zeta, default=0.01)
-    p.add_argument("--desirable", default="1", type=desirable)
-    p.add_argument("--name", default="dataset", help="dataset label for the row")
-    p.add_argument("--out", required=True)
-
-    return parser
-
-
 def _add_finite_sample_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--finite-sample",
@@ -231,6 +148,23 @@ def _add_finite_sample_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--fs-delta", type=partial(fraction, "--fs-delta"), default=0.05,
                         help="slack failure probability")
+
+
+# the converters of flags that several commands take
+_seed = partial(seed_number, "--seed")
+_lam = partial(positive, "--lambda")
+_epsilon, _zeta = partial(positive, "--epsilon"), partial(fraction, "--zeta")
+_mechanism, _notion = partial(mechanism_name, "--mechanism"), partial(notion_name, "--notion")
+_desirable = partial(label_ids, "--desirable")
+
+
+def _gen_data_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
+    p.add_argument("--spec", required=True, help="synthetic spec (key-value file)")
+    p.add_argument("--seed", required=True, type=_seed)
+    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--sensitive-col", default="s")
+    p.add_argument("--label-col", default="y")
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -245,6 +179,18 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
+    _add_data_flags(p)
+    p.add_argument("--lambda", dest="lam", required=True, type=_lam, help="ridge weight")
+    p.add_argument("--tol", type=partial(positive, "--tol"), default=DEFAULT_TOL,
+                   help="gradient-norm stopping tolerance")
+    p.add_argument("--max-iters", type=partial(at_least(1), "--max-iters"),
+                   default=DEFAULT_MAX_ITERS, help="cap on Newton iterations")
+    p.add_argument("--radius", type=partial(positive, "--radius"), help="ball radius override")
+    p.add_argument("--out", required=True, help="output model path")
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     d = _training_data(args.data, args)
     try:
@@ -255,6 +201,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
     print(f"trained on n={d.n}; weight norm {np.linalg.norm(model.weights):.6g}, "
           f"radius {model.radius:.6g} -> {args.out}")
     return EXIT_OK
+
+
+def _privatize_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
+    _add_data_flags(p)
+    p.add_argument("--model", required=True, help="trained model path")
+    p.add_argument("--lambda", dest="lam", required=True, type=_lam)
+    p.add_argument("--mechanism", default="output-perturbation", type=_mechanism)
+    p.add_argument("--epsilon", required=True, type=_epsilon)
+    p.add_argument("--delta", default="auto", type=_delta, help="a fraction, or 'auto' for 1/n^2")
+    p.add_argument("--zeta", type=_zeta, default=0.01, help="bound failure probability")
+    p.add_argument("--seed", required=True, type=_seed)
+    p.add_argument("--out", required=True, help="output model path")
 
 
 def _cmd_privatize(args: argparse.Namespace) -> int:
@@ -279,6 +238,17 @@ def _finite_sample(
     return slack, 1.0 - args.fs_delta
 
 
+def _audit_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
+    _add_data_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--notion", required=True, type=_notion)
+    p.add_argument("--desirable", default="1", type=_desirable,
+                   help="desirable label ids (equality of opportunity)")
+    p.add_argument("--report", required=True, help="output CSV path")
+    _add_finite_sample_flags(p)
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     d = load_csv(args.data, args.sensitive_col, args.label_col)
     model = _load_model_for(args.model, d)
@@ -292,6 +262,23 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     print(f"audited {args.notion} over {spec.num_groups} groups -> {args.report}")
     return EXIT_OK
+
+
+def _bound_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
+    _add_data_flags(p)
+    p.add_argument("--model", required=True, help="reference model")
+    p.add_argument("--other", default=None, help="second model: use the measured distance")
+    p.add_argument("--train-data", required=True, help="training CSV (for n and feature bound)")
+    p.add_argument("--lambda", dest="lam", required=True, type=_lam)
+    p.add_argument("--notion", required=True, type=_notion)
+    p.add_argument("--desirable", default="1", type=_desirable)
+    p.add_argument("--mechanism", default="output-perturbation", type=_mechanism)
+    p.add_argument("--epsilon", type=_epsilon, default=1.0)
+    p.add_argument("--delta", default="auto", type=_delta)
+    p.add_argument("--zeta", type=_zeta, default=0.01)
+    p.add_argument("--out", required=True)
+    _add_finite_sample_flags(p)
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -320,12 +307,32 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _experiment_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", required=True, type=_seed)
+    p.add_argument("--out-dir", required=True)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     cfg = experiment_mod.load_experiment_config(args.config, seed=args.seed)
     result = experiment_mod.run_experiment(cfg, args.out_dir)
     print(f"sweep wrote {result.rows} rows -> {result.sweep_path} "
           f"({len(result.failures)} failed grid points)")
     return EXIT_OK
+
+
+def _table_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
+    _add_data_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--train-data", required=True)
+    p.add_argument("--lambda", dest="lam", required=True, type=_lam)
+    p.add_argument("--epsilon", type=_epsilon, default=1.0)
+    p.add_argument("--delta", default="auto", type=_delta)
+    p.add_argument("--zeta", type=_zeta, default=0.01)
+    p.add_argument("--desirable", default="1", type=_desirable)
+    p.add_argument("--name", default="dataset", help="dataset label for the row")
+    p.add_argument("--out", required=True)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -342,25 +349,49 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+# the subcommands, in the order the top-level help lists them
 _COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "privatize": _cmd_privatize,
-    "audit": _cmd_audit,
-    "bound": _cmd_bound,
-    "experiment": _cmd_experiment,
-    "table": _cmd_table,
+    "gen-data": _Command("synthesize a dataset from a spec file", _gen_data_flags, _cmd_gen_data),
+    "train": _Command("fit the regularized optimum", _train_flags, _cmd_train),
+    "privatize": _Command("release a private model", _privatize_flags, _cmd_privatize),
+    "audit": _Command("per-group fairness levels of a model", _audit_flags, _cmd_audit),
+    "bound": _Command("certified fairness-gap bounds", _bound_flags, _cmd_bound),
+    "experiment": _Command("run a sweep experiment from a config file", _experiment_flags,
+                           _cmd_experiment),
+    "table": _Command("summary row of group-averaged bounds per notion", _table_flags,
+                      _cmd_table),
 }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``fairbound`` parser.  It has every subcommand, so the top-level
+    help and an unknown command's error list them all, but it adds the
+    flags of ``command`` alone, or of every subcommand when it is None, so
+    that :func:`main` builds only the flags of the command it runs."""
+    parser = argparse.ArgumentParser(prog="fairbound")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if command in (None, name):
+            cmd.add_flags(p)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        if argv and argv[0] in _COMMANDS and argv[0] != "experiment":
-            _apply_config_file(_subparser_for(parser, argv[0]), argv[1:])
+        if command not in (None, "experiment"):
+            _apply_config_file(_subparser_for(parser, command), argv[1:])
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

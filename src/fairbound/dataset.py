@@ -22,7 +22,6 @@ import os
 import stat
 import tempfile
 import warnings
-import zipfile
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
@@ -180,7 +179,9 @@ class GroupPartition:
 _CACHE_DIR = "__fairbound_cache__"
 # part of every cache key: change it whenever the parse rules or the entry
 # layout change, so that no entry written under the old ones is ever a hit
-_CACHE_FORMAT = "fairbound-load-csv-2"
+_CACHE_FORMAT = "fairbound-load-csv-3"
+_KEY_BYTES = 32  # a SHA-256 digest
+_ALIGN = 64  # the arrays of an entry start at a multiple of this many bytes
 
 
 def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
@@ -200,15 +201,21 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
 
     Parse cache.  The file's bytes are read once.  When ``path`` is a
     regular file, the parsed dataset is kept in
-    ``<directory of path>/__fairbound_cache__/<file name>.npz``, keyed by
+    ``<directory of path>/__fairbound_cache__/<file name>.bin``, keyed by
     SHA-256 over a cache-format tag, both role names and those bytes (the
-    hash-checked ``.pyc`` design of PEP 552).  A later load of the same
-    bytes with the same roles reads that entry instead of parsing; any
-    change to the content or the roles is a miss, whatever the file's size
-    or modification time.  An entry that cannot be read or does not match
-    is a miss and is rewritten; a file that fails to parse is never cached;
-    writing is skipped when the directory cannot be written.  The cache
-    never changes a result, so deleting the directory is always safe.
+    hash-checked ``.pyc`` design of PEP 552).  The entry is one raw
+    buffer: the 32-byte key, an 8-byte little-endian header length, an
+    ASCII JSON header holding the three vocabularies, ``n`` and ``p``,
+    zero padding to a multiple of 64 bytes, then the features as ``<f8``
+    in row-major order and the sensitive ids and the labels, each as
+    ``<i8``.  A later load of the same bytes with the same roles reads
+    that entry in one call and views its arrays in place, instead of
+    parsing; any change to the content or the roles is a miss, whatever
+    the file's size or modification time.  An entry that cannot be read or
+    does not match is a miss and is rewritten; a file that fails to parse
+    is never cached; writing is skipped when the directory cannot be
+    written.  The cache never changes a result, so deleting the directory
+    is always safe.
     """
     try:
         with open(path, "rb") as fh:
@@ -221,7 +228,7 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
     hasher = hashlib.sha256(json.dumps([_CACHE_FORMAT, sensitive_col, label_col]).encode("ascii"))
     hasher.update(raw)  # not one ``tag + raw`` call, which copies the bytes
     key = hasher.digest()
-    entry = os.path.join(os.path.dirname(path), _CACHE_DIR, os.path.basename(path) + ".npz")
+    entry = os.path.join(os.path.dirname(path), _CACHE_DIR, os.path.basename(path) + ".bin")
     d = _read_entry(entry, key, sensitive_col, label_col)
     if d is None:
         d = _parse_csv(path, raw, sensitive_col, label_col)
@@ -229,58 +236,69 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
     return d
 
 
+def _data_start(header_size: int) -> int:
+    """Offset of an entry's arrays: past the key, the header length and a
+    header of ``header_size`` bytes, rounded up to a multiple of ``_ALIGN``."""
+    return -(-(_KEY_BYTES + 8 + header_size) // _ALIGN) * _ALIGN
+
+
 def _read_entry(entry: str, key: bytes, sensitive_col: str, label_col: str) -> Dataset | None:
     """The dataset cached in ``entry`` under ``key``, or None on a miss.
 
-    The file is opened here, not by ``np.load``, which leaves its own
-    handle open when the zip directory is unreadable.  An entry holding a
-    bare ``.npy`` array loads as an ndarray, which ``with`` rejects with a
-    TypeError."""
+    The arrays are read-only views of the one buffer read from the file.
+    An entry whose length differs from what its header describes, or whose
+    header is not JSON with the expected fields, is a miss; so is one that
+    ``Dataset`` rejects, including a header that gives no rows
+    (``EmptyDatasetError``, a ``DataError``)."""
     try:
-        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            if z["key"].tobytes() != key:
-                return None
-            names = json.loads(z["names"].tobytes().decode("utf-8"))
-            return Dataset(
-                features=z["features"],
-                sensitive=z["sensitive"],
-                labels=z["labels"],
-                label_values=tuple(names["label_values"]),
-                sensitive_values=tuple(names["sensitive_values"]),
-                feature_names=tuple(names["feature_names"]),
-                sensitive_col=sensitive_col,
-                label_col=label_col,
-            )
-    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError):
+        with open(entry, "rb") as fh:
+            buf = fh.read()
+        if buf[:_KEY_BYTES] != key:
+            return None
+        size = int.from_bytes(buf[_KEY_BYTES:_KEY_BYTES + 8], "little")
+        header = json.loads(buf[_KEY_BYTES + 8:_KEY_BYTES + 8 + size])
+        n, p = header["n"], header["p"]
+        start = _data_start(size)
+        if len(buf) != start + 8 * n * (p + 2):
+            return None
+        return Dataset(
+            features=np.frombuffer(buf, "<f8", n * p, start).reshape(n, p),
+            sensitive=np.frombuffer(buf, "<i8", n, start + 8 * n * p),
+            labels=np.frombuffer(buf, "<i8", n, start + 8 * n * (p + 1)),
+            label_values=tuple(header["label_values"]),
+            sensitive_values=tuple(header["sensitive_values"]),
+            feature_names=tuple(header["feature_names"]),
+            sensitive_col=sensitive_col,
+            label_col=label_col,
+        )
+    except (OSError, ValueError, KeyError, TypeError, DataError):
         return None
 
 
 def _write_entry(entry: str, key: bytes, d: Dataset, mode: int) -> None:
-    """Best effort: store ``d`` in ``entry`` under ``key`` through a unique
-    temporary file and an atomic rename, so that a concurrent reader sees
-    the old entry or the new one, never a partial one.  The entry gets the
-    read and write bits of the CSV's permission ``mode``, as a ``.pyc``
-    gets its source's, so whoever may read the CSV may read its entry."""
-    # JSON, not a NumPy string array: ``U`` arrays drop trailing NULs
-    names = json.dumps({
+    """Best effort: store ``d`` in ``entry`` under ``key``, in the layout
+    :func:`load_csv` describes, through a unique temporary file and an
+    atomic rename, so that a concurrent reader sees the old entry or the
+    new one, never a partial one.  The entry gets the read and write bits
+    of the CSV's permission ``mode``, as a ``.pyc`` gets its source's, so
+    whoever may read the CSV may read its entry."""
+    header = json.dumps({
         "label_values": d.label_values,
         "sensitive_values": d.sensitive_values,
         "feature_names": d.feature_names,
+        "n": d.n,
+        "p": d.p,
     }).encode("ascii")
+    prefix = key + len(header).to_bytes(8, "little") + header
     directory, name = os.path.split(entry)
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
         with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                key=np.frombuffer(key, np.uint8),
-                names=np.frombuffer(names, np.uint8),
-                features=d.features,
-                sensitive=d.sensitive,
-                labels=d.labels,
-            )
+            fh.write(prefix.ljust(_data_start(len(header)), b"\0"))
+            for arr, dtype in ((d.features, "<f8"), (d.sensitive, "<i8"), (d.labels, "<i8")):
+                fh.write(np.asarray(arr, dtype).tobytes())
         os.chmod(tmp, mode & 0o666)
         os.replace(tmp, entry)
     except OSError:

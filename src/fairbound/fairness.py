@@ -134,6 +134,13 @@ def _desirable_labels(desirable: frozenset[int] | None, num_labels: int) -> froz
     return desirable
 
 
+def _check_binary_labels(num_labels: int) -> None:
+    """Demographic parity is defined for binary labels only; data with
+    ``num_labels`` other than 2 is a ``DataError``."""
+    if num_labels != 2:
+        raise DataError(f"demographic parity needs binary labels; the data has {num_labels}")
+
+
 def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = None) -> FairnessSpec:
     """Build the coefficient tables of a notion from empirical frequencies,
     all read off one table of (label, sensitive) cell counts.
@@ -170,8 +177,7 @@ def coefficients(d: Dataset, notion: str, desirable: frozenset[int] | None = Non
                 continue  # P(S=.|Y=y) undefined: affected coefficients stay 0
             blocks[y, :, y] = _minus_mean(table[y] / label_counts[y])
     else:  # demographic_parity_binary
-        if ny != 2:
-            raise DataError(f"demographic parity needs binary labels; the data has {ny}")
+        _check_binary_labels(ny)
         nonempty = sens_counts > 0
         flags = [f"zero_mass_sensitive:{d.sensitive_values[r]}" for r in np.flatnonzero(~nonempty)]
         p_joint = table / d.n
@@ -473,12 +479,15 @@ def direct_fairness(
 
     Independent of the coefficient tables; conditional probabilities over
     zero-mass events evaluate to 0, mirroring the table convention.
-    ``notion`` passes :data:`notion_name`, and ``desirable`` is checked as
-    :func:`coefficients` checks it.
+    ``notion`` passes :data:`notion_name`; ``desirable``, and the binary
+    labels of demographic parity, are checked as :func:`coefficients`
+    checks them.
     """
     notion = notion_name("notion", notion)
     if notion == "equality_of_opportunity":
         desirable = _desirable_labels(desirable, d.num_labels)
+    if notion == "demographic_parity_binary":
+        _check_binary_labels(d.num_labels)
     num_groups = {"accuracy": 1, "accuracy_parity": d.num_sensitive}.get(
         notion, d.num_labels * d.num_sensitive
     )
@@ -509,8 +518,6 @@ def direct_fairness(
         return cond_mean(correct, in_cell) - cond_mean(correct, in_label)
 
     # demographic_parity_binary
-    if d.num_labels != 2:
-        raise ValueError("demographic parity is defined for binary labels only")
     predicted_y = predictions == y
     in_group = d.sensitive == r
     return cond_mean(predicted_y, in_group) - float(np.mean(predicted_y))

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import os
 import pathlib
 import re
@@ -280,6 +281,51 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert result.stdout.strip() == "[]"
+
+
+COMMANDS = ["gen-data", "train", "privatize", "audit", "bound", "experiment", "table"]
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def action_fields(action: argparse.Action) -> dict:
+    """An action's settings; a ``partial`` converter is named by its
+    function and arguments, since each parser build may make its own."""
+    fields = dict(action._get_kwargs())
+    if isinstance(fields["type"], functools.partial):
+        fields["type"] = (fields["type"].func.__qualname__, fields["type"].args)
+    return fields
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_parser_equals_the_full_one(self, command):
+        built = subparsers(build_parser(command))
+        one, full = built[command], subparsers(build_parser())[command]
+        assert len(full._actions) > 1
+        assert one.format_help() == full.format_help()
+        assert [action_fields(a) for a in one._actions] == [action_fields(a) for a in full._actions]
+        assert list(built) == COMMANDS
+        assert all(len(p._actions) == 1 for name, p in built.items() if name != command)
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["-h"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        for command in COMMANDS:
+            assert re.search(rf"^ +{command} +\S", out, re.M), command
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["nope"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        choices = re.search(r"invalid choice: 'nope' \(choose from (.*)\)", err).group(1)
+        assert re.findall(r"[\w-]+", choices) == COMMANDS
 
 
 class TestConfigFileSupport:

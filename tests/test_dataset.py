@@ -392,7 +392,7 @@ class TestLoadCsvMatchesReference:
 
 def _entry(path) -> str:
     """Where ``load_csv`` caches the dataset parsed from ``path``."""
-    return os.path.join(os.path.dirname(path), "__fairbound_cache__", os.path.basename(path) + ".npz")
+    return os.path.join(os.path.dirname(path), "__fairbound_cache__", os.path.basename(path) + ".bin")
 
 
 def forbid_parsing(monkeypatch) -> None:
@@ -427,7 +427,7 @@ class TestParseCache:
         write_csv(random_dataset(rng, 50, p=4, num_labels=3), f)
         want = reference_load_csv(f, "s", "y")
         assert_same_dataset(load_csv(f, "s", "y"), want)
-        assert os.listdir(tmp_path / "__fairbound_cache__") == ["d.csv.npz"]
+        assert os.listdir(tmp_path / "__fairbound_cache__") == ["d.csv.bin"]
         forbid_parsing(monkeypatch)
         assert_same_dataset(load_csv(f, "s", "y"), want)
 
@@ -453,15 +453,27 @@ class TestParseCache:
             assert (d.sensitive_col, d.label_col) == ("gruppe€", "étiquette")
             assert d.sensitive_values == ("a", "b")
 
-    def test_entry_of_the_first_format_is_not_read(self, tmp_path, rng):
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_entry_of_the_first_format_is_not_read(self, tmp_path, rng, old_format):
         # format 1 parsed a header that repeats a role's column name, so its
-        # entry for this file holds a dataset that the current rules reject
+        # entry for this file holds a dataset that the current rules reject;
+        # format 2 kept its entries as .npz files, one array per member
         f = tmp_path / "d.csv"
         write_lines(f, ["f0,f1,f0,y", "0.5,1.5,2.5,0", "1.5,0.5,3.5,1"])
-        tag = json.dumps(["fairbound-load-csv-1", "f0", "y"]).encode("ascii")
-        entry = tmp_path / "__fairbound_cache__" / "d.csv.npz"
-        dataset_module._write_entry(str(entry), hashlib.sha256(tag + f.read_bytes()).digest(),
-                                    random_dataset(rng, 5), 0o644)
+        tag = json.dumps([f"fairbound-load-csv-{old_format}", "f0", "y"]).encode("ascii")
+        key = hashlib.sha256(tag + f.read_bytes()).digest()
+        d = random_dataset(rng, 5)
+        if old_format == 1:
+            entry = Path(_entry(str(f)))
+            dataset_module._write_entry(str(entry), key, d, 0o644)
+        else:
+            entry = tmp_path / "__fairbound_cache__" / "d.csv.npz"
+            entry.parent.mkdir()
+            names = json.dumps({"label_values": d.label_values, "sensitive_values":
+                                d.sensitive_values, "feature_names": d.feature_names})
+            np.savez(entry, key=np.frombuffer(key, np.uint8),
+                     names=np.frombuffer(names.encode("ascii"), np.uint8),
+                     features=d.features, sensitive=d.sensitive, labels=d.labels)
         assert entry.exists()
         with pytest.raises(SchemaError, match="2 columns are named 'f0'"):
             load_csv(str(f), "f0", "y")
@@ -483,7 +495,8 @@ class TestParseCache:
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         assert load_csv(str(f), "s", "y").features[:, 0].tolist() == [3.0, 4.0]
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy_array"])
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy_array",
+                                        "extended", "zero_rows", "bad_header"])
     def test_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, rng, damage, monkeypatch):
         f = str(tmp_path / "d.csv")
         write_csv(random_dataset(rng, 40), f)
@@ -491,16 +504,26 @@ class TestParseCache:
         load_csv(f, "s", "y")
         entry = _entry(f)
         good = Path(entry).read_bytes()
+        key, size = good[:32], int.from_bytes(good[32:40], "little")
         if damage == "truncated":
             bad = good[: len(good) // 2]
         elif damage == "garbage":
             bad = b"not a cache entry\n" * 10
         elif damage == "empty":
             bad = b""
-        else:
+        elif damage == "npy_array":
             buf = io.BytesIO()
             np.save(buf, np.arange(3), allow_pickle=False)
             bad = buf.getvalue()
+        elif damage == "extended":  # the right key and header, 8 bytes too many
+            bad = good + bytes(8)
+        else:  # the right key, then a header giving 0 rows and no data, or one not JSON
+            header = json.loads(good[40:40 + size])
+            header["n"] = 0
+            header = (json.dumps(header).encode("ascii") if damage == "zero_rows"
+                      else b"{" * size)
+            bad = (key + len(header).to_bytes(8, "little") + header).ljust(
+                dataset_module._data_start(len(header)), b"\0")
         Path(entry).write_bytes(bad)
         assert_same_dataset(load_csv(f, "s", "y"), want)
         assert Path(entry).read_bytes() != bad
@@ -584,7 +607,7 @@ class TestParseCache:
                 if w.is_alive():
                     w.kill()
                     w.join()
-        assert os.listdir(tmp_path / "__fairbound_cache__") == ["d.csv.npz"]
+        assert os.listdir(tmp_path / "__fairbound_cache__") == ["d.csv.bin"]
 
 
 class TestSynthesize:

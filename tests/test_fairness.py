@@ -93,10 +93,16 @@ class TestCoefficients:
         with pytest.raises(ConfigError, match=message):
             call(d, m, desirable)
 
-    def test_demographic_parity_needs_binary(self, rng):
-        d = random_dataset(rng, 20, num_labels=3)
-        with pytest.raises(DataError):
-            coefficients(d, "demographic_parity_binary")
+    @pytest.mark.parametrize("call", [
+        lambda d, m: coefficients(d, "demographic_parity_binary"),
+        lambda d, m: direct_fairness(m, d, "demographic_parity_binary", 0),
+    ], ids=["coefficients", "direct_fairness"])
+    def test_demographic_parity_needs_binary(self, rng, call):
+        # direct_fairness raised a ValueError here
+        d = random_dataset(rng, 40, num_labels=3)
+        m = LinearModel(rng.normal(size=(3, d.p)), 10.0)
+        with pytest.raises(DataError, match="binary labels; the data has 3"):
+            call(d, m)
 
     def test_equalized_odds_rows_sum_to_zero(self, rng):
         # perfect-classifier nullity: offset + row sum = 0
