@@ -4,9 +4,10 @@ Every variant is read off one margin profile: per example, the absolute
 confidence margin |m| and the margin's Lipschitz constant L in the model.
 A model within distance d of the profiled one can change the prediction
 only on examples with |m|/L <= d, the "at-risk" examples.  That ratio is
-``MarginProfile.ratio``, which the fairness layer also reads to skip the
-examples a private draw cannot flip; the profile computes it and its
-inverse L/|m| once, when it is built.  A profile belongs to one model on
+``MarginProfile.ratio``; the profile computes it and its inverse L/|m|
+once, when it is built.  The fairness layer does not read L: its scoring
+reference keys its rows by |m|/||x||, which it computes from the model
+itself.  A profile belongs to one model on
 one dataset and knows no groups, so one profile serves every fairness
 notion.  ``bound_reports`` mirrors ``group_fairness_many``: for several
 specs at one distance, it takes the at-risk examples once, and per group
@@ -113,7 +114,10 @@ def margin_profile(m: LinearModel, d: Dataset) -> MarginProfile:
     """Absolute margins and 2*||x||_2 Lipschitz constants for every example.
     A ``DataError`` counts the rows whose margin or constant is not finite
     (two scores that both overflow give an undefined margin) and names the
-    first."""
+    first; a one-label model, which has no margin, is a ``DataError`` too."""
+    if m.num_labels < 2:
+        raise DataError("the margin is undefined for a single-label model, "
+                        "as on data whose labels all have one value")
     abs_margins = np.abs(margins_many(m, d.features, d.labels))
     lipschitz = pointwise_lipschitz_many(d.features)
     bad = np.flatnonzero(~(np.isfinite(abs_margins) & np.isfinite(lipschitz)))

@@ -1,10 +1,15 @@
 """Command-line entry points.
 
 Subcommands: gen-data, train, privatize, audit, bound, experiment, table.
-Every long flag can equivalently be written as a key in a ``--config`` file
-(same name, without the leading dashes); flags given on the command line
+Every subcommand but ``experiment`` takes a ``--config`` file of flags:
+each of its long flags can equivalently be written as a key there (same
+name, without the leading dashes), and flags given on the command line
 override config values.  The parser resolves every flag, and a config value
-passes through the same converter as the flag.  Every flag with a domain
+passes through the same converter as the flag.  The ``--config`` of
+``experiment`` is the experiment config itself
+(``experiment.load_experiment_config``), whose keys are not flags, so its
+``--seed`` and ``--out-dir`` are always given on the command line, and
+``--seed`` overrides the config's ``seed`` key.  Every flag with a domain
 takes as its argparse ``type`` the converter that experiment-config keys
 and ``PrivacyParams`` use for the same value (``config.positive``,
 ``config.fraction``, ``config.seed_number`` and the others), bound to the

@@ -33,12 +33,15 @@ score: ``privacy.release_many`` draws them with the noise of the lemma
 distance that ``privacy.resolve_distance`` gives, their distances to h*
 are one vector pass, and ``group_fairness_many`` scores them once, per
 (label, sensitive) cell, for every notion.  It takes the draws in
-blocks, nearest to h* first, and scores a block only on the evaluation
-rows that its largest distance lets a draw flip: the rows whose |m|/L at
-h* is at most that distance, with a rounding allowance.  The optimum's
-scoring reference sorts the rows by label and |m|/L once per h*, and
-supplies h*'s correct counts for the other rows, so every count, and
-every sweep value, is what scoring every row gives, up to the
+blocks, in order of their reach D, the largest norm of a difference of
+two label rows of W - h*, and scores a block only on the evaluation rows
+that its farthest-reaching draw could flip: the rows whose |m|/||x|| at
+h* is at most that reach, with a rounding allowance.  The optimum's
+scoring reference computes that key from h* alone, not from the margin
+profile, so the scorer does not depend on the margin's Lipschitz
+constant, which only the bounds read; it sorts the rows by label and key
+once per h*, and supplies h*'s correct counts for the other rows, so every
+count, and every sweep value, is what scoring every row gives, up to the
 rounding-level ties noted at ``group_fairness_many``.  F(h*) is read from
 the same reference.  Only the farthest draw becomes a ``LinearModel``,
 for its refined profile.
@@ -231,7 +234,7 @@ SWEEP_COLUMNS = (
 class _Optimum:
     """h* of one training set with the work that depends only on it and the
     evaluation set: the loss constants, the margin profile of h*, the
-    scoring reference that sorts the evaluation rows by label and |m|/L,
+    scoring reference that sorts the evaluation rows by label and |m|/||x||,
     and F(h*) per notion."""
 
     def __init__(
@@ -241,7 +244,7 @@ class _Optimum:
         self.hstar = fit_erm(train, cfg.lam, tol=cfg.tol)
         self.c = constants(train, cfg.lam, self.hstar.radius)
         self.profile = bounds_mod.margin_profile(self.hstar, eval_data)
-        self.reference = ScoringReference(self.hstar.weights, self.profile.ratio, eval_data)
+        self.reference = ScoringReference(self.hstar, eval_data)
         # h* is the distance-0 model of its own reference, so F(h*) takes
         # its counts from the reference
         levels = group_fairness_many(

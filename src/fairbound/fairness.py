@@ -58,7 +58,7 @@ import numpy as np
 from .config import one_of
 from .dataset import Dataset, GroupPartition, partition, single_group_partition
 from .exceptions import ConfigError, DataError
-from .model import LinearModel, check_fits, frobenius_norms, predict_many
+from .model import LinearModel, check_fits, frobenius_norms, margins_many, predict_many
 
 # Models are scored DRAW_BLOCK at a time.  With a reference, a block is
 # scored on the longest prefix any of its models needs, so small blocks
@@ -251,30 +251,33 @@ class ScoringReference:
     model W of a stack only on the rows whose margin at h* W could move
     past zero, and takes the rest of its counts from h*.  A row's margin
     moves by at most D||x||, D the largest norm of a difference of two
-    label rows of W - h*; so W scores a row only if its ratio is at most
-    W's reach, about D/2 (see :func:`_correct_counts`).
+    label rows of W - h*; so W scores a row only if its key |m|/||x|| at
+    h* is at most W's reach, about D (see :func:`_correct_counts`).
 
-    ``ratio`` holds, per example of ``d``, the ratio |m|/L of h*'s margin
-    to its Lipschitz constant L = 2||x||, as ``MarginProfile.ratio`` of
-    h*'s margin profile on ``d`` gives it.  The reference knows no groups:
-    it keeps h*'s correct counts per (label, sensitive) cell, so it serves
-    every spec on ``d``, the very dataset object it was built with, and no
+    The reference computes each row's key itself, from h*'s margins and
+    the row norms; it is infinite where ||x|| = 0, and on every row of a
+    one-label h*, which has no margin: every one-label model classifies
+    every row alike.  The reference knows no groups: it keeps
+    h*'s correct counts per (label, sensitive) cell, so it serves every
+    spec on ``d``, the very dataset object it was built with, and no
     other.
     """
 
-    def __init__(self, weights: np.ndarray, ratio: np.ndarray, d: Dataset):
-        weights = np.asarray(weights, dtype=np.float64)
+    def __init__(self, hstar: LinearModel, d: Dataset):
+        self.weights = weights = hstar.weights
         check_fits(weights, d)
-        if np.shape(ratio) != (d.n,):
-            raise ValueError(f"ratio must have one entry per example of the data, {d.n}")
         self.data = d
-        self.weights = weights
         self.norm = float(np.linalg.norm(weights))
-        # 8g of the derivation in _correct_counts
+        # 16g of the derivation in _correct_counts
         k = (weights.shape[0] + 1) * weights.shape[1] + 4
-        self.widening = 8.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53)
-        self.layout = _Layout(d, key=ratio)
-        self.ratio = np.asarray(ratio, dtype=np.float64)[self.layout.order]
+        self.widening = 16.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        key = np.full(d.n, np.inf)
+        if hstar.num_labels > 1:
+            norms = np.linalg.norm(d.features, axis=1)
+            margins = np.abs(margins_many(hstar, d.features, d.labels))
+            np.divide(margins, norms, out=key, where=norms > 0)
+        self.layout = _Layout(d, key=key)
+        self.key = key[self.layout.order]
         correct = np.concatenate(
             [_correct(weights[None], self.layout.features_t[:, lo:hi], y)[0]
              for y, lo, hi in self.layout.segments()]
@@ -303,11 +306,11 @@ def _correct_counts(
     every count is exact.
 
     Without a reference every example is scored.  With a reference h*, each
-    model W gets a reach t = D'/2 + 8g(d' + ||h*||), computed here: d' is
+    model W gets a reach t = D' + 16g(d' + ||h*||), computed here: d' is
     its Frobenius distance from h* and D' the largest norm of a difference
     Delta_y - Delta_y' of two label rows of Delta = W - h*.  The models are
     taken in order of t, and a block scores each label's segment only on
-    its prefix of examples whose ratio r = |m|/L at h* is at most the
+    its prefix of examples whose key r = |m|/||x|| at h* is at most the
     block's largest t; each model's counts on the other examples are h*'s.
     The result is exactly the every-example count, because a model
     classifies each skipped example as h* does, in floating point:
@@ -320,18 +323,18 @@ def _correct_counts(
       norm is at most its model's.  So a model W at exact distance d from
       h* has every score within g(||h*|| + d)||x||, and h* within
       g||h*|| ||x||.
-    - Take an example x of label y and L = 2||x||.  Its margin m at h* is
-      the smallest exact gap s_y - s_y' over the labels y' != y.  Going
-      from h* to W moves the gap to y' by exactly (Delta_y - Delta_y').x,
-      at most D ||x|| in size, D the exact largest label-row difference.
+    - Take an example x of label y.  Its margin m at h* is the smallest
+      exact gap s_y - s_y' over the labels y' != y.  Going from h* to W
+      moves the gap to y' by exactly (Delta_y - Delta_y').x, at most
+      D ||x|| in size, D the exact largest label-row difference.
     - So if |m| > D ||x|| + 2g(||h*|| + d)||x||, the computed scores of W
       and of h* order the labels alike where it matters: for m > 0 label y
       beats every other label strictly under both, and for m < 0 the label
-      whose gap is m beats y strictly under both.  In ratio units the
-      condition is |m|/L > D/2 + g(||h*|| + d).
-    - The ratio is computed too.  The profile's margin is within
-      2g||h*|| ||x|| of m, and r = fl(|m'|/fl(L)) of that margin m' gives
-      |m'| >= r L (1 - g); so |m|/L >= r(1 - g) - g||h*||.
+      whose gap is m beats y strictly under both.  In units of ||x|| the
+      condition is |m|/||x|| > D + 2g(||h*|| + d).
+    - The key is computed too.  The computed margin m' is within
+      2g||h*|| ||x|| of m, and r = fl(|m'|/fl(||x||)) gives
+      |m'| >= r ||x|| (1 - g); so |m|/||x|| >= r(1 - g) - 2g||h*||.
     - The distances are computed from Delta' = fl(W - h*), each entry
       within u of Delta's in relative terms, so d <= d'/(1 - g).  An entry
       of fl(Delta'_y - Delta'_y') is within 2(1 + u)u(|Delta_yj| +
@@ -342,11 +345,11 @@ def _correct_counts(
       rounds by at most a factor 1 - g; so D <= D'/(1 - g) + 3ud.
       Since D <= sqrt(2) d, also D' <= 1.5d'.
     - For g <= 0.01, with u <= g, the condition then holds once
-      r > D'/2 + 5g(d' + ||h*||).  The 8 of t leaves room for the
+      r > D' + 10g(d' + ||h*||).  The 16 of t leaves room for the
       rounding of t and of ||h*||, so no extra term of k is needed.
 
-    An example with L = 0 is the zero vector: every model scores it 0 on
-    every label, and its ratio is infinite.
+    An example with ||x|| = 0 is the zero vector: every model scores it 0
+    on every label, and its key is infinite.
     """
     num_models, num_labels = weights.shape[:2]
     starts = np.arange(0, num_models, DRAW_BLOCK)
@@ -367,12 +370,12 @@ def _correct_counts(
         for y in range(num_labels - 1):
             pairs = delta[:, y + 1 :] - delta[:, y, None]
             np.maximum(spread, np.sqrt(np.vecdot(pairs, pairs)).max(axis=1), out=spread)
-        reach = 0.5 * spread + reference.widening * (frobenius_norms(delta) + reference.norm)
+        reach = spread + reference.widening * (frobenius_norms(delta) + reference.norm)
         order = np.argsort(reach, kind="stable")
         # each block's limit is the reach of its last, farthest-reaching model
         limits = reach[order[np.minimum(starts + DRAW_BLOCK, num_models) - 1]]
         stops = np.stack(
-            [lo + np.searchsorted(reference.ratio[lo:hi], limits, side="right")
+            [lo + np.searchsorted(reference.key[lo:hi], limits, side="right")
              for _, lo, hi in layout.segments()],
             axis=1,
         )

@@ -64,6 +64,7 @@ def finite_sample_slacks(
     mode = one_of("independent", "dependent")("mode", mode)
     delta = fraction("delta", delta)
     n, num_labels = at_least(1)("n", n), at_least(2)("num_labels", num_labels)
+    num_features = at_least(1)("num_features", num_features)
     num_groups = spec.num_groups
     if not sample_size_sufficient(spec, n, delta):
         warnings.warn(

@@ -10,6 +10,7 @@ matrix, under which the margin is 2*||x||_2-Lipschitz in the model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,15 +107,16 @@ def margin(m: LinearModel, x: np.ndarray, y: int) -> float:
 
 
 def margins_many(m: LinearModel, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized margin over (n, p) features and (n,) true labels."""
+    """Vectorized margin over (n, p) features and (n,) true labels.  The
+    best other score is taken one label column at a time, which is exact
+    in any order and far faster than a reduction along the short label
+    axis."""
     if m.num_labels < 2:
         raise ValueError("margin is undefined for a single-label model")
     scores = features @ m.weights.T
-    idx = np.arange(scores.shape[0])
-    true = scores[idx, labels]
-    masked = scores.copy()
-    masked[idx, labels] = -np.inf
-    return true - np.max(masked, axis=1)
+    true = scores[np.arange(scores.shape[0]), labels]
+    others = (np.where(labels == y, -np.inf, column) for y, column in enumerate(scores.T))
+    return true - functools.reduce(np.maximum, others)
 
 
 def pointwise_lipschitz_many(features: np.ndarray) -> np.ndarray:
@@ -163,6 +165,10 @@ def save_model(m: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
+    """The model of a file in :func:`save_model`'s format; a file that
+    cannot be read, is not UTF-8, breaks the format, or holds anything but
+    whitespace after the declared weight rows is a ``DataError`` naming
+    it."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -182,6 +188,8 @@ def load_model(path: str) -> LinearModel:
                 if len(row) != p:
                     raise ValueError("weight row has wrong length")
                 rows.append(row)
+            if fh.read().strip():
+                raise DataError(f"{path}: content after the {num_labels} declared weight rows")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})")
         except ValueError as exc:

@@ -159,7 +159,10 @@ def output_noise_variance(
     :func:`gaussian_delta` depends only on (eps, delta).  Above a crossover
     eps* (8.4 at delta = 1e-5, 6.1 at delta = 0.05) it exceeds delta and
     the release is not (eps, delta)-private; such a budget is a
-    ``ConfigError`` too."""
+    ``ConfigError`` too, and so is an argument out of its domain."""
+    loss_lipschitz = positive("loss_lipschitz", loss_lipschitz)
+    strong_convexity = positive("strong_convexity", strong_convexity)
+    n, epsilon, delta = at_least(1)("n", n), positive("epsilon", epsilon), fraction("delta", delta)
     variance = _finite_positive(
         f"the output-perturbation noise variance at epsilon={epsilon!r}, lambda={strong_convexity!r}",
         lambda: 8.0
@@ -227,7 +230,9 @@ def output_perturb_distance_bound(
     probability at least 1 - zeta:
     sqrt(32 p Lambda^2 log(1.25/delta) log(2/zeta) / (mu^2 n^2 eps^2)).
     A square that is not a finite positive float is a ``ConfigError``, and
-    so is a budget :func:`output_noise_variance` refuses."""
+    so is a budget :func:`output_noise_variance` refuses, and a
+    ``num_params`` or ``n`` below 1."""
+    num_params, n = at_least(1)("num_params", num_params), at_least(1)("n", n)
     dist_sq = _finite_positive(
         f"the squared lemma-2 distance at epsilon={pp.epsilon!r}, lambda={c.strong_convexity!r}",
         lambda: 32.0
@@ -252,9 +257,12 @@ def dpsgd_noise(
     """Per-step DP-SGD noise variance; ``exponent`` selects the T^2
     calibration every release uses (default, noisier) or the T variance,
     which is kept only as a comparison value.  A variance that is not a
-    finite positive float, a ``steps`` below 1 and an ``exponent`` not in
-    ``NOISE_EXPONENTS`` are each a ``ConfigError``."""
-    steps = at_least(1)("steps", steps)
+    finite positive float, a ``steps`` or ``n`` below 1, an ``exponent``
+    not in ``NOISE_EXPONENTS`` and a ``loss_lipschitz``, ``epsilon`` or
+    ``delta`` out of its domain are each a ``ConfigError``."""
+    loss_lipschitz = positive("loss_lipschitz", loss_lipschitz)
+    steps, n = at_least(1)("steps", steps), at_least(1)("n", n)
+    epsilon, delta = positive("epsilon", epsilon), fraction("delta", delta)
     exponent = one_of(*NOISE_EXPONENTS)("exponent", exponent)
     return _finite_positive(
         f"the DP-SGD noise variance at epsilon={epsilon!r} over {steps} steps",
@@ -348,8 +356,11 @@ def dpsgd_distance_bound(
     (log argument <= 1), the start bound 2R itself is returned with T = 0.
     ``num_params`` is carried for report symmetry; the closed form is
     dimension-free.  A noise scale, log argument, step count, distance or
-    noise variance that is not a finite positive float is a ``ConfigError``.
+    noise variance that is not a finite positive float is a ``ConfigError``,
+    and so is a ``num_params`` or ``n`` below 1.
     """
+    at_least(1)("num_params", num_params)  # checked, though the bound does not read it
+    n = at_least(1)("n", n)
     mu = c.strong_convexity
     beta = c.smoothness
     lam_lip = c.loss_lipschitz

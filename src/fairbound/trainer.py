@@ -66,6 +66,9 @@ class LossConstants:
     loss_lipschitz: upper bound on per-example gradient norms over the ball
         (sqrt(2)*B + lam*R).
     smoothness: upper bound on the objective's smoothness (B^2 + lam).
+
+    Each constant, and the radius R, passes ``config.positive``, which
+    raises a ``ConfigError`` naming it.
     """
 
     strong_convexity: float
@@ -74,7 +77,9 @@ class LossConstants:
     radius: float
 
     def __post_init__(self):
-        for name in ("strong_convexity", "radius"):
+        # lam and R first: they are the arguments of constants(), which
+        # derives the other two from them
+        for name in ("strong_convexity", "radius", "loss_lipschitz", "smoothness"):
             object.__setattr__(self, name, positive(name, getattr(self, name)))
 
 

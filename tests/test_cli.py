@@ -597,8 +597,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
-        ["2 3 nan\n1 0 0\n0 1 0\n", "2 x 1\n1 0 0\n0 1 0\n", "2 3 5\n1 0 0\n0 1\n"],
-        ids=["nan_radius", "non_numeric_header", "truncated_row"],
+        ["2 3 nan\n1 0 0\n0 1 0\n", "2 x 1\n1 0 0\n0 1 0\n", "2 3 5\n1 0 0\n0 1\n",
+         "2 3 5\n1 0 0\n0 1 0\n0 0 1\n", "2 3 5\n1 0 0\n0 1 0\n\ntrained on d.csv\n"],
+        ids=["nan_radius", "non_numeric_header", "truncated_row", "extra_row", "trailing_text"],
     )
     def test_malformed_model_is_data_error_4(self, workdir, text):
         data = str(workdir / "data.csv")
@@ -610,6 +611,25 @@ class TestExitCodes:
                     "--notion", "accuracy-parity",
                     "--report", str(workdir / "audit.csv")]) == 4
         assert not (workdir / "audit.csv").exists()
+
+    @pytest.mark.parametrize("notion", ["accuracy", "accuracy-parity"])
+    @pytest.mark.parametrize("mechanism", ["output-perturbation", "dp-sgd"])
+    def test_one_label_data_is_data_error_4(self, workdir, notion, mechanism, capsys):
+        # train accepts a file whose labels all have one value, but a
+        # one-label model has no margin; bound once died on it with a
+        # ValueError, exit 1
+        data = workdir / "one_label.csv"
+        data.write_text("f0,f1,s,y\n" + "".join(f"{i % 7},{i % 3 - 1},{i % 2},yes\n"
+                                                 for i in range(50)), encoding="utf-8")
+        model, out = workdir / "model.txt", workdir / "out.csv"
+        assert run(["train", "--data", str(data), "--lambda", "1.0", "--out", str(model)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # dp-sgd's notice, unrelated to the labels
+            assert run(["bound", "--model", str(model), "--data", str(data),
+                        "--train-data", str(data), "--lambda", "1.0", "--notion", notion,
+                        "--mechanism", mechanism, "--out", str(out)]) == 4
+        assert "single-label model" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command",

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairbound import experiment, fairness
+from fairbound import bounds, experiment, fairness
 from fairbound.bounds import MarginProfile, bound_report, margin_profile, refined_lipschitz
 from fairbound.config import parse_config_text, parse_synthetic_spec
 from fairbound.dataset import synthesize
@@ -71,6 +71,10 @@ def base_config(spec_file, **overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+EPSILON_SWEEP = dict(sweep_axis="epsilon", grid_start=0.1, grid_stop=4.0, grid_count=4, draws=60,
+                     notions=("equalized_odds", "accuracy_parity", "demographic_parity_binary"))
 
 
 def read_rows(path):
@@ -151,6 +155,20 @@ class TestRunExperiment:
             assert list(csv.reader(fh)) == [["grid_index", "grid_value", "error"],
                                             ["1", "10000.00000000001", error]]
 
+    def test_one_label_data_fails_every_point_with_data_error(self, tmp_path):
+        # a one-label h* has no margin; its failure rows once read
+        # "ValueError: margin is undefined for a single-label model"
+        spec_path = tmp_path / "one_label.cfg"
+        spec_path.write_text(SPEC_TEXT.split("cell.1.0")[0], encoding="utf-8")
+        cfg = base_config(str(spec_path), sweep_axis="epsilon", grid_start=0.5, grid_stop=1.0,
+                          grid_count=2, draws=2, notions=("accuracy_parity",))
+        result = run_experiment(cfg, str(tmp_path / "out"))
+        assert result.rows == 0
+        assert [error for _, _, error in result.failures] == 2 * [
+            "DataError: the margin is undefined for a single-label model, "
+            "as on data whose labels all have one value"
+        ]
+
     def test_dpsgd_small_n_point_certifies(self, tmp_path):
         # a DP-SGD lemma distance far beyond every |margin|/L once aborted the
         # sweep with an OverflowError inside the bound layer
@@ -195,19 +213,25 @@ class TestRunExperiment:
             assert worst <= bound + 1e-12
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, sharp_lipschitz",
         [
-            dict(sweep_axis="epsilon", grid_start=0.1, grid_stop=4.0, grid_count=4, draws=60,
-                 notions=("equalized_odds", "accuracy_parity", "demographic_parity_binary")),
-            dict(mechanism="dp_sgd", grid_start=150, grid_stop=300, grid_count=2, draws=3,
-                 notions=("equalized_odds", "accuracy_parity")),
+            (EPSILON_SWEEP, False),
+            (dict(mechanism="dp_sgd", grid_start=150, grid_stop=300, grid_count=2, draws=3,
+                  notions=("equalized_odds", "accuracy_parity")), False),
+            (EPSILON_SWEEP, True),
         ],
-        ids=["epsilon-output-perturbation", "n-dp-sgd"],
+        ids=["epsilon-output-perturbation", "n-dp-sgd", "epsilon-sqrt2-lipschitz"],
     )
     def test_pruned_scoring_leaves_the_sweep_unchanged(self, spec_file, tmp_path, monkeypatch,
-                                                       overrides):
+                                                       overrides, sharp_lipschitz):
         # at these sizes a DP-SGD draw lies far enough from h* to flip
-        # every row, so only the epsilon sweep must score fewer rows
+        # every row, so only the epsilon sweep must score fewer rows.  The
+        # scorer derives its pruning key from h* alone, so the bound
+        # layer's sharper margin Lipschitz constant sqrt(2)||x|| changes
+        # the certificates but leaves the pruned and every-row sweeps alike
+        if sharp_lipschitz:
+            monkeypatch.setattr(bounds, "pointwise_lipschitz_many",
+                                lambda features: math.sqrt(2.0) * np.linalg.norm(features, axis=1))
         scored = []
         real_correct = fairness._correct
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairbound import fairness
-from fairbound.bounds import margin_profile
 from fairbound.dataset import GroupPartition, partition
 from fairbound.exceptions import ConfigError, DataError
 from fairbound.fairness import (
@@ -18,7 +17,7 @@ from fairbound.fairness import (
     group_fairness_all,
     group_fairness_many,
 )
-from fairbound.model import LinearModel
+from fairbound.model import LinearModel, margins_many
 
 from conftest import group_accuracies, make_dataset, random_dataset
 
@@ -357,7 +356,7 @@ def _closing_draw(hstar, x, y):
     """h* + c(e_rival - e_y)x^T, rival the best other label at the example
     x of label y: the step moves the gap s_y - s_rival by -2c||x||^2, and c
     closes it.  The draw's largest label-row difference is D = 2|c| ||x||,
-    so its reach D/2 is exactly x's ratio |m|/(2||x||)."""
+    so its reach D is exactly x's key |m|/||x||."""
     scores = hstar @ x
     rival = np.argmax(np.where(np.arange(len(hstar)) == y, -np.inf, scores))
     step = np.zeros(hstar.shape)
@@ -365,8 +364,19 @@ def _closing_draw(hstar, x, y):
     return hstar + (scores[y] - scores[rival]) / (2.0 * x @ x) * step
 
 
+def _model(hstar):
+    return LinearModel(hstar, np.linalg.norm(hstar) + 1.0)
+
+
 def _reference(hstar, d):
-    return fairness.ScoringReference(hstar, margin_profile(LinearModel(hstar, 10.0), d).ratio, d)
+    return fairness.ScoringReference(_model(hstar), d)
+
+
+def _keys(hstar, d):
+    """|m|/||x|| at h* of each example of d, in data order: the key by
+    which a scoring reference prunes."""
+    margins = margins_many(_model(hstar), d.features, d.labels)
+    return np.abs(margins) / np.linalg.norm(d.features, axis=1)
 
 
 def _count_scored(call):
@@ -426,21 +436,23 @@ class TestPrunedScoring:
         # one more sensitive value than is drawn, so some groups are empty
         d = make_dataset(features, sensitive, labels, num_labels, num_sensitive + 1)
         radius = np.linalg.norm(hstar)
-        ratio = margin_profile(LinearModel(hstar, radius + 1.0), d).ratio
-        reference = fairness.ScoringReference(hstar, ratio, d)
+        reference = _reference(hstar, d)
         if not integer:
+            # half of row i's key: far enough from h* for a draw to come
+            # close to flipping row i
+            near = _keys(hstar, d) / 2
             draws = []
             for kind in rng.integers(0, 5, num_draws):
                 i = rng.integers(n)
                 if kind == 0:  # distance 0
                     draws.append(hstar.copy())
-                elif kind == 1:  # at row i's ratio, straight against its margin
+                elif kind == 1:  # near row i, straight against its margin
                     rival = (labels[i] + 1 + rng.integers(num_labels - 1)) % num_labels
                     step = np.zeros((num_labels, p))
                     step[rival], step[labels[i]] = features[i], -features[i]
-                    draws.append(hstar + ratio[i] * step / np.linalg.norm(step))
-                elif kind == 2:  # at row i's ratio, in a random direction
-                    draws.append(hstar + ratio[i] * _unit(rng, (num_labels, p)))
+                    draws.append(hstar + near[i] * step / np.linalg.norm(step))
+                elif kind == 2:  # near row i, in a random direction
+                    draws.append(hstar + near[i] * _unit(rng, (num_labels, p)))
                 elif kind == 3:  # beyond the ball's diameter
                     draws.append(hstar + (2 * radius + 1.0) * _unit(rng, (num_labels, p)))
                 else:
@@ -468,19 +480,19 @@ class TestPrunedScoring:
             assert np.array_equal(a, b)
 
     def test_closing_draw_scores_its_row(self, rng):
-        # the draw's reach D/2 is exactly the row's ratio, and D' and the
-        # ratio round either way; the widening of the reach covers that,
-        # so the row is scored: the scored prefix holds every row of
-        # ratio at most its ratio
+        # the draw's reach D is exactly the row's key, and D' and the key
+        # round either way; the widening of the reach covers that, so the
+        # row is scored: the scored prefix holds every row of key at most
+        # its key
         for num_labels, p in [(2, 1), (2, 3), (3, 2), (5, 4)]:
             d = random_dataset(rng, 40, p=p, num_labels=num_labels)
             hstar = rng.normal(size=(num_labels, p))
             reference = _reference(hstar, d)
-            ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
-            for x, y, r in zip(d.features, d.labels, ratio):
+            keys = _keys(hstar, d)
+            for x, y, r in zip(d.features, d.labels, keys):
                 draw = _closing_draw(hstar, x, y)[None]
                 _, scored = _count_scored(lambda: fairness._correct_counts(draw, d, reference))
-                assert scored >= np.sum(ratio <= r)
+                assert scored >= np.sum(keys <= r)
 
     def test_label_rows_shifted_alike_score_no_row(self, rng):
         # W = h* + 1v^T moves every label's score by v.x, so no margin moves
@@ -494,8 +506,10 @@ class TestPrunedScoring:
         assert np.array_equal(pruned, fairness._correct_counts(draws, d))
 
     def test_two_label_gaussian_stack_scores_under_the_distance_limit(self, rng):
-        # for two labels D = ||Delta_0 - Delta_1|| is about the Frobenius
-        # distance d, so the reach D/2 is about half of d
+        # a margin is 2||x||-Lipschitz in the model, so a draw at Frobenius
+        # distance d can flip only the rows whose key is at most 2d; for
+        # two labels D = ||Delta_0 - Delta_1|| is about d, so the reach D
+        # is about half of that
         d = random_dataset(rng, 2000, p=4, num_labels=2, num_sensitive=2)
         hstar = rng.normal(size=(2, 4))
         draws = hstar + 0.05 * rng.normal(size=(200, 2, 4))
@@ -503,8 +517,8 @@ class TestPrunedScoring:
         with mock.patch.object(fairness, "DRAW_BLOCK", 1):
             pruned, scored = _count_scored(lambda: fairness._correct_counts(draws, d, reference))
         dists = np.linalg.norm(draws - hstar, axis=(1, 2))
-        distance_limit = dists + reference.widening * (dists + reference.norm)
-        distance_scored = np.sum(reference.ratio <= distance_limit[:, None])
+        distance_limit = 2 * dists + reference.widening * (dists + reference.norm)
+        distance_scored = np.sum(reference.key <= distance_limit[:, None])
         assert scored < 0.6 * distance_scored
         assert np.array_equal(pruned, fairness._correct_counts(draws, d))
 
@@ -512,8 +526,7 @@ class TestPrunedScoring:
         d = random_dataset(rng, 50, num_sensitive=3)
         other = random_dataset(rng, 50, num_sensitive=3)
         hstar = rng.normal(size=(2, 3))
-        ratio = margin_profile(LinearModel(hstar, 10.0), d).ratio
-        reference = fairness.ScoringReference(hstar, ratio, d)
+        reference = _reference(hstar, d)
         weights = hstar[None] + 0.1 * rng.normal(size=(20, 2, 3))
         # every spec, each built after the reference
         specs = [spec_for(d, notion)[0] for notion in NOTIONS]
@@ -522,8 +535,18 @@ class TestPrunedScoring:
             assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="scoring reference"):
             group_fairness_many(weights, other, [coefficients(other, "accuracy_parity")], reference)
-        with pytest.raises(ValueError, match="one entry per example"):
-            fairness.ScoringReference(hstar, ratio[:-1], d)
+
+    def test_one_label_reference_scores_no_row(self, rng):
+        # a one-label h* has no margin, so every key is infinite; every
+        # one-label model classifies every row correctly, as h* does
+        d = random_dataset(rng, 30, num_labels=1)
+        hstar = rng.normal(size=(1, 3))
+        draws = hstar + rng.normal(size=(10, 1, 3))
+        reference = _reference(hstar, d)
+        assert np.isinf(reference.key).all()
+        pruned, scored = _count_scored(lambda: fairness._correct_counts(draws, d, reference))
+        assert scored == 0
+        assert np.array_equal(pruned, fairness._correct_counts(draws, d))
 
     def test_partition_that_splits_a_cell_is_value_error(self, rng):
         d = random_dataset(rng, 50)

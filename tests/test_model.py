@@ -1,10 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from fairbound.exceptions import ConfigError
+from fairbound.exceptions import ConfigError, DataError
 from fairbound.model import (
     LinearModel,
     clip_to_ball,
@@ -203,6 +204,17 @@ class TestSerialization:
         m2 = load_model(str(path))
         assert np.array_equal(m.weights, m2.weights)
         assert m.radius == m2.radius
+
+    def test_content_after_the_declared_rows_is_data_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(LinearModel(np.eye(2), 5.0), str(path))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + "\n \t\n", encoding="utf-8")
+        assert np.array_equal(load_model(str(path)).weights, np.eye(2))
+        for extra in ("0 0\n", "trained on d.csv"):
+            path.write_text(text + extra, encoding="utf-8")
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: content after the 2 "):
+                load_model(str(path))
 
     def test_ball_invariant_enforced(self):
         with pytest.raises(ValueError):
