@@ -2,6 +2,8 @@
 
 Every variant is read off one margin profile: per example, the absolute
 confidence margin |m| and the margin's Lipschitz constant L in the model.
+This module alone knows L: every constant is one margin factor, defined
+below, times a reach of the example's features.
 A model within distance d of the profiled one can change the prediction
 only on examples with |m|/L <= d, the "at-risk" examples.  That ratio is
 ``MarginProfile.ratio``; the profile computes it and its inverse L/|m|
@@ -54,13 +56,19 @@ from .config import nonnegative, one_of
 from .dataset import Dataset, GroupPartition
 from .exceptions import DataError
 from .fairness import FairnessSpec
-from .model import LinearModel, distance as model_distance
-from .model import margins_many, pointwise_lipschitz_many
+from .model import LinearModel, distance as model_distance, margins_many
 from .privacy import PrivacyParams, resolve_distance
 from .trainer import LossConstants
 
 VARIANTS = ("markov", "truncated", "chernoff", "best")
 DIST_PROVENANCES = ("lemma2", "lemma3", "measured")
+
+# Between models h and h' = h - D the margin of (x, y) moves by at most
+# max over y' != y of |(D_y - D_y').x| <= |D_y.x| + |D_y'.x|, and that sum is
+# at most this factor times ||D||_F times the row's reach along D: ||x|| in
+# ``margin_profile`` and max_y |D_y.x|/||D_y|| in ``refined_lipschitz``.
+# Every margin Lipschitz constant is this factor times a reach.
+_MARGIN_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -111,15 +119,16 @@ class MarginProfile:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as a DataError
 def margin_profile(m: LinearModel, d: Dataset) -> MarginProfile:
-    """Absolute margins and 2*||x||_2 Lipschitz constants for every example.
-    A ``DataError`` counts the rows whose margin or constant is not finite
-    (two scores that both overflow give an undefined margin) and names the
-    first; a one-label model, which has no margin, is a ``DataError`` too."""
+    """Absolute margins and Lipschitz constants for every example: each
+    constant is the module's margin factor times ||x||_2.  A ``DataError``
+    counts the rows whose margin or constant is not finite (two scores that
+    both overflow give an undefined margin) and names the first; a
+    one-label model, which has no margin, is a ``DataError`` too."""
     if m.num_labels < 2:
         raise DataError("the margin is undefined for a single-label model, "
                         "as on data whose labels all have one value")
     abs_margins = np.abs(margins_many(m, d.features, d.labels))
-    lipschitz = pointwise_lipschitz_many(d.features)
+    lipschitz = _MARGIN_FACTOR * np.linalg.norm(d.features, axis=1)
     bad = np.flatnonzero(~(np.isfinite(abs_margins) & np.isfinite(lipschitz)))
     if bad.size:
         raise DataError(f"{bad.size} rows have a margin or Lipschitz constant that is not "
@@ -133,8 +142,8 @@ def refined_lipschitz(h: LinearModel, hprime: LinearModel, d: Dataset) -> np.nda
 
     The margin change on x is controlled by the component of x along each
     weight-row difference, not by the full norm:
-    L_i = 2 * max_y |(W_y - W'_y) . x_i| / ||W_y - W'_y||_2, with rows where
-    the models agree contributing zero.
+    L_i = the margin factor times max_y |(W_y - W'_y) . x_i| / ||W_y - W'_y||_2,
+    with rows where the models agree contributing zero.
     """
     if h.weights.shape != hprime.weights.shape:
         raise ValueError("models must have the same shape")
@@ -145,7 +154,7 @@ def refined_lipschitz(h: LinearModel, hprime: LinearModel, d: Dataset) -> np.nda
         return np.zeros(d.n)
     # |projection of x on each active row direction|, maximized over rows
     comps = np.abs(d.features @ diff[active].T) / row_norms[active]
-    return 2.0 * np.max(comps, axis=1)
+    return _MARGIN_FACTOR * np.max(comps, axis=1)
 
 
 @dataclass(frozen=True)

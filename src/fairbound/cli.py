@@ -287,6 +287,11 @@ def _bound_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    # without --other the statement holds with probability 1 - fs_delta - zeta
+    if args.finite_sample != "off" and not args.other and args.fs_delta + args.zeta >= 1:
+        raise ConfigError(f"--fs-delta {args.fs_delta} plus --zeta {args.zeta} is at least 1, "
+                          "so the finite-sample statement would hold with no positive "
+                          "confidence; lower one of them, or give --other")
     eval_data = load_csv(args.data, args.sensitive_col, args.label_col)
     train = _training_data(args.train_data, args)
     reference = _load_model_for(args.model, eval_data, train)

@@ -179,13 +179,15 @@ class GroupPartition:
 _CACHE_DIR = "__fairbound_cache__"
 # part of every cache key: change it whenever the parse rules or the entry
 # layout change, so that no entry written under the old ones is ever a hit
-_CACHE_FORMAT = "fairbound-load-csv-3"
+_CACHE_FORMAT = "fairbound-load-csv-4"
 _KEY_BYTES = 32  # a SHA-256 digest
 _ALIGN = 64  # the arrays of an entry start at a multiple of this many bytes
 
 
 def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
-    """Load a UTF-8 comma-separated file with a mandatory header row.
+    """Load a UTF-8 comma-separated file with a mandatory header row.  A
+    leading UTF-8 byte-order mark, as spreadsheet programs write it, is
+    skipped, so it never becomes part of the first column's name.
 
     One column is the sensitive attribute, one is the label; every other
     column must be numeric and becomes a feature.  An intercept coordinate
@@ -310,7 +312,7 @@ def _write_entry(entry: str, key: bytes, d: Dataset, mode: int) -> None:
 def _parse_csv(path: str, raw: bytes, sensitive_col: str, label_col: str) -> Dataset:
     """The dataset in ``raw``, the bytes of the file at ``path``, which
     only names the file in error messages."""
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh), None)
             if header is None:
@@ -380,7 +382,8 @@ def _parse_error(path: str, raw: bytes, width: int, feat_idx: list[int], fallbac
     Undecodable bytes read as U+FFFD here, so the first bad row is found
     wherever they are.  ``fallback`` describes the failure when no single
     row is to blame."""
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", errors="replace",
+                          newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row_num, row in enumerate(reader, start=2):

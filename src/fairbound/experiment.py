@@ -259,7 +259,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     A failure at one grid point is recorded and the sweep continues; the
     whole run is deterministic given the config (including its seed).  A
     notion the evaluation data cannot carry raises the ``ConfigError`` or
-    ``DataError`` of :func:`coefficients` before ``out_dir`` is made.
+    ``DataError`` of :func:`coefficients` before ``out_dir`` is made, and
+    so does a grid of ``grid-count`` values that cannot be allocated, as a
+    ``ConfigError``.  A point whose arrays cannot be allocated is a
+    ``MemoryError`` failure of that point.
     """
     base = _load_base_data(cfg)
     if cfg.eval_split == "test":
@@ -270,6 +273,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     else:
         train_all, eval_data = base, base
     specs = {notion: coefficients(eval_data, notion, cfg.desirable) for notion in cfg.notions}
+    try:
+        grid = _grid_values(cfg)
+    except MemoryError as exc:
+        raise ConfigError(f"grid-count {cfg.grid_count}: the grid cannot be allocated ({exc})")
     os.makedirs(out_dir, exist_ok=True)
 
     rows: list[list] = []
@@ -281,9 +288,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     if cfg.sweep_axis == "epsilon":
         try:
             shared_optimum = _Optimum(cfg, train_all, eval_data, specs)
-        except (FairboundError, ValueError) as exc:
+        except (FairboundError, ValueError, MemoryError) as exc:
             shared_optimum = exc
-    for g, grid_value in enumerate(map(float, _grid_values(cfg))):
+    for g, grid_value in enumerate(map(float, grid)):
         try:
             rows.extend(
                 _run_grid_point(cfg, g, grid_value, train_all, eval_data, specs, shared_optimum)
@@ -292,6 +299,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
             failures.append((g, grid_value, f"{type(exc).__name__}: {exc}"))
         except ValueError as exc:
             failures.append((g, grid_value, f"ValueError: {exc}"))
+        except MemoryError as exc:  # NumPy cannot allocate the point's arrays
+            failures.append((g, grid_value, f"MemoryError: {exc}"))
 
     sweep_path = os.path.join(out_dir, "sweep.csv")
     write_rows(sweep_path, SWEEP_COLUMNS, rows, preamble=[

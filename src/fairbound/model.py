@@ -5,7 +5,7 @@ with x.  The margin of (x, y) is the score of y minus the best other label's
 score; it is positive exactly when the model classifies x as y (ties are
 broken toward the lowest label id, so a zero margin on the winning label
 still predicts it).  The model norm is the Frobenius norm of the weight
-matrix, under which the margin is 2*||x||_2-Lipschitz in the model.
+matrix.
 """
 
 from __future__ import annotations
@@ -117,12 +117,6 @@ def margins_many(m: LinearModel, features: np.ndarray, labels: np.ndarray) -> np
     true = scores[np.arange(scores.shape[0]), labels]
     others = (np.where(labels == y, -np.inf, column) for y, column in enumerate(scores.T))
     return true - functools.reduce(np.maximum, others)
-
-
-def pointwise_lipschitz_many(features: np.ndarray) -> np.ndarray:
-    """Margin Lipschitz constant of each row x: 2*||x||_2, the same for
-    every label."""
-    return 2.0 * np.linalg.norm(features, axis=1)
 
 
 def distance(m: LinearModel, other: LinearModel) -> float:

@@ -19,7 +19,7 @@ from fairbound.bounds import (
 from fairbound.dataset import GroupPartition
 from fairbound.exceptions import ConfigError, DataError
 from fairbound.fairness import FairnessSpec, coefficients, direct_fairness, group_fairness
-from fairbound.model import LinearModel, distance, predict_many
+from fairbound.model import LinearModel, distance, margin, predict_many
 from fairbound.trainer import constants
 
 from conftest import make_dataset, random_dataset
@@ -128,6 +128,60 @@ class TestMarginProfile:
         profile = MarginProfile(np.array([1e-320, 0.0, 0.5]), np.array([1e10, 0.0, 2.0]))
         assert profile.inverse_ratio.tolist() == [math.inf, 0.0, 4.0]
         assert profile.ratio.tolist() == [0.0, math.inf, 0.25]
+
+
+class TestLipschitz:
+    @staticmethod
+    def lipschitz(features):
+        features = np.asarray(features, dtype=float)
+        d = make_dataset(features, [0] * len(features), [0] * len(features), num_sensitive=1)
+        m = LinearModel(np.zeros((2, features.shape[1])), 1.0)
+        return margin_profile(m, d).lipschitz
+
+    def test_hand_values(self):
+        values = self.lipschitz([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+        assert values[0] == pytest.approx(10.0)
+        assert values[1] == 0.0
+        assert self.lipschitz(np.ones((1, 4)))[0] == pytest.approx(4.0)
+
+    @staticmethod
+    def assert_within(h, other, x, y, slack):
+        """|m(other) - m(h)| on (x, y) is within both of h's constants,
+        ``margin_profile``'s and the refined one against ``other``, times
+        the distance; ``slack(bound)`` is the bound the gap may reach."""
+        d = make_dataset(x[None], [0], [y], num_labels=h.num_labels, num_sensitive=1)
+        gap = abs(margin(other, x, y) - margin(h, x, y))
+        dist = distance(h, other)
+        for lipschitz in (margin_profile(h, d).lipschitz[0],
+                          refined_lipschitz(h, other, d)[0]):
+            assert gap <= slack(lipschitz * dist), (gap, lipschitz, dist)
+
+    def test_margin_lipschitz_inequality(self, rng):
+        # |margin(h) - margin(h')| <= L * distance(h, h'), 1e-9 slack
+        for _ in range(300):
+            a = LinearModel(rng.normal(size=(3, 4)), radius=100.0)
+            b = LinearModel(rng.normal(size=(3, 4)), radius=100.0)
+            self.assert_within(a, b, rng.normal(size=4), int(rng.integers(3)),
+                               lambda bound: bound + 1e-9)
+
+    @pytest.mark.parametrize("num_labels", [2, 3, 5])
+    def test_worst_direction_attains_sqrt2(self, rng, num_labels):
+        # W = h + t (e_y' - e_y) x^T, y' h's closest competing label, moves
+        # the margin by exactly sqrt(2)||x|| * ||W - h||: every constant at
+        # or above sqrt(2)||x|| holds there, and none below it does
+        for _ in range(50):
+            h = LinearModel(rng.normal(size=(num_labels, 4)), radius=100.0)
+            x = rng.normal(size=4)
+            y = int(rng.integers(num_labels))
+            scores = h.weights @ x
+            scores[y] = -math.inf
+            closest = int(np.argmax(scores))
+            step = rng.uniform(0.1, 2.0) * np.outer(np.eye(num_labels)[closest] -
+                                                    np.eye(num_labels)[y], x)
+            w = LinearModel(h.weights + step, radius=100.0)
+            ratio = abs(margin(w, x, y) - margin(h, x, y)) / (np.linalg.norm(x) * distance(h, w))
+            assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-9)
+            self.assert_within(h, w, x, y, lambda bound: bound * (1 + 1e-12))
 
 
 class TestChi:

@@ -1,8 +1,10 @@
 import argparse
 import csv
 import functools
+import importlib
 import os
 import pathlib
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairbound
 from fairbound import experiment, trainer
 from fairbound.cli import build_parser, main
 from fairbound.dataset import load_csv
@@ -449,6 +452,18 @@ class TestExitCodes:
                     "--out-dir", str(out_dir)]) == 2
         assert "varaint" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_finite_sample_confidence_not_positive_is_2(self, workdir, capsys):
+        # without --other the statement holds with probability
+        # 1 - fs_delta - zeta; this one once exited 0 and wrote -0.3
+        missing, model = str(workdir / "missing.csv"), str(workdir / "missing.txt")
+        out = workdir / "out.csv"
+        argv = _report_argv("bound", missing, model, "accuracy", out)
+        assert run(argv + ["--finite-sample", "independent", "--fs-delta", "0.7",
+                           "--zeta", "0.6"]) == 2
+        assert re.search(r"config error: --fs-delta 0\.7 plus --zeta 0\.6 is at least 1",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
     def test_convergence_error_is_3(self, workdir):
         spec = str(workdir / "synth.cfg")
@@ -1104,11 +1119,14 @@ class TestExitCodes:
         assert "unknown experiment config key(s): variant" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("other, confidence", [(False, 1 - 0.05 - 0.01), (True, 1 - 0.05)],
-                             ids=["lemma", "other"])
-    def test_bound_combined_confidence(self, workdir, other, confidence):
+    @pytest.mark.parametrize("other, fs_delta, zeta, confidence",
+                             [(False, "0.05", "0.01", 1 - 0.05 - 0.01),
+                              (True, "0.05", "0.01", 1 - 0.05),
+                              (True, "0.7", "0.6", 1 - 0.7)],
+                             ids=["lemma", "other", "other-large-zeta"])
+    def test_bound_combined_confidence(self, workdir, other, fs_delta, zeta, confidence):
         # --other once also subtracted zeta, though its measured distance
-        # holds surely
+        # holds surely, so with it fs_delta + zeta may exceed 1
         data = str(workdir / "data.csv")
         model = str(workdir / "model.txt")
         priv = str(workdir / "priv.txt")
@@ -1118,8 +1136,8 @@ class TestExitCodes:
              "--seed", "1", "--out", priv])
         out = workdir / "bound.csv"
         args = _report_argv("bound", data, model, "accuracy-parity", out)
-        assert run(args + ["--finite-sample", "independent", "--fs-delta", "0.05",
-                           "--zeta", "0.01", *(["--other", priv] if other else [])]) == 0
+        assert run(args + ["--finite-sample", "independent", "--fs-delta", fs_delta,
+                           "--zeta", zeta, *(["--other", priv] if other else [])]) == 0
         rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
                 if not line.startswith("#")]
         column = rows[0].index("combined_confidence")
@@ -1515,6 +1533,54 @@ class TestReadmeFlags:
         documented = readme_flags(README.read_text(encoding="utf-8"))
         assert {"--config", "--finite-sample", "--out-dir"} <= documented
         assert sorted(documented - parser_flags()) == []
+
+
+def readme_names(text: str) -> set[str]:
+    """Dotted library names in the backticked spans of ``text`` outside
+    fenced blocks: each ``fairbound.<...>`` and each ``<module>.<name>`` of a
+    module of the package."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    modules = "|".join(sorted(m.name for m in pkgutil.iter_modules(fairbound.__path__)))
+    pattern = rf"(?<![\w.])(?:fairbound|{modules})(?:\.\w+)+"
+    return {name for span in re.findall(r"`([^`]+)`", prose)
+            for name in re.findall(pattern, span) if name != "fairbound"}
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name``, read under the package when it does not start
+    with it, is a module or an attribute reached from the longest
+    importable module prefix."""
+    parts = name.split(".")
+    if parts[0] != "fairbound":
+        parts.insert(0, "fairbound")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
+
+
+class TestReadmeNames:
+    def test_reader_sees_dotted_library_names_only(self):
+        text = ("`fairbound.dataset.split` and `model.margins_many`, not `sweep.csv`, "
+                "`np.linalg.norm` or `fairbound`\n```python\nfairbound.model.distance\n```\n")
+        assert readme_names(text) == {"fairbound.dataset.split", "model.margins_many"}
+
+    def test_resolver_refuses_a_moved_name(self):
+        assert resolves("fairbound.bounds.refined_lipschitz") and resolves("model.LinearModel")
+        assert not resolves("model.pointwise_lipschitz_many")
+        assert not resolves("fairbound.no_such_module.name")
+
+    def test_every_readme_library_name_resolves(self):
+        names = readme_names(README.read_text(encoding="utf-8"))
+        assert len(names) >= 20
+        assert sorted(name for name in names if not resolves(name)) == []
 
 
 class TestReadmeCommands:

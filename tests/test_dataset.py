@@ -244,6 +244,20 @@ class TestLoadCsv:
                          label_col="y")
         assert not (tmp_path / dataset_module._CACHE_DIR).exists()
 
+    @pytest.mark.parametrize("lines", [["s,f0,y", "a,1.5,0", "b,2.5,1"],
+                                       ["f0,s,y", "1.5,a,0", "2.5,b,1"]],
+                             ids=["role-first", "feature-first"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, lines):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF, which once became
+        # part of the first column's name: a missing role, or a feature
+        # named '\ufefff0'
+        f = tmp_path / "d.csv"
+        f.write_bytes("\n".join(lines).encode("utf-8-sig"))
+        plain = tmp_path / "plain.csv"
+        write_lines(plain, lines)
+        for _ in ("cold", "warm"):
+            assert_same_dataset(load_csv(str(f), "s", "y"), load_csv(str(plain), "s", "y"))
+
     def test_non_numeric_feature_reports_row(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["f1,s,y", "1.0,a,0", "oops,b,1"])
@@ -477,6 +491,19 @@ class TestParseCache:
         assert entry.exists()
         with pytest.raises(SchemaError, match="2 columns are named 'f0'"):
             load_csv(str(f), "f0", "y")
+
+    def test_entry_of_the_third_format_is_not_read(self, tmp_path):
+        # format 3 kept a leading byte-order mark in the first column's name
+        f = tmp_path / "d.csv"
+        f.write_bytes("f0,s,y\n1.5,a,0\n2.5,b,1\n".encode("utf-8-sig"))
+        tag = json.dumps(["fairbound-load-csv-3", "s", "y"]).encode("ascii")
+        key = hashlib.sha256(tag + f.read_bytes()).digest()
+        plain = tmp_path / "plain.csv"
+        write_lines(plain, ["f0,s,y", "1.5,a,0", "2.5,b,1"])
+        want = load_csv(str(plain), "s", "y")
+        dataset_module._write_entry(_entry(str(f)), key,
+                                    dataclasses.replace(want, feature_names=("\ufefff0",)), 0o644)
+        assert load_csv(str(f), "s", "y").feature_names == ("f0",)
 
     def test_roles_are_part_of_the_key(self, tmp_path):
         f = str(tmp_path / "d.csv")

@@ -155,6 +155,47 @@ class TestRunExperiment:
             assert list(csv.reader(fh)) == [["grid_index", "grid_value", "error"],
                                             ["1", "10000.00000000001", error]]
 
+    # the allocations are mocked: a real 7 TiB request can succeed on a
+    # machine that overcommits memory, and then the OOM killer ends the run
+    TOO_LARGE = "Unable to allocate 7.28 TiB for an array with shape (100000000000, 2, 5)"
+
+    @pytest.mark.parametrize("target", ["release_many", "ScoringReference"])
+    def test_unallocatable_arrays_fail_point_by_point(self, spec_file, tmp_path, monkeypatch,
+                                                      target):
+        # release_many fails at the second point only; a shared h* whose
+        # scoring reference cannot be built fails every point
+        calls = []
+        real = getattr(experiment, target)
+
+        def starved(*args, **kwargs):
+            calls.append(1)
+            if target == "ScoringReference" or len(calls) == 2:
+                raise MemoryError(self.TOO_LARGE)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, target, starved)
+        cfg = base_config(spec_file, sweep_axis="epsilon", grid_start=1.0, grid_stop=4.0,
+                          grid_count=3, draws=5, notions=("accuracy_parity",))
+        result = run_experiment(cfg, str(tmp_path / "out"))
+        failed = [1] if target == "release_many" else [0, 1, 2]
+        assert [(g, error) for g, _, error in result.failures] == [
+            (g, f"MemoryError: {self.TOO_LARGE}") for g in failed
+        ]
+        assert result.rows == (3 - len(failed)) * 2
+        rows = pathlib.Path(result.failures_path).read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 1 + len(failed)
+
+    def test_unallocatable_grid_is_config_error(self, spec_file, tmp_path, monkeypatch):
+        def starved(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(experiment, "_grid_values", starved)
+        cfg = base_config(spec_file, sweep_axis="epsilon", grid_start=1.0, grid_stop=4.0,
+                          grid_count=3, draws=5)
+        with pytest.raises(ConfigError, match=r"^grid-count 3: the grid cannot be allocated"):
+            run_experiment(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_one_label_data_fails_every_point_with_data_error(self, tmp_path):
         # a one-label h* has no margin; its failure rows once read
         # "ValueError: margin is undefined for a single-label model"
@@ -227,11 +268,11 @@ class TestRunExperiment:
         # at these sizes a DP-SGD draw lies far enough from h* to flip
         # every row, so only the epsilon sweep must score fewer rows.  The
         # scorer derives its pruning key from h* alone, so the bound
-        # layer's sharper margin Lipschitz constant sqrt(2)||x|| changes
-        # the certificates but leaves the pruned and every-row sweeps alike
+        # layer's sharper margin factor sqrt(2), which scales both h*'s and
+        # the refined constants, changes the certificates but leaves the
+        # pruned and every-row sweeps alike
         if sharp_lipschitz:
-            monkeypatch.setattr(bounds, "pointwise_lipschitz_many",
-                                lambda features: math.sqrt(2.0) * np.linalg.norm(features, axis=1))
+            monkeypatch.setattr(bounds, "_MARGIN_FACTOR", math.sqrt(2.0))
         scored = []
         real_correct = fairness._correct
 

@@ -15,7 +15,6 @@ from fairbound.model import (
     load_model,
     margin,
     margins_many,
-    pointwise_lipschitz_many,
     predict_many,
     save_model,
 )
@@ -71,24 +70,6 @@ class TestMargin:
         vec = margins_many(m, X, y)
         for i in range(20):
             assert vec[i] == pytest.approx(margin(m, X[i], int(y[i])), abs=1e-12)
-
-
-class TestLipschitz:
-    def test_hand_values(self):
-        values = pointwise_lipschitz_many(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]]))
-        assert values[0] == pytest.approx(10.0)
-        assert values[1] == 0.0
-        assert pointwise_lipschitz_many(np.ones((1, 4)))[0] == pytest.approx(4.0)
-
-    def test_margin_lipschitz_inequality(self, rng):
-        # |margin(m) - margin(m')| <= 2||x|| * distance(m, m'), 1e-9 slack
-        for _ in range(300):
-            a = LinearModel(rng.normal(size=(3, 4)), radius=100.0)
-            b = LinearModel(rng.normal(size=(3, 4)), radius=100.0)
-            x = rng.normal(size=4)
-            y = int(rng.integers(3))
-            gap = abs(margin(a, x, y) - margin(b, x, y))
-            assert gap <= 2.0 * np.linalg.norm(x) * distance(a, b) + 1e-9
 
 
 class TestDistance:
