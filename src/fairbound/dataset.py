@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import stat
 import tempfile
@@ -182,6 +183,7 @@ _CACHE_DIR = "__fairbound_cache__"
 _CACHE_FORMAT = "fairbound-load-csv-4"
 _KEY_BYTES = 32  # a SHA-256 digest
 _ALIGN = 64  # the arrays of an entry start at a multiple of this many bytes
+_CHUNK = 256 * 1024  # bytes hashed at a time when a key is streamed from a file
 
 
 def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
@@ -201,41 +203,69 @@ def load_csv(path: str, sensitive_col: str, label_col: str) -> Dataset:
     padding is any character ``str.isspace`` accepts.  A ragged row, any
     other feature cell, and a file that is not UTF-8 are data errors.
 
-    Parse cache.  The file's bytes are read once.  When ``path`` is a
-    regular file, the parsed dataset is kept in
+    Parse cache.  The file is opened once.  When ``path`` is a regular
+    file, the parsed dataset is kept in
     ``<directory of path>/__fairbound_cache__/<file name>.bin``, keyed by
-    SHA-256 over a cache-format tag, both role names and those bytes (the
-    hash-checked ``.pyc`` design of PEP 552).  The entry is one raw
+    SHA-256 over a cache-format tag, both role names and the file's bytes
+    (the hash-checked ``.pyc`` design of PEP 552).  The entry is one raw
     buffer: the 32-byte key, an 8-byte little-endian header length, an
     ASCII JSON header holding the three vocabularies, ``n`` and ``p``,
     zero padding to a multiple of 64 bytes, then the features as ``<f8``
     in row-major order and the sensitive ids and the labels, each as
-    ``<i8``.  A later load of the same bytes with the same roles reads
-    that entry in one call and views its arrays in place, instead of
-    parsing; any change to the content or the roles is a miss, whatever
-    the file's size or modification time.  An entry that cannot be read or
-    does not match is a miss and is rewritten; a file that fails to parse
-    is never cached; writing is skipped when the directory cannot be
-    written.  The cache never changes a result, so deleting the directory
-    is always safe.
+    ``<i8``.  A load hashes the file in fixed-size chunks; when the entry
+    holds that key, it maps the entry read-only and views its arrays in
+    place, so neither file is copied whole into memory.  Only a miss
+    reads the file in full, parses it, and stores the result under the
+    key of the bytes it parsed.  Any change to the content or the roles is
+    a miss, whatever the file's size or modification time.  An entry that
+    cannot be read or does not match is a miss and is rewritten; a file
+    that fails to parse is never cached; writing is skipped when the
+    directory cannot be written.  A dataset from an entry holds one file
+    descriptor until its arrays are freed.  Entries are replaced by a
+    rename, never edited in place; editing one in place is unsupported, as
+    it is for a ``.pyc``.  The cache never changes a result, so deleting
+    the directory is always safe.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
             mode = os.fstat(fh.fileno()).st_mode
+            if stat.S_ISREG(mode):
+                entry = os.path.join(os.path.dirname(path), _CACHE_DIR,
+                                     os.path.basename(path) + ".bin")
+                d = _read_entry(entry, _streamed_key(fh, sensitive_col, label_col),
+                                sensitive_col, label_col)
+                if d is not None:
+                    return d
+                fh.seek(0)
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    if not stat.S_ISREG(mode):
-        return _parse_csv(path, raw, sensitive_col, label_col)
-    hasher = hashlib.sha256(json.dumps([_CACHE_FORMAT, sensitive_col, label_col]).encode("ascii"))
-    hasher.update(raw)  # not one ``tag + raw`` call, which copies the bytes
-    key = hasher.digest()
-    entry = os.path.join(os.path.dirname(path), _CACHE_DIR, os.path.basename(path) + ".bin")
-    d = _read_entry(entry, key, sensitive_col, label_col)
-    if d is None:
-        d = _parse_csv(path, raw, sensitive_col, label_col)
-        _write_entry(entry, key, d, stat.S_IMODE(mode))
+    d = _parse_csv(path, raw, sensitive_col, label_col)
+    if stat.S_ISREG(mode):
+        # keyed by the bytes parsed, which a rewrite since the streamed
+        # hash may have changed
+        hasher = _key_hasher(sensitive_col, label_col)
+        hasher.update(raw)  # not one ``tag + raw`` call, which copies the bytes
+        _write_entry(entry, hasher.digest(), d, stat.S_IMODE(mode))
     return d
+
+
+def _key_hasher(sensitive_col: str, label_col: str):
+    """SHA-256 fed the prefix of every cache key: the format tag and both
+    role names.  The file's bytes follow."""
+    return hashlib.sha256(json.dumps([_CACHE_FORMAT, sensitive_col, label_col]).encode("ascii"))
+
+
+def _streamed_key(fh, sensitive_col: str, label_col: str) -> bytes:
+    """The cache key of the rest of the open binary file ``fh``, read in
+    ``_CHUNK``-byte pieces into one reused buffer, so the file is never
+    held whole in memory."""
+    hasher = _key_hasher(sensitive_col, label_col)
+    buf = bytearray(_CHUNK)
+    with memoryview(buf) as view:
+        while got := fh.readinto(buf):
+            hasher.update(view[:got])
+    return hasher.digest()
 
 
 def _data_start(header_size: int) -> int:
@@ -247,14 +277,18 @@ def _data_start(header_size: int) -> int:
 def _read_entry(entry: str, key: bytes, sensitive_col: str, label_col: str) -> Dataset | None:
     """The dataset cached in ``entry`` under ``key``, or None on a miss.
 
-    The arrays are read-only views of the one buffer read from the file.
-    An entry whose length differs from what its header describes, or whose
-    header is not JSON with the expected fields, is a miss; so is one that
-    ``Dataset`` rejects, including a header that gives no rows
-    (``EmptyDatasetError``, a ``DataError``)."""
+    The entry is mapped read-only, not read, and the arrays are views of
+    the mapping, which holds one file descriptor until they are freed.
+    Entries are only ever replaced by a rename, never changed in place, so
+    a mapped entry never changes under its reader.  An entry that cannot be
+    mapped (an empty file, a file system without ``mmap``), whose length
+    differs from what its header describes, or whose header is not JSON
+    with the expected fields, is a miss; so is one that ``Dataset``
+    rejects, including a header that gives no rows (``EmptyDatasetError``,
+    a ``DataError``)."""
     try:
         with open(entry, "rb") as fh:
-            buf = fh.read()
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         if buf[:_KEY_BYTES] != key:
             return None
         size = int.from_bytes(buf[_KEY_BYTES:_KEY_BYTES + 8], "little")
@@ -300,7 +334,7 @@ def _write_entry(entry: str, key: bytes, d: Dataset, mode: int) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(prefix.ljust(_data_start(len(header)), b"\0"))
             for arr, dtype in ((d.features, "<f8"), (d.sensitive, "<i8"), (d.labels, "<i8")):
-                fh.write(np.asarray(arr, dtype).tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype))  # no copy in the native order
         os.chmod(tmp, mode & 0o666)
         os.replace(tmp, entry)
     except OSError:
@@ -470,6 +504,11 @@ class SyntheticSpec:
     cells: dict[tuple[int, int], CellSpec]  # keyed by (label, sensitive)
 
 
+# the most float64 values one array can hold: NumPy refuses a larger array
+# with a ValueError before it allocates anything
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
 def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
     """Draw a dataset from per-cell Gaussians, deterministically per seed.
 
@@ -479,9 +518,10 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
     mean of ``num_features`` finite values; a covariance of
     ``num_features`` finite, nonnegative diagonal variances, or a full
     matrix that NumPy's ``multivariate_normal(check_valid="raise")``
-    accepts as symmetric positive semi-definite.  Counts of zero are
-    allowed (the cell simply contributes no rows); a zero total raises
-    EmptyDatasetError.
+    accepts as symmetric positive semi-definite; and cell counts whose
+    arrays can be allocated, so a count too large for memory names its
+    cell.  Counts of zero are allowed (the cell simply contributes no
+    rows); a zero total raises EmptyDatasetError.
     """
     p = spec.num_features
     if p < 1:
@@ -497,29 +537,46 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
             raise ConfigError(f"cell {key}: cov needs {p} diagonal or {p * p} full-matrix values")
         if np.ndim(cell.cov) == 1 and not all(0 <= v < math.inf for v in cell.cov):
             raise ConfigError(f"cell {key}: diagonal variances must be finite and nonnegative")
+        if cell.count * p > _MAX_FLOATS:
+            raise _too_large(f"cell {key}: count {cell.count}", cell.count, p)
     counts = [cell.count for _, cell in cells]
-    if sum(counts) == 0:
+    total = sum(counts)
+    if total == 0:
         raise EmptyDatasetError("synthetic spec has zero total count")
+    if total * (p + 1) > _MAX_FLOATS:
+        raise _too_large(f"the total count {total}", total, p + 1)
 
     rng = np.random.default_rng(seed)
     blocks = []
     for key, cell in cells:  # a zero count draws no numbers from the stream
-        if np.ndim(cell.cov) == 1:
-            blocks.append(cell.mean + np.sqrt(cell.cov) * rng.standard_normal((cell.count, p)))
-            continue
         try:
-            blocks.append(rng.multivariate_normal(cell.mean, cell.cov, size=cell.count,
-                                                  check_valid="raise"))
-        except ValueError as exc:  # LinAlgError too
+            if np.ndim(cell.cov) == 1:
+                blocks.append(cell.mean + np.sqrt(cell.cov) * rng.standard_normal((cell.count, p)))
+            else:
+                blocks.append(rng.multivariate_normal(cell.mean, cell.cov, size=cell.count,
+                                                      check_valid="raise"))
+        except MemoryError:
+            raise _too_large(f"cell {key}: count {cell.count}", cell.count, p)
+        except ValueError as exc:  # LinAlgError too; only a full covariance raises it
             raise ConfigError(f"cell {key}: bad full covariance: {exc}")
-    return Dataset(
-        features=np.hstack([np.vstack(blocks), np.ones((sum(counts), 1))]),
-        sensitive=np.repeat([key[1] for key, _ in cells], counts),
-        labels=np.repeat([key[0] for key, _ in cells], counts),
-        label_values=tuple(str(v) for v in range(max(key[0] for key, _ in cells) + 1)),
-        sensitive_values=tuple(str(v) for v in range(max(key[1] for key, _ in cells) + 1)),
-        feature_names=tuple(f"f{j}" for j in range(p)),
-    )
+    try:
+        return Dataset(
+            features=np.hstack([np.vstack(blocks), np.ones((total, 1))]),
+            sensitive=np.repeat([key[1] for key, _ in cells], counts),
+            labels=np.repeat([key[0] for key, _ in cells], counts),
+            label_values=tuple(str(v) for v in range(max(key[0] for key, _ in cells) + 1)),
+            sensitive_values=tuple(str(v) for v in range(max(key[1] for key, _ in cells) + 1)),
+            feature_names=tuple(f"f{j}" for j in range(p)),
+        )
+    except MemoryError:
+        raise _too_large(f"the total count {total}", total, p + 1)
+
+
+def _too_large(what: str, rows: int, width: int) -> ConfigError:
+    """The error for a spec whose ``what`` asks for a ``rows`` × ``width``
+    float64 array that cannot be allocated."""
+    return ConfigError(f"{what} is too large: its {rows} × {width} float64 array "
+                       "cannot be allocated")
 
 
 def split(

@@ -598,6 +598,28 @@ class TestExitCodes:
         assert "config error: cell (0, 0): " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    @pytest.mark.parametrize("cov", ["1.0, 1.0", "1, 0, 0, 1"], ids=["diagonal", "full"])
+    def test_unallocatable_cell_is_config_error_2(self, workdir, command, cov, capsys):
+        # 10^18 rows of 2 float64 values are more bytes than NumPy can
+        # address, so it refuses them before allocating anything; they once
+        # ended in its "array is too big" ValueError (exit 1), or for a full
+        # covariance in "bad full covariance: array is too big" (exit 2)
+        count = 10**18
+        spec = workdir / "big.cfg"
+        spec.write_text(SPEC_TEXT + f"cell.0.0.count = {count}\ncell.0.0.cov = {cov}\n",
+                        encoding="utf-8")
+        exp = workdir / "exp.cfg"
+        exp.write_text(EXPERIMENT_TEXT.format(spec=str(spec)), encoding="utf-8")
+        out = workdir / "out"
+        argv = {"gen-data": ["gen-data", "--spec", str(spec), "--seed", "3", "--out", str(out)],
+                "experiment": ["experiment", "--config", str(exp), "--seed", "3",
+                               "--out-dir", str(out)]}[command]
+        assert main(argv) == 2
+        assert (f"config error: cell (0, 0): count {count} is too large: its {count} × 2 "
+                "float64 array cannot be allocated") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_column_holding_a_feature_is_data_error_4(self, workdir, monkeypatch, capsys):
         # --label-col f0 makes each of the 500 feature values a label; train
         # exits before the solver computes any objective

@@ -419,6 +419,37 @@ def forbid_parsing(monkeypatch) -> None:
     monkeypatch.setattr(dataset_module, "_parse_csv", refuse)
 
 
+def _key(data: bytes, sensitive_col: str = "s", label_col: str = "y") -> bytes:
+    """The cache key of a CSV holding ``data``, computed in one piece."""
+    tag = json.dumps([dataset_module._CACHE_FORMAT, sensitive_col, label_col]).encode("ascii")
+    return hashlib.sha256(tag + data).digest()
+
+
+class _RecordingReader:
+    """A binary file handle that records the name of every read method
+    called on it."""
+
+    READS = {"read", "read1", "readall", "readline", "readlines", "readinto", "readinto1"}
+
+    def __init__(self, fh, calls: list[str]):
+        self._fh, self._calls = fh, calls
+
+    def __getattr__(self, name):
+        if name in self.READS:
+            self._calls.append(name)
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 def _load_repeatedly(path: str, worker: int, start) -> None:
     """Stress-test worker: ten loads of ``path`` once all workers are ready.
     The role order alternates, so most loads miss and rewrite the entry
@@ -444,6 +475,101 @@ class TestParseCache:
         assert os.listdir(tmp_path / "__fairbound_cache__") == ["d.csv.bin"]
         forbid_parsing(monkeypatch)
         assert_same_dataset(load_csv(f, "s", "y"), want)
+
+    @pytest.mark.parametrize("chunks", [0, 2, 5], ids=["under_one_chunk", "two_chunks_exactly",
+                                                       "several_chunks"])
+    def test_entry_key_is_the_hash_of_the_whole_file(self, tmp_path, rng, monkeypatch, chunks):
+        # the key is hashed in one piece when the entry is written and in
+        # chunks when it is looked up; both must give SHA-256(tag + bytes)
+        f = tmp_path / "d.csv"
+        chunk = dataset_module._CHUNK
+        write_csv(random_dataset(rng, max(chunks * chunk // 100, 20), p=4), str(f))
+        if chunks:  # blank lines are skipped, so they pad the file to the size wanted
+            size = f.stat().st_size
+            assert chunks * chunk // 2 < size <= chunks * chunk
+            with open(f, "ab") as fh:
+                fh.write(b"\n" * (chunks * chunk - size))
+            assert f.stat().st_size == chunks * chunk
+        want = reference_load_csv(str(f), "s", "y")
+        assert_same_dataset(load_csv(str(f), "s", "y"), want)
+        assert Path(_entry(str(f))).read_bytes()[:32] == _key(f.read_bytes())
+        forbid_parsing(monkeypatch)
+        assert_same_dataset(load_csv(str(f), "s", "y"), want)
+
+    def test_entry_bytes_follow_the_documented_layout(self, tmp_path, rng):
+        f = tmp_path / "d.csv"
+        write_csv(random_dataset(rng, 30, p=3, num_labels=3), str(f))
+        d = load_csv(str(f), "s", "y")
+        header = json.dumps({"label_values": d.label_values,
+                             "sensitive_values": d.sensitive_values,
+                             "feature_names": d.feature_names, "n": d.n, "p": d.p})
+        prefix = _key(f.read_bytes()) + len(header).to_bytes(8, "little") + header.encode("ascii")
+        layout = (prefix + bytes(-len(prefix) % 64) + d.features.astype("<f8").tobytes()
+                  + d.sensitive.astype("<i8").tobytes() + d.labels.astype("<i8").tobytes())
+        assert Path(_entry(str(f))).read_bytes() == layout
+
+    def test_hit_reads_the_csv_only_through_readinto(self, tmp_path, rng, monkeypatch):
+        f = str(tmp_path / "d.csv")
+        write_csv(random_dataset(rng, 40), f)
+        want = reference_load_csv(f, "s", "y")
+        calls: list[str] = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return _RecordingReader(fh, calls) if os.fspath(file) == f else fh
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        load_csv(f, "s", "y")
+        assert "read" in calls  # a miss parses the whole file
+        calls.clear()
+        d = load_csv(f, "s", "y")
+        assert calls and set(calls) == {"readinto"}
+        assert_same_dataset(d, want)
+
+    def test_rewrite_after_the_streamed_hash_is_cached_under_its_own_key(self, tmp_path,
+                                                                         monkeypatch):
+        # the rewrite lands between the lookup and the read of a miss; the
+        # entry must hold the bytes that were parsed, under their own key
+        f = tmp_path / "d.csv"
+        write_lines(f, ["f1,s,y", "1.0,a,0", "2.0,b,1"])
+        real_read_entry = dataset_module._read_entry
+
+        def rewrite(*args):
+            write_lines(f, ["f1,s,y", "3.0,a,0", "4.0,b,1", "5.0,c,0"])
+            return None
+
+        monkeypatch.setattr(dataset_module, "_read_entry", rewrite)
+        assert load_csv(str(f), "s", "y").features[:, 0].tolist() == [3.0, 4.0, 5.0]
+        assert Path(_entry(str(f))).read_bytes()[:32] == _key(f.read_bytes())
+        monkeypatch.setattr(dataset_module, "_read_entry", real_read_entry)
+        forbid_parsing(monkeypatch)
+        assert load_csv(str(f), "s", "y").features[:, 0].tolist() == [3.0, 4.0, 5.0]
+
+    def test_hit_keeps_its_values_when_the_entry_is_replaced(self, tmp_path, rng):
+        f = str(tmp_path / "d.csv")
+        write_csv(random_dataset(rng, 60, p=3, num_labels=3), f)
+        load_csv(f, "s", "y")
+        hit = load_csv(f, "s", "y")
+        entry = os.stat(_entry(f))
+        swapped = load_csv(f, "y", "s")  # a miss: its entry replaces the mapped one
+        assert os.stat(_entry(f)).st_ino != entry.st_ino
+        assert_same_dataset(hit, reference_load_csv(f, "s", "y"))
+        assert_same_dataset(swapped, reference_load_csv(f, "y", "s"))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_descriptor_of_a_hit_is_released_with_its_dataset(self, tmp_path, rng):
+        f = str(tmp_path / "d.csv")
+        write_csv(random_dataset(rng, 30), f)
+        load_csv(f, "s", "y")
+        before = _open_fds()
+        d = load_csv(f, "s", "y")
+        assert len(_open_fds()) == len(before) + 1  # the mapping's own descriptor
+        features = d.features
+        del d
+        assert len(_open_fds()) == len(before) + 1  # an array still views the entry
+        del features
+        assert _open_fds() == before
 
     def test_categories_and_header_names_round_trip(self, tmp_path, monkeypatch):
         """NumPy ``U`` arrays drop trailing NULs; the entry must not."""
@@ -708,6 +834,45 @@ class TestSynthesize:
         cells = {(0, 0): CellSpec(3, np.zeros(2), cov), (1, 0): CellSpec(3, np.ones(2), cov)}
         d = synthesize(SyntheticSpec(2, cells), seed=5)
         assert d.n == 6
+
+    # the allocations are mocked: a real request for 10^11 rows can succeed
+    # on a machine that overcommits memory, and then the OOM killer ends the run
+    TOO_LARGE = "Unable to allocate 1.46 TiB for an array with shape (100000000000, 2)"
+
+    @pytest.mark.parametrize("cov", [np.ones(2), np.eye(2)], ids=["diagonal", "full"])
+    def test_unallocatable_cell_is_config_error(self, monkeypatch, cov):
+        # NumPy's MemoryError once ended gen-data with a traceback (exit 1)
+        too_large = self.TOO_LARGE
+
+        class Starved:
+            def standard_normal(self, *args, **kwargs):
+                raise MemoryError(too_large)
+
+            multivariate_normal = standard_normal
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Starved())
+        cells = {(0, 0): CellSpec(10**11, np.zeros(2), cov), (1, 0): CellSpec(1, np.ones(2), cov)}
+        with pytest.raises(ConfigError, match=r"^cell \(0, 0\): count 100000000000 is too large: "
+                                              r"its 100000000000 × 2 float64 array"):
+            synthesize(SyntheticSpec(2, cells), seed=1)
+
+    def test_unallocatable_feature_matrix_is_config_error(self, monkeypatch):
+        def starved(arrays):
+            raise MemoryError(self.TOO_LARGE)
+
+        monkeypatch.setattr(np, "hstack", starved)
+        with pytest.raises(ConfigError, match=r"^the total count 12 is too large: its 12 × 3 "):
+            synthesize(two_blob_spec(per_cell=3), seed=1)
+
+    def test_total_beyond_numpy_limit_is_config_error(self, monkeypatch):
+        # each cell's 30 × 2 draws fit under the lowered limit and the 60 × 3
+        # feature matrix does not; at NumPy's own limit the same spec would
+        # make the parent's code ask for exabytes
+        monkeypatch.setattr(dataset_module, "_MAX_FLOATS", 100)
+        cells = {(0, 0): CellSpec(30, np.zeros(2), np.ones(2)),
+                 (1, 0): CellSpec(30, np.ones(2), np.ones(2))}
+        with pytest.raises(ConfigError, match=r"^the total count 60 is too large"):
+            synthesize(SyntheticSpec(2, cells), seed=1)
 
 
 class TestSplit:
